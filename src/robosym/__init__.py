@@ -10,7 +10,7 @@ trees numerically.
 
 from .basis import (
     EquivBasis,
-    SignedOrbit,
+    Orbits,
     bias_basis,
     burnside_rank,
     dense_nullspace_oracle,

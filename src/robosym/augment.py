@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, ParseError, SchemaError
+from .fileio import atomic_write_text
 from .groups import (
     FiniteGroup,
     GenPermMatrix,
@@ -43,15 +44,15 @@ class IsometrySet:
     restricted to linear isometries fixing the origin.
     """
 
-    def __init__(self, group: FiniteGroup, matrices):
+    def __init__(self, group: FiniteGroup, rotations):
         self.group = group
-        self.matrices = tuple(np.asarray(m, dtype=float) for m in matrices)
-        if len(self.matrices) != group.order:
+        self.rotations = tuple(np.asarray(m, dtype=float) for m in rotations)
+        if len(self.rotations) != group.order:
             raise ValueError("need one isometry per group element")
-        d = self.matrices[0].shape[0]
+        d = self.rotations[0].shape[0]
         self.dim = d
         dets = []
-        for g, r in enumerate(self.matrices):
+        for g, r in enumerate(self.rotations):
             if r.shape != (d, d):
                 raise ValueError(f"isometry {g} has shape {r.shape}, expected ({d},{d})")
             if np.abs(r.T @ r - np.eye(d)).max() > PLAN_TOL:
@@ -60,12 +61,12 @@ class IsometrySet:
             if abs(abs(det) - 1.0) > 1e-9:
                 raise ValueError(f"isometry {g} has |det| != 1")
             dets.append(1 if det > 0 else -1)
-        if np.abs(self.matrices[group.identity] - np.eye(d)).max() > PLAN_TOL:
+        if np.abs(self.rotations[group.identity] - np.eye(d)).max() > PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
         for g in group.elements():
             for h in group.elements():
                 gh = group.cayley[g][h]
-                if np.abs(self.matrices[g] @ self.matrices[h] - self.matrices[gh]).max() > 1e-9:
+                if np.abs(self.rotations[g] @ self.rotations[h] - self.rotations[gh]).max() > 1e-9:
                     raise ValueError(f"isometries violate the Cayley table at ({g},{h})")
         self.dets = tuple(dets)
 
@@ -80,18 +81,18 @@ class IsometrySet:
         return cls(group, mats)
 
     def rotation(self, g: int) -> np.ndarray:
-        return self.matrices[g]
+        return self.rotations[g]
 
     def det(self, g: int) -> int:
         return self.dets[g]
 
     def pseudo(self, g: int) -> np.ndarray:
         """Transform for axial vectors: det(R) R."""
-        return self.dets[g] * self.matrices[g]
+        return self.dets[g] * self.rotations[g]
 
     def homogeneous(self, g: int) -> np.ndarray:
         h = np.eye(self.dim + 1)
-        h[: self.dim, : self.dim] = self.matrices[g]
+        h[: self.dim, : self.dim] = self.rotations[g]
         return h
 
 
@@ -158,13 +159,13 @@ def _field_matrix(
     contact_reps: dict[int, GenPermMatrix],
 ) -> np.ndarray:
     if f.kind == "joint_space":
-        return joint_rep.matrices[g].as_dense().astype(float)  # type: ignore[union-attr]
+        return joint_rep.matrix(g).as_dense().astype(float)  # type: ignore[union-attr]
     if f.kind == "e3_vector":
         return isometries.rotation(g)  # type: ignore[union-attr]
     if f.kind == "e3_pseudovector":
         return isometries.pseudo(g)  # type: ignore[union-attr]
     if f.kind == "kron_perm_vector":
-        perm = leg_perm.matrices[g].as_dense().astype(float)  # type: ignore[union-attr]
+        perm = leg_perm.matrix(g).as_dense().astype(float)  # type: ignore[union-attr]
         return np.kron(perm, isometries.rotation(g))  # type: ignore[union-attr]
     if f.kind == "categorical_contact":
         return contact_reps[g].as_dense().astype(float)
@@ -274,7 +275,7 @@ def compile_schema(
         if leg_perm is None:
             raise SchemaError("categorical_contact fields need leg permutations")
         for g in group.elements():
-            contact_reps[g] = contact_state_rep(leg_perm.dim, leg_perm.matrices[g])
+            contact_reps[g] = contact_state_rep(leg_perm.dim, leg_perm.matrix(g))
     blocks = []
     for g in group.elements():
         row = []
@@ -380,7 +381,7 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
         mats = extend_by_words(
             group, perms, lambda a, b: a @ b, GenPermMatrix.identity(nlegs)
         )
-        leg_perm = Representation(group, nlegs, tuple(mats))
+        leg_perm = Representation(group, [m.target for m in mats], [m.sign for m in mats])
         check = verify_homomorphism(leg_perm)
         if not check.passed:
             raise ParseError(
@@ -399,15 +400,17 @@ def load_schema(path: str) -> list[dict]:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "fields" not in data:
         raise ParseError(f"{path}: expected an object with a 'fields' list")
+    for i, field in enumerate(data["fields"]):
+        for key in ("name", "kind"):
+            if not isinstance(field, dict) or key not in field:
+                raise ParseError(f"{path}: schema field {i} has no {key!r} key")
     return data["fields"]
 
 
 def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    with open(path, "w") as f:
-        f.write(",".join(column_names) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    lines = [",".join(column_names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:

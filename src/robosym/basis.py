@@ -22,29 +22,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, GroupMismatch, NonIntegralRank
-from .groups import Representation, tensor_on_linear_maps
+from .groups import Representation, _linear_map_action, tensor_on_linear_maps, trivial_representation
 
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
+TRACE_CHUNK = 32  # group elements per slab of the |G| x mn tracing tables
 
 
-@dataclass(frozen=True)
-class SignedOrbit:
-    """One orbit of flat vec(W) coordinates, with the sign each carries.
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """Signed orbits of flat vec(W) coordinates, as three read-only arrays.
 
-    Materialized as a vector with entries[k] = (index, sign), the orbit is a
-    fixed point of the group action on linear maps.  The smallest index has
-    sign +1 by construction.
+    Entry k puts ``sign[k]`` at flat coordinate ``index[k]`` of orbit
+    ``orbit[k]``.  Entries are sorted by orbit, then by index.  Orbits are
+    numbered in the order of their smallest index, whose sign is +1.
     """
 
-    entries: tuple[tuple[int, int], ...]
+    index: np.ndarray
+    sign: np.ndarray
+    orbit: np.ndarray
 
-    @property
-    def canonical_index(self) -> int:
-        return self.entries[0][0]
+    def __post_init__(self):
+        for name, dtype in (("index", np.intp), ("sign", np.int8), ("orbit", np.intp)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self.orbit[-1]) + 1 if self.orbit.size else 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Orbits):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in ("index", "sign", "orbit"))
+
+    def entries(self) -> list[list[list[int]]]:
+        """Per orbit, its [index, sign] pairs (the basis-file layout)."""
+        pairs = np.stack([self.index, self.sign], axis=1).tolist()
+        bounds = np.searchsorted(self.orbit, np.arange(len(self) + 1)).tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -58,8 +74,8 @@ class EquivBasis:
 
     m: int
     n: int
-    orbits: tuple[SignedOrbit, ...]
-    zero_forced: tuple[SignedOrbit, ...] = ()
+    orbits: Orbits
+    zero_forced: Orbits
 
     @property
     def rank(self) -> int:
@@ -68,68 +84,69 @@ class EquivBasis:
     @property
     def total_entries(self) -> int:
         """Sum of squared basis entries; every entry is +-1."""
-        return sum(len(o) for o in self.orbits)
+        return self.orbits.index.size
 
     def materialize(self, k: int) -> np.ndarray:
         """Dense m x n matrix of basis vector k."""
+        o = self.orbits
+        lo, hi = np.searchsorted(o.orbit, [k, k + 1])
         w = np.zeros(self.m * self.n)
-        for idx, sgn in self.orbits[k].entries:
-            w[idx] = sgn
+        w[o.index[lo:hi]] = o.sign[lo:hi]
         return w.reshape(self.m, self.n)
 
-    def materialize_flat(self, k: int) -> np.ndarray:
-        w = np.zeros(self.m * self.n)
-        for idx, sgn in self.orbits[k].entries:
-            w[idx] = sgn
-        return w
+
+def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
+    _, orbit = np.unique(canon[coords], return_inverse=True)
+    order = np.argsort(orbit, kind="stable")
+    return Orbits(coords[order], sign[coords[order]], orbit[order])
 
 
-def _trace_orbits(rep_w: Representation, dim: int) -> tuple[list[SignedOrbit], list[SignedOrbit]]:
-    targets = [m.target for m in rep_w.matrices]
-    signs = [m.sign for m in rep_w.matrices]
-    visited = bytearray(dim)
-    orbits: list[SignedOrbit] = []
-    dead: list[SignedOrbit] = []
-    for seed in range(dim):
-        if visited[seed]:
-            continue
-        reached: dict[int, int] = {}
-        consistent = True
-        for tgt, sgn in zip(targets, signs):
-            i, s = tgt[seed], sgn[seed]
-            prev = reached.get(i)
-            if prev is None:
-                reached[i] = s
-            elif prev != s:
-                consistent = False
-        for i in reached:
-            visited[i] = 1
-        orbit = SignedOrbit(tuple(sorted(reached.items())))
-        (orbits if consistent else dead).append(orbit)
-    return orbits, dead
+def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbits, Orbits]:
+    """Orbits of vec(W) under the action on linear maps, free and zero-forced.
+
+    Row g of each slab is the action of g^-1, so the first minimum over the
+    group axis finds, for coordinate i, the orbit's smallest coordinate c
+    and the first element g (in group order) that sends c onto i.  The sign
+    g^-1 gives i equals the sign g gives c, which is the sign the orbit
+    stores at i.  An orbit is zero-forced when some element fixes one of
+    its coordinates with sign -1.
+    """
+    group = rep_out.group
+    mn = rep_out.dim * rep_in.dim
+    coords = np.arange(mn)
+    inverse = np.asarray(group.inverse)
+    canon = coords.copy()  # the identity, element 0, maps i to itself with sign +1
+    sign = np.ones(mn, dtype=np.int8)
+    dead = np.zeros(mn, dtype=bool)
+    for start in range(0, group.order, TRACE_CHUNK):
+        t, s = _linear_map_action(rep_in, rep_out, inverse[start : start + TRACE_CHUNK])
+        dead |= ((t == coords) & (s < 0)).any(axis=0)
+        first = t.argmin(axis=0)
+        low = t[first, coords]
+        better = low < canon
+        canon[better] = low[better]
+        sign[better] = s[first, coords][better]
+    return _group_orbits(coords[~dead], canon, sign), _group_orbits(coords[dead], canon, sign)
 
 
 def orbit_basis(rep_in: Representation, rep_out: Representation) -> EquivBasis:
     """Equivariant-map basis via orbit tracing, O(|G| m n).
 
-    Each flat coordinate of vec(W) is visited once; its orbit under the
-    group action on linear maps becomes one basis vector, unless some
-    element maps a coordinate onto another with contradictory signs, in
-    which case the whole orbit is forced to zero.  Output orbits are sorted
-    by their smallest flat index.
+    The orbit of each flat coordinate of vec(W) under the group action on
+    linear maps becomes one basis vector, unless some element maps a
+    coordinate onto another with contradictory signs, in which case the
+    whole orbit is forced to zero.  Output orbits are sorted by their
+    smallest flat index.
     """
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
-    m, n = rep_out.dim, rep_in.dim
-    rep_w = tensor_on_linear_maps(rep_in, rep_out)
-    orbits, dead = _trace_orbits(rep_w, m * n)
-    return EquivBasis(m, n, tuple(orbits), tuple(dead))
+    return EquivBasis(rep_out.dim, rep_in.dim, *_trace_orbits(rep_in, rep_out))
 
 
 def bias_basis(rep_out: Representation) -> EquivBasis:
     """Basis of the fixed subspace rho_out(g) b = b, as orbits over R^m."""
-    orbits, dead = _trace_orbits(rep_out, rep_out.dim)
-    return EquivBasis(rep_out.dim, 1, tuple(orbits), tuple(dead))
+    triv = trivial_representation(rep_out.group, 1)
+    return EquivBasis(rep_out.dim, 1, *_trace_orbits(triv, rep_out))
 
 
 def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
@@ -144,10 +161,7 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
     group = rep_in.group
-    total = sum(
-        rep_out.matrices[g].trace() * rep_in.matrices[group.inverse[g]].trace()
-        for g in group.elements()
-    )
+    total = int(rep_out.traces() @ rep_in.traces()[list(group.inverse)])
     if total % group.order != 0 or total < 0:
         raise NonIntegralRank(
             f"trace average {total}/{group.order} is not a non-negative integer"
@@ -207,7 +221,7 @@ def dense_nullspace_oracle(
     group = rep_in.group
     rep_w = tensor_on_linear_maps(rep_in, rep_out)
     blocks = [
-        rep_w.matrices[g].as_dense().astype(float) - np.eye(mn)
+        rep_w.matrix(g).as_dense().astype(float) - np.eye(mn)
         for g in group.elements()
         if g != group.identity
     ]
@@ -281,7 +295,7 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
     """
     worst = 0.0
     for k in range(basis.rank):
-        v = basis.materialize_flat(k)
+        v = basis.materialize(k).ravel()
         v = v / np.linalg.norm(v)
         resid = v - oracle @ (oracle.T @ v)
         worst = max(worst, float(np.linalg.norm(resid)))
@@ -292,18 +306,17 @@ def basis_to_dict(basis: EquivBasis) -> dict:
     return {
         "m": basis.m,
         "n": basis.n,
-        "orbits": [{"entries": [[i, s] for i, s in o.entries]} for o in basis.orbits],
-        "zero_forced": [
-            {"entries": [[i, s] for i, s in o.entries]} for o in basis.zero_forced
-        ],
+        "orbits": [{"entries": e} for e in basis.orbits.entries()],
+        "zero_forced": [{"entries": e} for e in basis.zero_forced.entries()],
     }
 
 
 def basis_from_dict(data: dict) -> EquivBasis:
     def parse(os):
-        return tuple(
-            SignedOrbit(tuple((int(i), int(s)) for i, s in o["entries"])) for o in os
-        )
+        entries = [np.asarray(o["entries"], dtype=np.intp).reshape(-1, 2) for o in os]
+        flat = np.concatenate(entries) if entries else np.zeros((0, 2), dtype=np.intp)
+        orbit = np.repeat(np.arange(len(entries)), [len(e) for e in entries])
+        return Orbits(flat[:, 0], flat[:, 1], orbit)
 
     return EquivBasis(
         int(data["m"]),

@@ -20,7 +20,8 @@ import numpy as np
 from . import augment as aug
 from . import basis as bas
 from . import nets, rigid
-from .errors import RoboSymError
+from .errors import ParseError, RoboSymError
+from .fileio import atomic_write_text
 from .groups import (
     load_representation,
     load_representation_pair,
@@ -32,19 +33,12 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _emit(args, report: dict, out_path: str | None) -> None:
     if not getattr(args, "json", False):
         return
     payload = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if out_path:
-        _atomic_write_text(str(out_path) + ".report.json", payload)
+        atomic_write_text(str(out_path) + ".report.json", payload)
     else:
         sys.stdout.write(payload)
 
@@ -59,7 +53,7 @@ def _load_rep_pair(args):
 def cmd_basis(args) -> int:
     rep_in, rep_out = _load_rep_pair(args)
     basis = bas.orbit_basis(rep_in, rep_out)
-    _atomic_write_text(args.out, json.dumps(bas.basis_to_dict(basis)) + "\n")
+    atomic_write_text(args.out, json.dumps(bas.basis_to_dict(basis)) + "\n")
     report = {
         "m": basis.m,
         "n": basis.n,
@@ -72,7 +66,7 @@ def cmd_basis(args) -> int:
     code = EXIT_OK
     if args.oracle:
         oracle = bas.dense_nullspace_oracle(rep_in, rep_out, tol=args.tol)
-        _atomic_write_text(
+        atomic_write_text(
             args.out + ".oracle.json",
             json.dumps(bas.oracle_to_dict(oracle, basis.m, basis.n)) + "\n",
         )
@@ -133,9 +127,7 @@ def cmd_augment(args) -> int:
     else:
         out_rows = aug.augment_dataset(plan, rows)
         action = "augmented"
-    lines = [",".join(expected)]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in out_rows]
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
+    aug.write_csv(args.out, expected, out_rows)
     print(f"{action} {rows.shape[0]} rows into {out_rows.shape[0]} (group order "
           f"{bundle.group.order}) -> {args.out}")
     _emit(
@@ -157,6 +149,8 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
             spec = json.load(f)
         except json.JSONDecodeError as exc:
             raise RoboSymError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(spec, dict) or "rep" not in spec:
+        raise ParseError(f"{path}: net spec has no 'rep' key")
     base = Path(path).parent
     _, rep_in = load_representation(str(base / spec["rep"]))
     out_spec = spec.get("output", "input")
@@ -262,6 +256,7 @@ def cmd_robot(args) -> int:
                     "kinematic_violation": c.kinematic_violation,
                     "mass_matrix_violation": c.mass_matrix_violation,
                     "failed_check": c.failed_check,
+                    "worst_sample": c.worst_sample,
                 }
                 for c in report.candidates
             ],

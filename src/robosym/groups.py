@@ -1,17 +1,17 @@
 """Finite groups of generalized permutation matrices.
 
-Everything in this module is exact integer arithmetic: group elements are
-stored as (target, sign) arrays describing matrices with exactly one +-1
-entry per row and column.  Groups are built by breadth-first closure of a
-generator list, so element ordering (identity first, then discovery order)
-is reproducible bit-for-bit.
+Everything in this module is exact integer arithmetic: a matrix with exactly
+one +-1 entry per row and column is stored as a (target, sign) pair, and a
+representation stacks one such pair per group element into two (|G|, dim)
+arrays.  Groups are built by breadth-first closure of a generator list, so
+element ordering (identity first, then discovery order) is reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -56,14 +56,6 @@ class GenPermMatrix:
             sign = (1,) * len(target)
         return cls(len(target), target, tuple(int(s) for s in sign))
 
-    @cached_property
-    def _target_arr(self) -> np.ndarray:
-        return np.asarray(self.target, dtype=np.intp)
-
-    @cached_property
-    def _sign_arr(self) -> np.ndarray:
-        return np.asarray(self.sign, dtype=np.int64)
-
     @property
     def is_identity(self) -> bool:
         return self.target == tuple(range(self.dim)) and all(s == 1 for s in self.sign)
@@ -91,10 +83,6 @@ class GenPermMatrix:
             sgn[t] = self.sign[i]
         return GenPermMatrix(self.dim, tuple(tgt), tuple(sgn))
 
-    def transpose(self) -> "GenPermMatrix":
-        # Generalized permutations are orthogonal, so transpose == inverse.
-        return self.inverse()
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute M x in O(dim) without materializing the matrix.
 
@@ -105,29 +93,13 @@ class GenPermMatrix:
         if x.shape[-1] != self.dim:
             raise DimMismatch(f"vector of length {x.shape[-1]} for matrix of dim {self.dim}")
         out = np.empty_like(x, dtype=np.result_type(x, np.int64))
-        out[..., self._target_arr] = x * self._sign_arr
+        out[..., list(self.target)] = x * np.asarray(self.sign)
         return out
 
     def as_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=np.int64)
-        m[self._target_arr, np.arange(self.dim)] = self._sign_arr
+        m[list(self.target), range(self.dim)] = self.sign
         return m
-
-    def trace(self) -> int:
-        """Signed trace: sum of sign[i] over fixed coordinates target[i] == i."""
-        return sum(s for i, (t, s) in enumerate(zip(self.target, self.sign)) if t == i)
-
-    def kron(self, other: "GenPermMatrix") -> "GenPermMatrix":
-        """Kronecker product, itself a generalized permutation."""
-        n = other.dim
-        tgt = []
-        sgn = []
-        for i in range(self.dim):
-            ti, si = self.target[i], self.sign[i]
-            for j in range(n):
-                tgt.append(ti * n + other.target[j])
-                sgn.append(si * other.sign[j])
-        return GenPermMatrix(self.dim * n, tuple(tgt), tuple(sgn))
 
 
 @dataclass(frozen=True)
@@ -176,66 +148,77 @@ class FiniteGroup:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """One generalized permutation matrix per group element."""
+    """One generalized permutation matrix per group element, as two arrays.
+
+    Element g sends coordinate i to ``targets[g, i]`` with sign
+    ``signs[g, i]``.  Both arrays are (|G|, dim) and read-only; equality and
+    hashing go by the group and the array contents.
+    """
 
     group: FiniteGroup
-    dim: int
-    matrices: tuple[GenPermMatrix, ...]
+    targets: np.ndarray
+    signs: np.ndarray
 
     def __post_init__(self):
-        if len(self.matrices) != self.group.order:
-            raise ValueError("need one matrix per group element")
-        if any(m.dim != self.dim for m in self.matrices):
-            raise ValueError("all matrices must share the representation dim")
+        targets = np.array(self.targets, dtype=np.intp)
+        signs = np.array(self.signs, dtype=np.int8)
+        if targets.ndim != 2 or targets.shape[0] != self.group.order:
+            raise ValueError("need one target row per group element")
+        if signs.shape != targets.shape:
+            raise ValueError("signs must have the shape of targets")
+        if (np.sort(targets, axis=1) != np.arange(targets.shape[1])).any():
+            raise ValueError("every target row must be a permutation of 0..dim-1")
+        if (np.abs(signs) != 1).any():
+            raise ValueError("sign entries must be +1 or -1")
+        targets.flags.writeable = False
+        signs.flags.writeable = False
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "signs", signs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and np.array_equal(self.targets, other.targets)
+            and np.array_equal(self.signs, other.signs)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.targets.shape, self.targets.tobytes(), self.signs.tobytes()))
+
+    @property
+    def dim(self) -> int:
+        return self.targets.shape[1]
 
     @property
     def is_unsigned(self) -> bool:
-        return all(m.is_unsigned for m in self.matrices)
+        return bool((self.signs == 1).all())
 
     def matrix(self, g: int) -> GenPermMatrix:
-        return self.matrices[g]
+        return GenPermMatrix(self.dim, tuple(self.targets[g].tolist()), tuple(self.signs[g].tolist()))
+
+    def traces(self) -> np.ndarray:
+        """Signed trace of every element: the signs of its fixed coordinates, summed."""
+        return np.where(self.targets == np.arange(self.dim), self.signs, 0).sum(axis=1)
 
     def apply_matrix_left(self, g: int, w: np.ndarray) -> np.ndarray:
         """rho(g) @ W without densifying rho(g)."""
-        m = self.matrices[g]
         out = np.empty_like(w, dtype=float)
-        out[m._target_arr, :] = m._sign_arr[:, None] * w
+        out[self.targets[g], :] = self.signs[g][:, None] * w
         return out
 
     def apply_matrix_right(self, w: np.ndarray, g: int) -> np.ndarray:
         """W @ rho(g) without densifying rho(g)."""
-        m = self.matrices[g]
         # column j of W @ rho(g) is sign[j] * W[:, target[j]]
-        return w[:, m._target_arr] * m._sign_arr[None, :]
+        return w[:, self.targets[g]] * self.signs[g][None, :]
 
 
 def act(rep: Representation, g: int, x: np.ndarray) -> np.ndarray:
     """Group action rho(g) x, computed coordinate-wise in O(dim)."""
-    return rep.matrices[g].apply(x)
-
-
-def _closure_elements(generators: Sequence[GenPermMatrix], order_cap: int) -> list[GenPermMatrix]:
-    dim = generators[0].dim
-    ident = GenPermMatrix.identity(dim)
-    elements = [ident]
-    index = {(ident.target, ident.sign): 0}
-    i = 0
-    while i < len(elements):
-        for gen in generators:
-            prod = elements[i] @ gen
-            key = (prod.target, prod.sign)
-            if key not in index:
-                if len(elements) >= order_cap:
-                    raise ClosureExceeded(
-                        f"closure exceeds cap of {order_cap} elements; "
-                        "generators may not generate a finite group of that size"
-                    )
-                index[key] = len(elements)
-                elements.append(prod)
-        i += 1
-    return elements
+    return rep.matrix(g).apply(x)
 
 
 def group_closure(
@@ -256,25 +239,47 @@ def group_closure(
     if len(dims) != 1:
         raise DimMismatch(f"generators have mixed dims {sorted(dims)}")
 
-    elements = _closure_elements(generators, order_cap)
-    index = {(m.target, m.sign): k for k, m in enumerate(elements)}
-    order = len(elements)
-
-    cayley_rows = []
-    for a in elements:
+    gens = [(np.asarray(g.target, dtype=np.intp), np.asarray(g.sign, dtype=np.int8)) for g in generators]
+    dim = generators[0].dim
+    targets = [np.arange(dim, dtype=np.intp)]
+    signs = [np.ones(dim, dtype=np.int8)]
+    index = {targets[0].tobytes() + signs[0].tobytes(): 0}
+    right = []  # right[x][j]: index of element x times generator j
+    found_by = [(0, 0)]  # element b was found as element x times generator j
+    x = 0
+    while x < len(targets):
         row = []
-        for b in elements:
-            p = a @ b
-            row.append(index[(p.target, p.sign)])
-        cayley_rows.append(tuple(row))
-    cayley = tuple(cayley_rows)
-    inverse = [0] * order
-    for a in range(order):
-        inverse[a] = cayley[a].index(0)
+        for j, (gen_t, gen_s) in enumerate(gens):
+            t, s = targets[x][gen_t], gen_s * signs[x][gen_t]
+            key = t.tobytes() + s.tobytes()
+            k = index.get(key)
+            if k is None:
+                if len(targets) >= order_cap:
+                    raise ClosureExceeded(
+                        f"closure exceeds cap of {order_cap} elements; "
+                        "generators may not generate a finite group of that size"
+                    )
+                k = index[key] = len(targets)
+                targets.append(t)
+                signs.append(s)
+                found_by.append((x, j))
+            row.append(k)
+        right.append(row)
+        x += 1
 
-    gen_indices = tuple(index[(g.target, g.sign)] for g in generators)
-    group = FiniteGroup(order, cayley, tuple(inverse), gen_indices)
-    return group, Representation(group, generators[0].dim, tuple(elements))
+    # Column b of the Cayley table: a b = (a x) gen_j when b = x gen_j, and
+    # x was found before b.
+    order = len(targets)
+    right_arr = np.array(right, dtype=np.intp)
+    cayley = np.empty((order, order), dtype=np.intp)
+    cayley[:, 0] = np.arange(order)
+    for b in range(1, order):
+        x, j = found_by[b]
+        cayley[:, b] = right_arr[cayley[:, x], j]
+    inverse = (cayley == 0).argmax(axis=1)
+    gen_indices = tuple(index[t.tobytes() + s.tobytes()] for t, s in gens)
+    group = FiniteGroup(order, tuple(map(tuple, cayley.tolist())), tuple(inverse.tolist()), gen_indices)
+    return group, Representation(group, np.stack(targets), np.stack(signs))
 
 
 def make_cyclic(k: int, block_dim: int = 1) -> tuple[FiniteGroup, Representation]:
@@ -339,19 +344,21 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     group = reps[0].group
     if any(r.group != group for r in reps[1:]):
         raise GroupMismatch("representations belong to different groups")
-    total = sum(r.dim for r in reps)
-    mats = []
-    for g in group.elements():
-        tgt = []
-        sgn = []
-        offset = 0
-        for r in reps:
-            m = r.matrices[g]
-            tgt.extend(offset + t for t in m.target)
-            sgn.extend(m.sign)
-            offset += r.dim
-        mats.append(GenPermMatrix(total, tuple(tgt), tuple(sgn)))
-    return Representation(group, total, tuple(mats))
+    offsets = np.cumsum([0] + [r.dim for r in reps])
+    targets = np.hstack([r.targets + off for r, off in zip(reps, offsets)])
+    return Representation(group, targets, np.hstack([r.signs for r in reps]))
+
+
+def _linear_map_action(rep_in: Representation, rep_out: Representation, elements):
+    """(targets, signs) on vec(W) of the selected elements, each (k, m*n).
+
+    ``elements`` is an index array or slice over the group; the rows follow
+    the row-major convention vec(W)[i*n + j] = W[i, j].
+    """
+    n = rep_in.dim
+    t = rep_out.targets[elements, :, None] * n + rep_in.targets[elements, None, :]
+    s = rep_out.signs[elements, :, None] * rep_in.signs[elements, None, :]
+    return t.reshape(len(t), -1), s.reshape(len(s), -1)
 
 
 def tensor_on_linear_maps(rep_in: Representation, rep_out: Representation) -> Representation:
@@ -359,25 +366,18 @@ def tensor_on_linear_maps(rep_in: Representation, rep_out: Representation) -> Re
 
     Element g acts by rho_out(g) (x) rho_in(g^-1)^T under the row-major
     convention vec(W)[i*n + j] = W[i, j]; the fixed points of this action
-    are exactly the maps with rho_out(g) W = W rho_in(g).
+    are exactly the maps with rho_out(g) W = W rho_in(g).  Generalized
+    permutations are orthogonal, so rho_in(g^-1)^T = rho_in(g) and the
+    action is a broadcast of the two index arrays.
     """
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
-    group = rep_in.group
-    mats = tuple(
-        rep_out.matrices[g].kron(rep_in.matrices[group.inverse[g]].transpose())
-        for g in group.elements()
-    )
-    return Representation(group, rep_out.dim * rep_in.dim, mats)
+    return Representation(rep_in.group, *_linear_map_action(rep_in, rep_out, slice(None)))
 
 
 def regular_representation(group: FiniteGroup) -> Representation:
     """Group acting on itself by left multiplication; fixed-point free."""
-    mats = []
-    for g in group.elements():
-        tgt = tuple(group.cayley[g][h] for h in group.elements())
-        mats.append(GenPermMatrix(group.order, tgt, (1,) * group.order))
-    return Representation(group, group.order, tuple(mats))
+    return Representation(group, group.cayley, np.ones((group.order, group.order)))
 
 
 def tiled_regular_representation(group: FiniteGroup, width: int) -> Representation:
@@ -393,8 +393,8 @@ def tiled_regular_representation(group: FiniteGroup, width: int) -> Representati
 
 
 def trivial_representation(group: FiniteGroup, dim: int = 1) -> Representation:
-    ident = GenPermMatrix.identity(dim)
-    return Representation(group, dim, (ident,) * group.order)
+    shape = (group.order, dim)
+    return Representation(group, np.broadcast_to(np.arange(dim), shape), np.ones(shape))
 
 
 @dataclass
@@ -413,13 +413,16 @@ class HomomorphismReport:
 def verify_homomorphism(rep: Representation) -> HomomorphismReport:
     """Exact check of rho(g h) == rho(g) rho(h) over every pair."""
     group = rep.group
-    checked = 0
     for g in group.elements():
-        for h in group.elements():
-            checked += 1
-            if rep.matrices[group.cayley[g][h]] != rep.matrices[g] @ rep.matrices[h]:
-                return HomomorphismReport(False, checked, (g, h))
-    if not rep.matrices[group.identity].is_identity:
+        # rho(g) rho(h) for every h at once, against rho(g h)
+        gh = list(group.cayley[g])
+        bad = (rep.targets[g][rep.targets] != rep.targets[gh]).any(axis=1)
+        bad |= (rep.signs * rep.signs[g][rep.targets] != rep.signs[gh]).any(axis=1)
+        if bad.any():
+            h = int(bad.argmax())
+            return HomomorphismReport(False, g * group.order + h + 1, (g, h))
+    checked = group.order**2
+    if not rep.matrix(group.identity).is_identity:
         return HomomorphismReport(False, checked, (group.identity, group.identity))
     return HomomorphismReport(True, checked)
 
@@ -500,28 +503,7 @@ def load_representation_pair(
         for gi, go in zip(gens_in, gens_out)
     ]
     group, rep = group_closure(joint, order_cap=order_cap)
-    mats_in = []
-    mats_out = []
-    for m in rep.matrices:
-        mats_in.append(GenPermMatrix(dim_in, m.target[:dim_in], m.sign[:dim_in]))
-        mats_out.append(
-            GenPermMatrix(
-                dim_out,
-                tuple(t - dim_in for t in m.target[dim_in:]),
-                m.sign[dim_in:],
-            )
-        )
     return (
-        Representation(group, dim_in, tuple(mats_in)),
-        Representation(group, dim_out, tuple(mats_out)),
+        Representation(group, rep.targets[:, :dim_in], rep.signs[:, :dim_in]),
+        Representation(group, rep.targets[:, dim_in:] - dim_in, rep.signs[:, dim_in:]),
     )
-
-
-def dump_representation(path: str, dim: int, generators: Sequence[GenPermMatrix]) -> None:
-    data = {
-        "dim": dim,
-        "generators": [{"target": list(g.target), "sign": list(g.sign)} for g in generators],
-    }
-    with open(path, "w") as f:
-        json.dump(data, f, indent=1)
-        f.write("\n")

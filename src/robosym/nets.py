@@ -19,7 +19,8 @@ import numpy as np
 
 from .basis import EquivBasis, basis_fingerprint, bias_basis, orbit_basis
 from .errors import DegenerateBasis, DimMismatch, ParseError
-from .groups import FiniteGroup, Representation, tiled_regular_representation
+from .fileio import atomic_write_text
+from .groups import FiniteGroup, Representation, act, tiled_regular_representation
 
 _SELU_ALPHA = 1.6732632423543772848170429916717
 _SELU_SCALE = 1.0507009873554804934193349852946
@@ -99,20 +100,6 @@ def _cached_bases(rep_in: Representation, rep_out: Representation) -> tuple[Equi
     return orbit_basis(rep_in, rep_out), bias_basis(rep_out)
 
 
-def _scatter_arrays(basis: EquivBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx, sgn, cid = [], [], []
-    for k, orbit in enumerate(basis.orbits):
-        for i, s in orbit.entries:
-            idx.append(i)
-            sgn.append(s)
-            cid.append(k)
-    return (
-        np.asarray(idx, dtype=np.intp),
-        np.asarray(sgn, dtype=float),
-        np.asarray(cid, dtype=np.intp),
-    )
-
-
 class EquivLayer:
     """One perceptron layer y = sigma(W x + b) with orbit-shared parameters."""
 
@@ -152,8 +139,6 @@ class EquivLayer:
             raise DimMismatch(
                 f"expected {bias_basis_.rank} bias coefficients, got {self.bias_coeffs.shape}"
             )
-        self._w_idx, self._w_sgn, self._w_cid = _scatter_arrays(basis)
-        self._b_idx, self._b_sgn, self._b_cid = _scatter_arrays(bias_basis_)
 
     @property
     def m(self) -> int:
@@ -168,23 +153,22 @@ class EquivLayer:
         return self.basis.rank + self.bias_basis.rank
 
     def weight(self) -> np.ndarray:
+        o = self.basis.orbits
         flat = np.zeros(self.m * self.n)
-        flat[self._w_idx] = self._w_sgn * self.coeffs[self._w_cid]
+        flat[o.index] = o.sign * self.coeffs[o.orbit]
         return flat.reshape(self.m, self.n)
 
     def bias(self) -> np.ndarray:
+        o = self.bias_basis.orbits
         b = np.zeros(self.m)
-        b[self._b_idx] = self._b_sgn * self.bias_coeffs[self._b_cid]
+        b[o.index] = o.sign * self.bias_coeffs[o.orbit]
         return b
 
     def coeff_grads(self, dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contract dense weight/bias gradients onto the shared coefficients."""
-        dbeta = np.bincount(
-            self._w_cid, weights=self._w_sgn * dw.ravel()[self._w_idx], minlength=self.basis.rank
-        )
-        dbias = np.bincount(
-            self._b_cid, weights=self._b_sgn * db[self._b_idx], minlength=self.bias_basis.rank
-        )
+        o, ob = self.basis.orbits, self.bias_basis.orbits
+        dbeta = np.bincount(o.orbit, weights=o.sign * dw.ravel()[o.index], minlength=self.basis.rank)
+        dbias = np.bincount(ob.orbit, weights=ob.sign * db[ob.index], minlength=self.bias_basis.rank)
         return dbeta, dbias
 
 
@@ -305,9 +289,8 @@ def check_equivariance(
     y, _ = forward(net, x)
     worst, wg, ws = 0.0, 0, 0
     for g in group.elements():
-        gx = net.rep_in.matrices[g].apply(x)
-        y_gx, _ = forward(net, gx)
-        gy = net.rep_out.matrices[g].apply(y)
+        y_gx, _ = forward(net, act(net.rep_in, g, x))
+        gy = act(net.rep_out, g, y)
         viol = np.abs(y_gx - gy).max(axis=1)
         s = int(viol.argmax())
         if viol[s] > worst:
@@ -386,9 +369,7 @@ def save_weights(net: EquivNet, path: str) -> None:
             for layer in net.layers
         ]
     }
-    with open(path, "w") as f:
-        json.dump(data, f)
-        f.write("\n")
+    atomic_write_text(path, json.dumps(data) + "\n")
 
 
 def load_weights(net: EquivNet, path: str) -> None:
@@ -406,6 +387,9 @@ def load_weights(net: EquivNet, path: str) -> None:
             raise ParseError(f"{path}: layer {li} basis hash mismatch")
         if entry.get("bias_basis_hash") != basis_fingerprint(layer.bias_basis):
             raise ParseError(f"{path}: layer {li} bias basis hash mismatch")
+        for key in ("coeffs", "bias_coeffs"):
+            if key not in entry:
+                raise ParseError(f"{path}: layer {li} has no {key!r} key")
         coeffs = np.asarray(entry["coeffs"], dtype=float)
         bias_coeffs = np.asarray(entry["bias_coeffs"], dtype=float)
         if coeffs.shape != layer.coeffs.shape or bias_coeffs.shape != layer.bias_coeffs.shape:

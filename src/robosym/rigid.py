@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInertia, DimMismatch, ParseError, TreeCycle
-from .groups import FiniteGroup, GenPermMatrix, Representation, group_closure
+from .groups import FiniteGroup, GenPermMatrix, Representation, act, group_closure
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
@@ -384,7 +384,7 @@ def check_mass_matrix_equivariance(
         for g in group.elements():
             if g == group.identity:
                 continue
-            mg = mass_matrix(tree, rep_q.matrices[g].apply(q))
+            mg = mass_matrix(tree, act(rep_q, g, q))
             conj = rep_q.apply_matrix_left(g, rep_q.apply_matrix_right(m, group.inverse[g]))
             viol = float(np.abs(mg - conj).max())
             if viol > worst:

@@ -49,7 +49,7 @@ def _extend(group, gen_mats):
     values = {gi: m for gi, m in zip(group.generator_indices, gen_mats)}
     dim = gen_mats[0].dim
     mats = extend_by_words(group, values, lambda a, b: a @ b, GenPermMatrix.identity(dim))
-    return Representation(group, dim, tuple(mats))
+    return Representation(group, [m.target for m in mats], [m.sign for m in mats])
 
 
 def c2_reps() -> tuple[FiniteGroup, dict[str, Representation]]:
@@ -154,4 +154,4 @@ def all_pairs():
 
 
 def dense(rep: Representation, g: int) -> np.ndarray:
-    return rep.matrices[g].as_dense().astype(float)
+    return rep.matrix(g).as_dense().astype(float)

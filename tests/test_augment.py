@@ -278,7 +278,7 @@ class TestBundleLoading:
         doubled = direct_sum([solo.joint_rep, solo.joint_rep])
         for g in solo.group.elements():
             block = plan.transform_matrix(g)[:24, :24]
-            np.testing.assert_array_equal(block, doubled.matrices[g].as_dense())
+            np.testing.assert_array_equal(block, doubled.matrix(g).as_dense())
 
 
 class TestCsvRoundtrip:

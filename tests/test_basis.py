@@ -1,12 +1,14 @@
 """Equivariant basis: orbit algorithm vs dense oracle vs trace count."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import gpm
+from conftest import FIXTURES, gpm
+from robosym import basis as basis_module
 from robosym.basis import (
-    EquivBasis,
-    SignedOrbit,
+    basis_fingerprint,
     basis_from_dict,
     basis_to_dict,
     bias_basis,
@@ -16,9 +18,10 @@ from robosym.basis import (
     span_residual,
     validate_basis,
 )
-from robosym.errors import CapExceeded, GroupMismatch, NonIntegralRank
+from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonIntegralRank
 from robosym.groups import (
     Representation,
+    act,
     group_closure,
     make_cyclic,
     trivial_representation,
@@ -67,7 +70,7 @@ class TestOracle:
                 continue
             w = tensor_on_linear_maps(rep_in, rep_out)
             for g in rep_in.group.elements():
-                resid = w.matrices[g].as_dense().astype(float) @ q - q
+                resid = w.matrix(g).as_dense().astype(float) @ q - q
                 assert np.abs(resid).max() < 1e-12, label
 
     def test_cap(self):
@@ -81,14 +84,16 @@ class TestOrbitBasis:
         _, rep = make_cyclic(1, 3)
         basis = orbit_basis(rep, rep)
         assert basis.rank == 9
-        assert all(len(o) == 1 for o in basis.orbits)
+        assert list(basis.orbits.orbit) == list(range(9))
 
     def test_c2_swap_two_orbits(self):
         _, rep = group_closure([gpm([1, 0])])
         basis = orbit_basis(rep, rep)
         assert basis.rank == 2
-        assert basis.orbits[0].entries == ((0, 1), (3, 1))
-        assert basis.orbits[1].entries == ((1, 1), (2, 1))
+        assert basis_to_dict(basis)["orbits"] == [
+            {"entries": [[0, 1], [3, 1]]},
+            {"entries": [[1, 1], [2, 1]]},
+        ]
 
     def test_sign_flip_zero_forced(self):
         flip, triv = flip_and_trivial()
@@ -106,15 +111,13 @@ class TestOrbitBasis:
         b1 = orbit_basis(reps["leg12"], reps["perm4"])
         b2 = orbit_basis(reps["leg12"], reps["perm4"])
         assert b1 == b2
-        canon = [o.canonical_index for o in b1.orbits]
+        canon = [e[0][0] for e in b1.orbits.entries()]
         assert canon == sorted(canon)
 
     def test_orbits_partition_indices(self, all_pairs):
         for label, rep_in, rep_out in all_pairs:
             basis = orbit_basis(rep_in, rep_out)
-            seen = []
-            for o in list(basis.orbits) + list(basis.zero_forced):
-                seen.extend(i for i, _ in o.entries)
+            seen = np.concatenate([basis.orbits.index, basis.zero_forced.index])
             assert sorted(seen) == list(range(rep_in.dim * rep_out.dim)), label
 
 
@@ -139,8 +142,7 @@ class TestBurnside:
     def test_non_representation_raises(self):
         # traces (1, 1, -1) over C3 average to 1/3: not a representation
         group, _ = group_closure([gpm([1, 2, 0])])
-        ident = gpm([0])
-        bad = Representation(group, 1, (ident, ident, gpm([0], [-1])))
+        bad = Representation(group, [[0], [0], [0]], [[1], [1], [-1]])
         triv = trivial_representation(group, 1)
         with pytest.raises(NonIntegralRank):
             burnside_rank(bad, triv)
@@ -155,7 +157,7 @@ class TestBiasBasis:
         _, rep = group_closure([gpm([1, 0])])
         basis = bias_basis(rep)
         assert basis.rank == 1
-        assert basis.orbits[0].entries == ((0, 1), (1, 1))
+        assert basis.orbits.entries() == [[[0, 1], [1, 1]]]
 
     def test_sign_flip_bias_forced_to_zero(self):
         flip, _ = flip_and_trivial()
@@ -171,9 +173,9 @@ class TestBiasBasis:
             seen.add(id(rep))
             basis = bias_basis(rep)
             for k in range(basis.rank):
-                b = basis.materialize_flat(k)
+                b = basis.materialize(k).ravel()
                 for g in rep.group.elements():
-                    np.testing.assert_allclose(rep.matrices[g].apply(b), b, atol=0)
+                    np.testing.assert_allclose(act(rep, g, b), b, atol=0)
 
 
 class TestValidateBasis:
@@ -185,8 +187,9 @@ class TestValidateBasis:
     def test_corrupted_sign_fails_with_location(self):
         _, rep = group_closure([gpm([1, 0])])
         good = orbit_basis(rep, rep)
-        bad_orbit = SignedOrbit(((1, 1), (2, -1)))
-        bad = EquivBasis(2, 2, (good.orbits[0], bad_orbit))
+        data = basis_to_dict(good)
+        data["orbits"][1]["entries"] = [[1, 1], [2, -1]]
+        bad = basis_from_dict(data)
         report = validate_basis(bad, rep, rep)
         assert not report.passed
         g, k, (i, j) = report.first_violation
@@ -246,3 +249,81 @@ def test_orbit_runtime_scales_roughly_linearly(k4):
     t_small = max(elapsed(r1), 1e-4)
     t_big = elapsed(r2)  # mn quadruples from 1024 to 4096
     assert t_big < 40 * t_small
+
+
+def _reference_basis_dict(rep_in, rep_out) -> dict:
+    """The orbit tracer as a plain loop over seeds, on the Kronecker action
+    rho_out(g) (x) rho_in(g^-1)^T built entry by entry."""
+    group = rep_in.group
+    m, n = rep_out.dim, rep_in.dim
+    action = []
+    for g in group.elements():
+        a, b = rep_out.matrix(g), rep_in.matrix(group.inverse[g]).inverse()
+        action.append({
+            i * n + j: (a.target[i] * n + b.target[j], a.sign[i] * b.sign[j])
+            for i in range(m) for j in range(n)
+        })
+    visited, orbits, dead = set(), [], []
+    for seed in range(m * n):
+        if seed in visited:
+            continue
+        reached, consistent = {}, True
+        for images in action:
+            i, s = images[seed]
+            consistent &= reached.setdefault(i, s) == s
+        visited.update(reached)
+        (orbits if consistent else dead).append({"entries": sorted([i, s] for i, s in reached.items())})
+    return {"m": m, "n": n, "orbits": orbits, "zero_forced": dead}
+
+
+def _random_pair(rng):
+    """Representations of one group on R^n and R^m from random signed
+    generators, closed jointly as the pair loader does."""
+    while True:
+        n, m, k = (int(v) for v in rng.integers(1, [5, 5, 3], endpoint=True))
+        gens = []
+        for _ in range(k):
+            t = np.concatenate([rng.permutation(n), n + rng.permutation(m)])
+            signed = rng.random() < 0.5  # unsigned generators keep some ranks nonzero
+            gens.append(gpm(t, rng.choice([-1, 1], n + m) if signed else None))
+        try:
+            group, rep = group_closure(gens)
+        except ClosureExceeded:
+            continue
+        return (
+            Representation(group, rep.targets[:, :n], rep.signs[:, :n]),
+            Representation(group, rep.targets[:, n:] - n, rep.signs[:, n:]),
+        )
+
+
+class TestRefactorSafetyNet:
+    def test_fingerprints_pinned(self, all_pairs):
+        # weights files store these hashes, so they may never change
+        pinned = json.loads((FIXTURES / "basis_fingerprints.json").read_text())
+        assert len(pinned) == len(all_pairs)
+        for label, rep_in, rep_out in all_pairs:
+            got = [basis_fingerprint(orbit_basis(rep_in, rep_out)), basis_fingerprint(bias_basis(rep_out))]
+            assert got == pinned[label], label
+
+    def test_matches_reference_tracer(self, all_pairs):
+        for label, rep_in, rep_out in all_pairs:
+            assert basis_to_dict(orbit_basis(rep_in, rep_out)) == _reference_basis_dict(rep_in, rep_out), label
+
+    def test_random_signed_generators(self):
+        rng = np.random.default_rng(20230217)
+        for trial in range(30):
+            rep_in, rep_out = _random_pair(rng)
+            basis = orbit_basis(rep_in, rep_out)
+            label = f"trial {trial}, |G| = {rep_in.group.order}"
+            assert basis_to_dict(basis) == _reference_basis_dict(rep_in, rep_out), label
+            assert basis.rank == burnside_rank(rep_in, rep_out), label
+            if rep_in.dim * rep_out.dim <= 256:
+                assert basis.rank == dense_nullspace_oracle(rep_in, rep_out).shape[1], label
+            assert validate_basis(basis, rep_in, rep_out).passed, label
+
+    def test_chunk_size_does_not_change_basis(self, all_pairs, monkeypatch):
+        pairs = [p for p in all_pairs if p[1].group.order > 2]
+        expected = [basis_to_dict(orbit_basis(r_in, r_out)) for _, r_in, r_out in pairs]
+        monkeypatch.setattr(basis_module, "TRACE_CHUNK", 3)
+        for (label, r_in, r_out), want in zip(pairs, expected):
+            assert basis_to_dict(orbit_basis(r_in, r_out)) == want, label

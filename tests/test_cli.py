@@ -1,8 +1,10 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import FIXTURES
 from robosym.cli import main
@@ -45,6 +47,12 @@ class TestBasisCmd:
     def test_missing_file_exits_2(self, tmp_path):
         assert run("basis", "--rep-in", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o.json")) == 2
+
+    def test_out_is_directory_exits_2_without_temp_file(self, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert run("basis", "--rep-in", C2, "--out", str(out)) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestCountCmd:
@@ -219,6 +227,50 @@ class TestRobotCmd:
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["group_order"] == 2 and payload["verified"] == ["sagittal"]
+        assert payload["candidates"][0]["worst_sample"] == -1
+        assert run("robot", "verify",
+                   "--robot", str(FIXTURES / "minibiped_perturbed.json"),
+                   "--candidates", str(FIXTURES / "minibiped_candidates.json"),
+                   "--samples", "10", "--json") == 1
+        out = capsys.readouterr().out
+        worst = json.loads(out[out.index("{"):])["candidates"][0]["worst_sample"]
+        assert worst >= 0 and f"at sample {worst} " in out
+
+
+class TestParseBoundaries:
+    """Malformed inputs exit 2 with a one-line error naming the file and key."""
+
+    def test_net_spec_without_rep(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"hidden": [4]}))
+        assert run("net", "verify", "--net-spec", str(spec), "--weights", str(spec)) == 2
+        err = capsys.readouterr().err
+        assert str(spec) in err and "'rep'" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key", ["name", "kind"])
+    def test_schema_field_without_key(self, tmp_path, capsys, key):
+        schema = json.loads(Path(COM_SCHEMA).read_text())
+        del schema["fields"][0][key]
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n")
+        assert run("augment", "--group", SOLO_GROUP, "--schema", str(path),
+                   "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
+    def test_weights_layer_without_coeffs(self, tmp_path, capsys, key):
+        weights = tmp_path / "w.json"
+        run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "1", "--out", str(weights))
+        data = json.loads(weights.read_text())
+        del data["layers"][1][key]
+        weights.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("net", "verify", "--net-spec", NETSPEC, "--weights", str(weights)) == 2
+        err = capsys.readouterr().err
+        assert str(weights) in err and repr(key) in err and len(err.splitlines()) == 1
 
 
 class TestUsageErrors:

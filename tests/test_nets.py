@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import gpm
-from robosym.basis import EquivBasis, SignedOrbit, orbit_basis
+from robosym.basis import basis_from_dict, orbit_basis
 from robosym.errors import DegenerateBasis, DimMismatch, IncompatibleWidth
 from robosym.groups import (
+    act,
     group_closure,
     make_cyclic,
     tiled_regular_representation,
@@ -127,9 +128,9 @@ class TestForward:
         y, _ = forward(net, x)
         group = reps["leg12"].group
         for g in group.elements():
-            gx = reps["leg12"].matrices[g].apply(x)
+            gx = act(reps["leg12"], g, x)
             ygx, _ = forward(net, gx)
-            np.testing.assert_allclose(ygx, reps["perm4"].matrices[g].apply(y), atol=1e-12)
+            np.testing.assert_allclose(ygx, act(reps["perm4"], g, y), atol=1e-12)
 
     def test_dim_mismatch(self):
         rep = c2_swap_rep()
@@ -196,9 +197,9 @@ class TestGradients:
         c = rng.standard_normal(4)
         grads = grad_coeffs(net, x, c)
         dw = np.outer(c, x)  # dense weight gradient for the linear layer
-        for k, orbit in enumerate(layer.basis.orbits):
-            assert len(orbit) == 4
-            total = sum(s * dw.reshape(-1)[i] for i, s in orbit.entries)
+        for k, entries in enumerate(layer.basis.orbits.entries()):
+            assert len(entries) == 4
+            total = sum(s * dw.reshape(-1)[i] for i, s in entries)
             assert abs(grads[0].coeffs[k] - total) < 1e-12
 
     def test_zero_upstream_gives_zero_gradients(self):
@@ -231,7 +232,9 @@ class TestCheckEquivariance:
 
     def test_corrupted_basis_fails(self):
         rep = c2_swap_rep()
-        bad_basis = EquivBasis(2, 2, (SignedOrbit(((0, 1),)), SignedOrbit(((1, 1), (2, 1)))))
+        bad_basis = basis_from_dict(
+            {"m": 2, "n": 2, "orbits": [{"entries": [[0, 1]]}, {"entries": [[1, 1], [2, 1]]}]}
+        )
         layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]),
                            basis=bad_basis, bias_basis_=None)
         report = check_equivariance(EquivNet([layer]), samples=8, tol=1e-10, rng_seed=0)
@@ -309,3 +312,15 @@ class TestWeightsFile:
         other = build_mlp(reps["tiled16"], reps["tiled16"], [16], RELU, rng_seed=3)
         with pytest.raises(ParseError, match="hash"):
             load_weights(other, str(path))
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, k4):
+        _, reps = k4
+        net = build_mlp(reps["reg4"], reps["reg4"], [8], RELU, rng_seed=3)
+        path = tmp_path / "w.json"
+        save_weights(net, str(path))
+        before = path.read_text()
+        net.layers[-1].coeffs = np.array([object()] * net.layers[-1].coeffs.size)
+        with pytest.raises(TypeError):
+            save_weights(net, str(path))
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
