@@ -398,7 +398,7 @@ def load_schema(path: str) -> list[dict]:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "fields" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("fields"), list):
         raise ParseError(f"{path}: expected an object with a 'fields' list")
     for i, field in enumerate(data["fields"]):
         for key in ("name", "kind"):

@@ -151,6 +151,9 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
             raise RoboSymError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(spec, dict) or "rep" not in spec:
         raise ParseError(f"{path}: net spec has no 'rep' key")
+    hidden = spec.get("hidden", [])
+    if not isinstance(hidden, list) or not all(isinstance(w, int) for w in hidden):
+        raise ParseError(f"{path}: 'hidden' must be a list of integer widths")
     base = Path(path).parent
     _, rep_in = load_representation(str(base / spec["rep"]))
     out_spec = spec.get("output", "input")
@@ -161,7 +164,7 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
     return nets.build_mlp(
         rep_in,
         rep_out,
-        spec.get("hidden", []),
+        hidden,
         nets.get_nonlinearity(spec.get("nonlinearity", "relu")),
         spec.get("init_mode", "fan_in"),
         rng_seed=int(spec.get("seed", 0)),
@@ -249,15 +252,8 @@ def cmd_robot(args) -> int:
         args,
         {
             "candidates": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "dynamic_violation": c.dynamic_violation,
-                    "kinematic_violation": c.kinematic_violation,
-                    "mass_matrix_violation": c.mass_matrix_violation,
-                    "failed_check": c.failed_check,
-                    "worst_sample": c.worst_sample,
-                }
+                # every CandidateReport field; samples and tol are per run
+                {k: v for k, v in vars(c).items() if k not in ("samples", "tol")}
                 for c in report.candidates
             ],
             "verified": report.verified,

@@ -454,8 +454,8 @@ def load_generator_file(path: str) -> tuple[int, list[GenPermMatrix]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "dim" not in data or "generators" not in data:
-        raise ParseError(f"{path}: expected object with 'dim' and 'generators'")
+    if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
+        raise ParseError(f"{path}: expected object with 'dim' and a 'generators' list")
     dim = int(data["dim"])
     gens = []
     for i, entry in enumerate(data["generators"]):

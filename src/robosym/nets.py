@@ -379,10 +379,12 @@ def load_weights(net: EquivNet, path: str) -> None:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    entries = data.get("layers")
+    entries = data.get("layers") if isinstance(data, dict) else None
     if not isinstance(entries, list) or len(entries) != len(net.layers):
-        raise ParseError(f"{path}: expected {len(net.layers)} layers")
+        raise ParseError(f"{path}: expected a 'layers' list of {len(net.layers)} layers")
     for li, (layer, entry) in enumerate(zip(net.layers, entries)):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: 'layers' entry {li} is not an object")
         if entry.get("basis_hash") != basis_fingerprint(layer.basis):
             raise ParseError(f"{path}: layer {li} basis hash mismatch")
         if entry.get("bias_basis_hash") != basis_fingerprint(layer.bias_basis):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,7 +129,16 @@ class KinematicTree:
         if len(roots) != 1:
             raise TreeCycle(f"expected exactly one root body, found {roots}")
         self.root = roots[0]
-        self.children = children
+        self.actuated = [j for j in joints if j.actuated]
+        self.dof_index = {j.name: i for i, j in enumerate(self.actuated)}
+        # what _kinematics needs, computed once, per body in declaration order
+        self._body_id = {b.name: i for i, b in enumerate(bodies)}
+        self._mass = np.array([b.mass for b in bodies])
+        self._com = np.array([b.com for b in bodies])
+        self._inertia = np.array([b.inertia for b in bodies])
+        self._revolute = np.array([j.jtype == "revolute" for j in self.actuated], dtype=bool)
+        self._on_path = np.zeros((len(bodies), self.nj), dtype=bool)  # joint k is above body b
+        self._walk = []  # (joint, parent id, child id, DoF or -1), parent before child
         # reachability doubles as the acyclicity check
         reached = set()
         stack = [self.root]
@@ -137,11 +147,16 @@ class KinematicTree:
             if name in reached:
                 raise TreeCycle(f"body {name!r} reached twice")
             reached.add(name)
-            stack.extend(j.child for j in children[name])
+            for j in children[name]:
+                parent, child = self._body_id[name], self._body_id[j.child]
+                k = self.dof_index.get(j.name, -1)
+                self._walk.append((j, parent, child, k))
+                self._on_path[child] = self._on_path[parent]
+                if k >= 0:
+                    self._on_path[child, k] = True
+                stack.append(j.child)
         if reached != set(self.body_index):
             raise TreeCycle(f"unreachable bodies: {sorted(set(self.body_index) - reached)}")
-        self.actuated = [j for j in joints if j.actuated]
-        self.dof_index = {j.name: i for i, j in enumerate(self.actuated)}
 
     @property
     def nj(self) -> int:
@@ -193,6 +208,13 @@ def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
     return merge_config(tree, random_rotation(rng), rng.uniform(-1.0, 1.0, 3), qjs)
 
 
+def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> list[np.ndarray]:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    return [random_config(tree, rng) for _ in range(samples)]
+
+
 def integrate_config(tree: KinematicTree, q: np.ndarray, dq: np.ndarray, h: float) -> np.ndarray:
     """First-order configuration step along a velocity-space direction.
 
@@ -210,102 +232,80 @@ def integrate_config(tree: KinematicTree, q: np.ndarray, dq: np.ndarray, h: floa
     return merge_config(tree, step @ rot, pos + h * dq[:3], qjs + h * dq[6:])
 
 
-@dataclass
-class _Kinematics:
-    body_rot: dict[str, np.ndarray]
-    body_pos: dict[str, np.ndarray]
-    com_world: dict[str, np.ndarray]
-    joint_axis_world: list[np.ndarray]  # per actuated joint
-    joint_point_world: list[np.ndarray]
-    path_joints: dict[str, list[int]]  # actuated joint indices from root to body
-    base_pos: np.ndarray
+class _Kinematics(NamedTuple):
+    """Per-body arrays of one kinematics pass, in body-declaration order."""
+
+    rot: np.ndarray  # (B, 3, 3) world orientation of each body frame
+    pos: np.ndarray  # (B, 3) world position of each body frame
+    com: np.ndarray  # (B, 3) world CoM
+    inertia: np.ndarray  # (B, 3, 3) world inertia about the CoM
+    jp: np.ndarray  # (B, 3, nv) CoM position Jacobian J_P
+    jr: np.ndarray  # (B, 3, nv) orientation Jacobian J_R
 
 
 def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
+    """The one kinematics pass at ``q``: a walk, parent before child, places
+    the bodies and joint axes; a Jacobian column (axis x lever arm if
+    revolute, the axis if prismatic) is masked to the bodies below its joint.
+    """
     rot0, pos0, qjs = split_config(tree, q)
-    body_rot = {tree.root: rot0}
-    body_pos = {tree.root: pos0}
-    axes: list[np.ndarray] = [np.zeros(3)] * tree.nj
-    points: list[np.ndarray] = [np.zeros(3)] * tree.nj
-    paths: dict[str, list[int]] = {tree.root: []}
-    stack = [tree.root]
-    while stack:
-        parent = stack.pop()
-        rp, pp = body_rot[parent], body_pos[parent]
-        for j in tree.children[parent]:
-            r_pre = rp @ j.origin_rot
-            p_pre = pp + rp @ j.origin_xyz
-            path = list(paths[parent])
-            if j.jtype == "revolute":
-                k = tree.dof_index[j.name]
-                axes[k] = r_pre @ j.axis
-                points[k] = p_pre
-                path.append(k)
-                r_child = r_pre @ rotation_about_axis(j.axis, qjs[k])
-                p_child = p_pre
-            elif j.jtype == "prismatic":
-                k = tree.dof_index[j.name]
-                axes[k] = r_pre @ j.axis
-                points[k] = p_pre
-                path.append(k)
-                r_child = r_pre
-                p_child = p_pre + axes[k] * qjs[k]
-            else:
-                r_child = r_pre
-                p_child = p_pre
-            body_rot[j.child] = r_child
-            body_pos[j.child] = p_child
-            paths[j.child] = path
-            stack.append(j.child)
-    com = {
-        name: body_pos[name] + body_rot[name] @ tree.body_index[name].com
-        for name in tree.body_index
-    }
-    return _Kinematics(body_rot, body_pos, com, axes, points, paths, pos0)
+    nb = len(tree.bodies)
+    rot = np.empty((nb, 3, 3))
+    pos = np.empty((nb, 3))
+    root = tree._body_id[tree.root]
+    rot[root], pos[root] = rot0, pos0
+    axes, points = np.zeros((2, tree.nj, 3))
+    for j, parent, child, k in tree._walk:
+        r_pre = rot[parent] @ j.origin_rot
+        p_pre = pos[parent] + rot[parent] @ j.origin_xyz
+        rot[child], pos[child] = r_pre, p_pre
+        if k < 0:
+            continue
+        axes[k] = r_pre @ j.axis
+        points[k] = p_pre
+        if j.jtype == "revolute":
+            rot[child] = r_pre @ rotation_about_axis(j.axis, qjs[k])
+        else:
+            pos[child] = p_pre + axes[k] * qjs[k]
+    com = pos + (rot @ tree._com[:, :, None])[:, :, 0]
+    inertia = rot @ tree._inertia @ rot.transpose(0, 2, 1)
+    jp, jr = np.zeros((2, nb, 3, tree.nv))
+    if tree.floating:
+        # base twist (v, omega): J_P = [I, -[c - p0]x], J_R = [0, I]
+        jp[:, :, 0:3] = np.eye(3)
+        jp[:, :, 3:6] = np.cross(np.eye(3), (com - pos0)[:, None, :]).transpose(0, 2, 1)
+        jr[:, :, 3:6] = np.eye(3)
+    off = tree.nv - tree.nj
+    on_path = tree._on_path[:, :, None]
+    revolute = tree._revolute[:, None]
+    cols_p = np.where(revolute, np.cross(axes, com[:, None, :] - points), axes)
+    jp[:, :, off:] = (cols_p * on_path).transpose(0, 2, 1)
+    jr[:, :, off:] = (axes * revolute * on_path).transpose(0, 2, 1)
+    return _Kinematics(rot, pos, com, inertia, jp, jr)
+
+
+def _mass_matrix(tree: KinematicTree, kin: _Kinematics) -> np.ndarray:
+    """sum_k m J_P^T J_P + J_R^T I_world J_R, summed in body order: another order
+    moves the last bits and can change which tied sample a report names."""
+    jp_t, jr_t = kin.jp.transpose(0, 2, 1), kin.jr.transpose(0, 2, 1)
+    return (tree._mass[:, None, None] * (jp_t @ kin.jp) + jr_t @ kin.inertia @ kin.jr).sum(axis=0)
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """World pose (rotation, position) of every body frame."""
     kin = _kinematics(tree, q)
-    return {name: (kin.body_rot[name], kin.body_pos[name]) for name in tree.body_index}
+    return {b.name: (kin.rot[i], kin.pos[i]) for i, b in enumerate(tree.bodies)}
 
 
 def jacobians(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Geometric CoM Jacobians (J_P, J_R), each 3 x nv, per body."""
     kin = _kinematics(tree, q)
-    out = {}
-    base_cols = 6 if tree.floating else 0
-    for name in tree.body_index:
-        jp = np.zeros((3, tree.nv))
-        jr = np.zeros((3, tree.nv))
-        c = kin.com_world[name]
-        if tree.floating:
-            jp[:, 0:3] = np.eye(3)
-            jp[:, 3:6] = -skew(c - kin.base_pos)
-            jr[:, 3:6] = np.eye(3)
-        for k in kin.path_joints[name]:
-            col = base_cols + k
-            a = kin.joint_axis_world[k]
-            if tree.actuated[k].jtype == "revolute":
-                jp[:, col] = np.cross(a, c - kin.joint_point_world[k])
-                jr[:, col] = a
-            else:
-                jp[:, col] = a
-        out[name] = (jp, jr)
-    return out
+    return {b.name: (kin.jp[i], kin.jr[i]) for i, b in enumerate(tree.bodies)}
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-    """M(q) = sum_k J_P^T m J_P + J_R^T I_world J_R, symmetric PSD."""
-    kin = _kinematics(tree, q)
-    jac = jacobians(tree, q)
-    m = np.zeros((tree.nv, tree.nv))
-    for body in tree.bodies:
-        jp, jr = jac[body.name]
-        r = kin.body_rot[body.name]
-        inertia_w = r @ body.inertia @ r.T
-        m += body.mass * (jp.T @ jp) + jr.T @ inertia_w @ jr
-    return m
+    """M(q) = sum_k m J_P^T J_P + J_R^T I_world J_R, symmetric PSD, from one pass."""
+    return _mass_matrix(tree, _kinematics(tree, q))
 
 
 def kinetic_energy(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> float:
@@ -319,22 +319,13 @@ def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarr
     if dq.shape != (tree.nv,):
         raise DimMismatch(f"velocity has length {dq.shape}, tree expects {tree.nv}")
     kin = _kinematics(tree, q)
-    jac = jacobians(tree, q)
-    total_mass = sum(b.mass for b in tree.bodies)
+    total_mass = tree._mass.sum()
     if total_mass <= 0:
         raise ValueError("total mass must be positive for CoM momentum")
-    c = sum((b.mass * kin.com_world[b.name] for b in tree.bodies), np.zeros(3)) / total_mass
-    h_lin = np.zeros(3)
-    h_ang = np.zeros(3)
-    for body in tree.bodies:
-        jp, jr = jac[body.name]
-        v = jp @ dq
-        w = jr @ dq
-        r = kin.body_rot[body.name]
-        inertia_w = r @ body.inertia @ r.T
-        h_lin += body.mass * v
-        h_ang += np.cross(kin.com_world[body.name] - c, body.mass * v) + inertia_w @ w
-    return np.concatenate([h_lin, h_ang])
+    c = tree._mass @ kin.com / total_mass
+    p = tree._mass[:, None] * (kin.jp @ dq)
+    h_ang = np.cross(kin.com - c, p) + (kin.inertia @ (kin.jr @ dq)[:, :, None])[:, :, 0]
+    return np.concatenate([p.sum(axis=0), h_ang.sum(axis=0)])
 
 
 @dataclass
@@ -364,6 +355,7 @@ def check_mass_matrix_equivariance(
 ) -> MassMatrixReport:
     """Test M(rho(g) q) == rho(g) M(q) rho(g)^-1 on sampled configurations.
 
+    Samples are drawn as in ``identify_dms``; each M comes from one pass.
     Only meaningful for trees whose configuration is a plain vector (fixed
     base); floating-base trees go through ``identify_dms``, which knows how
     to act on the base pose.
@@ -375,11 +367,9 @@ def check_mass_matrix_equivariance(
         )
     if rep_q.dim != tree.nv:
         raise DimMismatch(f"representation dim {rep_q.dim}, tree has {tree.nv} DoF")
-    rng = np.random.default_rng(rng_seed) if not isinstance(rng_seed, np.random.Generator) else rng_seed
     group = rep_q.group
     worst, wg, ws = 0.0, group.identity, 0
-    for s in range(samples):
-        q = random_config(tree, rng)
+    for s, q in enumerate(_sample_configs(tree, samples, rng_seed)):
         m = mass_matrix(tree, q)
         for g in group.elements():
             if g == group.identity:
@@ -457,6 +447,7 @@ class CandidateReport:
     tol: float
     failed_check: str | None = None
     worst_sample: int = -1
+    failed_where: str | None = None
 
     def __str__(self) -> str:
         if self.passed:
@@ -465,12 +456,10 @@ class CandidateReport:
                 f"(dyn {self.dynamic_violation:.1e}, kin {self.kinematic_violation:.1e}, "
                 f"mass {self.mass_matrix_violation:.1e}, tol {self.tol:.1e})"
             )
-        worst = max(
-            self.dynamic_violation, self.kinematic_violation, self.mass_matrix_violation
-        )
+        worst = max(self.dynamic_violation, self.kinematic_violation, self.mass_matrix_violation)
         return (
             f"{self.name}: rejected: {self.failed_check} violation {worst:.3e} "
-            f"at sample {self.worst_sample} (tol {self.tol:.1e})"
+            f"at sample {self.worst_sample} ({self.failed_where}, tol {self.tol:.1e})"
         )
 
 
@@ -487,45 +476,48 @@ class IdentifyReport:
         return "\n".join(lines)
 
 
-def _candidate_violations(
-    tree: KinematicTree, cand: CandidateDMS, qs: list[np.ndarray]
-) -> tuple[float, float, float, int, str | None]:
+# the terms a failure location names, and the terms of each check
+_TERMS = ("mass", "CoM", "inertia", "J_P", "J_R", "M")
+_CHECKS = {"dynamic": slice(0, 3), "kinematic": slice(3, 5), "mass_matrix": slice(5, 6)}
+
+
+def _violations(tree: KinematicTree, cand: CandidateDMS, pair: np.ndarray, t: np.ndarray,
+                q: np.ndarray, at_q: _Kinematics, m_q: np.ndarray) -> np.ndarray:
+    """Per-body violations of the terms after "mass" at one sample: body k at
+    q against body ``pair[k]`` at g.q, with ``t`` the velocity matrix of g."""
     r = cand.isometry
-    det_r = cand.det
-    t = cand.velocity_matrix(tree)
-    worst = {"dynamic": (0.0, -1), "kinematic": (0.0, -1), "mass_matrix": (0.0, -1)}
+    at_gq = _kinematics(tree, cand.config_action(tree, q))
 
-    def bump(check: str, value: float, sample: int):
-        if value > worst[check][0]:
-            worst[check] = (value, sample)
+    def gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # max |a - b| per body
+        return np.abs(a - b).reshape(len(a), -1).max(axis=1)
 
-    for s, q in enumerate(qs):
-        gq = cand.config_action(tree, q)
-        kin_q = _kinematics(tree, q)
-        kin_gq = _kinematics(tree, gq)
-        jac_q = jacobians(tree, q)
-        jac_gq = jacobians(tree, gq)
-        for k_name, i_name in cand.body_pairing.items():
-            bk = tree.body_index[k_name]
-            bi = tree.body_index[i_name]
-            bump("dynamic", abs(bk.mass - bi.mass), s)
-            bump("dynamic", float(np.abs(r @ kin_q.com_world[k_name] - kin_gq.com_world[i_name]).max()), s)
-            ik = kin_q.body_rot[k_name] @ bk.inertia @ kin_q.body_rot[k_name].T
-            ii = kin_gq.body_rot[i_name] @ bi.inertia @ kin_gq.body_rot[i_name].T
-            bump("dynamic", float(np.abs(r @ ik @ r.T - ii).max()), s)
-            jp_k, jr_k = jac_q[k_name]
-            jp_i, jr_i = jac_gq[i_name]
-            bump("kinematic", float(np.abs(jp_i @ t - r @ jp_k).max()), s)
-            bump("kinematic", float(np.abs(jr_i @ t - det_r * (r @ jr_k)).max()), s)
-        mv = float(np.abs(mass_matrix(tree, gq) - t @ mass_matrix(tree, q) @ t.T).max())
-        bump("mass_matrix", mv, s)
-    dyn, kin, mm = worst["dynamic"], worst["kinematic"], worst["mass_matrix"]
-    failed = None
-    sample = -1
-    for check in ("dynamic", "kinematic", "mass_matrix"):
-        if worst[check][0] > 0 and (failed is None or worst[check][0] > worst[failed][0]):
-            failed, sample = check, worst[check][1]
-    return dyn[0], kin[0], mm[0], sample, failed
+    return np.stack([
+        gap(at_q.com @ r.T, at_gq.com[pair]),
+        gap(r @ at_q.inertia @ r.T, at_gq.inertia[pair]),
+        gap(at_gq.jp[pair] @ t, r @ at_q.jp),
+        gap(at_gq.jr[pair] @ t, cand.det * (r @ at_q.jr)),
+        np.full(len(pair), np.abs(_mass_matrix(tree, at_gq) - t @ m_q @ t.T).max()),
+    ])
+
+
+def _candidate_report(
+    tree: KinematicTree, cand: CandidateDMS, pair: np.ndarray, viol: np.ndarray, tol: float
+) -> CandidateReport:
+    """Report from a candidate's (samples, terms, bodies) violations."""
+    viol[:, 0] = np.abs(tree._mass - tree._mass[pair])  # does not depend on the sample
+    worst = {check: float(viol[:, terms].max()) for check, terms in _CHECKS.items()}
+    report = CandidateReport(cand.name, max(worst.values()) <= tol, *worst.values(), len(viol), tol)
+    if not report.passed:
+        # the largest check, then the first sample, term and body at its maximum
+        check = max(worst, key=worst.get)
+        v = viol[:, _CHECKS[check]]
+        s, term, k = np.unravel_index(np.argmax(v), v.shape)
+        name = tree.bodies[k].name
+        term_name = _TERMS[_CHECKS[check].start + term]
+        where = f"{term_name} of body {name} vs {cand.body_pairing[name]}"
+        report.failed_check, report.worst_sample = check, int(s)
+        report.failed_where = term_name if check == "mass_matrix" else where
+    return report
 
 
 def identify_dms(
@@ -544,28 +536,30 @@ def identify_dms(
     under the isometry, orientation Jacobians under its det-weighted form),
     and full mass-matrix equivariance.  Sampling rejects soundly but accepts
     only probabilistically: reports say "verified on N samples", not proven.
+    Each sample's kinematics pass is shared by all candidates; a candidate
+    adds one pass per transformed sample.
     """
-    rng = np.random.default_rng(rng_seed) if not isinstance(rng_seed, np.random.Generator) else rng_seed
-    qs = [random_config(tree, rng) for _ in range(samples)]
-    reports = []
-    verified = []
     for cand in candidates:
         cand.validate_against(tree)
-        dyn, kin, mm, sample, failed = _candidate_violations(tree, cand, qs)
-        passed = max(dyn, kin, mm) <= tol
-        reports.append(
-            CandidateReport(
-                cand.name, passed, dyn, kin, mm, samples, tol,
-                None if passed else failed, -1 if passed else sample,
-            )
-        )
-        if passed:
-            verified.append(cand)
+    pairs = [np.array([tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]) for c in candidates]
+    ts = [c.velocity_matrix(tree) for c in candidates]
+    viol = np.zeros((len(candidates), samples, len(_TERMS), len(tree.bodies)))
+    for s, q in enumerate(_sample_configs(tree, samples, rng_seed)):
+        at_q = _kinematics(tree, q)
+        m_q = _mass_matrix(tree, at_q)
+        for c, (cand, pair, t) in enumerate(zip(candidates, pairs, ts)):
+            viol[c, s, 1:] = _violations(tree, cand, pair, t, q, at_q, m_q)
+    reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, pairs, viol)]
+    verified = [c for c, report in zip(candidates, reports) if report.passed]
     gens = [c.joint_perm for c in verified]
     if not gens:
         gens = [GenPermMatrix.identity(max(tree.nj, 1))]
     group, rep = group_closure(gens, order_cap=order_cap)
     return IdentifyReport(reports, [c.name for c in verified], group, rep)
+
+
+def _name_of(entry) -> str:
+    return entry.get("name", "?") if isinstance(entry, dict) else "?"
 
 
 def _parse_body(entry: dict) -> RigidBody:
@@ -575,7 +569,7 @@ def _parse_body(entry: dict) -> RigidBody:
         com = np.asarray(entry["com"], dtype=float)
         upper = [float(v) for v in entry["inertia"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"body entry {entry.get('name', '?')!r}: {exc}") from exc
+        raise ParseError(f"body entry {_name_of(entry)!r}: {exc}") from exc
     if com.shape != (3,):
         raise ParseError(f"body {name!r}: com must have 3 entries")
     if len(upper) != 6:
@@ -593,7 +587,18 @@ def _parse_joint(entry: dict) -> Joint:
         axis = np.asarray(entry.get("axis", (0.0, 0.0, 1.0)), dtype=float)
         return Joint(name, entry["parent"], entry["child"], entry["type"], rpy_matrix(*rpy), xyz, axis)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"joint entry {entry.get('name', '?')!r}: {exc}") from exc
+        raise ParseError(f"joint entry {_name_of(entry)!r}: {exc}") from exc
+
+
+def tree_from_dict(data: dict) -> KinematicTree:
+    """Build a tree from a parsed robot description; see the README for the layout."""
+    try:
+        base = data["base"]
+        bodies = [_parse_body(b) for b in data["bodies"]]
+        joints = [_parse_joint(j) for j in data.get("joints", [])]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or malformed 'base', 'bodies' or 'joints': {exc}") from exc
+    return KinematicTree(base, bodies, joints)
 
 
 def load_robot(path: str) -> KinematicTree:
@@ -604,18 +609,9 @@ def load_robot(path: str) -> KinematicTree:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        base = data["base"]
-        bodies = [_parse_body(b) for b in data["bodies"]]
-        joints = [_parse_joint(j) for j in data.get("joints", [])]
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
-    return KinematicTree(base, bodies, joints)
-
-
-def tree_from_dict(data: dict) -> KinematicTree:
-    bodies = [_parse_body(b) for b in data["bodies"]]
-    joints = [_parse_joint(j) for j in data.get("joints", [])]
-    return KinematicTree(data["base"], bodies, joints)
+        return tree_from_dict(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
@@ -624,8 +620,11 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    entries = data.get("candidates", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: expected an object with a 'candidates' list")
     out = []
-    for entry in data.get("candidates", []):
+    for entry in entries:
         try:
             perm = entry["joint_perm"]
             cand = CandidateDMS(
@@ -635,7 +634,7 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
                 dict(entry["body_pairing"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: candidate {entry.get('name', '?')!r}: {exc}") from exc
+            raise ParseError(f"{path}: candidate {_name_of(entry)!r}: {exc}") from exc
         cand.validate_against(tree)
         out.append(cand)
     return out

@@ -233,8 +233,12 @@ class TestRobotCmd:
                    "--candidates", str(FIXTURES / "minibiped_candidates.json"),
                    "--samples", "10", "--json") == 1
         out = capsys.readouterr().out
-        worst = json.loads(out[out.index("{"):])["candidates"][0]["worst_sample"]
+        rejected = json.loads(out[out.index("{"):])["candidates"][0]
+        worst = rejected["worst_sample"]
         assert worst >= 0 and f"at sample {worst} " in out
+        assert payload["candidates"][0]["failed_where"] is None
+        assert rejected["failed_where"] == "mass of body leg_l vs leg_r"
+        assert f"at sample {worst} (mass of body leg_l vs leg_r, tol " in out
 
 
 class TestParseBoundaries:
@@ -271,6 +275,40 @@ class TestParseBoundaries:
         assert run("net", "verify", "--net-spec", NETSPEC, "--weights", str(weights)) == 2
         err = capsys.readouterr().err
         assert str(weights) in err and repr(key) in err and len(err.splitlines()) == 1
+
+    # (subcommand, the file-taking option, malformed file content)
+    MALFORMED = {
+        "robot_not_object": ("robot", "--robot", []),
+        "robot_body_not_object": ("robot", "--robot", {"base": "fixed", "bodies": [1]}),
+        "candidates_not_object": ("robot", "--candidates", []),
+        "candidate_not_object": ("robot", "--candidates", {"candidates": [1]}),
+        "weights_not_object": ("net", "--weights", [1]),
+        "weights_layer_not_object": ("net", "--weights", {"layers": [1, 2, 3]}),
+        "schema_fields_not_list": ("augment", "--schema", {"fields": 3}),
+        "generators_not_list": ("count", "--rep-in", {"dim": 2, "generators": 3}),
+        "hidden_not_list": ("net", "--net-spec", {"rep": K4, "hidden": "ab"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_exits_2(self, tmp_path, capsys, case):
+        command, option, content = self.MALFORMED[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n")
+        argv = {
+            "robot": {"--robot": str(FIXTURES / "minibiped.json"),
+                      "--candidates": str(FIXTURES / "minibiped_candidates.json")},
+            "net": {"--net-spec": NETSPEC, "--weights": str(bad)},
+            "augment": {"--group": SOLO_GROUP, "--schema": COM_SCHEMA, "--in": str(data),
+                        "--out": str(tmp_path / "o.csv")},
+            "count": {"--rep-in": K4},
+        }[command]
+        argv[option] = str(bad)
+        words = [command, "verify"] if command in ("robot", "net") else [command]
+        assert run(*words, *(w for pair in argv.items() for w in pair)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, gpm
+from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.groups import group_closure
 from robosym.rigid import (
@@ -394,6 +395,87 @@ class TestIdentifyDms:
         )
         with pytest.raises(ClosureExceeded):
             identify_dms(biped, [cand], samples=2, rng_seed=0, order_cap=1)
+
+
+REFERENCE = json.loads((FIXTURES / "identify_dms_reference.json").read_text())
+VIOLATIONS = ("dynamic_violation", "kinematic_violation", "mass_matrix_violation")
+
+
+class TestRefactorSafetyNet:
+    """Certification pinned to reports recorded with the per-body-dict
+    kinematics that the one-pass arrays replaced (50 samples, seeds 0, 1)."""
+
+    @pytest.mark.parametrize("key", sorted(REFERENCE))
+    def test_identify_dms_matches_recorded_report(self, key):
+        robot, seed = key.split(":")
+        cand_file = "minibiped" if robot == "minibiped_perturbed" else robot
+        tree = load_robot(str(FIXTURES / f"{robot}.json"))
+        cands = load_candidates(str(FIXTURES / f"{cand_file}_candidates.json"), tree)
+        report = identify_dms(tree, cands, samples=50, rng_seed=int(seed))
+        want = REFERENCE[key]
+        assert report.verified == want["verified"]
+        assert report.group.order == want["group_order"]
+        assert len(report.candidates) == len(want["candidates"])
+        for got, exp in zip(report.candidates, want["candidates"]):
+            assert (got.name, got.passed, got.failed_check, got.worst_sample) == (
+                exp["name"], exp["passed"], exp["failed_check"], exp["worst_sample"]
+            )
+            for field in VIOLATIONS:
+                assert abs(getattr(got, field) - exp[field]) <= 1e-12
+
+    def test_one_kinematics_pass_per_configuration(self, solo, solo_cands, monkeypatch):
+        calls = []
+        one_pass = rigid._kinematics
+        monkeypatch.setattr(rigid, "_kinematics", lambda tree, q: calls.append(q) or one_pass(tree, q))
+        samples = 7
+        identify_dms(solo, solo_cands, samples=samples, rng_seed=0)
+        assert len(calls) <= samples * (len(solo_cands) + 1)
+        q = random_config(solo, np.random.default_rng(0))
+        dq = np.ones(solo.nv)
+        for fn, args in ((mass_matrix, ()), (kinetic_energy, (dq,)), (com_momentum, (dq,))):
+            calls.clear()
+            fn(solo, q, *args)
+            assert len(calls) == 1, fn.__name__
+
+    @pytest.mark.parametrize("floating", [False, True])
+    def test_mass_matrix_and_momentum_are_per_body_sums(self, floating):
+        rng = np.random.default_rng(21 + floating)
+        tree = tree_from_dict(random_chain_dict(rng, floating=floating))
+        for _ in range(3):
+            q = random_config(tree, rng)
+            dq = rng.standard_normal(tree.nv)
+            jac = jacobians(tree, q)
+            poses = forward_kinematics(tree, q)
+            total = sum(b.mass for b in tree.bodies)
+            coms = {b.name: poses[b.name][1] + poses[b.name][0] @ b.com for b in tree.bodies}
+            c = sum(b.mass * coms[b.name] for b in tree.bodies) / total
+            m, h = np.zeros((tree.nv, tree.nv)), np.zeros(6)
+            for b in tree.bodies:
+                jp, jr = jac[b.name]
+                r = poses[b.name][0]
+                inertia_w = r @ b.inertia @ r.T
+                m += b.mass * jp.T @ jp + jr.T @ inertia_w @ jr
+                h += np.concatenate([b.mass * jp @ dq, np.cross(coms[b.name] - c, b.mass * jp @ dq)
+                                     + inertia_w @ jr @ dq])
+            np.testing.assert_allclose(mass_matrix(tree, q), m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(com_momentum(tree, q, dq), h, rtol=0, atol=1e-12)
+
+    def test_rejection_names_the_failing_body_pair(self, trifinger, trifinger_cands, biped_cands):
+        tree = load_robot(str(FIXTURES / "minibiped_perturbed.json"))
+        report = identify_dms(tree, biped_cands, samples=5, rng_seed=0)
+        assert report.candidates[0].failed_where == "mass of body leg_l vs leg_r"
+        assert report.candidates[0].worst_sample == 0  # a mass mismatch is sample-free
+        good = trifinger_cands[0]
+        swapped = dict(good.body_pairing)
+        for i in range(3):  # reverse the cycle direction of the pairing only
+            swapped[f"up_{i}"] = f"up_{(i + 2) % 3}"
+            swapped[f"low_{i}"] = f"low_{(i + 2) % 3}"
+        bad = CandidateDMS("swapped", good.isometry, good.joint_perm, swapped)
+        where = identify_dms(trifinger, [bad], samples=5, rng_seed=0).candidates[0].failed_where
+        assert where.split(" of body ")[0] in ("CoM", "inertia", "J_P", "J_R")
+        k, i = where.split(" of body ")[1].split(" vs ")
+        assert swapped[k] == i and good.body_pairing[k] != i
+        assert identify_dms(trifinger, [good], samples=5).candidates[0].failed_where is None
 
 
 class TestRotations:
