@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, SchemaError
+from .errors import DimMismatch, ParseError, SchemaError, parse_int
 from .fileio import atomic_write_text
 from .groups import (
     FiniteGroup,
@@ -35,6 +36,9 @@ FIELD_KINDS = (
 )
 
 PLAN_TOL = 1e-12
+
+# rows per block when CSV text is formatted or parsed
+CSV_BLOCK_ROWS = 512
 
 
 class IsometrySet:
@@ -404,30 +408,99 @@ def load_schema(path: str) -> list[dict]:
         for key in ("name", "kind"):
             if not isinstance(field, dict) or key not in field:
                 raise ParseError(f"{path}: schema field {i} has no {key!r} key")
+        if "dim" in field:
+            parse_int(f"{path}: schema field {i}", "dim", field["dim"])
     return data["fields"]
 
 
 def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> None:
+    """Write a header line of ``column_names`` and one line per row, every
+    value as ``%.17g`` (it parses back to the same float), streamed to the
+    atomic writer ``CSV_BLOCK_ROWS`` rows at a time."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    lines = [",".join(column_names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+
+    def chunks():
+        yield ",".join(column_names) + "\n"
+        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[start : start + CSV_BLOCK_ROWS].tolist()
+            yield "".join(map(row_format.__mod__, map(tuple, block)))
+
+    atomic_write_text(path, chunks())
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Read a header line and rows of as many floats, in blocks of
+    ``CSV_BLOCK_ROWS`` lines.  Blank lines before the first row and after the
+    last are ignored; a blank line between rows, a row of another width or a
+    value ``float()`` rejects raises ``ParseError`` naming its line."""
+    with open(path, "rb") as f:
+        # a line break other than "\n" (e.g. a lone "\r") can only add rows;
+        # the array then grows in store()
+        capacity = sum(b.count(b"\n") for b in iter(lambda: f.read(1 << 20), b""))
     with open(path) as f:
         header = f.readline().strip()
         if not header:
             raise ParseError(f"{path}: missing header line")
         names = header.split(",")
-        body = f.read().strip()
-    if not body:
-        return names, np.zeros((0, len(names)))
+        width = len(names)
+        rows = np.empty((capacity, width))
+        n = 0
+
+        def store(lines: list[str], first: int) -> None:
+            nonlocal rows, n
+            if not lines:
+                return
+            if n + len(lines) > len(rows):
+                rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
+            rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
+            n += len(lines)
+
+        # Whitespace before the first value and after the last one is dropped,
+        # as str.strip() on the whole body would.  So the last row read stays
+        # in `lines` until a later row or the end of the file shows whether it
+        # is the last one.  `lines` holds consecutive rows from line `first`.
+        lines, first, lineno, blank = [], 0, 1, 0
+        while block := list(islice(f, CSV_BLOCK_ROWS)):
+            # splitlines, not the file's own line iteration, so that every
+            # line break str.splitlines knows ends a row
+            for line in "".join(block).splitlines():
+                lineno += 1
+                if not line.strip():
+                    if lines and not blank:
+                        blank = lineno
+                    continue
+                if blank:
+                    error = f"line {blank}: blank line between rows"
+                elif line.count(",") != width - 1:
+                    error = f"line {lineno}: {line.count(',') + 1} columns, header has {width}"
+                else:
+                    if not lines:
+                        first, line = lineno, line.lstrip()
+                    lines.append(line)
+                    continue
+                store(lines, first)
+                raise ParseError(f"{path}: {error}")
+            store(lines[:-1], first)
+            first, lines = first + len(lines) - 1, lines[-1:]
+        if lines:
+            lines[-1] = lines[-1].rstrip()
+        store(lines, first)
+    return names, rows[:n]
+
+
+def _parse_rows(path: str, lines: list[str], first: int, width: int) -> np.ndarray:
+    """Parse consecutive lines (the first is line ``first`` of the file), each
+    with ``width`` comma-separated values, into a (len(lines), width) array."""
     try:
-        rows = np.array(
-            [[float(v) for v in line.split(",")] for line in body.splitlines()]
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed numeric row: {exc}") from exc
-    if rows.shape[1] != len(names):
-        raise ParseError(f"{path}: rows have {rows.shape[1]} columns, header has {len(names)}")
-    return names, rows
+        # numpy converts each str with float(): same accepted forms, same bits
+        return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
+    except ValueError:
+        for i, line in enumerate(lines):
+            try:
+                np.array(line.split(","), dtype=float)
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: line {first + i}: malformed numeric row: {exc}"
+                ) from exc
+        raise

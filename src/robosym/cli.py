@@ -20,7 +20,7 @@ import numpy as np
 from . import augment as aug
 from . import basis as bas
 from . import nets, rigid
-from .errors import ParseError, RoboSymError
+from .errors import ParseError, RoboSymError, parse_int
 from .fileio import atomic_write_text
 from .groups import (
     load_representation,
@@ -160,14 +160,14 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
     if out_spec == "input":
         rep_out = rep_in
     else:
-        rep_out = tiled_regular_representation(rep_in.group, int(out_spec))
+        rep_out = tiled_regular_representation(rep_in.group, parse_int(path, "output", out_spec))
     return nets.build_mlp(
         rep_in,
         rep_out,
         hidden,
         nets.get_nonlinearity(spec.get("nonlinearity", "relu")),
         spec.get("init_mode", "fan_in"),
-        rng_seed=int(spec.get("seed", 0)),
+        rng_seed=parse_int(path, "seed", spec.get("seed", 0)),
     )
 
 

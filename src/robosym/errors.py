@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that
+parsers of input files share."""
 
 
 class RoboSymError(Exception):
@@ -47,3 +48,14 @@ class TreeCycle(RoboSymError):
 
 class BadInertia(RoboSymError):
     """Body inertia is not symmetric positive semidefinite."""
+
+
+def parse_int(where: str, key: str, value) -> int:
+    """``int(value)`` for ``key`` read from ``where`` (a file, or a place in
+    one); a value int() rejects, such as a list, raises ParseError naming both."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{where}: {key!r} must be an integer, got {type(value).__name__}"
+        ) from exc

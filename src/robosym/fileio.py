@@ -2,16 +2,18 @@
 
 import contextlib
 import os
+from collections.abc import Iterable
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
-    over ``path``.  On failure the temporary file is removed and an existing
-    ``path`` is left as it was."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text`` (one string, or an iterable of string chunks written as
+    they are produced) to a temporary file beside ``path``, then rename it over
+    ``path``.  On failure, including an exception raised by the iterable, the
+    temporary file is removed and an existing ``path`` is left as it was."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):

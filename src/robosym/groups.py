@@ -16,7 +16,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError
+from .errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError, parse_int
 
 T = TypeVar("T")
 
@@ -456,7 +456,7 @@ def load_generator_file(path: str) -> tuple[int, list[GenPermMatrix]]:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
         raise ParseError(f"{path}: expected object with 'dim' and a 'generators' list")
-    dim = int(data["dim"])
+    dim = parse_int(path, "dim", data["dim"])
     gens = []
     for i, entry in enumerate(data["generators"]):
         try:

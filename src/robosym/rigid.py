@@ -27,6 +27,9 @@ from .groups import FiniteGroup, GenPermMatrix, Representation, act, group_closu
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     x, y, z = v
@@ -35,7 +38,12 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return _rodrigues(k, k @ k, angle)
+
+
+def _rodrigues(k: np.ndarray, k2: np.ndarray, angle: float) -> np.ndarray:
+    """I + sin(angle) K + (1 - cos(angle)) K^2 with K = skew(axis), K2 = K @ K."""
+    return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * k2
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -138,7 +146,9 @@ class KinematicTree:
         self._inertia = np.array([b.inertia for b in bodies])
         self._revolute = np.array([j.jtype == "revolute" for j in self.actuated], dtype=bool)
         self._on_path = np.zeros((len(bodies), self.nj), dtype=bool)  # joint k is above body b
-        self._walk = []  # (joint, parent id, child id, DoF or -1), parent before child
+        # (joint, parent id, child id, DoF or -1, (K, K @ K) of a revolute axis
+        # or None), parent before child
+        self._walk = []
         # reachability doubles as the acyclicity check
         reached = set()
         stack = [self.root]
@@ -150,7 +160,11 @@ class KinematicTree:
             for j in children[name]:
                 parent, child = self._body_id[name], self._body_id[j.child]
                 k = self.dof_index.get(j.name, -1)
-                self._walk.append((j, parent, child, k))
+                skews = None
+                if j.jtype == "revolute":
+                    axis_skew = skew(j.axis)
+                    skews = (axis_skew, axis_skew @ axis_skew)
+                self._walk.append((j, parent, child, k, skews))
                 self._on_path[child] = self._on_path[parent]
                 if k >= 0:
                     self._on_path[child, k] = True
@@ -255,7 +269,7 @@ def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
     root = tree._body_id[tree.root]
     rot[root], pos[root] = rot0, pos0
     axes, points = np.zeros((2, tree.nj, 3))
-    for j, parent, child, k in tree._walk:
+    for j, parent, child, k, skews in tree._walk:
         r_pre = rot[parent] @ j.origin_rot
         p_pre = pos[parent] + rot[parent] @ j.origin_xyz
         rot[child], pos[child] = r_pre, p_pre
@@ -263,8 +277,8 @@ def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
             continue
         axes[k] = r_pre @ j.axis
         points[k] = p_pre
-        if j.jtype == "revolute":
-            rot[child] = r_pre @ rotation_about_axis(j.axis, qjs[k])
+        if skews is not None:
+            rot[child] = r_pre @ _rodrigues(*skews, qjs[k])
         else:
             pos[child] = p_pre + axes[k] * qjs[k]
     com = pos + (rot @ tree._com[:, :, None])[:, :, 0]

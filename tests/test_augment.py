@@ -1,5 +1,7 @@
 """Schema compilation, exact augmentation, and orbit averaging."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from robosym.augment import (
     write_csv,
 )
 from robosym.errors import DimMismatch, ParseError, SchemaError
+from robosym.fileio import atomic_write_text
 from robosym.groups import group_closure
 
 # full image of the 16 contact states under the left-right leg swap,
@@ -296,3 +299,77 @@ class TestCsvRoundtrip:
         path.write_text("a,b\n")
         names, rows = read_csv(str(path))
         assert names == ["a", "b"] and rows.shape == (0, 2)
+
+    @staticmethod
+    def _reference_text(names, rows):
+        """The formatting write_csv must reproduce: one f-string per value."""
+        rows = np.atleast_2d(rows)
+        lines = [",".join(names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("shape", ["row", "column", "no_rows", "bit_patterns"])
+    def test_write_matches_fstring_reference(self, tmp_path, shape):
+        rows = {
+            "row": np.array([self.SPECIALS]),
+            "column": np.array(self.SPECIALS)[:, None],
+            "no_rows": np.zeros((0, 3)),
+            # 10k int64 bit patterns (NaN payloads, subnormals, both zeros)
+            # over 1250 rows, more than two CSV_BLOCK_ROWS blocks
+            "bit_patterns": np.random.default_rng(11)
+            .integers(-(2**63), 2**63 - 1, size=(1250, 8), dtype=np.int64, endpoint=True)
+            .view(np.float64),
+        }[shape]
+        names = [f"c_{i}" for i in range(rows.shape[1])]
+        path = tmp_path / "w.csv"
+        write_csv(str(path), names, rows)
+        assert path.read_bytes() == self._reference_text(names, rows).encode()
+        _, back = read_csv(str(path))
+        finite = ~np.isnan(rows)
+        assert back.shape == rows.shape and np.array_equal(np.isnan(back), ~finite)
+        assert back[finite].tobytes() == rows[finite].tobytes()
+
+    def test_read_accepts_what_float_accepts(self, tmp_path):
+        tokens = ["1_0", " 1.5 ", "inf", "-NaN", "1e400", "-0", "+nan", "1e-400"]
+        path = tmp_path / "r.csv"
+        # blank lines before the first row and after the last are ignored
+        path.write_text("a,b,c,d\n\n \n" + ",".join(tokens[:4]) + "\n"
+                        + ",".join(tokens[4:]) + "\n\n\t\n")
+        _, rows = read_csv(str(path))
+        expected = np.array([float(t) for t in tokens]).reshape(2, 4)
+        assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("1,2\n\n3,4\n", 3),  # blank line between rows
+            ("1,2\n  \n3,4\n", 3),  # whitespace-only line between rows
+            ("1,2\n3\n", 3),  # short row
+            ("1,2\n3,4,5\n", 3),  # long row
+            ("1,2\n3,x\n", 3),  # not a number
+            ("1,2\n" * 600 + "3,x\n" + "4,\n", 602),  # first bad row, second block
+            ("1,2\n3,\n4,5,6\n", 3),  # a malformed value before a ragged row
+        ],
+        ids=["blank", "whitespace", "short", "long", "not_a_number", "second_block",
+             "value_before_ragged"],
+    )
+    def test_read_rejects_and_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            read_csv(str(path))
+
+    def test_failed_chunk_stream_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "a,b\n"
+            raise RuntimeError("stream broke")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_text(str(path), chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

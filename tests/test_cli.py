@@ -130,6 +130,19 @@ class TestAugmentCmd:
         _, b = read_csv(str(avg))
         np.testing.assert_allclose(a, b, atol=1e-12)  # already equivariant
 
+    def test_truncated_csv_exits_0_or_2(self, tmp_path, capsys):
+        path, _ = self._write_dataset(tmp_path, n=20)
+        data = path.read_bytes()
+        offsets = np.random.default_rng(5).choice(len(data), size=20, replace=False)
+        cut = tmp_path / "cut.csv"
+        for offset in sorted(offsets):
+            cut.write_bytes(data[:offset])
+            code = run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                       "--in", str(cut), "--out", str(tmp_path / "o.csv"))
+            err = capsys.readouterr().err
+            assert code in (0, 2), offset
+            assert "Traceback" not in err and len(err.splitlines()) == (code == 2)
+
 
 class TestNetCmd:
     def test_init_stats_band(self, capsys):
@@ -287,7 +300,15 @@ class TestParseBoundaries:
         "schema_fields_not_list": ("augment", "--schema", {"fields": 3}),
         "generators_not_list": ("count", "--rep-in", {"dim": 2, "generators": 3}),
         "hidden_not_list": ("net", "--net-spec", {"rep": K4, "hidden": "ab"}),
+        "generator_dim_list": ("count", "--rep-in", {"dim": [2], "generators": []}),
+        "net_seed_list": ("net", "--net-spec", {"rep": K4, "seed": [4]}),
+        "net_output_list": ("net", "--net-spec", {"rep": K4, "output": [4]}),
+        "schema_dim_list": ("augment", "--schema",
+                            {"fields": [{"name": "s", "kind": "invariant_scalar", "dim": [2]}]}),
     }
+    # the key a case's error must name, where the file has one at fault
+    MALFORMED_KEY = {"generator_dim_list": "dim", "net_seed_list": "seed",
+                     "net_output_list": "output", "schema_dim_list": "dim"}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_exits_2(self, tmp_path, capsys, case):
@@ -309,6 +330,21 @@ class TestParseBoundaries:
         assert run(*words, *(w for pair in argv.items() for w in pair)) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err and len(err.splitlines()) == 1
+        if case in self.MALFORMED_KEY:
+            assert repr(self.MALFORMED_KEY[case]) in err
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("1,2\n\n3,4\n", 3), ("1,2\n3\n", 3), ("1,2\n3,4,5\n", 3), ("1,2\n1,x\n", 3)],
+        ids=["blank", "short", "long", "not_a_number"],
+    )
+    def test_malformed_csv_names_the_line(self, tmp_path, capsys, body, line):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n" + body)
+        assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                   "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: line {line}: " in err and len(err.splitlines()) == 1
 
 
 class TestUsageErrors:
