@@ -3,8 +3,10 @@
 A measurement row is a concatenation of typed fields (joint-space vectors,
 spatial vectors, pseudovectors, per-leg quantities, categorical contact
 states, flattened poses, invariant scalars).  A schema plus a group bundle
-compiles into one linear block transform per group element, so augmenting a
-dataset is |G| batched matrix products.
+compiles into, per group element, one signed gather over the row's
+coordinates (it moves every value exactly, NaN and -0.0 included) and then
+small dense blocks for the fields a rotation mixes; no permutation is ever
+held as a dense matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
+from operator import matmul
 
 import numpy as np
 
@@ -21,8 +24,11 @@ from .groups import (
     FiniteGroup,
     GenPermMatrix,
     Representation,
+    direct_sum,
     extend_by_words,
     load_representation,
+    trivial_representation,
+    verify_homomorphism,
 )
 
 FIELD_KINDS = (
@@ -74,16 +80,6 @@ class IsometrySet:
                     raise ValueError(f"isometries violate the Cayley table at ({g},{h})")
         self.dets = tuple(dets)
 
-    @classmethod
-    def from_generators(cls, group: FiniteGroup, generator_matrices: dict[int, np.ndarray], dim: int = 3):
-        mats = extend_by_words(
-            group,
-            {g: np.asarray(m, dtype=float) for g, m in generator_matrices.items()},
-            lambda a, b: a @ b,
-            np.eye(dim),
-        )
-        return cls(group, mats)
-
     def rotation(self, g: int) -> np.ndarray:
         return self.rotations[g]
 
@@ -116,17 +112,11 @@ class MeasurementSchema:
         return sum(f.dim for f in self.fields)
 
     def column_names(self) -> list[str]:
-        names = []
-        for f in self.fields:
-            names.extend(f"{f.name}_{i}" for i in range(f.dim))
-        return names
+        return [f"{f.name}_{i}" for f in self.fields for i in range(f.dim)]
 
     def slices(self) -> list[slice]:
-        out, off = [], 0
-        for f in self.fields:
-            out.append(slice(off, off + f.dim))
-            off += f.dim
-        return out
+        ends = np.cumsum([0] + [f.dim for f in self.fields]).tolist()
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def contact_state_rep(num_legs: int, leg_perm: GenPermMatrix) -> GenPermMatrix:
@@ -144,71 +134,84 @@ def contact_state_rep(num_legs: int, leg_perm: GenPermMatrix) -> GenPermMatrix:
     if not leg_perm.is_unsigned:
         raise SchemaError("contact states carry no sign; leg permutation must be unsigned")
     size = 1 << num_legs
-    target = []
-    for state in range(size):
-        bits = [(state >> (num_legs - 1 - leg)) & 1 for leg in range(num_legs)]
-        permuted = [0] * num_legs
-        for leg in range(num_legs):
-            permuted[leg_perm.target[leg]] = bits[leg]
-        target.append(sum(b << (num_legs - 1 - i) for i, b in enumerate(permuted)))
-    return GenPermMatrix(size, tuple(target), (1,) * size)
+    shift = num_legs - 1 - np.arange(num_legs)
+    bits = (np.arange(size)[:, None] >> shift) & 1
+    # leg i's bit moves to the bit of leg target[i]
+    target = bits @ (1 << shift[list(leg_perm.target)])
+    return GenPermMatrix(size, tuple(target.tolist()), (1,) * size)
 
 
-def _field_matrix(
+def _field_action(
     f: SchemaField,
-    g: int,
+    group: FiniteGroup,
     joint_rep: Representation | None,
     isometries: IsometrySet | None,
     leg_perm: Representation | None,
-    contact_reps: dict[int, GenPermMatrix],
-) -> np.ndarray:
+) -> tuple[Representation, np.ndarray | None]:
+    """The field's coordinate permutation and, where a rotation mixes its
+    coordinates, the (|G|, k, k) blocks applied to each k-chunk after it."""
     if f.kind == "joint_space":
-        return joint_rep.matrix(g).as_dense().astype(float)  # type: ignore[union-attr]
-    if f.kind == "e3_vector":
-        return isometries.rotation(g)  # type: ignore[union-attr]
-    if f.kind == "e3_pseudovector":
-        return isometries.pseudo(g)  # type: ignore[union-attr]
-    if f.kind == "kron_perm_vector":
-        perm = leg_perm.matrix(g).as_dense().astype(float)  # type: ignore[union-attr]
-        return np.kron(perm, isometries.rotation(g))  # type: ignore[union-attr]
+        return joint_rep, None  # type: ignore[return-value]
     if f.kind == "categorical_contact":
-        return contact_reps[g].as_dense().astype(float)
-    if f.kind == "pose_conjugation":
+        legs = [leg_perm.matrix(g) for g in group.elements()]  # type: ignore[union-attr]
+        states = [contact_state_rep(m.dim, m).target for m in legs]
+        return Representation(group, states, np.ones((group.order, len(states[0])))), None
+    if f.kind == "invariant_scalar":
+        return trivial_representation(group, f.dim), None
+    if f.kind in ("e3_vector", "kron_perm_vector"):
+        blocks = np.stack(isometries.rotations)  # type: ignore[union-attr]
+    elif f.kind == "e3_pseudovector":
+        blocks = np.stack([isometries.pseudo(g) for g in group.elements()])  # type: ignore[union-attr]
+    elif f.kind == "pose_conjugation":
         # X -> H X H^-1 on the flattened homogeneous matrix; H is orthogonal
         # with zero translation, so this is the Kronecker conjugation below
         # under row-major flattening.
-        h = isometries.homogeneous(g)  # type: ignore[union-attr]
-        return np.kron(h, h)
-    if f.kind == "invariant_scalar":
-        return np.eye(f.dim)
-    raise SchemaError(f"field {f.name!r}: unknown kind {f.kind!r}")
+        homs = [isometries.homogeneous(g) for g in group.elements()]  # type: ignore[union-attr]
+        blocks = np.stack([np.kron(h, h) for h in homs])
+    else:
+        raise SchemaError(f"field {f.name!r}: unknown kind {f.kind!r}")
+    if f.kind != "kron_perm_vector":
+        return trivial_representation(group, blocks.shape[-1]), blocks
+    # leg i's d-block moves to leg target[i]'s, then R turns every leg
+    d = blocks.shape[-1]
+    targets = leg_perm.targets[:, :, None] * d + np.arange(d)  # type: ignore[union-attr]
+    signs = np.repeat(leg_perm.signs, d, axis=1)  # type: ignore[union-attr]
+    return Representation(group, targets.reshape(group.order, -1), signs), blocks
 
 
 class AugmentationPlan:
-    """Per-group-element block-diagonal transforms over a measurement row."""
+    """Per group element, a signed gather over the row (``perm``, the direct
+    sum of the fields' coordinate permutations), then, for each ``(slice,
+    blocks)`` in ``rotations``, ``blocks[g]`` (k x k) on every k-chunk of
+    the slice."""
 
-    def __init__(self, schema: MeasurementSchema, group: FiniteGroup, blocks):
+    def __init__(self, schema: MeasurementSchema, group: FiniteGroup, perm: Representation, rotations):
         self.schema = schema
         self.group = group
-        self.blocks = blocks  # blocks[g][field_index] -> dense block
-        self._slices = schema.slices()
+        self.perm = perm
+        self.rotations = rotations
 
     @property
     def width(self) -> int:
         return self.schema.width
 
-    def transform_matrix(self, g: int) -> np.ndarray:
-        t = np.zeros((self.width, self.width))
-        for blk, sl in zip(self.blocks[g], self._slices):
-            t[sl, sl] = blk
-        return t
-
     def apply_rows(self, g: int, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
-        out = np.empty_like(rows)
-        for blk, sl in zip(self.blocks[g], self._slices):
-            out[..., sl] = rows[..., sl] @ blk.T
+        if rows.shape[-1] != self.width:
+            raise DimMismatch(f"rows have width {rows.shape[-1]}, plan width {self.width}")
+        # out[..., t] = rows * s, done as a gather (faster than the scatter)
+        t, s = self.perm.targets[g], self.perm.signs[g]
+        src = np.argsort(t)  # the inverse permutation: t[src[j]] = j
+        out = np.take(rows, src, axis=-1)
+        out *= s[src]
+        for sl, blocks in self.rotations:
+            field = out[..., sl]
+            out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
         return out
+
+    def transform_matrix(self, g: int) -> np.ndarray:
+        """Dense T(g); the rows of apply_rows(g, I) are its columns."""
+        return self.apply_rows(g, np.eye(self.width)).T
 
     def verify(self, tol: float = PLAN_TOL) -> float:
         """Worst |T(g)T(h) - T(gh)| over all pairs; raises above tol."""
@@ -231,34 +234,28 @@ def resolve_schema(
 ) -> MeasurementSchema:
     """Fill in field dims from the group context and validate them."""
     d = isometries.dim if isometries is not None else 3
+    iso, legs = "an isometry set", "leg permutations"
+    # kind -> (the context it needs, named, its dim)
+    context = {
+        "joint_space": ((joint_rep,), "a joint-space representation", lambda: joint_rep.dim),
+        "e3_vector": ((isometries,), iso, lambda: d),
+        "e3_pseudovector": ((isometries,), iso, lambda: d),
+        "kron_perm_vector": ((leg_perm, isometries), f"{legs} and isometries", lambda: leg_perm.dim * d),
+        "categorical_contact": ((leg_perm,), legs, lambda: 1 << leg_perm.dim),
+        "pose_conjugation": ((isometries,), iso, lambda: (d + 1) ** 2),
+    }
     fields = []
     for raw in raw_fields:
-        name = raw["name"]
-        kind = raw["kind"]
+        name, kind = raw["name"], raw["kind"]
         if kind not in FIELD_KINDS:
             raise SchemaError(f"field {name!r}: unknown kind {kind!r}")
-        if kind == "joint_space":
-            if joint_rep is None:
-                raise SchemaError(f"field {name!r}: schema needs a joint-space representation")
-            dim = joint_rep.dim
-        elif kind in ("e3_vector", "e3_pseudovector"):
-            if isometries is None:
-                raise SchemaError(f"field {name!r}: schema needs an isometry set")
-            dim = d
-        elif kind == "kron_perm_vector":
-            if leg_perm is None or isometries is None:
-                raise SchemaError(f"field {name!r}: schema needs leg permutations and isometries")
-            dim = leg_perm.dim * d
-        elif kind == "categorical_contact":
-            if leg_perm is None:
-                raise SchemaError(f"field {name!r}: schema needs leg permutations")
-            dim = 1 << leg_perm.dim
-        elif kind == "pose_conjugation":
-            if isometries is None:
-                raise SchemaError(f"field {name!r}: schema needs an isometry set")
-            dim = (d + 1) ** 2
-        else:  # invariant_scalar
+        if kind == "invariant_scalar":
             dim = int(raw.get("dim", 1))
+        else:
+            needs, what, size = context[kind]
+            if any(c is None for c in needs):
+                raise SchemaError(f"field {name!r}: schema needs {what}")
+            dim = size()  # type: ignore[no-untyped-call]
         declared = raw.get("dim")
         if declared is not None and int(declared) != dim:
             raise SchemaError(f"field {name!r}: declared dim {declared} but kind implies {dim}")
@@ -273,35 +270,25 @@ def compile_schema(
     isometries: IsometrySet | None = None,
     leg_perm: Representation | None = None,
 ) -> AugmentationPlan:
-    """Build the per-element block transforms for a resolved schema."""
-    contact_reps: dict[int, GenPermMatrix] = {}
-    if any(f.kind == "categorical_contact" for f in schema.fields):
-        if leg_perm is None:
-            raise SchemaError("categorical_contact fields need leg permutations")
-        for g in group.elements():
-            contact_reps[g] = contact_state_rep(leg_perm.dim, leg_perm.matrix(g))
-    blocks = []
-    for g in group.elements():
-        row = []
-        for f in schema.fields:
-            try:
-                blk = _field_matrix(f, g, joint_rep, isometries, leg_perm, contact_reps)
-            except AttributeError as exc:
-                raise SchemaError(f"field {f.name!r}: missing group context") from exc
-            if blk.shape != (f.dim, f.dim):
-                raise SchemaError(
-                    f"field {f.name!r}: transform is {blk.shape}, field dim is {f.dim}"
-                )
-            row.append(blk)
-        blocks.append(row)
-    return AugmentationPlan(schema, group, blocks)
+    """Build the row permutation and rotation blocks for a resolved schema."""
+    perms, rotations = [], []
+    for f, sl in zip(schema.fields, schema.slices()):
+        try:
+            perm, blocks = _field_action(f, group, joint_rep, isometries, leg_perm)
+            dim = perm.dim
+        except AttributeError as exc:
+            raise SchemaError(f"field {f.name!r}: missing group context") from exc
+        if dim != f.dim:
+            raise SchemaError(f"field {f.name!r}: transform has dim {dim}, field dim is {f.dim}")
+        perms.append(perm)
+        if blocks is not None:
+            rotations.append((sl, blocks))
+    perm = direct_sum(perms) if perms else trivial_representation(group, 0)
+    return AugmentationPlan(schema, group, perm, rotations)
 
 
 def augment_row(plan: AugmentationPlan, g: int, row: np.ndarray) -> np.ndarray:
     """Apply T(g) to one measurement row."""
-    row = np.asarray(row, dtype=float)
-    if row.shape[-1] != plan.width:
-        raise DimMismatch(f"row width {row.shape[-1]}, plan width {plan.width}")
     return plan.apply_rows(g, row)
 
 
@@ -311,8 +298,6 @@ def augment_dataset(plan: AugmentationPlan, rows: np.ndarray) -> np.ndarray:
     The identity block comes first, so the original rows open the output.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != plan.width:
-        raise DimMismatch(f"rows have width {rows.shape[1]}, plan width {plan.width}")
     return np.vstack([plan.apply_rows(g, rows) for g in plan.group.elements()])
 
 
@@ -329,8 +314,6 @@ def orbit_average(plan: AugmentationPlan, target_rows: np.ndarray) -> np.ndarray
     order = plan.group.order
     if rows.shape[0] % order != 0:
         raise DimMismatch(f"{rows.shape[0]} rows is not a multiple of group order {order}")
-    if rows.shape[1] != plan.width:
-        raise DimMismatch(f"rows have width {rows.shape[1]}, plan width {plan.width}")
     n = rows.shape[0] // order
     mean = np.zeros((n, plan.width))
     for g in plan.group.elements():
@@ -356,43 +339,57 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
     Beyond the core {"dim", "generators": [{"target", "sign"}]} layout, each
     generator may carry an "isometry" (d x d row-major matrix) and a
     "leg_perm" (target array over the legs); both are extended to the whole
-    group along the closure.
+    group along the closure, and every generator must carry the value its
+    element gets.
     """
     group, joint_rep = load_representation(path, order_cap=order_cap)
     with open(path) as f:
-        data = json.load(f)
-    gens = data["generators"]
-    isometries = None
-    leg_perm = None
-    if all("isometry" in g for g in gens):
-        mats = {}
-        for gi, entry in zip(group.generator_indices, gens):
-            mats[gi] = np.asarray(entry["isometry"], dtype=float)
-        d = next(iter(mats.values())).shape[0] if mats else 3
+        gens = json.load(f)["generators"]
+    isos, legs = [], []  # per generator, in file order
+    for k, entry in enumerate(gens):
+        where = f"{path}: generator {k}"
         try:
-            isometries = IsometrySet.from_generators(group, mats, dim=d)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    elif any("isometry" in g for g in gens):
-        raise ParseError(f"{path}: either all generators carry an isometry or none")
-    if all("leg_perm" in g for g in gens):
-        from .groups import verify_homomorphism
-
-        nlegs = len(gens[0]["leg_perm"])
-        perms = {}
-        for gi, entry in zip(group.generator_indices, gens):
-            perms[gi] = GenPermMatrix.from_permutation(entry["leg_perm"])
-        mats = extend_by_words(
-            group, perms, lambda a, b: a @ b, GenPermMatrix.identity(nlegs)
-        )
-        leg_perm = Representation(group, [m.target for m in mats], [m.sign for m in mats])
-        check = verify_homomorphism(leg_perm)
-        if not check.passed:
-            raise ParseError(
-                f"{path}: leg permutations do not respect the group relations ({check})"
-            )
-    elif any("leg_perm" in g for g in gens):
-        raise ParseError(f"{path}: either all generators carry a leg_perm or none")
+            if "isometry" in entry:
+                m = np.asarray(entry["isometry"], dtype=float)
+                if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                    raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
+                isos.append(m)
+            if "leg_perm" in entry:
+                if not isinstance(entry["leg_perm"], list):
+                    raise ValueError("'leg_perm' must be a list of leg indices")
+                target = [parse_int(where, "leg_perm", t) for t in entry["leg_perm"]]
+                if not target or sorted(target) != list(range(len(target))):
+                    raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
+                legs.append(GenPermMatrix.from_permutation(target))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    for key, values in (("isometry", isos), ("leg_perm", legs)):
+        if 0 < len(values) < len(gens):
+            raise ParseError(f"{path}: either all generators carry {key!r} or none")
+    isometries = leg_perm = None
+    at = group.generator_indices
+    try:
+        if isos:
+            rotations = extend_by_words(group, dict(zip(at, isos)), matmul, np.eye(len(isos[0])))
+            isometries = IsometrySet(group, rotations)
+        if legs:
+            perms = extend_by_words(group, dict(zip(at, legs)), matmul, GenPermMatrix.identity(legs[0].dim))
+            leg_perm = Representation(group, [m.target for m in perms], [m.sign for m in perms])
+            if not (check := verify_homomorphism(leg_perm)).passed:
+                raise ParseError(f"{path}: leg permutations do not respect the group relations ({check})")
+        # values are keyed by element: a generator that repeats an earlier
+        # one's element, or is the identity, must carry what its element gets
+        for k, gi in enumerate(at):
+            if isos and np.abs(rotations[gi] - isos[k]).max() > PLAN_TOL:
+                key = "isometry"
+            elif legs and perms[gi] != legs[k]:
+                key = "leg_perm"
+            else:
+                continue
+            raise ParseError(f"{path}: generator {k}: its {key!r} differs from the one its "
+                             "element gets from the other generators")
+    except (ValueError, DimMismatch) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 
 

@@ -51,11 +51,9 @@ class BadInertia(RoboSymError):
 
 
 def parse_int(where: str, key: str, value) -> int:
-    """``int(value)`` for ``key`` read from ``where`` (a file, or a place in
-    one); a value int() rejects, such as a list, raises ParseError naming both."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(
-            f"{where}: {key!r} must be an integer, got {type(value).__name__}"
-        ) from exc
+    """``value``, read for ``key`` from ``where`` (a file, or a place in one),
+    if it is a JSON integer; anything else (a float, bool, string or list)
+    raises ParseError naming both, so nothing is truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: {key!r} must be an integer, got {type(value).__name__}")
+    return value

@@ -440,7 +440,11 @@ def _line_of_occurrence(text: str, token: str, occurrence: int) -> int | None:
 def parse_generator(entry: dict, dim: int) -> GenPermMatrix:
     if "target" not in entry or "sign" not in entry:
         raise ParseError("generator needs 'target' and 'sign' arrays")
-    return GenPermMatrix(dim, tuple(int(t) for t in entry["target"]), tuple(int(s) for s in entry["sign"]))
+    target, sign = (
+        tuple(parse_int(f"entry {j}", key, v) for j, v in enumerate(entry[key]))
+        for key in ("target", "sign")
+    )
+    return GenPermMatrix(dim, target, sign)
 
 
 def load_generator_file(path: str) -> tuple[int, list[GenPermMatrix]]:

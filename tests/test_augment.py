@@ -1,6 +1,8 @@
 """Schema compilation, exact augmentation, and orbit averaging."""
 
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from robosym.augment import (
 )
 from robosym.errors import DimMismatch, ParseError, SchemaError
 from robosym.fileio import atomic_write_text
-from robosym.groups import group_closure
+from robosym.groups import Representation, group_closure
 
 # full image of the 16 contact states under the left-right leg swap,
 # cross-checked by hand from the bit encoding (leg 0 = most significant)
@@ -89,6 +91,19 @@ class TestContactStateRep:
         with pytest.raises(SchemaError, match="unsigned"):
             contact_state_rep(2, gpm([1, 0], [-1, 1]))
 
+    @pytest.mark.parametrize("legs", [1, 3, 5, 8])
+    def test_matches_bit_loop(self, legs):
+        # reference: read each state's bits and move leg i's bit to target[i]
+        target = np.random.default_rng(legs).permutation(legs).tolist()
+        expected = []
+        for state in range(1 << legs):
+            bits = [(state >> (legs - 1 - leg)) & 1 for leg in range(legs)]
+            permuted = [0] * legs
+            for leg in range(legs):
+                permuted[target[leg]] = bits[leg]
+            expected.append(sum(b << (legs - 1 - i) for i, b in enumerate(permuted)))
+        assert list(contact_state_rep(legs, gpm(target)).target) == expected
+
     def test_leg_cap(self):
         with pytest.raises(SchemaError):
             contact_state_rep(17, gpm(list(range(17))))
@@ -112,6 +127,23 @@ class TestCompileSchema:
         np.testing.assert_array_equal(
             augment_row(plan, 1, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, -1.0]
         )
+
+    def test_rotation_fields_match_dense_blocks(self):
+        # a 120-degree turn is not symmetric, so a transposed block would
+        # show; signed leg perms are reachable only through the library API
+        group, legs3 = group_closure([gpm([1, 2, 0])])
+        c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        iso = IsometrySet(group, [np.eye(3), turn, turn @ turn])
+        legs = Representation(group, legs3.targets, np.tile([1, -1, -1], (3, 1)))
+        raw = [{"name": "v", "kind": "e3_vector"}, {"name": "p", "kind": "kron_perm_vector"}]
+        schema = resolve_schema(raw, isometries=iso, leg_perm=legs)
+        plan = compile_schema(schema, group, isometries=iso, leg_perm=legs)
+        x = np.random.default_rng(9).standard_normal(schema.width)
+        for g in group.elements():
+            r = iso.rotation(g)
+            expected = np.concatenate([r @ x[:3], np.kron(legs.matrix(g).as_dense(), r) @ x[3:]])
+            np.testing.assert_allclose(augment_row(plan, g, x), expected, atol=1e-14)
 
     def test_minicheetah_schema_width_54(self, cheetah):
         schema, plan = make_plan(cheetah, "minicheetah_schema.json")
@@ -272,6 +304,41 @@ class TestBundleLoading:
         with pytest.raises(ParseError, match="relations"):
             load_group_bundle(str(path))
 
+    @staticmethod
+    def _write_bundle(tmp_path, generators):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"dim": 2, "generators": generators}))
+        return str(path)
+
+    SWAP = {"target": [1, 0], "sign": [1, 1]}
+    STAY = {"target": [0, 1], "sign": [1, 1]}
+    REFLECT_X = [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    REFLECT_Y = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "generators, bad",
+        [
+            # the identity generator would carry a leg swap the group cannot hold
+            ([{**SWAP, "leg_perm": [1, 0]}, {**STAY, "leg_perm": [1, 0]}], 1),
+            # two copies of one element with different leg perms
+            ([{**SWAP, "leg_perm": [1, 0, 2]}, {**SWAP, "leg_perm": [0, 2, 1]}], 0),
+            # two copies of one element with different isometries
+            ([{**SWAP, "isometry": REFLECT_X}, {**SWAP, "isometry": REFLECT_Y}], 0),
+        ],
+        ids=["identity_leg_perm", "repeated_leg_perm", "repeated_isometry"],
+    )
+    def test_generator_extension_must_match_its_element(self, tmp_path, generators, bad):
+        path = self._write_bundle(tmp_path, generators)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: generator {bad}: its '"):
+            load_group_bundle(path)
+
+    def test_repeated_generator_with_the_same_extension_loads(self, tmp_path):
+        swap = {**self.SWAP, "leg_perm": [1, 0], "isometry": self.REFLECT_Y}
+        stay = {**self.STAY, "leg_perm": [0, 1], "isometry": np.eye(3).tolist()}
+        bundle = load_group_bundle(self._write_bundle(tmp_path, [swap, swap, stay]))
+        assert bundle.group.order == 2
+        assert bundle.leg_perm.targets.tolist() == [[0, 1], [1, 0]]
+
     def test_joint_block_pair_matches_direct_sum(self, solo):
         # the (q, dq) input of the momentum schema transforms as the
         # joint-space rep summed with itself
@@ -282,6 +349,92 @@ class TestBundleLoading:
         for g in solo.group.elements():
             block = plan.transform_matrix(g)[:24, :24]
             np.testing.assert_array_equal(block, doubled.matrix(g).as_dense())
+
+
+def _contact_bundle(tmp_path, legs):
+    """C2 swapping 2 joints with a sign flip and swapping legs 2i <-> 2i+1."""
+    swap = [i ^ 1 for i in range(legs)]
+    path = tmp_path / f"legs{legs}.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [
+        {"target": [1, 0], "sign": [-1, -1], "leg_perm": swap,
+         "isometry": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}]}))
+    return load_group_bundle(str(path)), swap
+
+
+class TestSignedGather:
+    """Permuted fields move every value exactly; no field is held dense."""
+
+    FIELDS = [
+        {"name": "q", "kind": "joint_space"},
+        {"name": "c", "kind": "categorical_contact"},
+        {"name": "s", "kind": "invariant_scalar", "dim": 3},
+        {"name": "v", "kind": "e3_vector"},
+    ]
+
+    @staticmethod
+    def _specials(x):
+        """Per row, the count of values that are not finite or are zero."""
+        return (~np.isfinite(x) | (x == 0)).sum(axis=1)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0])
+    def test_specials_move_exactly(self, tmp_path, special):
+        bundle, _ = _contact_bundle(tmp_path, 2)
+        schema = resolve_schema(self.FIELDS, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
+        plan = compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries,
+                              bundle.leg_perm)
+        rng = np.random.default_rng(8)
+        rows = rng.uniform(1.0, 2.0, (6, schema.width))
+        permuted = schema.slices()[:3]
+        for i, sl in enumerate(permuted):
+            rows[i, sl.start + i % (sl.stop - sl.start)] = special
+        out = augment_dataset(plan, rows)
+        # the identity block is the input, bit for bit
+        assert out[:6].tobytes() == rows.tobytes()
+        for g in bundle.group.elements():
+            block = out[6 * g : 6 * (g + 1)]
+            for sl in permuted:
+                moved, orig = block[:, sl], rows[:, sl]
+                # each row keeps its one special value, in one coordinate
+                # (a sign flip may turn -0.0 into 0.0 and inf into -inf)
+                np.testing.assert_array_equal(self._specials(moved), self._specials(orig))
+                np.testing.assert_array_equal(np.sort(np.abs(moved), axis=1),
+                                              np.sort(np.abs(orig), axis=1))
+
+    def test_sign_flip_of_zero_is_negative_zero(self, tmp_path):
+        bundle, _ = _contact_bundle(tmp_path, 2)
+        schema = resolve_schema(self.FIELDS[:1], bundle.joint_rep)
+        plan = compile_schema(schema, bundle.group, bundle.joint_rep)
+        out = augment_row(plan, 1, np.array([0.0, -0.0]))
+        # both coordinates swap places with their sign flipped
+        assert np.signbit(out).tolist() == [False, True]
+
+    @staticmethod
+    def _traced_peak(tmp_path, legs):
+        bundle, swap = _contact_bundle(tmp_path, legs)
+        tracemalloc.start()
+        try:
+            schema = resolve_schema([{"name": "c", "kind": "categorical_contact"}],
+                                    leg_perm=bundle.leg_perm)
+            plan = compile_schema(schema, bundle.group, leg_perm=bundle.leg_perm)
+            rows = np.zeros((4, schema.width))
+            states = [5, 6, (1 << legs) - 2, 1 << (legs - 1)]
+            rows[np.arange(4), states] = 1.0
+            out = augment_dataset(plan, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the swapped copy is one-hot at the state with each leg pair swapped
+        for row, state in zip(out[4:], states):
+            bits = [(state >> (legs - 1 - leg)) & 1 for leg in range(legs)]
+            moved = sum(bits[leg] << (legs - 1 - swap[leg]) for leg in range(legs))
+            assert row.nonzero()[0].tolist() == [moved]
+        return peak
+
+    def test_twelve_leg_contact_fits_64_mib(self, tmp_path):
+        assert self._traced_peak(tmp_path, 12) < 64 * 2**20
+
+    def test_sixteen_leg_contact_fits_64_mib(self, tmp_path):
+        assert self._traced_peak(tmp_path, 16) < 64 * 2**20
 
 
 class TestCsvRoundtrip:

@@ -16,6 +16,7 @@ TRIV = str(FIXTURES / "trivial_c2.json")
 SOLO_GROUP = str(FIXTURES / "k4_solo.json")
 COM_SCHEMA = str(FIXTURES / "com_schema.json")
 NETSPEC = str(FIXTURES / "k4_netspec.json")
+SWAP = {"target": [1, 0], "sign": [1, 1]}
 
 
 def run(*argv):
@@ -305,10 +306,32 @@ class TestParseBoundaries:
         "net_output_list": ("net", "--net-spec", {"rep": K4, "output": [4]}),
         "schema_dim_list": ("augment", "--schema",
                             {"fields": [{"name": "s", "kind": "invariant_scalar", "dim": [2]}]}),
+        "generator_dim_float": ("count", "--rep-in", {"dim": 2.5, "generators": [SWAP]}),
+        "generator_dim_bool": ("count", "--rep-in", {"dim": True, "generators": [SWAP]}),
+        "generator_target_float": ("count", "--rep-in",
+                                   {"dim": 2, "generators": [{"target": [1.7, 0], "sign": [1, 1]}]}),
+        "schema_dim_float": ("augment", "--schema",
+                             {"fields": [{"name": "s", "kind": "invariant_scalar", "dim": 2.9}]}),
+        "net_seed_float": ("net", "--net-spec", {"rep": K4, "seed": 4.5}),
+        "group_leg_perm_int": ("augment", "--group",
+                               {"dim": 2, "generators": [{**SWAP, "leg_perm": 3}]}),
+        "group_leg_perm_nested": ("augment", "--group",
+                                  {"dim": 2, "generators": [{**SWAP, "leg_perm": [[1], [0]]}]}),
+        "group_leg_perm_out_of_range": ("augment", "--group",
+                                        {"dim": 2, "generators": [{**SWAP, "leg_perm": [1, 5]}]}),
+        "group_isometry_null": ("augment", "--group",
+                                {"dim": 2, "generators": [{**SWAP, "isometry": None}]}),
+        "group_isometry_int": ("augment", "--group",
+                               {"dim": 2, "generators": [{**SWAP, "isometry": 5}]}),
     }
     # the key a case's error must name, where the file has one at fault
     MALFORMED_KEY = {"generator_dim_list": "dim", "net_seed_list": "seed",
-                     "net_output_list": "output", "schema_dim_list": "dim"}
+                     "net_output_list": "output", "schema_dim_list": "dim",
+                     "generator_dim_float": "dim", "generator_dim_bool": "dim",
+                     "generator_target_float": "target", "schema_dim_float": "dim",
+                     "net_seed_float": "seed", "group_leg_perm_int": "leg_perm",
+                     "group_leg_perm_nested": "leg_perm", "group_leg_perm_out_of_range": "leg_perm",
+                     "group_isometry_null": "isometry", "group_isometry_int": "isometry"}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_exits_2(self, tmp_path, capsys, case):
