@@ -34,7 +34,6 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GenPermMatrix,
     Representation,
     act,
     direct_sum,

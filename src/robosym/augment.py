@@ -22,7 +22,6 @@ from .errors import DimMismatch, ParseError, SchemaError, parse_int
 from .fileio import atomic_write_text
 from .groups import (
     FiniteGroup,
-    GenPermMatrix,
     Representation,
     direct_sum,
     extend_by_words,
@@ -51,18 +50,19 @@ class IsometrySet:
     """One orthogonal d x d matrix (with its determinant) per group element.
 
     These are the spatial rotations/reflections the group imitates; they are
-    restricted to linear isometries fixing the origin.
+    restricted to linear isometries fixing the origin.  ``rotations`` is a
+    read-only (|G|, d, d) array and ``dets`` holds the sign of each one's
+    determinant.
     """
 
     def __init__(self, group: FiniteGroup, rotations):
         self.group = group
-        self.rotations = tuple(np.asarray(m, dtype=float) for m in rotations)
-        if len(self.rotations) != group.order:
+        rotations = [np.asarray(m, dtype=float) for m in rotations]
+        if len(rotations) != group.order:
             raise ValueError("need one isometry per group element")
-        d = self.rotations[0].shape[0]
-        self.dim = d
+        d = self.dim = rotations[0].shape[0]
         dets = []
-        for g, r in enumerate(self.rotations):
+        for g, r in enumerate(rotations):
             if r.shape != (d, d):
                 raise ValueError(f"isometry {g} has shape {r.shape}, expected ({d},{d})")
             if np.abs(r.T @ r - np.eye(d)).max() > PLAN_TOL:
@@ -71,13 +71,15 @@ class IsometrySet:
             if abs(abs(det) - 1.0) > 1e-9:
                 raise ValueError(f"isometry {g} has |det| != 1")
             dets.append(1 if det > 0 else -1)
-        if np.abs(self.rotations[group.identity] - np.eye(d)).max() > PLAN_TOL:
+        r = self.rotations = np.stack(rotations)
+        r.flags.writeable = False
+        if np.abs(r[group.identity] - np.eye(d)).max() > PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
         for g in group.elements():
-            for h in group.elements():
-                gh = group.cayley[g][h]
-                if np.abs(self.rotations[g] @ self.rotations[h] - self.rotations[gh]).max() > 1e-9:
-                    raise ValueError(f"isometries violate the Cayley table at ({g},{h})")
+            # R(g) R(h) against R(g h), for every h at once
+            bad = np.abs(r[g] @ r - r[group.cayley[g]]).max(axis=(1, 2)) > 1e-9
+            if bad.any():
+                raise ValueError(f"isometries violate the Cayley table at ({g},{int(bad.argmax())})")
         self.dets = tuple(dets)
 
     def rotation(self, g: int) -> np.ndarray:
@@ -119,26 +121,26 @@ class MeasurementSchema:
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def contact_state_rep(num_legs: int, leg_perm: GenPermMatrix) -> GenPermMatrix:
-    """Permutation of the 2^L categorical contact states induced by a leg
-    permutation.
+def contact_state_rep(num_legs: int, leg_perm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Targets of the permutation of the 2^L categorical contact states
+    induced by a leg permutation.
 
-    State s is read as an L-bit string with leg 0 in the most significant
-    bit; the output permutation sends each state to the state whose legs are
-    permuted accordingly.
+    ``leg_perm`` is a (target, sign) pair of (..., L) arrays, one leg
+    permutation or a stack of them; the result is (..., 2^L).  State s is
+    read as an L-bit string with leg 0 in the most significant bit; each
+    state goes to the state whose legs are permuted accordingly.
     """
+    target, sign = (np.asarray(a) for a in leg_perm)
     if num_legs > 16:
         raise SchemaError(f"{num_legs} legs would give 2^{num_legs} states; capped at 16")
-    if leg_perm.dim != num_legs:
-        raise DimMismatch(f"leg permutation has dim {leg_perm.dim}, expected {num_legs}")
-    if not leg_perm.is_unsigned:
+    if target.shape[-1] != num_legs:
+        raise DimMismatch(f"leg permutation has dim {target.shape[-1]}, expected {num_legs}")
+    if (sign != 1).any():
         raise SchemaError("contact states carry no sign; leg permutation must be unsigned")
-    size = 1 << num_legs
     shift = num_legs - 1 - np.arange(num_legs)
-    bits = (np.arange(size)[:, None] >> shift) & 1
+    bits = (np.arange(1 << num_legs) >> shift[:, None]) & 1
     # leg i's bit moves to the bit of leg target[i]
-    target = bits @ (1 << shift[list(leg_perm.target)])
-    return GenPermMatrix(size, tuple(target.tolist()), (1,) * size)
+    return (1 << shift[target]) @ bits
 
 
 def _field_action(
@@ -153,13 +155,12 @@ def _field_action(
     if f.kind == "joint_space":
         return joint_rep, None  # type: ignore[return-value]
     if f.kind == "categorical_contact":
-        legs = [leg_perm.matrix(g) for g in group.elements()]  # type: ignore[union-attr]
-        states = [contact_state_rep(m.dim, m).target for m in legs]
-        return Representation(group, states, np.ones((group.order, len(states[0])))), None
+        states = contact_state_rep(leg_perm.dim, (leg_perm.targets, leg_perm.signs))  # type: ignore[union-attr]
+        return Representation(group, states, np.ones(states.shape)), None
     if f.kind == "invariant_scalar":
         return trivial_representation(group, f.dim), None
     if f.kind in ("e3_vector", "kron_perm_vector"):
-        blocks = np.stack(isometries.rotations)  # type: ignore[union-attr]
+        blocks = isometries.rotations  # type: ignore[union-attr]
     elif f.kind == "e3_pseudovector":
         blocks = np.stack([isometries.pseudo(g) for g in group.elements()])  # type: ignore[union-attr]
     elif f.kind == "pose_conjugation":
@@ -182,8 +183,10 @@ def _field_action(
 class AugmentationPlan:
     """Per group element, a signed gather over the row (``perm``, the direct
     sum of the fields' coordinate permutations), then, for each ``(slice,
-    blocks)`` in ``rotations``, ``blocks[g]`` (k x k) on every k-chunk of
-    the slice."""
+    blocks, is_identity)`` in ``rotations``, ``blocks[g]`` (k x k) on every
+    k-chunk of the slice, skipped where ``is_identity[g]`` says the block is
+    exactly the identity (so the gathered values, NaN and -0.0 included,
+    stay as they are)."""
 
     def __init__(self, schema: MeasurementSchema, group: FiniteGroup, perm: Representation, rotations):
         self.schema = schema
@@ -204,7 +207,9 @@ class AugmentationPlan:
         src = np.argsort(t)  # the inverse permutation: t[src[j]] = j
         out = np.take(rows, src, axis=-1)
         out *= s[src]
-        for sl, blocks in self.rotations:
+        for sl, blocks, is_identity in self.rotations:
+            if is_identity[g]:
+                continue
             field = out[..., sl]
             out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
         return out
@@ -215,12 +220,11 @@ class AugmentationPlan:
 
     def verify(self, tol: float = PLAN_TOL) -> float:
         """Worst |T(g)T(h) - T(gh)| over all pairs; raises above tol."""
-        mats = [self.transform_matrix(g) for g in self.group.elements()]
+        mats = np.stack([self.transform_matrix(g) for g in self.group.elements()])
         worst = 0.0
         for g in self.group.elements():
-            for h in self.group.elements():
-                gh = self.group.cayley[g][h]
-                worst = max(worst, float(np.abs(mats[g] @ mats[h] - mats[gh]).max()))
+            # T(g) T(h) against T(g h), for every h at once
+            worst = max(worst, float(np.abs(mats[g] @ mats - mats[self.group.cayley[g]]).max()))
         if worst > tol:
             raise SchemaError(f"plan transforms violate the Cayley table by {worst:.3e}")
         return worst
@@ -282,7 +286,7 @@ def compile_schema(
             raise SchemaError(f"field {f.name!r}: transform has dim {dim}, field dim is {f.dim}")
         perms.append(perm)
         if blocks is not None:
-            rotations.append((sl, blocks))
+            rotations.append((sl, blocks, (blocks == np.eye(blocks.shape[-1])).all(axis=(1, 2))))
     perm = direct_sum(perms) if perms else trivial_representation(group, 0)
     return AugmentationPlan(schema, group, perm, rotations)
 
@@ -353,6 +357,9 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
                 m = np.asarray(entry["isometry"], dtype=float)
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
                     raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
+                if isos and m.shape != isos[0].shape:
+                    raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
+                                     f"generator's has shape {isos[0].shape}")
                 isos.append(m)
             if "leg_perm" in entry:
                 if not isinstance(entry["leg_perm"], list):
@@ -360,7 +367,10 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
                 target = [parse_int(where, "leg_perm", t) for t in entry["leg_perm"]]
                 if not target or sorted(target) != list(range(len(target))):
                     raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
-                legs.append(GenPermMatrix.from_permutation(target))
+                if legs and len(target) != len(legs[0]):
+                    raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
+                                     f"generator's lists {len(legs[0])}")
+                legs.append(np.array(target, dtype=np.intp))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
     for key, values in (("isometry", isos), ("leg_perm", legs)):
@@ -373,8 +383,9 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
             rotations = extend_by_words(group, dict(zip(at, isos)), matmul, np.eye(len(isos[0])))
             isometries = IsometrySet(group, rotations)
         if legs:
-            perms = extend_by_words(group, dict(zip(at, legs)), matmul, GenPermMatrix.identity(legs[0].dim))
-            leg_perm = Representation(group, [m.target for m in perms], [m.sign for m in perms])
+            # leg perms are unsigned: P_a P_b sends leg i to a[b[i]]
+            perms = extend_by_words(group, dict(zip(at, legs)), lambda a, b: a[b], np.arange(len(legs[0])))
+            leg_perm = Representation(group, perms, np.ones((group.order, len(legs[0]))))
             if not (check := verify_homomorphism(leg_perm)).passed:
                 raise ParseError(f"{path}: leg permutations do not respect the group relations ({check})")
         # values are keyed by element: a generator that repeats an earlier
@@ -382,13 +393,13 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
         for k, gi in enumerate(at):
             if isos and np.abs(rotations[gi] - isos[k]).max() > PLAN_TOL:
                 key = "isometry"
-            elif legs and perms[gi] != legs[k]:
+            elif legs and (perms[gi] != legs[k]).any():
                 key = "leg_perm"
             else:
                 continue
             raise ParseError(f"{path}: generator {k}: its {key!r} differs from the one its "
                              "element gets from the other generators")
-    except (ValueError, DimMismatch) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 

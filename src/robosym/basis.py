@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, GroupMismatch, NonIntegralRank
-from .groups import Representation, _linear_map_action, tensor_on_linear_maps, trivial_representation
+from .groups import (
+    Representation,
+    _apply_signed,
+    _linear_map_action,
+    tensor_on_linear_maps,
+    trivial_representation,
+)
 
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
@@ -114,12 +120,11 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     group = rep_out.group
     mn = rep_out.dim * rep_in.dim
     coords = np.arange(mn)
-    inverse = np.asarray(group.inverse)
     canon = coords.copy()  # the identity, element 0, maps i to itself with sign +1
     sign = np.ones(mn, dtype=np.int8)
     dead = np.zeros(mn, dtype=bool)
     for start in range(0, group.order, TRACE_CHUNK):
-        t, s = _linear_map_action(rep_in, rep_out, inverse[start : start + TRACE_CHUNK])
+        t, s = _linear_map_action(rep_in, rep_out, group.inverse[start : start + TRACE_CHUNK])
         dead |= ((t == coords) & (s < 0)).any(axis=0)
         first = t.argmin(axis=0)
         low = t[first, coords]
@@ -161,7 +166,7 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
     group = rep_in.group
-    total = int(rep_out.traces() @ rep_in.traces()[list(group.inverse)])
+    total = int(rep_out.traces() @ rep_in.traces()[group.inverse])
     if total % group.order != 0 or total < 0:
         raise NonIntegralRank(
             f"trace average {total}/{group.order} is not a non-negative integer"
@@ -220,8 +225,9 @@ def dense_nullspace_oracle(
         raise CapExceeded(f"mn = {mn} exceeds oracle cap {cap}")
     group = rep_in.group
     rep_w = tensor_on_linear_maps(rep_in, rep_out)
+    eye = np.eye(mn, dtype=np.int64)  # an integer eye: a sign flip gives no -0.0
     blocks = [
-        rep_w.matrix(g).as_dense().astype(float) - np.eye(mn)
+        _apply_signed(rep_w.targets[g], rep_w.signs[g], eye).T - np.eye(mn)
         for g in group.elements()
         if g != group.identity
     ]

@@ -1,11 +1,12 @@
 """Finite groups of generalized permutation matrices.
 
-Everything in this module is exact integer arithmetic: a matrix with exactly
-one +-1 entry per row and column is stored as a (target, sign) pair, and a
-representation stacks one such pair per group element into two (|G|, dim)
-arrays.  Groups are built by breadth-first closure of a generator list, so
-element ordering (identity first, then discovery order) is reproducible
-bit-for-bit.
+Everything in this module is exact integer arithmetic.  A matrix with
+exactly one +-1 entry per row and column is a signed permutation, stored as
+a (target, sign) pair of arrays: coordinate i goes to ``target[i]`` with
+sign ``sign[i]``.  A representation stacks one such pair per group element
+into two (|G|, dim) arrays, and a group is its Cayley table.  Groups are
+built by breadth-first closure of a generator list, so element ordering
+(identity first, then discovery order) is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -23,104 +24,80 @@ T = TypeVar("T")
 DEFAULT_ORDER_CAP = 1024
 
 
-@dataclass(frozen=True)
-class GenPermMatrix:
-    """Square matrix with exactly one +-1 entry per row and column.
+def signed_permutation(
+    target: Sequence[int], sign: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One signed permutation as (target, sign) arrays, checked.
 
-    ``target[i]`` is the row receiving input coordinate ``i`` and ``sign[i]``
-    its sign, i.e. ``M[target[i], i] = sign[i]``.
+    Coordinate i goes to ``target[i]`` with sign ``sign[i]`` (all +1 when
+    ``sign`` is None), i.e. the matrix M has ``M[target[i], i] = sign[i]``.
+    Raises ValueError unless target lists 0..dim-1 once and every sign is
+    +1 or -1; dim 0 is allowed.
     """
-
-    dim: int
-    target: tuple[int, ...]
-    sign: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if len(self.target) != self.dim or len(self.sign) != self.dim:
-            raise ValueError("target/sign length must equal dim")
-        if sorted(self.target) != list(range(self.dim)):
-            raise ValueError("target is not a permutation of 0..dim-1")
-        if any(s not in (-1, 1) for s in self.sign):
-            raise ValueError("sign entries must be +1 or -1")
-
-    @classmethod
-    def identity(cls, dim: int) -> "GenPermMatrix":
-        return cls(dim, tuple(range(dim)), (1,) * dim)
-
-    @classmethod
-    def from_permutation(cls, target: Sequence[int], sign: Sequence[int] | None = None) -> "GenPermMatrix":
-        target = tuple(int(t) for t in target)
-        if sign is None:
-            sign = (1,) * len(target)
-        return cls(len(target), target, tuple(int(s) for s in sign))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.target == tuple(range(self.dim)) and all(s == 1 for s in self.sign)
-
-    @property
-    def is_unsigned(self) -> bool:
-        return all(s == 1 for s in self.sign)
-
-    def compose(self, other: "GenPermMatrix") -> "GenPermMatrix":
-        """Matrix product self @ other, i.e. x -> self(other(x))."""
-        if self.dim != other.dim:
-            raise DimMismatch(f"cannot compose dims {self.dim} and {other.dim}")
-        tgt = tuple(self.target[other.target[j]] for j in range(self.dim))
-        sgn = tuple(other.sign[j] * self.sign[other.target[j]] for j in range(self.dim))
-        return GenPermMatrix(self.dim, tgt, sgn)
-
-    def __matmul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
-        return self.compose(other)
-
-    def inverse(self) -> "GenPermMatrix":
-        tgt = [0] * self.dim
-        sgn = [1] * self.dim
-        for i, t in enumerate(self.target):
-            tgt[t] = i
-            sgn[t] = self.sign[i]
-        return GenPermMatrix(self.dim, tuple(tgt), tuple(sgn))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Compute M x in O(dim) without materializing the matrix.
-
-        Accepts a vector of length dim or an array whose last axis has
-        length dim (batched application).
-        """
-        x = np.asarray(x)
-        if x.shape[-1] != self.dim:
-            raise DimMismatch(f"vector of length {x.shape[-1]} for matrix of dim {self.dim}")
-        out = np.empty_like(x, dtype=np.result_type(x, np.int64))
-        out[..., list(self.target)] = x * np.asarray(self.sign)
-        return out
-
-    def as_dense(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=np.int64)
-        m[list(self.target), range(self.dim)] = self.sign
-        return m
+    target = [int(t) for t in target]
+    sign = [1] * len(target) if sign is None else [int(s) for s in sign]
+    if len(sign) != len(target):
+        raise ValueError("target/sign length must equal dim")
+    if sorted(target) != list(range(len(target))):
+        raise ValueError("target is not a permutation of 0..dim-1")
+    if any(s not in (-1, 1) for s in sign):
+        raise ValueError("sign entries must be +1 or -1")
+    return np.array(target, dtype=np.intp), np.array(sign, dtype=np.int8)
 
 
-@dataclass(frozen=True)
+def _apply_signed(target: np.ndarray, sign: np.ndarray, x) -> np.ndarray:
+    """M x for the signed permutation (target, sign), in O(dim) per vector.
+
+    Accepts a vector of length dim or an array whose last axis has length
+    dim (batched application); ``_apply_signed(t, s, np.eye(dim, dtype=int)).T``
+    is M.
+    """
+    x = np.asarray(x)
+    if x.shape[-1] != len(target):
+        raise DimMismatch(f"vector of length {x.shape[-1]} for matrix of dim {len(target)}")
+    out = np.empty_like(x, dtype=np.result_type(x, np.int64))
+    out[..., target] = x * sign
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Abstract finite group: Cayley table over element indices 0..order-1.
 
+    ``cayley[a, b]`` is the element a b and ``inverse[a]`` is a^-1, both
+    read-only intp arrays; equality and hashing go by their contents.
     Element 0 is the identity.  ``generator_indices`` points at the elements
     the group was closed from, in the order they were given.
     """
 
-    order: int
-    cayley: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    cayley: np.ndarray
+    inverse: np.ndarray
     generator_indices: tuple[int, ...] = ()
-    identity: int = 0
+    identity = 0
 
-    def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
+    def __post_init__(self):
+        for name in ("cayley", "inverse"):
+            table = np.array(getattr(self, name), dtype=np.intp)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        if self.cayley.shape != (self.order, self.order) or self.inverse.shape != (self.order,):
+            raise ValueError("need a square Cayley table and one inverse per element")
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self is other or (
+            self.generator_indices == other.generator_indices
+            and np.array_equal(self.cayley, other.cayley)
+            and np.array_equal(self.inverse, other.inverse)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.cayley.tobytes(), self.generator_indices))
+
+    @property
+    def order(self) -> int:
+        return len(self.cayley)
 
     def elements(self) -> range:
         return range(self.order)
@@ -128,24 +105,24 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
-            x = self.cayley[x][a]
+            x = self.cayley[x, a]
             k += 1
         return k
 
     def validate(self) -> None:
-        """Check identity, inverse and associativity axioms on the table."""
-        e = self.identity
-        for x in self.elements():
-            if self.cayley[e][x] != x or self.cayley[x][e] != x:
-                raise ValueError(f"identity axiom fails at element {x}")
-            if self.cayley[x][self.inverse[x]] != e:
-                raise ValueError(f"inverse axiom fails at element {x}")
+        """Check identity, inverse and associativity axioms on the table,
+        one element's row of products at a time; raises at the first failure."""
+        c, every = self.cayley, np.arange(self.order)
+        bad_identity = (c[self.identity] != every) | (c[:, self.identity] != every)
+        bad = bad_identity | (c[every, self.inverse] != self.identity)
+        if bad.any():
+            x = int(bad.argmax())
+            raise ValueError(f"{'identity' if bad_identity[x] else 'inverse'} axiom fails at element {x}")
         for a in self.elements():
-            for b in self.elements():
-                ab = self.cayley[a][b]
-                for c in self.elements():
-                    if self.cayley[ab][c] != self.cayley[a][self.cayley[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+            bad = c[c[a]] != c[a][c]  # [b, c]: (a b) c against a (b c)
+            if bad.any():
+                b, cc = divmod(int(bad.argmax()), self.order)
+                raise ValueError(f"associativity fails at ({a},{b},{cc})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +174,6 @@ class Representation:
     def is_unsigned(self) -> bool:
         return bool((self.signs == 1).all())
 
-    def matrix(self, g: int) -> GenPermMatrix:
-        return GenPermMatrix(self.dim, tuple(self.targets[g].tolist()), tuple(self.signs[g].tolist()))
-
     def traces(self) -> np.ndarray:
         """Signed trace of every element: the signs of its fixed coordinates, summed."""
         return np.where(self.targets == np.arange(self.dim), self.signs, 0).sum(axis=1)
@@ -218,50 +192,52 @@ class Representation:
 
 def act(rep: Representation, g: int, x: np.ndarray) -> np.ndarray:
     """Group action rho(g) x, computed coordinate-wise in O(dim)."""
-    return rep.matrix(g).apply(x)
+    return _apply_signed(rep.targets[g], rep.signs[g], x)
 
 
 def group_closure(
-    generators: Sequence[GenPermMatrix], order_cap: int = DEFAULT_ORDER_CAP
+    targets: Sequence[Sequence[int]], signs: Sequence[Sequence[int]], order_cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[FiniteGroup, Representation]:
     """Close a generator list under matrix product.
 
-    Returns the abstract group (Cayley table, inverses) together with the
-    representation holding every distinct product.  Element 0 is the
-    identity; the rest follow breadth-first discovery order, so the result
-    is deterministic for a fixed generator list.
+    Generator k is the signed permutation (``targets[k]``, ``signs[k]``):
+    two (k, dim) arrays, as ``load_generator_file`` returns them, or lists
+    of rows.  Returns the abstract group (Cayley table, inverses) together
+    with the representation holding every distinct product.  Element 0 is
+    the identity; the rest follow breadth-first discovery order, so the
+    result is deterministic for a fixed generator list.
     """
-    if not generators:
+    if len(targets) == 0:
         raise GroupMismatch("need at least one generator")
     if order_cap < 1:
         raise ValueError("order_cap must be >= 1")
-    dims = {g.dim for g in generators}
+    gens = [signed_permutation(t, s) for t, s in zip(targets, signs, strict=True)]
+    dims = {len(t) for t, _ in gens}
     if len(dims) != 1:
         raise DimMismatch(f"generators have mixed dims {sorted(dims)}")
 
-    gens = [(np.asarray(g.target, dtype=np.intp), np.asarray(g.sign, dtype=np.int8)) for g in generators]
-    dim = generators[0].dim
-    targets = [np.arange(dim, dtype=np.intp)]
-    signs = [np.ones(dim, dtype=np.int8)]
-    index = {targets[0].tobytes() + signs[0].tobytes(): 0}
+    dim = dims.pop()
+    elem_t = [np.arange(dim, dtype=np.intp)]
+    elem_s = [np.ones(dim, dtype=np.int8)]
+    index = {elem_t[0].tobytes() + elem_s[0].tobytes(): 0}
     right = []  # right[x][j]: index of element x times generator j
     found_by = [(0, 0)]  # element b was found as element x times generator j
     x = 0
-    while x < len(targets):
+    while x < len(elem_t):
         row = []
         for j, (gen_t, gen_s) in enumerate(gens):
-            t, s = targets[x][gen_t], gen_s * signs[x][gen_t]
+            t, s = elem_t[x][gen_t], gen_s * elem_s[x][gen_t]
             key = t.tobytes() + s.tobytes()
             k = index.get(key)
             if k is None:
-                if len(targets) >= order_cap:
+                if len(elem_t) >= order_cap:
                     raise ClosureExceeded(
                         f"closure exceeds cap of {order_cap} elements; "
                         "generators may not generate a finite group of that size"
                     )
-                k = index[key] = len(targets)
-                targets.append(t)
-                signs.append(s)
+                k = index[key] = len(elem_t)
+                elem_t.append(t)
+                elem_s.append(s)
                 found_by.append((x, j))
             row.append(k)
         right.append(row)
@@ -269,7 +245,7 @@ def group_closure(
 
     # Column b of the Cayley table: a b = (a x) gen_j when b = x gen_j, and
     # x was found before b.
-    order = len(targets)
+    order = len(elem_t)
     right_arr = np.array(right, dtype=np.intp)
     cayley = np.empty((order, order), dtype=np.intp)
     cayley[:, 0] = np.arange(order)
@@ -278,8 +254,8 @@ def group_closure(
         cayley[:, b] = right_arr[cayley[:, x], j]
     inverse = (cayley == 0).argmax(axis=1)
     gen_indices = tuple(index[t.tobytes() + s.tobytes()] for t, s in gens)
-    group = FiniteGroup(order, tuple(map(tuple, cayley.tolist())), tuple(inverse.tolist()), gen_indices)
-    return group, Representation(group, np.stack(targets), np.stack(signs))
+    group = FiniteGroup(cayley, inverse, gen_indices)
+    return group, Representation(group, np.stack(elem_t), np.stack(elem_s))
 
 
 def make_cyclic(k: int, block_dim: int = 1) -> tuple[FiniteGroup, Representation]:
@@ -289,32 +265,8 @@ def make_cyclic(k: int, block_dim: int = 1) -> tuple[FiniteGroup, Representation
     if block_dim < 1:
         raise ValueError("block_dim must be >= 1")
     dim = k * block_dim
-    tgt = tuple(((i // block_dim + 1) % k) * block_dim + i % block_dim for i in range(dim))
-    gen = GenPermMatrix(dim, tgt, (1,) * dim)
-    return group_closure([gen], order_cap=max(k, 1))
-
-
-def element_words(group: FiniteGroup) -> list[list[int]]:
-    """Generator word for each element, replaying the closure's BFS order.
-
-    Entry g is a list of generator indices whose left-to-right product equals
-    element g; the identity gets the empty word.
-    """
-    words: list[list[int] | None] = [None] * group.order
-    words[group.identity] = []
-    i = 0
-    seen = [group.identity]
-    while i < len(seen):
-        x = seen[i]
-        for j in group.generator_indices:
-            y = group.cayley[x][j]
-            if words[y] is None:
-                words[y] = words[x] + [j]  # type: ignore[operator]
-                seen.append(y)
-        i += 1
-    if any(w is None for w in words):
-        raise GroupMismatch("generator_indices do not generate the group")
-    return words  # type: ignore[return-value]
+    tgt = [((i // block_dim + 1) % k) * block_dim + i % block_dim for i in range(dim)]
+    return group_closure([tgt], [[1] * dim], order_cap=k)
 
 
 def extend_by_words(
@@ -325,15 +277,23 @@ def extend_by_words(
 ) -> list[T]:
     """Extend per-generator values to all elements along their BFS words.
 
-    ``compose(a, b)`` must mirror the group product: the value of x*gen is
-    compose(value(x), value(gen)).
+    A breadth-first search from the identity over the Cayley table, right
+    multiplying by the generators in ``generator_indices`` order, first
+    reaches each element y as x * gen; y gets compose(value(x), value(gen)),
+    the left-to-right product along its word, composed once.
+    ``compose(a, b)`` must mirror the group product.
     """
-    values: list[T] = [identity_value] * group.order
-    for g, word in enumerate(element_words(group)):
-        v = identity_value
-        for j in word:
-            v = compose(v, generator_values[j])
-        values[g] = v
+    values: list = [None] * group.order
+    values[group.identity] = identity_value
+    reached = [group.identity]
+    for x in reached:
+        for j in group.generator_indices:
+            y = int(group.cayley[x, j])
+            if values[y] is None:
+                values[y] = compose(values[x], generator_values[j])
+                reached.append(y)
+    if len(reached) != group.order:
+        raise GroupMismatch("generator_indices do not generate the group")
     return values
 
 
@@ -415,14 +375,15 @@ def verify_homomorphism(rep: Representation) -> HomomorphismReport:
     group = rep.group
     for g in group.elements():
         # rho(g) rho(h) for every h at once, against rho(g h)
-        gh = list(group.cayley[g])
+        gh = group.cayley[g]
         bad = (rep.targets[g][rep.targets] != rep.targets[gh]).any(axis=1)
         bad |= (rep.signs * rep.signs[g][rep.targets] != rep.signs[gh]).any(axis=1)
         if bad.any():
             h = int(bad.argmax())
             return HomomorphismReport(False, g * group.order + h + 1, (g, h))
     checked = group.order**2
-    if not rep.matrix(group.identity).is_identity:
+    e = group.identity
+    if (rep.targets[e] != np.arange(rep.dim)).any() or (rep.signs[e] != 1).any():
         return HomomorphismReport(False, checked, (group.identity, group.identity))
     return HomomorphismReport(True, checked)
 
@@ -437,18 +398,25 @@ def _line_of_occurrence(text: str, token: str, occurrence: int) -> int | None:
     return text.count("\n", 0, pos) + 1
 
 
-def parse_generator(entry: dict, dim: int) -> GenPermMatrix:
+def parse_generator(entry: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A generator entry {"target": [...], "sign": [...]} as checked
+    (target, sign) arrays of length ``dim``."""
     if "target" not in entry or "sign" not in entry:
         raise ParseError("generator needs 'target' and 'sign' arrays")
     target, sign = (
-        tuple(parse_int(f"entry {j}", key, v) for j, v in enumerate(entry[key]))
+        [parse_int(f"entry {j}", key, v) for j, v in enumerate(entry[key])]
         for key in ("target", "sign")
     )
-    return GenPermMatrix(dim, target, sign)
+    if dim <= 0:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if len(target) != dim:
+        raise ValueError("target/sign length must equal dim")
+    return signed_permutation(target, sign)
 
 
-def load_generator_file(path: str) -> tuple[int, list[GenPermMatrix]]:
-    """Load {"dim": n, "generators": [{"target": [...], "sign": [...]}, ...]}.
+def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load {"dim": n, "generators": [{"target": [...], "sign": [...]}, ...]}
+    as (k, n) target and sign arrays.
 
     Validation failures report the generator's line in the file.
     """
@@ -471,13 +439,12 @@ def load_generator_file(path: str) -> tuple[int, list[GenPermMatrix]]:
             raise ParseError(f"{path}: generator {i} ({where}): {exc}") from exc
     if not gens:
         raise ParseError(f"{path}: no generators")
-    return dim, gens
+    return np.array([t for t, _ in gens]), np.array([s for _, s in gens])
 
 
 def load_representation(path: str, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Representation]:
     """Load a generator file and close it into (group, representation)."""
-    _, gens = load_generator_file(path)
-    return group_closure(gens, order_cap=order_cap)
+    return group_closure(*load_generator_file(path), order_cap=order_cap)
 
 
 def load_representation_pair(
@@ -490,23 +457,17 @@ def load_representation_pair(
     share one group even when either is unfaithful on its own (e.g. a
     trivial output representation).
     """
-    dim_in, gens_in = load_generator_file(path_in)
-    dim_out, gens_out = load_generator_file(path_out)
-    if len(gens_in) != len(gens_out):
+    t_in, s_in = load_generator_file(path_in)
+    t_out, s_out = load_generator_file(path_out)
+    if len(t_in) != len(t_out):
         raise ParseError(
             f"{path_in} and {path_out} must list the same number of generators "
-            f"({len(gens_in)} vs {len(gens_out)}); generator k of each file must "
+            f"({len(t_in)} vs {len(t_out)}); generator k of each file must "
             "realize the same abstract group generator"
         )
-    joint = [
-        GenPermMatrix(
-            dim_in + dim_out,
-            tuple(gi.target) + tuple(dim_in + t for t in go.target),
-            tuple(gi.sign) + tuple(go.sign),
-        )
-        for gi, go in zip(gens_in, gens_out)
-    ]
-    group, rep = group_closure(joint, order_cap=order_cap)
+    dim_in = t_in.shape[1]
+    joint = np.hstack([t_in, t_out + dim_in]), np.hstack([s_in, s_out])
+    group, rep = group_closure(*joint, order_cap=order_cap)
     return (
         Representation(group, rep.targets[:, :dim_in], rep.signs[:, :dim_in]),
         Representation(group, rep.targets[:, dim_in:] - dim_in, rep.signs[:, dim_in:]),

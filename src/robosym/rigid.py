@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadInertia, DimMismatch, ParseError, TreeCycle
-from .groups import FiniteGroup, GenPermMatrix, Representation, act, group_closure
+from .groups import FiniteGroup, Representation, _apply_signed, act, group_closure, signed_permutation
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
@@ -207,10 +207,6 @@ def merge_config(tree: KinematicTree, rot: np.ndarray, pos: np.ndarray, qjs: np.
     if tree.floating:
         return np.concatenate([np.asarray(rot, float).ravel(), np.asarray(pos, float), qjs])
     return np.asarray(qjs, dtype=float)
-
-
-def neutral_config(tree: KinematicTree) -> np.ndarray:
-    return merge_config(tree, np.eye(3), np.zeros(3), np.zeros(tree.nj))
 
 
 def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
@@ -400,16 +396,19 @@ def check_mass_matrix_equivariance(
 class CandidateDMS:
     """Candidate symmetry: spatial isometry + joint permutation + body pairing.
 
-    ``body_pairing[k] = i`` says body i, in the transformed configuration,
-    plays the role of body k in the isometry-transformed world.
+    ``joint_perm`` is a signed permutation of the actuated DoF, stored as
+    checked (target, sign) arrays.  ``body_pairing[k] = i`` says body i, in
+    the transformed configuration, plays the role of body k in the
+    isometry-transformed world.
     """
 
     name: str
     isometry: np.ndarray
-    joint_perm: GenPermMatrix
+    joint_perm: tuple[np.ndarray, np.ndarray]
     body_pairing: dict[str, str]
 
     def __post_init__(self):
+        self.joint_perm = signed_permutation(*self.joint_perm)
         self.isometry = np.asarray(self.isometry, dtype=float)
         if self.isometry.shape != (3, 3):
             raise ValueError(f"candidate {self.name!r}: isometry must be 3x3")
@@ -421,9 +420,9 @@ class CandidateDMS:
         self.det = 1 if det > 0 else -1
 
     def validate_against(self, tree: KinematicTree) -> None:
-        if self.joint_perm.dim != tree.nj:
+        if len(self.joint_perm[0]) != tree.nj:
             raise DimMismatch(
-                f"candidate {self.name!r}: joint permutation dim {self.joint_perm.dim}, "
+                f"candidate {self.name!r}: joint permutation dim {len(self.joint_perm[0])}, "
                 f"tree has nj = {tree.nj}"
             )
         names = set(tree.body_index)
@@ -432,7 +431,7 @@ class CandidateDMS:
 
     def config_action(self, tree: KinematicTree, q: np.ndarray) -> np.ndarray:
         rot, pos, qjs = split_config(tree, q)
-        qjs_t = self.joint_perm.apply(qjs) if tree.nj else qjs
+        qjs_t = _apply_signed(*self.joint_perm, qjs)
         if not tree.floating:
             return qjs_t
         r = self.isometry
@@ -445,8 +444,7 @@ class CandidateDMS:
             t[0:3, 0:3] = self.isometry
             t[3:6, 3:6] = self.det * self.isometry
             off = 6
-        if tree.nj:
-            t[off:, off:] = self.joint_perm.as_dense()
+        t[off:, off:] = _apply_signed(*self.joint_perm, np.eye(tree.nj, dtype=np.int64)).T
         return t
 
 
@@ -565,10 +563,8 @@ def identify_dms(
             viol[c, s, 1:] = _violations(tree, cand, pair, t, q, at_q, m_q)
     reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, pairs, viol)]
     verified = [c for c, report in zip(candidates, reports) if report.passed]
-    gens = [c.joint_perm for c in verified]
-    if not gens:
-        gens = [GenPermMatrix.identity(max(tree.nj, 1))]
-    group, rep = group_closure(gens, order_cap=order_cap)
+    gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]
+    group, rep = group_closure([t for t, _ in gens], [s for _, s in gens], order_cap=order_cap)
     return IdentifyReport(reports, [c.name for c in verified], group, rep)
 
 
@@ -644,7 +640,7 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
             cand = CandidateDMS(
                 entry.get("name", f"candidate{len(out)}"),
                 np.asarray(entry["isometry"], dtype=float),
-                GenPermMatrix.from_permutation(perm["target"], perm.get("sign")),
+                (perm["target"], perm.get("sign")),
                 dict(entry["body_pairing"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -7,11 +7,12 @@ import pytest
 
 from robosym.groups import (
     FiniteGroup,
-    GenPermMatrix,
     Representation,
     direct_sum,
+    extend_by_words,
     group_closure,
     regular_representation,
+    signed_permutation,
     tiled_regular_representation,
     trivial_representation,
 )
@@ -19,37 +20,48 @@ from robosym.groups import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def gpm(target, sign=None) -> GenPermMatrix:
-    return GenPermMatrix.from_permutation(target, sign)
+def gpm(target, sign=None) -> tuple[np.ndarray, np.ndarray]:
+    """A generalized permutation matrix as checked (target, sign) arrays."""
+    return signed_permutation(target, sign)
+
+
+def closure(*perms, **kwargs):
+    """group_closure of generators given as gpm pairs."""
+    return group_closure([t for t, _ in perms], [s for _, s in perms], **kwargs)
+
+
+def compose(a, b):
+    """The matrix product a @ b of two gpm pairs, written out from its
+    definition: column j of b is sign_b[j] e_{target_b[j]}."""
+    (ta, sa), (tb, sb) = a, b
+    return ta[tb], sb * sa[tb]
 
 
 def make_c2():
     """Reflection group from the 2-dim swap."""
-    return group_closure([gpm([1, 0])])
+    return closure(gpm([1, 0]))
 
 
 def make_c3():
-    return group_closure([gpm([1, 2, 0])])
+    return closure(gpm([1, 2, 0]))
 
 
 def make_k4():
     """Klein four-group from two commuting 4-dim leg-pair swaps."""
-    return group_closure([gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1])])
+    return closure(gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1]))
 
 
 def make_d8():
     """Dihedral group of order 8: square-vertex cycle and a reversal."""
-    return group_closure([gpm([1, 2, 3, 0]), gpm([3, 2, 1, 0])])
+    return closure(gpm([1, 2, 3, 0]), gpm([3, 2, 1, 0]))
 
 
-def _extend(group, gen_mats):
-    """Representation of `group` from matrices for its generators."""
-    from robosym.groups import extend_by_words
-
-    values = {gi: m for gi, m in zip(group.generator_indices, gen_mats)}
-    dim = gen_mats[0].dim
-    mats = extend_by_words(group, values, lambda a, b: a @ b, GenPermMatrix.identity(dim))
-    return Representation(group, [m.target for m in mats], [m.sign for m in mats])
+def _extend(group, gen_perms):
+    """Representation of `group` from gpm pairs for its generators."""
+    values = {gi: m for gi, m in zip(group.generator_indices, gen_perms)}
+    dim = len(gen_perms[0][0])
+    mats = extend_by_words(group, values, compose, gpm(range(dim)))
+    return Representation(group, [t for t, _ in mats], [s for _, s in mats])
 
 
 def c2_reps() -> tuple[FiniteGroup, dict[str, Representation]]:
@@ -153,5 +165,13 @@ def all_pairs():
     return rep_matrix()
 
 
+def dense_perm(perm) -> np.ndarray:
+    """Dense matrix of a gpm pair: M[target[i], i] = sign[i]."""
+    target, sign = perm
+    m = np.zeros((len(target), len(target)))
+    m[target, np.arange(len(target))] = sign
+    return m
+
+
 def dense(rep: Representation, g: int) -> np.ndarray:
-    return rep.matrix(g).as_dense().astype(float)
+    return dense_perm((rep.targets[g], rep.signs[g]))

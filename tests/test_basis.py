@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, gpm
+from conftest import FIXTURES, closure, dense, gpm
 from robosym import basis as basis_module
 from robosym.basis import (
     basis_fingerprint,
@@ -22,14 +22,14 @@ from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonInteg
 from robosym.groups import (
     Representation,
     act,
-    group_closure,
     make_cyclic,
     trivial_representation,
+    verify_homomorphism,
 )
 
 
 def flip_and_trivial():
-    group, flip = group_closure([gpm([0], [-1])])
+    group, flip = closure(gpm([0], [-1]))
     return flip, trivial_representation(group, 1)
 
 
@@ -42,7 +42,7 @@ class TestOracle:
         np.testing.assert_array_equal(q, np.eye(9))
 
     def test_c2_swap_rank_two_and_span(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         q = dense_nullspace_oracle(rep, rep)
         assert q.shape == (4, 2)
         # hand-built solutions of rho W = W rho for the swap: shared diagonal
@@ -70,7 +70,7 @@ class TestOracle:
                 continue
             w = tensor_on_linear_maps(rep_in, rep_out)
             for g in rep_in.group.elements():
-                resid = w.matrix(g).as_dense().astype(float) @ q - q
+                resid = dense(w, g) @ q - q
                 assert np.abs(resid).max() < 1e-12, label
 
     def test_cap(self):
@@ -87,7 +87,7 @@ class TestOrbitBasis:
         assert list(basis.orbits.orbit) == list(range(9))
 
     def test_c2_swap_two_orbits(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         basis = orbit_basis(rep, rep)
         assert basis.rank == 2
         assert basis_to_dict(basis)["orbits"] == [
@@ -123,7 +123,7 @@ class TestOrbitBasis:
 
 class TestBurnside:
     def test_c2_swap(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         assert burnside_rank(rep, rep) == 2
 
     def test_k4_regular_is_mn_over_order(self, k4):
@@ -141,7 +141,7 @@ class TestBurnside:
 
     def test_non_representation_raises(self):
         # traces (1, 1, -1) over C3 average to 1/3: not a representation
-        group, _ = group_closure([gpm([1, 2, 0])])
+        group, _ = closure(gpm([1, 2, 0]))
         bad = Representation(group, [[0], [0], [0]], [[1], [1], [-1]])
         triv = trivial_representation(group, 1)
         with pytest.raises(NonIntegralRank):
@@ -154,7 +154,7 @@ class TestBiasBasis:
         assert bias_basis(rep).rank == 3
 
     def test_swap_shared_bias(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         basis = bias_basis(rep)
         assert basis.rank == 1
         assert basis.orbits.entries() == [[[0, 1], [1, 1]]]
@@ -180,12 +180,12 @@ class TestBiasBasis:
 
 class TestValidateBasis:
     def test_pass_and_rank_match(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         report = validate_basis(orbit_basis(rep, rep), rep, rep)
         assert report.passed and report.rank == report.burnside == 2
 
     def test_corrupted_sign_fails_with_location(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         good = orbit_basis(rep, rep)
         data = basis_to_dict(good)
         data["orbits"][1]["entries"] = [[1, 1], [2, -1]]
@@ -258,9 +258,14 @@ def _reference_basis_dict(rep_in, rep_out) -> dict:
     m, n = rep_out.dim, rep_in.dim
     action = []
     for g in group.elements():
-        a, b = rep_out.matrix(g), rep_in.matrix(group.inverse[g]).inverse()
+        a_target, a_sign = rep_out.targets[g].tolist(), rep_out.signs[g].tolist()
+        # b = rho_in(g^-1) inverted: it sends coordinate target[k] back to k
+        b_target, b_sign = [0] * n, [1] * n
+        ginv = group.inverse[g]
+        for k, (t, s) in enumerate(zip(rep_in.targets[ginv].tolist(), rep_in.signs[ginv].tolist())):
+            b_target[t], b_sign[t] = k, s
         action.append({
-            i * n + j: (a.target[i] * n + b.target[j], a.sign[i] * b.sign[j])
+            i * n + j: (a_target[i] * n + b_target[j], a_sign[i] * b_sign[j])
             for i in range(m) for j in range(n)
         })
     visited, orbits, dead = set(), [], []
@@ -287,7 +292,7 @@ def _random_pair(rng):
             signed = rng.random() < 0.5  # unsigned generators keep some ranks nonzero
             gens.append(gpm(t, rng.choice([-1, 1], n + m) if signed else None))
         try:
-            group, rep = group_closure(gens)
+            group, rep = closure(*gens)
         except ClosureExceeded:
             continue
         return (
@@ -315,6 +320,8 @@ class TestRefactorSafetyNet:
             rep_in, rep_out = _random_pair(rng)
             basis = orbit_basis(rep_in, rep_out)
             label = f"trial {trial}, |G| = {rep_in.group.order}"
+            rep_in.group.validate()
+            assert verify_homomorphism(rep_in).passed and verify_homomorphism(rep_out).passed, label
             assert basis_to_dict(basis) == _reference_basis_dict(rep_in, rep_out), label
             assert basis.rank == burnside_rank(rep_in, rep_out), label
             if rep_in.dim * rep_out.dim <= 256:

@@ -17,6 +17,7 @@ SOLO_GROUP = str(FIXTURES / "k4_solo.json")
 COM_SCHEMA = str(FIXTURES / "com_schema.json")
 NETSPEC = str(FIXTURES / "k4_netspec.json")
 SWAP = {"target": [1, 0], "sign": [1, 1]}
+STAY = {"target": [0, 1], "sign": [1, 1]}
 
 
 def run(*argv):
@@ -255,6 +256,20 @@ class TestRobotCmd:
         assert f"at sample {worst} (mass of body leg_l vs leg_r, tol " in out
 
 
+    def test_zero_dof_robot_verified(self, tmp_path, capsys):
+        # one floating body and no joints: the joint permutation is empty
+        robot = tmp_path / "box.json"
+        robot.write_text(json.dumps({"base": "floating", "bodies": [
+            {"name": "box", "mass": 2.0, "com": [0, 0, 0], "inertia": [0.1, 0, 0, 0.2, 0, 0.3]}]}))
+        candidates = tmp_path / "box_candidates.json"
+        candidates.write_text(json.dumps({"candidates": [
+            {"name": "mirror", "isometry": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "joint_perm": {"target": [], "sign": []}, "body_pairing": {"box": "box"}}]}))
+        assert run("robot", "verify", "--robot", str(robot), "--candidates", str(candidates),
+                   "--samples", "5") == 0
+        assert "mirror: verified on 5 samples" in capsys.readouterr().out
+
+
 class TestParseBoundaries:
     """Malformed inputs exit 2 with a one-line error naming the file and key."""
 
@@ -323,6 +338,12 @@ class TestParseBoundaries:
                                 {"dim": 2, "generators": [{**SWAP, "isometry": None}]}),
         "group_isometry_int": ("augment", "--group",
                                {"dim": 2, "generators": [{**SWAP, "isometry": 5}]}),
+        "group_leg_perm_sizes": ("augment", "--group",
+                                 {"dim": 2, "generators": [{**SWAP, "leg_perm": [1, 0]},
+                                                           {**SWAP, "leg_perm": [1, 0, 2]}]}),
+        "group_isometry_sizes": ("augment", "--group",
+                                 {"dim": 2, "generators": [{**SWAP, "isometry": np.eye(3).tolist()},
+                                                           {**STAY, "isometry": np.eye(2).tolist()}]}),
     }
     # the key a case's error must name, where the file has one at fault
     MALFORMED_KEY = {"generator_dim_list": "dim", "net_seed_list": "seed",
@@ -331,7 +352,8 @@ class TestParseBoundaries:
                      "generator_target_float": "target", "schema_dim_float": "dim",
                      "net_seed_float": "seed", "group_leg_perm_int": "leg_perm",
                      "group_leg_perm_nested": "leg_perm", "group_leg_perm_out_of_range": "leg_perm",
-                     "group_isometry_null": "isometry", "group_isometry_int": "isometry"}
+                     "group_isometry_null": "isometry", "group_isometry_int": "isometry",
+                     "group_leg_perm_sizes": "leg_perm", "group_isometry_sizes": "isometry"}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_exits_2(self, tmp_path, capsys, case):

@@ -1,63 +1,76 @@
 """Group construction, closure, and representation algebra."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import dense, gpm, make_c3, make_d8, make_k4
+from conftest import closure, dense, dense_perm, gpm, make_c3, make_d8, make_k4
 from robosym.errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError
 from robosym.groups import (
-    GenPermMatrix,
+    FiniteGroup,
     act,
     direct_sum,
-    group_closure,
     load_representation,
     load_representation_pair,
     make_cyclic,
     regular_representation,
     tensor_on_linear_maps,
     trivial_representation,
+    signed_permutation,
     verify_homomorphism,
 )
 
 
 class TestGenPermMatrix:
+    """Generalized permutation matrices in their (target, sign) array form."""
+
     def test_rejects_non_permutation_target(self):
         with pytest.raises(ValueError, match="permutation"):
-            GenPermMatrix(2, (0, 0), (1, 1))
+            signed_permutation([0, 0], [1, 1])
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError, match="sign"):
-            GenPermMatrix(2, (1, 0), (1, 2))
+            signed_permutation([1, 0], [1, 2])
 
     def test_compose_matches_dense_product(self):
+        # the closure's products, every pair of the group; up to dim 4 the
+        # group (at most the 384 signed permutations of 4 coordinates) stays
+        # under the order cap
         rng = np.random.default_rng(0)
         for _ in range(30):
-            dim = int(rng.integers(1, 7))
+            dim = int(rng.integers(1, 5))
             a = gpm(rng.permutation(dim), rng.choice([-1, 1], dim))
             b = gpm(rng.permutation(dim), rng.choice([-1, 1], dim))
-            np.testing.assert_array_equal((a @ b).as_dense(), a.as_dense() @ b.as_dense())
+            group, rep = closure(a, b)
+            ia, ib = group.generator_indices
+            np.testing.assert_array_equal(dense(rep, ia), dense_perm(a))
+            np.testing.assert_array_equal(dense(rep, ib), dense_perm(b))
+            mats = np.stack([dense(rep, g) for g in group.elements()])
+            np.testing.assert_array_equal(mats[group.cayley], mats[:, None] @ mats[None, :])
 
     def test_inverse_is_transpose(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             dim = int(rng.integers(1, 8))
             m = gpm(rng.permutation(dim), rng.choice([-1, 1], dim))
-            np.testing.assert_array_equal(m.inverse().as_dense(), m.as_dense().T)
-            assert (m @ m.inverse()).is_identity
+            group, rep = closure(m)
+            g = group.generator_indices[0]
+            np.testing.assert_array_equal(dense(rep, group.inverse[g]), dense_perm(m).T)
+            assert group.cayley[g, group.inverse[g]] == group.identity
 
     def test_orthogonality(self):
-        m = gpm([2, 0, 1], [-1, 1, -1])
-        d = m.as_dense()
+        group, rep = closure(gpm([2, 0, 1], [-1, 1, -1]))
+        d = act(rep, group.generator_indices[0], np.eye(3, dtype=np.int64)).T
         np.testing.assert_array_equal(d.T @ d, np.eye(3, dtype=np.int64))
 
 
 class TestClosure:
     def test_swap_gives_reflection_group(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         assert group.order == 2
-        assert rep.matrix(0).is_identity
+        np.testing.assert_array_equal(dense(rep, 0), np.eye(2))
         group.validate()
 
     def test_leg_pair_swaps_give_klein_four(self):
@@ -77,18 +90,48 @@ class TestClosure:
         assert group.order == 8
         group.validate()
 
+    def test_validate_names_the_first_failure_of_the_axiom_loops(self):
+        def first_failure(c, inv):  # the axioms as plain loops, in order
+            n = len(c)
+            for x in range(n):
+                if c[0][x] != x or c[x][0] != x:
+                    return f"identity axiom fails at element {x}"
+                if c[x][inv[x]] != 0:
+                    return f"inverse axiom fails at element {x}"
+            for a in range(n):
+                for b in range(n):
+                    for cc in range(n):
+                        if c[c[a][b]][cc] != c[a][c[b][cc]]:
+                            return f"associativity fails at ({a},{b},{cc})"
+
+        group, _ = make_d8()
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            cayley, inverse = group.cayley.copy(), group.inverse.copy()
+            a, b = rng.integers(0, 8, 2)
+            cayley[a, b] = rng.integers(0, 8)  # may break any axiom, or none
+            if rng.random() < 0.3:
+                inverse[rng.integers(0, 8)] = rng.integers(0, 8)
+            bad = FiniteGroup(cayley, inverse, group.generator_indices)
+            expected = first_failure(cayley.tolist(), inverse.tolist())
+            if expected is None:
+                bad.validate()
+            else:
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    bad.validate()
+
     def test_cap_exceeded(self):
         with pytest.raises(ClosureExceeded):
-            group_closure([gpm([1, 2, 3, 4, 0])], order_cap=4)
+            closure(gpm([1, 2, 3, 4, 0]), order_cap=4)
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatch):
-            group_closure([gpm([1, 0]), gpm([1, 2, 0])])
+            closure(gpm([1, 0]), gpm([1, 2, 0]))
 
     def test_generator_order_gives_isomorphic_group(self):
         gens = [gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1])]
-        g1, _ = group_closure(gens)
-        g2, _ = group_closure(gens[::-1])
+        g1, _ = closure(*gens)
+        g2, _ = closure(*gens[::-1])
         assert g1.order == g2.order
         orders1 = sorted(g1.element_order(g) for g in g1.elements())
         orders2 = sorted(g2.element_order(g) for g in g2.elements())
@@ -96,8 +139,8 @@ class TestClosure:
 
     def test_d8_generator_order_isomorphic(self):
         gens = [gpm([1, 2, 3, 0]), gpm([3, 2, 1, 0])]
-        g1, _ = group_closure(gens)
-        g2, _ = group_closure(gens[::-1])
+        g1, _ = closure(*gens)
+        g2, _ = closure(*gens[::-1])
         assert g1.order == g2.order == 8
         assert sorted(g1.element_order(g) for g in g1.elements()) == sorted(
             g2.element_order(g) for g in g2.elements()
@@ -108,7 +151,7 @@ class TestMakeCyclic:
     def test_order_two_swap(self):
         group, rep = make_cyclic(2, 1)
         assert group.order == 2
-        np.testing.assert_array_equal(rep.matrix(1).as_dense(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(dense(rep, 1), [[0, 1], [1, 0]])
 
     def test_trifinger_block_cycle(self):
         group, rep = make_cyclic(3, 3)
@@ -124,16 +167,16 @@ class TestMakeCyclic:
     def test_trivial_group(self):
         group, rep = make_cyclic(1, 4)
         assert group.order == 1
-        assert rep.matrix(0).is_identity
+        np.testing.assert_array_equal(dense(rep, 0), np.eye(4))
 
 
 class TestAct:
     def test_identity(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         np.testing.assert_array_equal(act(rep, 0, np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_swap(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         np.testing.assert_array_equal(act(rep, 1, np.array([5.0, 7.0])), [7.0, 5.0])
 
     def test_signed_action_matches_dense_matvec(self):
@@ -142,14 +185,16 @@ class TestAct:
             dim = int(rng.integers(1, 9))
             m = gpm(rng.permutation(dim), rng.choice([-1, 1], dim))
             x = rng.integers(-10, 10, dim).astype(float)
-            np.testing.assert_array_equal(m.apply(x), m.as_dense() @ x)
+            group, rep = closure(m)
+            np.testing.assert_array_equal(act(rep, group.generator_indices[0], x), dense_perm(m) @ x)
 
     def test_signed_swap_example(self):
         m = gpm([1, 0], [1, -1])
-        np.testing.assert_array_equal(m.apply(np.array([5.0, 7.0])), m.as_dense() @ [5.0, 7.0])
+        group, rep = closure(m)
+        np.testing.assert_array_equal(act(rep, 1, np.array([5.0, 7.0])), dense_perm(m) @ [5.0, 7.0])
 
     def test_dim_mismatch(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         with pytest.raises(DimMismatch):
             act(rep, 1, np.ones(3))
 
@@ -169,7 +214,7 @@ class TestAct:
 
 class TestDirectSum:
     def test_two_swaps(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         s = direct_sum([rep, rep])
         assert s.dim == 4
         np.testing.assert_array_equal(
@@ -192,13 +237,13 @@ class TestDirectSum:
 
 class TestTensorOnLinearMaps:
     def test_trivial_reps(self):
-        group, _ = group_closure([gpm([1, 0])])
+        group, _ = closure(gpm([1, 0]))
         triv = trivial_representation(group, 1)
         w = tensor_on_linear_maps(triv, triv)
-        assert all(w.matrix(g).is_identity for g in group.elements())
+        assert all((dense(w, g) == np.eye(1)).all() for g in group.elements())
 
     def test_swap_squared_permutation(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         w = tensor_on_linear_maps(rep, rep)
         x = np.array([1.0, 2.0, 3.0, 4.0])  # (w00, w01, w10, w11)
         np.testing.assert_array_equal(act(w, 1, x), [4.0, 3.0, 2.0, 1.0])
@@ -214,7 +259,7 @@ class TestTensorOnLinearMaps:
                 np.testing.assert_array_equal(dense(w, g), expected, err_msg=label)
 
     def test_signed_output_flips_all_signs(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         from conftest import _extend
 
         signed = _extend(group, [gpm([1, 0], [-1, -1])])
@@ -243,11 +288,11 @@ class TestTensorOnLinearMaps:
 
 class TestVerifyHomomorphism:
     def test_canonical_pass(self):
-        _, rep = group_closure([gpm([1, 0])])
+        _, rep = closure(gpm([1, 0]))
         assert verify_homomorphism(rep).passed
 
     def test_corrupted_identity_fails(self):
-        group, rep = group_closure([gpm([1, 0])])
+        group, rep = closure(gpm([1, 0]))
         from robosym.groups import Representation
 
         bad = Representation(group, rep.targets[[1, 1]], rep.signs[[1, 1]])
@@ -269,9 +314,7 @@ class TestRepresentationInvariants:
             seen.add(id(rep))
             for g in rep.group.elements():
                 ginv = rep.group.inverse[g]
-                np.testing.assert_array_equal(
-                    rep.matrix(ginv).as_dense(), rep.matrix(g).as_dense().T
-                )
+                np.testing.assert_array_equal(dense(rep, ginv), dense(rep, g).T)
 
     def test_regular_rep_fixed_point_free(self, d8):
         group, _ = d8
@@ -313,4 +356,4 @@ class TestJsonLoader:
         rep_in, rep_out = load_representation_pair(str(flip), str(triv))
         assert rep_in.group is rep_out.group or rep_in.group == rep_out.group
         assert rep_in.group.order == 2
-        assert rep_out.matrix(1).is_identity
+        np.testing.assert_array_equal(dense(rep_out, 1), np.eye(1))

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import gpm
+from conftest import closure, gpm
 from robosym.basis import basis_from_dict, orbit_basis
 from robosym.errors import DegenerateBasis, DimMismatch, IncompatibleWidth
 from robosym.groups import (
     act,
-    group_closure,
     make_cyclic,
     tiled_regular_representation,
     trivial_representation,
@@ -35,7 +34,7 @@ SELU = get_nonlinearity("selu")
 
 
 def c2_swap_rep():
-    _, rep = group_closure([gpm([1, 0])])
+    _, rep = closure(gpm([1, 0]))
     return rep
 
 
@@ -73,7 +72,7 @@ class TestInit:
         assert init_variance(basis, IDENT, "fan_in") == 1.0
 
     def test_fan_out_uses_input_dim(self):
-        group, _ = group_closure([gpm([1, 0])])
+        group, _ = closure(gpm([1, 0]))
         rep_in = tiled_regular_representation(group, 4)
         rep_out = tiled_regular_representation(group, 8)
         basis = orbit_basis(rep_in, rep_out)
@@ -81,7 +80,7 @@ class TestInit:
         assert init_variance(basis, IDENT, "fan_out") == 4 / basis.total_entries
 
     def test_degenerate_basis_raises(self):
-        group, flip = group_closure([gpm([0], [-1])])
+        group, flip = closure(gpm([0], [-1]))
         triv = trivial_representation(group, 1)
         basis = orbit_basis(flip, triv)
         with pytest.raises(DegenerateBasis):
@@ -95,7 +94,7 @@ class TestInit:
         )
 
     def test_sampled_std_tracks_formula(self):
-        group, _ = group_closure([gpm([1, 0])])
+        group, _ = closure(gpm([1, 0]))
         rep = tiled_regular_representation(group, 64)
         basis = orbit_basis(rep, rep)
         target = np.sqrt(init_variance(basis, RELU, "fan_in"))
@@ -149,12 +148,12 @@ class TestForward:
         np.testing.assert_allclose(acts3[0].z, 3.0 * acts[0].z, rtol=1e-14)
 
     def test_signed_rep_with_relu_rejected(self):
-        group, flip = group_closure([gpm([0], [-1])])
+        group, flip = closure(gpm([0], [-1]))
         with pytest.raises(ValueError, match="not odd"):
             EquivLayer(flip, flip, RELU)
 
     def test_signed_rep_with_tanh_allowed_and_equivariant(self):
-        group, flip = group_closure([gpm([0], [-1])])
+        group, flip = closure(gpm([0], [-1]))
         layer = EquivLayer(flip, flip, TANH, coeffs=np.array([0.8]))
         report = check_equivariance(EquivNet([layer]), samples=16, tol=1e-12, rng_seed=0)
         assert report.passed
