@@ -36,6 +36,14 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, broadcast: the products and differences
+    np.cross forms, so bit-identical, without its per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     k = skew(axis)
     return _rodrigues(k, k @ k, angle)
@@ -283,12 +291,12 @@ def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
     if tree.floating:
         # base twist (v, omega): J_P = [I, -[c - p0]x], J_R = [0, I]
         jp[:, :, 0:3] = np.eye(3)
-        jp[:, :, 3:6] = np.cross(np.eye(3), (com - pos0)[:, None, :]).transpose(0, 2, 1)
+        jp[:, :, 3:6] = _cross(np.eye(3), (com - pos0)[:, None, :]).transpose(0, 2, 1)
         jr[:, :, 3:6] = np.eye(3)
     off = tree.nv - tree.nj
     on_path = tree._on_path[:, :, None]
     revolute = tree._revolute[:, None]
-    cols_p = np.where(revolute, np.cross(axes, com[:, None, :] - points), axes)
+    cols_p = np.where(revolute, _cross(axes, com[:, None, :] - points), axes)
     jp[:, :, off:] = (cols_p * on_path).transpose(0, 2, 1)
     jr[:, :, off:] = (axes * revolute * on_path).transpose(0, 2, 1)
     return _Kinematics(rot, pos, com, inertia, jp, jr)
@@ -334,7 +342,7 @@ def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarr
         raise ValueError("total mass must be positive for CoM momentum")
     c = tree._mass @ kin.com / total_mass
     p = tree._mass[:, None] * (kin.jp @ dq)
-    h_ang = np.cross(kin.com - c, p) + (kin.inertia @ (kin.jr @ dq)[:, :, None])[:, :, 0]
+    h_ang = _cross(kin.com - c, p) + (kin.inertia @ (kin.jr @ dq)[:, :, None])[:, :, 0]
     return np.concatenate([p.sum(axis=0), h_ang.sum(axis=0)])
 
 
