@@ -65,19 +65,19 @@ class IsometrySet:
         for g, r in enumerate(rotations):
             if r.shape != (d, d):
                 raise ValueError(f"isometry {g} has shape {r.shape}, expected ({d},{d})")
-            if np.abs(r.T @ r - np.eye(d)).max() > PLAN_TOL:
+            if not np.abs(r.T @ r - np.eye(d)).max() <= PLAN_TOL:  # a NaN fails every check
                 raise ValueError(f"isometry {g} is not orthogonal")
             det = float(np.linalg.det(r))
-            if abs(abs(det) - 1.0) > 1e-9:
+            if not abs(abs(det) - 1.0) <= 1e-9:
                 raise ValueError(f"isometry {g} has |det| != 1")
             dets.append(1 if det > 0 else -1)
         r = self.rotations = np.stack(rotations)
         r.flags.writeable = False
-        if np.abs(r[group.identity] - np.eye(d)).max() > PLAN_TOL:
+        if not np.abs(r[group.identity] - np.eye(d)).max() <= PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
         for g in group.elements():
             # R(g) R(h) against R(g h), for every h at once
-            bad = np.abs(r[g] @ r - r[group.cayley[g]]).max(axis=(1, 2)) > 1e-9
+            bad = ~(np.abs(r[g] @ r - r[group.cayley[g]]).max(axis=(1, 2)) <= 1e-9)
             if bad.any():
                 raise ValueError(f"isometries violate the Cayley table at ({g},{int(bad.argmax())})")
         self.dets = tuple(dets)
@@ -211,7 +211,8 @@ class AugmentationPlan:
             if is_identity[g]:
                 continue
             field = out[..., sl]
-            out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
+            with np.errstate(invalid="ignore"):  # inf * 0 in the product is a NaN, as documented
+                out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
         return out
 
     def transform_matrix(self, g: int) -> np.ndarray:
@@ -357,6 +358,8 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
                 m = np.asarray(entry["isometry"], dtype=float)
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
                     raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
+                if not np.isfinite(m).all():
+                    raise ValueError("'isometry' has non-finite entries")
                 if isos and m.shape != isos[0].shape:
                     raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
                                      f"generator's has shape {isos[0].shape}")

@@ -16,7 +16,6 @@ trace, so the three can be cross-checked in tests.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .groups import (
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
 TRACE_CHUNK = 32  # group elements per slab of the |G| x mn tracing tables
+BASIS_BLOCK = 1024  # orbits per chunk of basis-file JSON text
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +61,6 @@ class Orbits:
         if not isinstance(other, Orbits):
             return NotImplemented
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in ("index", "sign", "orbit"))
-
-    def entries(self) -> list[list[list[int]]]:
-        """Per orbit, its [index, sign] pairs (the basis-file layout)."""
-        pairs = np.stack([self.index, self.sign], axis=1).tolist()
-        bounds = np.searchsorted(self.orbit, np.arange(len(self) + 1)).tolist()
-        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -308,34 +302,36 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
     return worst
 
 
-def basis_to_dict(basis: EquivBasis) -> dict:
-    return {
-        "m": basis.m,
-        "n": basis.n,
-        "orbits": [{"entries": e} for e in basis.orbits.entries()],
-        "zero_forced": [{"entries": e} for e in basis.zero_forced.entries()],
-    }
+def _orbits_json(orbits: Orbits, sep: str, colon: str):
+    """Yield the items of the orbits' JSON list, ``BASIS_BLOCK`` orbits per chunk:
+    one ``%`` format per block, filled with its interleaved indices and signs."""
+    pair, head = f"[%d{sep}%d]", f'{{"entries"{colon}['
+    counts = np.bincount(orbits.orbit, minlength=len(orbits)).tolist()
+    formats = {c: head + sep.join([pair] * c) + "]}" for c in set(counts)}  # by orbit size
+    hi = 0
+    for start in range(0, len(counts), BASIS_BLOCK):
+        block = counts[start : start + BASIS_BLOCK]
+        lo, hi = hi, hi + sum(block)
+        values = np.stack([orbits.index[lo:hi], orbits.sign[lo:hi]], axis=1).ravel().tolist()
+        yield (sep if start else "") + sep.join([formats[c] for c in block]) % tuple(values)
 
 
-def basis_from_dict(data: dict) -> EquivBasis:
-    def parse(os):
-        entries = [np.asarray(o["entries"], dtype=np.intp).reshape(-1, 2) for o in os]
-        flat = np.concatenate(entries) if entries else np.zeros((0, 2), dtype=np.intp)
-        orbit = np.repeat(np.arange(len(entries)), [len(e) for e in entries])
-        return Orbits(flat[:, 0], flat[:, 1], orbit)
-
-    return EquivBasis(
-        int(data["m"]),
-        int(data["n"]),
-        parse(data["orbits"]),
-        parse(data.get("zero_forced", [])),
-    )
+def basis_json_chunks(basis: EquivBasis, separators: tuple[str, str] = (", ", ": ")):
+    """Yield the basis file's JSON text as ``json.dumps`` with ``separators`` writes it."""
+    sep, colon = separators
+    yield f'{{"m"{colon}{basis.m}{sep}"n"{colon}{basis.n}{sep}"orbits"{colon}['
+    yield from _orbits_json(basis.orbits, sep, colon)
+    yield f']{sep}"zero_forced"{colon}['
+    yield from _orbits_json(basis.zero_forced, sep, colon)
+    yield "]}"
 
 
 def basis_fingerprint(basis: EquivBasis) -> str:
     """Stable content hash used to pair weights files with their basis."""
-    payload = json.dumps(basis_to_dict(basis), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    for chunk in basis_json_chunks(basis, (",", ":")):
+        digest.update(chunk.encode())
+    return digest.hexdigest()[:16]
 
 
 def oracle_to_dict(oracle: np.ndarray, m: int, n: int) -> dict:

@@ -10,6 +10,7 @@ report next to the output file (or to stdout when there is no output file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -53,7 +54,7 @@ def _load_rep_pair(args):
 def cmd_basis(args) -> int:
     rep_in, rep_out = _load_rep_pair(args)
     basis = bas.orbit_basis(rep_in, rep_out)
-    atomic_write_text(args.out, json.dumps(bas.basis_to_dict(basis)) + "\n")
+    atomic_write_text(args.out, itertools.chain(bas.basis_json_chunks(basis), ["\n"]))
     report = {
         "m": basis.m,
         "n": basis.n,

@@ -175,3 +175,16 @@ def dense_perm(perm) -> np.ndarray:
 
 def dense(rep: Representation, g: int) -> np.ndarray:
     return dense_perm((rep.targets[g], rep.signs[g]))
+
+
+def basis_to_dict(basis) -> dict:
+    """Reference basis-file layout, built as a dict from the orbit arrays:
+    the basis file must be ``json.dumps`` of it, byte for byte."""
+
+    def orbit_list(orbits):
+        pairs = np.stack([orbits.index, orbits.sign], axis=1).tolist()
+        bounds = np.searchsorted(orbits.orbit, np.arange(len(orbits) + 1)).tolist()
+        return [{"entries": pairs[lo:hi]} for lo, hi in zip(bounds, bounds[1:])]
+
+    return {"m": basis.m, "n": basis.n, "orbits": orbit_list(basis.orbits),
+            "zero_forced": orbit_list(basis.zero_forced)}

@@ -55,6 +55,16 @@ class TestIsometrySet:
         with pytest.raises(ValueError, match="orthogonal"):
             IsometrySet(group, [np.eye(3), bad])
 
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_nan_rejected(self, g):
+        # every check compares so that a NaN fails it (the bundle loader
+        # rejects an inf before it gets here)
+        group, _ = closure(gpm([1, 0]))
+        rotations = [np.eye(3), np.diag([-1.0, 1.0, 1.0])]
+        rotations[g][1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"isometry {g} is not orthogonal"):
+            IsometrySet(group, rotations)
+
     def test_cayley_violation_rejected(self):
         group, _ = closure(gpm([1, 0]))
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -1,16 +1,19 @@
 """Equivariant basis: orbit algorithm vs dense oracle vs trace count."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, dense, gpm
+from conftest import FIXTURES, basis_to_dict, closure, dense, gpm
 from robosym import basis as basis_module
+from robosym import cli
 from robosym.basis import (
+    EquivBasis,
+    Orbits,
     basis_fingerprint,
-    basis_from_dict,
-    basis_to_dict,
+    basis_json_chunks,
     bias_basis,
     burnside_rank,
     dense_nullspace_oracle,
@@ -22,6 +25,7 @@ from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonInteg
 from robosym.groups import (
     Representation,
     act,
+    load_representation,
     make_cyclic,
     trivial_representation,
     verify_homomorphism,
@@ -111,7 +115,7 @@ class TestOrbitBasis:
         b1 = orbit_basis(reps["leg12"], reps["perm4"])
         b2 = orbit_basis(reps["leg12"], reps["perm4"])
         assert b1 == b2
-        canon = [e[0][0] for e in b1.orbits.entries()]
+        canon = [o["entries"][0][0] for o in basis_to_dict(b1)["orbits"]]
         assert canon == sorted(canon)
 
     def test_orbits_partition_indices(self, all_pairs):
@@ -157,7 +161,7 @@ class TestBiasBasis:
         _, rep = closure(gpm([1, 0]))
         basis = bias_basis(rep)
         assert basis.rank == 1
-        assert basis.orbits.entries() == [[[0, 1], [1, 1]]]
+        assert basis_to_dict(basis)["orbits"] == [{"entries": [[0, 1], [1, 1]]}]
 
     def test_sign_flip_bias_forced_to_zero(self):
         flip, _ = flip_and_trivial()
@@ -187,9 +191,9 @@ class TestValidateBasis:
     def test_corrupted_sign_fails_with_location(self):
         _, rep = closure(gpm([1, 0]))
         good = orbit_basis(rep, rep)
-        data = basis_to_dict(good)
-        data["orbits"][1]["entries"] = [[1, 1], [2, -1]]
-        bad = basis_from_dict(data)
+        assert basis_to_dict(good)["orbits"][1] == {"entries": [[1, 1], [2, 1]]}
+        o = good.orbits
+        bad = EquivBasis(good.m, good.n, Orbits(o.index, [1, 1, 1, -1], o.orbit), good.zero_forced)
         report = validate_basis(bad, rep, rep)
         assert not report.passed
         g, k, (i, j) = report.first_violation
@@ -222,12 +226,54 @@ class TestOracleEquivalence:
                 assert r * order >= mn, label  # mn/|G| <= r
 
 
+def basis_text(basis, separators=(", ", ": ")) -> str:
+    return "".join(basis_json_chunks(basis, separators))
+
+
+def write_basis(tmp_path, *argv) -> str:
+    """The text of the file `robosym basis` writes with these options."""
+    out = tmp_path / "basis.json"
+    assert cli.main(["basis", *argv, "--out", str(out)]) == 0
+    return out.read_text()
+
+
 class TestBasisSerialization:
-    def test_roundtrip(self, k4):
-        _, reps = k4
-        basis = orbit_basis(reps["leg12"], reps["leg12"])
-        again = basis_from_dict(basis_to_dict(basis))
-        assert again == basis
+    def test_roundtrip(self, tmp_path):
+        solo = str(FIXTURES / "k4_solo.json")
+        _, rep = load_representation(solo)
+        assert json.loads(write_basis(tmp_path, "--rep-in", solo)) == basis_to_dict(orbit_basis(rep, rep))
+
+    def test_files_and_fingerprints_match_reference(self, all_pairs, tmp_path, monkeypatch):
+        assert len(all_pairs) == 106
+        for label, rep_in, rep_out in all_pairs:
+            # the CLI's own write path, on representations built in memory
+            monkeypatch.setattr(cli, "_load_rep_pair", lambda args: (rep_in, rep_out))
+            text = write_basis(tmp_path, "--rep-in", str(FIXTURES / "c2_swap.json"))
+            assert text == json.dumps(basis_to_dict(orbit_basis(rep_in, rep_out))) + "\n", label
+            for basis in (orbit_basis(rep_in, rep_out), bias_basis(rep_out)):
+                reference = basis_to_dict(basis)
+                assert basis_text(basis) == json.dumps(reference), label
+                compact = json.dumps(reference, sort_keys=True, separators=(",", ":"))
+                assert basis_text(basis, (",", ":")) == compact, label
+                assert basis_fingerprint(basis) == hashlib.sha256(compact.encode()).hexdigest()[:16], label
+
+    def test_block_size_does_not_change_text(self, all_pairs, monkeypatch):
+        bases = [f(*args) for _, r_in, r_out in all_pairs
+                 for f, args in ((orbit_basis, (r_in, r_out)), (bias_basis, (r_out,)))]
+        expected = [(basis_text(b), basis_fingerprint(b)) for b in bases]
+        for block in (1, 2, 3):
+            monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+            assert [(basis_text(b), basis_fingerprint(b)) for b in bases] == expected, block
+
+    def test_rank_zero_with_only_zero_forced_orbits(self, tmp_path):
+        text = write_basis(tmp_path, "--rep-in", str(FIXTURES / "sign_flip.json"),
+                           "--rep-out", str(FIXTURES / "trivial_c2.json"))
+        assert text == '{"m": 1, "n": 1, "orbits": [], "zero_forced": [{"entries": [[0, 1]]}]}\n'
+
+    def test_empty_zero_forced(self):
+        _, rep = closure(gpm([1, 0]))
+        assert basis_text(orbit_basis(rep, rep), (",", ":")) == (
+            '{"m":2,"n":2,"orbits":[{"entries":[[0,1],[3,1]]},{"entries":[[1,1],[2,1]]}],"zero_forced":[]}')
 
 
 def test_orbit_runtime_scales_roughly_linearly(k4):

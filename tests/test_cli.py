@@ -1,6 +1,7 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,41 @@ class TestAugmentCmd:
         _, a = read_csv(str(aug))
         _, b = read_csv(str(avg))
         np.testing.assert_allclose(a, b, atol=1e-12)  # already equivariant
+
+    def test_inf_in_rotation_mixed_field_warns_nothing(self, tmp_path, capsys):
+        from robosym.augment import read_csv, write_csv
+
+        path, rows = self._write_dataset(tmp_path, n=3)
+        names, _ = read_csv(str(path))
+        hlin = [i for i, name in enumerate(names) if name.startswith("hlin_")]
+        rows[1, hlin[0]] = np.inf
+        write_csv(str(path), names, rows)
+        out = tmp_path / "aug.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                       "--in", str(path), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        _, aug = read_csv(str(out))
+        # the identity copy is the input; in the others the inf spreads
+        # across its field and nowhere else
+        assert aug[:3].tobytes() == rows.tobytes()
+        others = aug[3:].reshape(3, 3, -1)[:, 1]
+        assert not np.isfinite(others[:, hlin]).any()
+        assert np.isfinite(np.delete(others, hlin, axis=1)).all()
+        assert np.isfinite(np.delete(aug, np.arange(1, len(aug), 3), axis=0)).all()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_isometry_exits_2(self, tmp_path, capsys, value):
+        group = tmp_path / "group.json"
+        group.write_text('{"dim": 2, "generators": [{"target": [1, 0], "sign": [1, 1], '
+                         f'"isometry": [[{value},0,0],[0,1,0],[0,0,1]]}}]}}')
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n")
+        assert run("augment", "--group", str(group), "--schema", COM_SCHEMA,
+                   "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {group}: generator 0: 'isometry' has non-finite entries"]
 
     def test_truncated_csv_exits_0_or_2(self, tmp_path, capsys):
         path, _ = self._write_dataset(tmp_path, n=20)

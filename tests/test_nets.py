@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import closure, gpm
-from robosym.basis import basis_from_dict, orbit_basis
+from robosym.basis import EquivBasis, Orbits, orbit_basis
 from robosym.errors import DegenerateBasis, DimMismatch, IncompatibleWidth
 from robosym.groups import (
     act,
@@ -196,9 +196,11 @@ class TestGradients:
         c = rng.standard_normal(4)
         grads = grad_coeffs(net, x, c)
         dw = np.outer(c, x)  # dense weight gradient for the linear layer
-        for k, entries in enumerate(layer.basis.orbits.entries()):
-            assert len(entries) == 4
-            total = sum(s * dw.reshape(-1)[i] for i, s in entries)
+        orbits = layer.basis.orbits
+        for k in range(layer.basis.rank):
+            at = orbits.orbit == k
+            assert at.sum() == 4
+            total = dw.reshape(-1)[orbits.index[at]] @ orbits.sign[at]
             assert abs(grads[0].coeffs[k] - total) < 1e-12
 
     def test_zero_upstream_gives_zero_gradients(self):
@@ -231,9 +233,8 @@ class TestCheckEquivariance:
 
     def test_corrupted_basis_fails(self):
         rep = c2_swap_rep()
-        bad_basis = basis_from_dict(
-            {"m": 2, "n": 2, "orbits": [{"entries": [[0, 1]]}, {"entries": [[1, 1], [2, 1]]}]}
-        )
+        # orbit 0 lacks coordinate 3, which the swap pairs with coordinate 0
+        bad_basis = EquivBasis(2, 2, Orbits([0, 1, 2], [1, 1, 1], [0, 1, 1]), Orbits([], [], []))
         layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]),
                            basis=bad_basis, bias_basis_=None)
         report = check_equivariance(EquivNet([layer]), samples=8, tol=1e-10, rng_seed=0)
