@@ -65,7 +65,9 @@ class IsometrySet:
         for g, r in enumerate(rotations):
             if r.shape != (d, d):
                 raise ValueError(f"isometry {g} has shape {r.shape}, expected ({d},{d})")
-            if not np.abs(r.T @ r - np.eye(d)).max() <= PLAN_TOL:  # a NaN fails every check
+            if not np.isfinite(r).all():  # before any product on it can warn
+                raise ValueError(f"isometry {g} has non-finite entries")
+            if not np.abs(r.T @ r - np.eye(d)).max() <= PLAN_TOL:
                 raise ValueError(f"isometry {g} is not orthogonal")
             det = float(np.linalg.det(r))
             if not abs(abs(det) - 1.0) <= 1e-9:

@@ -25,6 +25,7 @@ from .groups import (
     Representation,
     _apply_signed,
     _linear_map_action,
+    act,
     tensor_on_linear_maps,
     trivial_representation,
 )
@@ -270,7 +271,7 @@ def validate_basis(
     for k in range(basis.rank):
         w = basis.materialize(k)
         for g in group.elements():
-            resid = rep_out.apply_matrix_left(g, w) - rep_in.apply_matrix_right(w, g)
+            resid = act(rep_out, g, w.T).T - act(rep_in, group.inverse[g], w)  # rho_out(g) W - W rho_in(g)
             local = float(np.abs(resid).max()) if resid.size else 0.0
             if local > worst:
                 worst = local

@@ -1,5 +1,7 @@
-"""Exception types shared across the library, and the integer check that
-parsers of input files share."""
+"""Exception types shared across the library, and the integer and
+finiteness checks that parsers of input files share."""
+
+import numpy as np
 
 
 class RoboSymError(Exception):
@@ -57,3 +59,12 @@ def parse_int(where: str, key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{where}: {key!r} must be an integer, got {type(value).__name__}")
     return value
+
+
+def check_finite(where: str, **values) -> None:
+    """Raise ParseError naming ``where`` and the first key whose value (a
+    number or an array of them) holds a NaN or an infinity, so a parser
+    rejects it before any arithmetic on it can warn."""
+    for key, value in values.items():
+        if not np.isfinite(value).all():
+            raise ParseError(f"{where}: {key!r} has non-finite entries")

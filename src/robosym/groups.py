@@ -178,17 +178,6 @@ class Representation:
         """Signed trace of every element: the signs of its fixed coordinates, summed."""
         return np.where(self.targets == np.arange(self.dim), self.signs, 0).sum(axis=1)
 
-    def apply_matrix_left(self, g: int, w: np.ndarray) -> np.ndarray:
-        """rho(g) @ W without densifying rho(g)."""
-        out = np.empty_like(w, dtype=float)
-        out[self.targets[g], :] = self.signs[g][:, None] * w
-        return out
-
-    def apply_matrix_right(self, w: np.ndarray, g: int) -> np.ndarray:
-        """W @ rho(g) without densifying rho(g)."""
-        # column j of W @ rho(g) is sign[j] * W[:, target[j]]
-        return w[:, self.targets[g]] * self.signs[g][None, :]
-
 
 def act(rep: Representation, g: int, x: np.ndarray) -> np.ndarray:
     """Group action rho(g) x, computed coordinate-wise in O(dim)."""

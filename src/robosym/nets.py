@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import EquivBasis, basis_fingerprint, bias_basis, orbit_basis
-from .errors import DegenerateBasis, DimMismatch, ParseError
+from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite
 from .fileio import atomic_write_text
 from .groups import FiniteGroup, Representation, act, tiled_regular_representation
 
@@ -111,14 +111,11 @@ class EquivLayer:
         coeffs: np.ndarray | None = None,
         bias_coeffs: np.ndarray | None = None,
         basis: EquivBasis | None = None,
-        bias_basis_: EquivBasis | None = None,
     ):
         if basis is None:
-            basis, default_bias = _cached_bases(rep_in, rep_out)
-            if bias_basis_ is None:
-                bias_basis_ = default_bias
-        elif bias_basis_ is None:
-            bias_basis_ = bias_basis(rep_out)
+            basis, bias = _cached_bases(rep_in, rep_out)
+        else:
+            bias = bias_basis(rep_out)
         if not nonlinearity.odd and not rep_out.is_unsigned:
             raise ValueError(
                 f"nonlinearity {nonlinearity.name!r} is not odd and does not commute "
@@ -128,17 +125,13 @@ class EquivLayer:
         self.rep_out = rep_out
         self.nonlinearity = nonlinearity
         self.basis = basis
-        self.bias_basis = bias_basis_
+        self.bias_basis = bias
         self.coeffs = np.zeros(basis.rank) if coeffs is None else np.asarray(coeffs, dtype=float)
-        self.bias_coeffs = (
-            np.zeros(bias_basis_.rank) if bias_coeffs is None else np.asarray(bias_coeffs, dtype=float)
-        )
+        self.bias_coeffs = np.zeros(bias.rank) if bias_coeffs is None else np.asarray(bias_coeffs, dtype=float)
         if self.coeffs.shape != (basis.rank,):
             raise DimMismatch(f"expected {basis.rank} coefficients, got {self.coeffs.shape}")
-        if self.bias_coeffs.shape != (bias_basis_.rank,):
-            raise DimMismatch(
-                f"expected {bias_basis_.rank} bias coefficients, got {self.bias_coeffs.shape}"
-            )
+        if self.bias_coeffs.shape != (bias.rank,):
+            raise DimMismatch(f"expected {bias.rank} bias coefficients, got {self.bias_coeffs.shape}")
 
     @property
     def m(self) -> int:
@@ -282,20 +275,22 @@ class EquivarianceReport:
 def check_equivariance(
     net: EquivNet, samples: int = 32, tol: float = 1e-10, rng_seed=0
 ) -> EquivarianceReport:
-    """Compare rho_out(g) f(x) against f(rho_in(g) x) on random inputs."""
+    """Compare rho_out(g) f(x) against f(rho_in(g) x) on random inputs.
+
+    The report names the first worst (element, sample), element-major; a NaN
+    violation counts as the worst and fails the check.
+    """
     rng = _as_rng(rng_seed)
     group = net.rep_in.group
     x = rng.standard_normal((samples, net.input_dim))
     y, _ = forward(net, x)
-    worst, wg, ws = 0.0, 0, 0
-    for g in group.elements():
-        y_gx, _ = forward(net, act(net.rep_in, g, x))
-        gy = act(net.rep_out, g, y)
-        viol = np.abs(y_gx - gy).max(axis=1)
-        s = int(viol.argmax())
-        if viol[s] > worst:
-            worst, wg, ws = float(viol[s]), g, s
-    return EquivarianceReport(worst <= tol, worst, wg, ws, tol)
+    viol = np.array([
+        np.abs(forward(net, act(net.rep_in, g, x))[0] - act(net.rep_out, g, y)).max(axis=1)
+        for g in group.elements()
+    ])
+    g, s = np.unravel_index(np.argmax(viol), viol.shape)
+    worst = float(viol[g, s])
+    return EquivarianceReport(worst <= tol, worst, int(g), int(s), tol)
 
 
 def build_mlp(
@@ -396,5 +391,6 @@ def load_weights(net: EquivNet, path: str) -> None:
         bias_coeffs = np.asarray(entry["bias_coeffs"], dtype=float)
         if coeffs.shape != layer.coeffs.shape or bias_coeffs.shape != layer.bias_coeffs.shape:
             raise ParseError(f"{path}: layer {li} coefficient count mismatch")
+        check_finite(f"{path}: layer {li}", coeffs=coeffs, bias_coeffs=bias_coeffs)
         layer.coeffs = coeffs
         layer.bias_coeffs = bias_coeffs

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInertia, DimMismatch, ParseError, TreeCycle
-from .groups import FiniteGroup, Representation, _apply_signed, act, group_closure, signed_permutation
+from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite
+from .groups import FiniteGroup, Representation, _apply_signed, group_closure, signed_permutation
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
@@ -198,9 +198,6 @@ class KinematicTree:
         """Configuration vector length."""
         return self.nj + (12 if self.floating else 0)
 
-    def body_names(self) -> list[str]:
-        return [b.name for b in self.bodies]
-
 
 def split_config(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.asarray(q, dtype=float)
@@ -373,10 +370,12 @@ def check_mass_matrix_equivariance(
 ) -> MassMatrixReport:
     """Test M(rho(g) q) == rho(g) M(q) rho(g)^-1 on sampled configurations.
 
-    Samples are drawn as in ``identify_dms``; each M comes from one pass.
-    Only meaningful for trees whose configuration is a plain vector (fixed
-    base); floating-base trees go through ``identify_dms``, which knows how
-    to act on the base pose.
+    This is the "M" term of ``identify_dms``'s sampled check, with every
+    group element as a candidate: the identity isometry and body pairing,
+    and the element's signed permutation of the joints.  Only meaningful
+    for trees whose configuration is a plain vector (fixed base);
+    floating-base trees go through ``identify_dms``, which knows how to act
+    on the base pose.  The report names the first worst (sample, element).
     """
     if tree.floating:
         raise DimMismatch(
@@ -385,19 +384,13 @@ def check_mass_matrix_equivariance(
         )
     if rep_q.dim != tree.nv:
         raise DimMismatch(f"representation dim {rep_q.dim}, tree has {tree.nv} DoF")
-    group = rep_q.group
-    worst, wg, ws = 0.0, group.identity, 0
-    for s, q in enumerate(_sample_configs(tree, samples, rng_seed)):
-        m = mass_matrix(tree, q)
-        for g in group.elements():
-            if g == group.identity:
-                continue
-            mg = mass_matrix(tree, act(rep_q, g, q))
-            conj = rep_q.apply_matrix_left(g, rep_q.apply_matrix_right(m, group.inverse[g]))
-            viol = float(np.abs(mg - conj).max())
-            if viol > worst:
-                worst, wg, ws = viol, g, s
-    return MassMatrixReport(worst <= tol, worst, wg, ws, samples, tol)
+    same = {b.name: b.name for b in tree.bodies}
+    elements = [CandidateDMS(f"element {g}", _EYE3, (rep_q.targets[g], rep_q.signs[g]), same)
+                for g in rep_q.group.elements()]
+    viol = _sampled_violations(tree, elements, samples, rng_seed)[:, :, _TERMS.index("M"), 0].T
+    s, g = np.unravel_index(np.argmax(viol), viol.shape)
+    worst = float(viol[s, g])
+    return MassMatrixReport(worst <= tol, worst, int(g), int(s), samples, tol)
 
 
 @dataclass
@@ -419,12 +412,14 @@ class CandidateDMS:
         self.joint_perm = signed_permutation(*self.joint_perm)
         self.isometry = np.asarray(self.isometry, dtype=float)
         if self.isometry.shape != (3, 3):
-            raise ValueError(f"candidate {self.name!r}: isometry must be 3x3")
+            raise ValueError("isometry must be 3x3")
+        if not np.isfinite(self.isometry).all():
+            raise ValueError("'isometry' has non-finite entries")
         if np.abs(self.isometry.T @ self.isometry - np.eye(3)).max() > 1e-9:
-            raise ValueError(f"candidate {self.name!r}: isometry is not orthogonal")
+            raise ValueError("isometry is not orthogonal")
         det = float(np.linalg.det(self.isometry))
         if abs(abs(det) - 1.0) > 1e-9:
-            raise ValueError(f"candidate {self.name!r}: |det| must be 1")
+            raise ValueError("|det| must be 1")
         self.det = 1 if det > 0 else -1
 
     def validate_against(self, tree: KinematicTree) -> None:
@@ -520,11 +515,32 @@ def _violations(tree: KinematicTree, cand: CandidateDMS, pair: np.ndarray, t: np
     ])
 
 
-def _candidate_report(
-    tree: KinematicTree, cand: CandidateDMS, pair: np.ndarray, viol: np.ndarray, tol: float
-) -> CandidateReport:
+def _sampled_violations(
+    tree: KinematicTree, candidates: list[CandidateDMS], samples: int, rng_seed
+) -> np.ndarray:
+    """(candidate, sample, term, body) violations of every term of ``_TERMS``.
+
+    Each sample's kinematics pass is shared by all candidates; a candidate
+    adds one pass per transformed sample.
+    """
+    for cand in candidates:
+        cand.validate_against(tree)
+    configs = _sample_configs(tree, samples, rng_seed)
+    pairs = [np.array([tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]) for c in candidates]
+    ts = [c.velocity_matrix(tree) for c in candidates]
+    viol = np.zeros((len(candidates), samples, len(_TERMS), len(tree.bodies)))
+    for c, pair in enumerate(pairs):
+        viol[c, :, 0] = np.abs(tree._mass - tree._mass[pair])  # does not depend on the sample
+    for s, q in enumerate(configs):
+        at_q = _kinematics(tree, q)
+        m_q = _mass_matrix(tree, at_q)
+        for c, (cand, pair, t) in enumerate(zip(candidates, pairs, ts)):
+            viol[c, s, 1:] = _violations(tree, cand, pair, t, q, at_q, m_q)
+    return viol
+
+
+def _candidate_report(tree: KinematicTree, cand: CandidateDMS, viol: np.ndarray, tol: float) -> CandidateReport:
     """Report from a candidate's (samples, terms, bodies) violations."""
-    viol[:, 0] = np.abs(tree._mass - tree._mass[pair])  # does not depend on the sample
     worst = {check: float(viol[:, terms].max()) for check, terms in _CHECKS.items()}
     report = CandidateReport(cand.name, max(worst.values()) <= tol, *worst.values(), len(viol), tol)
     if not report.passed:
@@ -556,20 +572,9 @@ def identify_dms(
     under the isometry, orientation Jacobians under its det-weighted form),
     and full mass-matrix equivariance.  Sampling rejects soundly but accepts
     only probabilistically: reports say "verified on N samples", not proven.
-    Each sample's kinematics pass is shared by all candidates; a candidate
-    adds one pass per transformed sample.
     """
-    for cand in candidates:
-        cand.validate_against(tree)
-    pairs = [np.array([tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]) for c in candidates]
-    ts = [c.velocity_matrix(tree) for c in candidates]
-    viol = np.zeros((len(candidates), samples, len(_TERMS), len(tree.bodies)))
-    for s, q in enumerate(_sample_configs(tree, samples, rng_seed)):
-        at_q = _kinematics(tree, q)
-        m_q = _mass_matrix(tree, at_q)
-        for c, (cand, pair, t) in enumerate(zip(candidates, pairs, ts)):
-            viol[c, s, 1:] = _violations(tree, cand, pair, t, q, at_q, m_q)
-    reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, pairs, viol)]
+    viol = _sampled_violations(tree, candidates, samples, rng_seed)
+    reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, viol)]
     verified = [c for c, report in zip(candidates, reports) if report.passed]
     gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]
     group, rep = group_closure([t for t, _ in gens], [s for _, s in gens], order_cap=order_cap)
@@ -592,6 +597,7 @@ def _parse_body(entry: dict) -> RigidBody:
         raise ParseError(f"body {name!r}: com must have 3 entries")
     if len(upper) != 6:
         raise ParseError(f"body {name!r}: inertia needs 6 upper-triangular entries")
+    check_finite(f"body {name!r}", mass=mass, com=com, inertia=upper)
     ixx, ixy, ixz, iyy, iyz, izz = upper
     inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     return RigidBody(name, mass, com, inertia)
@@ -603,6 +609,7 @@ def _parse_joint(entry: dict) -> Joint:
         rpy = [float(v) for v in entry.get("origin_rpy", (0.0, 0.0, 0.0))]
         xyz = np.asarray(entry.get("origin_xyz", (0.0, 0.0, 0.0)), dtype=float)
         axis = np.asarray(entry.get("axis", (0.0, 0.0, 1.0)), dtype=float)
+        check_finite(f"joint {name!r}", origin_rpy=rpy, origin_xyz=xyz, axis=axis)
         return Joint(name, entry["parent"], entry["child"], entry["type"], rpy_matrix(*rpy), xyz, axis)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"joint entry {_name_of(entry)!r}: {exc}") from exc

@@ -57,13 +57,13 @@ class TestIsometrySet:
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_nan_rejected(self, g):
-        # every check compares so that a NaN fails it (the bundle loader
-        # rejects an inf before it gets here)
+        # NaN and +-inf are named before any product on them can warn
         group, _ = closure(gpm([1, 0]))
-        rotations = [np.eye(3), np.diag([-1.0, 1.0, 1.0])]
-        rotations[g][1, 1] = np.nan
-        with pytest.raises(ValueError, match=f"isometry {g} is not orthogonal"):
-            IsometrySet(group, rotations)
+        for value in (np.nan, np.inf, -np.inf):
+            rotations = [np.eye(3), np.diag([-1.0, 1.0, 1.0])]
+            rotations[g][1, 1] = value
+            with pytest.raises(ValueError, match=f"isometry {g} has non-finite entries"):
+                IsometrySet(group, rotations)
 
     def test_cayley_violation_rejected(self):
         group, _ = closure(gpm([1, 0]))

@@ -238,6 +238,19 @@ class TestNetCmd:
         out = capsys.readouterr().out
         assert "FAIL" in out and "element" in out
 
+    @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
+    def test_verify_non_finite_weights_exits_2(self, tmp_path, capsys, key):
+        # a NaN coefficient used to pass: every violation compared false
+        weights = tmp_path / "w.json"
+        run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "5", "--out", str(weights))
+        data = json.loads(weights.read_text())
+        data["layers"][1][key][0] = np.nan
+        weights.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("net", "verify", "--net-spec", NETSPEC, "--weights", str(weights)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {weights}: layer 1: {key!r} has non-finite entries"]
+
 
 class TestRobotCmd:
     def test_biped_verified_order_two(self, capsys):
@@ -427,6 +440,49 @@ class TestParseBoundaries:
         err = capsys.readouterr().err
         assert f"{data}: line {line}: " in err and len(err.splitlines()) == 1
 
+
+    # (file, entry list, entry index, path to the number inside the entry)
+    NON_FINITE = {
+        "body_mass": ("robot", "bodies", 2, ("mass",)),
+        "body_com": ("robot", "bodies", 0, ("com", 1)),
+        "body_inertia": ("robot", "bodies", 1, ("inertia", 3)),
+        "joint_origin_xyz": ("robot", "joints", 0, ("origin_xyz", 0)),
+        "joint_origin_rpy": ("robot", "joints", 1, ("origin_rpy", 2)),
+        "joint_axis": ("robot", "joints", 0, ("axis", 1)),
+        "candidate_isometry": ("candidates", "candidates", 0, ("isometry", 1, 1)),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_robot_number_exits_2(self, tmp_path, capsys, case, value):
+        which, entries, i, where = self.NON_FINITE[case]
+        files = {"robot": FIXTURES / "minibiped.json",
+                 "candidates": FIXTURES / "minibiped_candidates.json"}
+        data = json.loads(files[which].read_text())
+        entry = data[entries][i]
+        target = entry
+        for k in where[:-1]:
+            target = target[k]
+        target[where[-1]] = value
+        bad = files[which] = tmp_path / f"{which}.json"
+        bad.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("robot", "verify", "--robot", str(files["robot"]),
+                       "--candidates", str(files["candidates"]), "--samples", "5") == 2
+        owner = {"bodies": "body", "joints": "joint", "candidates": "candidate"}[entries]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: {owner} {entry['name']!r}: {where[0]!r} has non-finite entries"]
+
+    def test_candidate_error_names_the_candidate_once(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "minibiped_candidates.json").read_text())
+        data["candidates"][0]["isometry"][0][1] = 0.1
+        bad = tmp_path / "candidates.json"
+        bad.write_text(json.dumps(data))
+        assert run("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
+                   "--candidates", str(bad)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: candidate 'sagittal': isometry is not orthogonal"]
 
 class TestUsageErrors:
     def test_bad_tol(self, capsys):

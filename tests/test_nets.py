@@ -1,5 +1,7 @@
 """Equivariant perceptron stacks: init, forward, gradients, variance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -235,11 +237,19 @@ class TestCheckEquivariance:
         rep = c2_swap_rep()
         # orbit 0 lacks coordinate 3, which the swap pairs with coordinate 0
         bad_basis = EquivBasis(2, 2, Orbits([0, 1, 2], [1, 1, 1], [0, 1, 1]), Orbits([], [], []))
-        layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]),
-                           basis=bad_basis, bias_basis_=None)
+        layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]), basis=bad_basis)
         report = check_equivariance(EquivNet([layer]), samples=8, tol=1e-10, rng_seed=0)
         assert not report.passed
         assert report.worst_element == 1
+
+    def test_nan_coefficient_fails(self, k4):
+        _, reps = k4
+        net = build_mlp(reps["tiled16"], reps["tiled16"], [16], RELU, rng_seed=2)
+        net.layers[1].coeffs[3] = np.nan
+        report = check_equivariance(net, samples=4, tol=1e-10, rng_seed=1)
+        assert not report.passed and np.isnan(report.max_violation)
+        assert (report.worst_element, report.worst_sample) == (0, 0)
+        assert str(report).startswith("FAIL: max violation nan")
 
     def test_identity_net_passes_at_zero_tol(self):
         rep = c2_swap_rep()
@@ -312,6 +322,21 @@ class TestWeightsFile:
         other = build_mlp(reps["tiled16"], reps["tiled16"], [16], RELU, rng_seed=3)
         with pytest.raises(ParseError, match="hash"):
             load_weights(other, str(path))
+
+    @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, k4, key, value):
+        from robosym.errors import ParseError
+
+        _, reps = k4
+        net = build_mlp(reps["reg4"], reps["reg4"], [8], RELU, rng_seed=3)
+        path = tmp_path / "w.json"
+        save_weights(net, str(path))
+        data = json.loads(path.read_text())
+        data["layers"][1][key][0] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"layer 1: '{key}' has non-finite entries"):
+            load_weights(net, str(path))
 
     def test_failed_save_keeps_existing_file(self, tmp_path, k4):
         _, reps = k4

@@ -10,6 +10,8 @@ from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.rigid import (
     CandidateDMS,
+    KinematicTree,
+    RigidBody,
     check_mass_matrix_equivariance,
     com_momentum,
     forward_kinematics,
@@ -297,6 +299,9 @@ class TestComMomentum:
             np.testing.assert_allclose(det * (r @ h[3:]), h_g[3:], atol=1e-10)
 
 
+MASS_MATRIX_REFERENCE = json.loads((FIXTURES / "mass_matrix_reference.json").read_text())
+
+
 class TestMassMatrixEquivariance:
     def c2_rep(self):
         _, rep = closure(gpm([1, 0], [-1, -1]))
@@ -335,6 +340,35 @@ class TestMassMatrixEquivariance:
     def test_floating_base_rejected(self, solo):
         with pytest.raises(DimMismatch, match="identify_dms"):
             check_mass_matrix_equivariance(solo, self.c2_rep(), samples=1)
+
+    @pytest.mark.parametrize("case", MASS_MATRIX_REFERENCE, ids=lambda c: "{}{}-{}".format(
+        c["robot"].removesuffix(".json"), f"*{c['leg_r_mass_factor']}" * bool(c["leg_r_mass_factor"]), c["rep"]))
+    def test_matches_recorded_report(self, case):
+        """Reports bit-identical to those recorded from the check's own
+        sample x element loop, before it ran on identify_dms's passes; a pass
+        reads "verified on N samples" and a failure "REJECTED"."""
+        data = json.loads((FIXTURES / case["robot"]).read_text())
+        for body in data["bodies"]:
+            if body["name"] == "leg_r" and case["leg_r_mass_factor"] is not None:
+                body["mass"] *= case["leg_r_mass_factor"]
+        tree = tree_from_dict(data)
+        _, rep = closure(gpm(case["target"], case["sign"]))
+        for want in case["reports"]:
+            report = check_mass_matrix_equivariance(tree, rep, samples=want["samples"], rng_seed=want["seed"])
+            got = {"seed": want["seed"], "samples": report.samples, "passed": report.passed,
+                   "max_violation": report.max_violation.hex(),
+                   "worst_element": report.worst_element, "worst_sample": report.worst_sample}
+            assert got == want
+            status = "verified" if report.passed else "REJECTED"
+            assert str(report).startswith(f"{status} on {want['samples']} samples: max violation ")
+
+    def test_nan_mass_rejected(self, biped):
+        bodies = [RigidBody(b.name, np.nan if b.name == "leg_r" else b.mass, b.com, b.inertia)
+                  for b in biped.bodies]
+        tree = KinematicTree("fixed", bodies, biped.joints)
+        report = check_mass_matrix_equivariance(tree, self.c2_rep(), samples=5, rng_seed=0)
+        assert not report.passed and np.isnan(report.max_violation)
+        assert str(report).startswith("REJECTED on 5 samples: max violation nan")
 
     def test_kinetic_energy_invariance(self, biped, biped_cands):
         cand = biped_cands[0]
