@@ -11,7 +11,6 @@ held as a dense matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from operator import matmul
@@ -19,13 +18,14 @@ from operator import matmul
 import numpy as np
 
 from .errors import DimMismatch, ParseError, SchemaError, parse_int
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_input
 from .groups import (
     FiniteGroup,
     Representation,
     direct_sum,
     extend_by_words,
-    load_representation,
+    generator_arrays,
+    group_closure,
     trivial_representation,
     verify_homomorphism,
 )
@@ -340,7 +340,7 @@ class GroupBundle:
     leg_perm: Representation | None = None
 
 
-def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
+def load_group_bundle(path: str) -> GroupBundle:
     """Load a representation file with optional per-generator extensions.
 
     Beyond the core {"dim", "generators": [{"target", "sign"}]} layout, each
@@ -349,41 +349,39 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
     group along the closure, and every generator must carry the value its
     element gets.
     """
-    group, joint_rep = load_representation(path, order_cap=order_cap)
-    with open(path) as f:
-        gens = json.load(f)["generators"]
-    isos, legs = [], []  # per generator, in file order
-    for k, entry in enumerate(gens):
-        where = f"{path}: generator {k}"
-        try:
-            if "isometry" in entry:
-                m = np.asarray(entry["isometry"], dtype=float)
-                if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
-                if not np.isfinite(m).all():
-                    raise ValueError("'isometry' has non-finite entries")
-                if isos and m.shape != isos[0].shape:
-                    raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
-                                     f"generator's has shape {isos[0].shape}")
-                isos.append(m)
-            if "leg_perm" in entry:
-                if not isinstance(entry["leg_perm"], list):
-                    raise ValueError("'leg_perm' must be a list of leg indices")
-                target = [parse_int(where, "leg_perm", t) for t in entry["leg_perm"]]
-                if not target or sorted(target) != list(range(len(target))):
-                    raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
-                if legs and len(target) != len(legs[0]):
-                    raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
-                                     f"generator's lists {len(legs[0])}")
-                legs.append(np.array(target, dtype=np.intp))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    for key, values in (("isometry", isos), ("leg_perm", legs)):
-        if 0 < len(values) < len(gens):
-            raise ParseError(f"{path}: either all generators carry {key!r} or none")
-    isometries = leg_perm = None
-    at = group.generator_indices
-    try:
+    with json_input(path) as data:
+        group, joint_rep = group_closure(*generator_arrays(path, data))
+        gens = data["generators"]
+        isos, legs = [], []  # per generator, in file order
+        for k, entry in enumerate(gens):
+            try:
+                if "isometry" in entry:
+                    m = np.asarray(entry["isometry"], dtype=float)
+                    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                        raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
+                    if not np.isfinite(m).all():
+                        raise ValueError("'isometry' has non-finite entries")
+                    if isos and m.shape != isos[0].shape:
+                        raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
+                                         f"generator's has shape {isos[0].shape}")
+                    isos.append(m)
+                if "leg_perm" in entry:
+                    if not isinstance(entry["leg_perm"], list):
+                        raise ValueError("'leg_perm' must be a list of leg indices")
+                    target = [parse_int("leg_perm", t) for t in entry["leg_perm"]]
+                    if not target or sorted(target) != list(range(len(target))):
+                        raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
+                    if legs and len(target) != len(legs[0]):
+                        raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
+                                         f"generator's lists {len(legs[0])}")
+                    legs.append(np.array(target, dtype=np.intp))
+            except (ParseError, ValueError, TypeError) as exc:
+                raise ParseError(f"generator {k}: {exc}") from exc
+        for key, values in (("isometry", isos), ("leg_perm", legs)):
+            if 0 < len(values) < len(gens):
+                raise ParseError(f"either all generators carry {key!r} or none")
+        isometries = leg_perm = None
+        at = group.generator_indices
         if isos:
             rotations = extend_by_words(group, dict(zip(at, isos)), matmul, np.eye(len(isos[0])))
             isometries = IsometrySet(group, rotations)
@@ -392,7 +390,7 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
             perms = extend_by_words(group, dict(zip(at, legs)), lambda a, b: a[b], np.arange(len(legs[0])))
             leg_perm = Representation(group, perms, np.ones((group.order, len(legs[0]))))
             if not (check := verify_homomorphism(leg_perm)).passed:
-                raise ParseError(f"{path}: leg permutations do not respect the group relations ({check})")
+                raise ParseError(f"leg permutations do not respect the group relations ({check})")
         # values are keyed by element: a generator that repeats an earlier
         # one's element, or is the identity, must carry what its element gets
         for k, gi in enumerate(at):
@@ -402,28 +400,22 @@ def load_group_bundle(path: str, order_cap: int = 1024) -> GroupBundle:
                 key = "leg_perm"
             else:
                 continue
-            raise ParseError(f"{path}: generator {k}: its {key!r} differs from the one its "
+            raise ParseError(f"generator {k}: its {key!r} differs from the one its "
                              "element gets from the other generators")
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 
 
 def load_schema(path: str) -> list[dict]:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("fields"), list):
-        raise ParseError(f"{path}: expected an object with a 'fields' list")
-    for i, field in enumerate(data["fields"]):
-        for key in ("name", "kind"):
-            if not isinstance(field, dict) or key not in field:
-                raise ParseError(f"{path}: schema field {i} has no {key!r} key")
-        if "dim" in field:
-            parse_int(f"{path}: schema field {i}", "dim", field["dim"])
-    return data["fields"]
+    with json_input(path) as data:
+        if not isinstance(data, dict) or not isinstance(data.get("fields"), list):
+            raise ParseError("expected an object with a 'fields' list")
+        for i, field in enumerate(data["fields"]):
+            for key in ("name", "kind"):
+                if not isinstance(field, dict) or key not in field:
+                    raise ParseError(f"schema field {i} has no {key!r} key")
+            if "dim" in field:
+                parse_int("dim", field["dim"], f"schema field {i}")
+        return data["fields"]
 
 
 def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> None:
@@ -451,54 +443,57 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
         # a line break other than "\n" (e.g. a lone "\r") can only add rows;
         # the array then grows in store()
         capacity = sum(b.count(b"\n") for b in iter(lambda: f.read(1 << 20), b""))
-    with open(path) as f:
-        header = f.readline().strip()
-        if not header:
-            raise ParseError(f"{path}: missing header line")
-        names = header.split(",")
-        width = len(names)
-        rows = np.empty((capacity, width))
-        n = 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if not header:
+                raise ParseError(f"{path}: missing header line")
+            names = header.split(",")
+            width = len(names)
+            rows = np.empty((capacity, width))
+            n = 0
 
-        def store(lines: list[str], first: int) -> None:
-            nonlocal rows, n
-            if not lines:
-                return
-            if n + len(lines) > len(rows):
-                rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
-            rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
-            n += len(lines)
+            def store(lines: list[str], first: int) -> None:
+                nonlocal rows, n
+                if not lines:
+                    return
+                if n + len(lines) > len(rows):
+                    rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
+                rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
+                n += len(lines)
 
-        # Whitespace before the first value and after the last one is dropped,
-        # as str.strip() on the whole body would.  So the last row read stays
-        # in `lines` until a later row or the end of the file shows whether it
-        # is the last one.  `lines` holds consecutive rows from line `first`.
-        lines, first, lineno, blank = [], 0, 1, 0
-        while block := list(islice(f, CSV_BLOCK_ROWS)):
-            # splitlines, not the file's own line iteration, so that every
-            # line break str.splitlines knows ends a row
-            for line in "".join(block).splitlines():
-                lineno += 1
-                if not line.strip():
-                    if lines and not blank:
-                        blank = lineno
-                    continue
-                if blank:
-                    error = f"line {blank}: blank line between rows"
-                elif line.count(",") != width - 1:
-                    error = f"line {lineno}: {line.count(',') + 1} columns, header has {width}"
-                else:
-                    if not lines:
-                        first, line = lineno, line.lstrip()
-                    lines.append(line)
-                    continue
-                store(lines, first)
-                raise ParseError(f"{path}: {error}")
-            store(lines[:-1], first)
-            first, lines = first + len(lines) - 1, lines[-1:]
-        if lines:
-            lines[-1] = lines[-1].rstrip()
-        store(lines, first)
+            # Whitespace before the first value and after the last one is dropped,
+            # as str.strip() on the whole body would.  So the last row read stays
+            # in `lines` until a later row or the end of the file shows whether it
+            # is the last one.  `lines` holds consecutive rows from line `first`.
+            lines, first, lineno, blank = [], 0, 1, 0
+            while block := list(islice(f, CSV_BLOCK_ROWS)):
+                # splitlines, not the file's own line iteration, so that every
+                # line break str.splitlines knows ends a row
+                for line in "".join(block).splitlines():
+                    lineno += 1
+                    if not line.strip():
+                        if lines and not blank:
+                            blank = lineno
+                        continue
+                    if blank:
+                        error = f"line {blank}: blank line between rows"
+                    elif line.count(",") != width - 1:
+                        error = f"line {lineno}: {line.count(',') + 1} columns, header has {width}"
+                    else:
+                        if not lines:
+                            first, line = lineno, line.lstrip()
+                        lines.append(line)
+                        continue
+                    store(lines, first)
+                    raise ParseError(f"{path}: {error}")
+                store(lines[:-1], first)
+                first, lines = first + len(lines) - 1, lines[-1:]
+            if lines:
+                lines[-1] = lines[-1].rstrip()
+            store(lines, first)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return names, rows[:n]
 
 

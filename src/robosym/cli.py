@@ -22,7 +22,7 @@ from . import augment as aug
 from . import basis as bas
 from . import nets, rigid
 from .errors import ParseError, RoboSymError, parse_int
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_input
 from .groups import (
     load_representation,
     load_representation_pair,
@@ -145,31 +145,21 @@ def cmd_augment(args) -> int:
 
 
 def _build_net_from_spec(path: str) -> nets.EquivNet:
-    with open(path) as f:
-        try:
-            spec = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise RoboSymError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "rep" not in spec:
-        raise ParseError(f"{path}: net spec has no 'rep' key")
-    hidden = spec.get("hidden", [])
-    if not isinstance(hidden, list) or not all(isinstance(w, int) for w in hidden):
-        raise ParseError(f"{path}: 'hidden' must be a list of integer widths")
-    base = Path(path).parent
-    _, rep_in = load_representation(str(base / spec["rep"]))
-    out_spec = spec.get("output", "input")
-    if out_spec == "input":
-        rep_out = rep_in
-    else:
-        rep_out = tiled_regular_representation(rep_in.group, parse_int(path, "output", out_spec))
-    return nets.build_mlp(
-        rep_in,
-        rep_out,
-        hidden,
-        nets.get_nonlinearity(spec.get("nonlinearity", "relu")),
-        spec.get("init_mode", "fan_in"),
-        rng_seed=parse_int(path, "seed", spec.get("seed", 0)),
-    )
+    with json_input(path) as spec:
+        if not isinstance(spec, dict) or "rep" not in spec:
+            raise ParseError("net spec has no 'rep' key")
+        hidden = spec.get("hidden", [])
+        if not isinstance(hidden, list) or not all(isinstance(w, int) for w in hidden):
+            raise ParseError("'hidden' must be a list of integer widths")
+        rep_path = str(Path(path).parent / spec["rep"])
+        out_spec = spec.get("output", "input")
+        output = None if out_spec == "input" else parse_int("output", out_spec)
+        nonlinearity = nets.get_nonlinearity(spec.get("nonlinearity", "relu"))
+        init_mode = spec.get("init_mode", "fan_in")
+        seed = parse_int("seed", spec.get("seed", 0))
+    _, rep_in = load_representation(rep_path)
+    rep_out = rep_in if output is None else tiled_regular_representation(rep_in.group, output)
+    return nets.build_mlp(rep_in, rep_out, hidden, nonlinearity, init_mode, rng_seed=seed)
 
 
 def cmd_net(args) -> int:
@@ -348,9 +338,10 @@ def _validate(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and tol <= 0:
         raise RoboSymError("--tol must be positive")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise RoboSymError("--samples must be >= 1")
+    for attr in ("samples", "batch", "width"):
+        value = getattr(args, attr, None)
+        if value is not None and value < 1:
+            raise RoboSymError(f"--{attr} must be >= 1")
     for attr in ("rep_in", "rep_out", "group", "schema", "infile", "net_spec",
                  "weights", "robot", "candidates"):
         path = getattr(args, attr, None)

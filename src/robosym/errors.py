@@ -52,13 +52,19 @@ class BadInertia(RoboSymError):
     """Body inertia is not symmetric positive semidefinite."""
 
 
-def parse_int(where: str, key: str, value) -> int:
-    """``value``, read for ``key`` from ``where`` (a file, or a place in one),
-    if it is a JSON integer; anything else (a float, bool, string or list)
-    raises ParseError naming both, so nothing is truncated or coerced."""
+def parse_int(key: str, value, where: str | None = None) -> int:
+    """``value``, read for ``key`` (at ``where``, a place in the file, if
+    given), if it is a JSON integer; anything else (a float, bool, string or
+    list) raises ParseError naming both, so nothing is truncated or coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: {key!r} must be an integer, got {type(value).__name__}")
+        at = f"{where}: " if where else ""
+        raise ParseError(f"{at}{key!r} must be an integer, got {type(value).__name__}")
     return value
+
+
+def parse_int_list(key: str, values) -> list[int]:
+    """``values``, read for ``key``, as JSON integers; a bad one is named by its index."""
+    return [parse_int(key, v, f"entry {j}") for j, v in enumerate(values)]
 
 
 def check_finite(where: str, **values) -> None:

@@ -1,8 +1,29 @@
-"""Atomic file output: every output file is written through here."""
+"""File I/O at the boundary: every JSON input file is read, and every
+output file written, through here."""
 
 import contextlib
+import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+
+from .errors import ParseError, RoboSymError
+
+
+@contextlib.contextmanager
+def json_input(path: str) -> Iterator:
+    """Decode the file at ``path`` as UTF-8 JSON and yield the data.  A file
+    that does not decode, and any library error, ValueError, TypeError,
+    KeyError, AttributeError or IndexError raised in the ``with`` block while
+    the caller reads the data, becomes one ParseError starting ``"<path>: "``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        yield data
+    except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:

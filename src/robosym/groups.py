@@ -11,13 +11,14 @@ built by breadth-first closure of a generator list, so element ordering
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError, parse_int
+from .errors import (ClosureExceeded, DimMismatch, GroupMismatch, IncompatibleWidth, ParseError,
+                     parse_int, parse_int_list)
+from .fileio import json_input
 
 T = TypeVar("T")
 
@@ -331,8 +332,8 @@ def regular_representation(group: FiniteGroup) -> Representation:
 
 def tiled_regular_representation(group: FiniteGroup, width: int) -> Representation:
     """Copies of the regular representation stacked to the requested width."""
-    from .errors import IncompatibleWidth
-
+    if width < 1:
+        raise IncompatibleWidth(f"width {width} must be positive")
     if width % group.order != 0:
         raise IncompatibleWidth(
             f"width {width} is not a multiple of the group order {group.order}"
@@ -392,15 +393,32 @@ def parse_generator(entry: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
     (target, sign) arrays of length ``dim``."""
     if "target" not in entry or "sign" not in entry:
         raise ParseError("generator needs 'target' and 'sign' arrays")
-    target, sign = (
-        [parse_int(f"entry {j}", key, v) for j, v in enumerate(entry[key])]
-        for key in ("target", "sign")
-    )
+    target, sign = (parse_int_list(key, entry[key]) for key in ("target", "sign"))
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
     if len(target) != dim:
         raise ValueError("target/sign length must equal dim")
     return signed_permutation(target, sign)
+
+
+def generator_arrays(path: str, data) -> tuple[np.ndarray, np.ndarray]:
+    """``load_generator_file``'s arrays from ``data``, decoded from ``path``
+    inside ``json_input(path)``, which names the file."""
+    if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
+        raise ParseError("expected object with 'dim' and a 'generators' list")
+    dim = parse_int("dim", data["dim"])
+    gens = []
+    for i, entry in enumerate(data["generators"]):
+        try:
+            gens.append(parse_generator(entry, dim))
+        except (ValueError, ParseError, TypeError) as exc:
+            with open(path, encoding="utf-8") as f:
+                line = _line_of_occurrence(f.read(), '"target"', i)
+            where = f"line {line}" if line is not None else f"index {i}"
+            raise ParseError(f"generator {i} ({where}): {exc}") from exc
+    if not gens:
+        raise ParseError("no generators")
+    return np.array([t for t, _ in gens]), np.array([s for _, s in gens])
 
 
 def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -409,36 +427,16 @@ def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Validation failures report the generator's line in the file.
     """
-    with open(path) as f:
-        text = f.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
-        raise ParseError(f"{path}: expected object with 'dim' and a 'generators' list")
-    dim = parse_int(path, "dim", data["dim"])
-    gens = []
-    for i, entry in enumerate(data["generators"]):
-        try:
-            gens.append(parse_generator(entry, dim))
-        except (ValueError, ParseError, TypeError) as exc:
-            line = _line_of_occurrence(text, '"target"', i)
-            where = f"line {line}" if line is not None else f"index {i}"
-            raise ParseError(f"{path}: generator {i} ({where}): {exc}") from exc
-    if not gens:
-        raise ParseError(f"{path}: no generators")
-    return np.array([t for t, _ in gens]), np.array([s for _, s in gens])
+    with json_input(path) as data:
+        return generator_arrays(path, data)
 
 
-def load_representation(path: str, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[FiniteGroup, Representation]:
+def load_representation(path: str) -> tuple[FiniteGroup, Representation]:
     """Load a generator file and close it into (group, representation)."""
-    return group_closure(*load_generator_file(path), order_cap=order_cap)
+    return group_closure(*load_generator_file(path))
 
 
-def load_representation_pair(
-    path_in: str, path_out: str, order_cap: int = DEFAULT_ORDER_CAP
-) -> tuple[Representation, Representation]:
+def load_representation_pair(path_in: str, path_out: str) -> tuple[Representation, Representation]:
     """Load two generator files describing aligned actions of one group.
 
     Generator k of both files must realize the same abstract generator; the
@@ -456,7 +454,7 @@ def load_representation_pair(
         )
     dim_in = t_in.shape[1]
     joint = np.hstack([t_in, t_out + dim_in]), np.hstack([s_in, s_out])
-    group, rep = group_closure(*joint, order_cap=order_cap)
+    group, rep = group_closure(*joint)
     return (
         Representation(group, rep.targets[:, :dim_in], rep.signs[:, :dim_in]),
         Representation(group, rep.targets[:, dim_in:] - dim_in, rep.signs[:, dim_in:]),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import EquivBasis, basis_fingerprint, bias_basis, orbit_basis
 from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_input
 from .groups import FiniteGroup, Representation, act, tiled_regular_representation
 
 _SELU_ALPHA = 1.6732632423543772848170429916717
@@ -77,12 +77,6 @@ def init_variance(basis: EquivBasis, nonlinearity: Nonlinearity, mode: str) -> f
     raise ValueError(f"mode must be fan_in or fan_out, got {mode!r}")
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def init_coeffs(
     basis: EquivBasis,
     nonlinearity: Nonlinearity,
@@ -90,7 +84,7 @@ def init_coeffs(
     rng_seed=0,
 ) -> np.ndarray:
     """Sample coefficients i.i.d. from N(0, var) with the mode's variance."""
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     var = init_variance(basis, nonlinearity, mode)
     return rng.normal(0.0, math.sqrt(var), size=basis.rank)
 
@@ -280,7 +274,7 @@ def check_equivariance(
     The report names the first worst (element, sample), element-major; a NaN
     violation counts as the worst and fails the check.
     """
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     group = net.rep_in.group
     x = rng.standard_normal((samples, net.input_dim))
     y, _ = forward(net, x)
@@ -307,7 +301,7 @@ def build_mlp(
     linear (identity nonlinearity) so signed output representations are
     always safe.
     """
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     group = rep_in.group
     reps = [rep_in] + [tiled_regular_representation(group, w) for w in hidden_widths] + [rep_out]
     sigmas = [nonlinearity] * len(hidden_widths) + [get_nonlinearity("identity")]
@@ -336,7 +330,7 @@ def activation_variance_profile(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     rep = tiled_regular_representation(group, width)
     layers = []
     for _ in range(depth):
@@ -368,29 +362,28 @@ def save_weights(net: EquivNet, path: str) -> None:
 
 
 def load_weights(net: EquivNet, path: str) -> None:
-    """Load coefficients into an existing net, checking basis integrity."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    entries = data.get("layers") if isinstance(data, dict) else None
-    if not isinstance(entries, list) or len(entries) != len(net.layers):
-        raise ParseError(f"{path}: expected a 'layers' list of {len(net.layers)} layers")
-    for li, (layer, entry) in enumerate(zip(net.layers, entries)):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: 'layers' entry {li} is not an object")
-        if entry.get("basis_hash") != basis_fingerprint(layer.basis):
-            raise ParseError(f"{path}: layer {li} basis hash mismatch")
-        if entry.get("bias_basis_hash") != basis_fingerprint(layer.bias_basis):
-            raise ParseError(f"{path}: layer {li} bias basis hash mismatch")
-        for key in ("coeffs", "bias_coeffs"):
-            if key not in entry:
-                raise ParseError(f"{path}: layer {li} has no {key!r} key")
-        coeffs = np.asarray(entry["coeffs"], dtype=float)
-        bias_coeffs = np.asarray(entry["bias_coeffs"], dtype=float)
-        if coeffs.shape != layer.coeffs.shape or bias_coeffs.shape != layer.bias_coeffs.shape:
-            raise ParseError(f"{path}: layer {li} coefficient count mismatch")
-        check_finite(f"{path}: layer {li}", coeffs=coeffs, bias_coeffs=bias_coeffs)
-        layer.coeffs = coeffs
-        layer.bias_coeffs = bias_coeffs
+    """Load coefficients into an existing net, checking basis integrity; a
+    file that fails on any layer leaves every layer as it was."""
+    with json_input(path) as data:
+        entries = data.get("layers") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or len(entries) != len(net.layers):
+            raise ParseError(f"expected a 'layers' list of {len(net.layers)} layers")
+        loaded = []
+        for li, (layer, entry) in enumerate(zip(net.layers, entries)):
+            if not isinstance(entry, dict):
+                raise ParseError(f"'layers' entry {li} is not an object")
+            if entry.get("basis_hash") != basis_fingerprint(layer.basis):
+                raise ParseError(f"layer {li} basis hash mismatch")
+            if entry.get("bias_basis_hash") != basis_fingerprint(layer.bias_basis):
+                raise ParseError(f"layer {li} bias basis hash mismatch")
+            for key in ("coeffs", "bias_coeffs"):
+                if key not in entry:
+                    raise ParseError(f"layer {li} has no {key!r} key")
+            coeffs = np.asarray(entry["coeffs"], dtype=float)
+            bias_coeffs = np.asarray(entry["bias_coeffs"], dtype=float)
+            if coeffs.shape != layer.coeffs.shape or bias_coeffs.shape != layer.bias_coeffs.shape:
+                raise ParseError(f"layer {li} coefficient count mismatch")
+            check_finite(f"layer {li}", coeffs=coeffs, bias_coeffs=bias_coeffs)
+            loaded.append((coeffs, bias_coeffs))
+    for layer, (coeffs, bias_coeffs) in zip(net.layers, loaded):
+        layer.coeffs, layer.bias_coeffs = coeffs, bias_coeffs

@@ -16,13 +16,13 @@ through the origin of the base frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite
+from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, parse_int_list
+from .fileio import json_input
 from .groups import FiniteGroup, Representation, _apply_signed, group_closure, signed_permutation
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
@@ -226,7 +226,7 @@ def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
 def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> list[np.ndarray]:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return [random_config(tree, rng) for _ in range(samples)]
 
 
@@ -609,6 +609,9 @@ def _parse_joint(entry: dict) -> Joint:
         rpy = [float(v) for v in entry.get("origin_rpy", (0.0, 0.0, 0.0))]
         xyz = np.asarray(entry.get("origin_xyz", (0.0, 0.0, 0.0)), dtype=float)
         axis = np.asarray(entry.get("axis", (0.0, 0.0, 1.0)), dtype=float)
+        for key, value in (("origin_rpy", rpy), ("origin_xyz", xyz), ("axis", axis)):
+            if np.shape(value) != (3,):
+                raise ParseError(f"joint {name!r}: {key!r} must have 3 entries")
         check_finite(f"joint {name!r}", origin_rpy=rpy, origin_xyz=xyz, axis=axis)
         return Joint(name, entry["parent"], entry["child"], entry["type"], rpy_matrix(*rpy), xyz, axis)
     except (KeyError, TypeError, ValueError) as exc:
@@ -628,38 +631,29 @@ def tree_from_dict(data: dict) -> KinematicTree:
 
 def load_robot(path: str) -> KinematicTree:
     """Load the JSON robot description; see the README for the layout."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    with json_input(path) as data:
         return tree_from_dict(data)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    entries = data.get("candidates", []) if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: expected an object with a 'candidates' list")
-    out = []
-    for entry in entries:
-        try:
-            perm = entry["joint_perm"]
-            cand = CandidateDMS(
-                entry.get("name", f"candidate{len(out)}"),
-                np.asarray(entry["isometry"], dtype=float),
-                (perm["target"], perm.get("sign")),
-                dict(entry["body_pairing"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: candidate {_name_of(entry)!r}: {exc}") from exc
-        cand.validate_against(tree)
-        out.append(cand)
-    return out
+    with json_input(path) as data:
+        entries = data.get("candidates", []) if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ParseError("expected an object with a 'candidates' list")
+        out = []
+        for entry in entries:
+            try:
+                perm = entry["joint_perm"]
+                sign = perm.get("sign")
+                cand = CandidateDMS(
+                    entry.get("name", f"candidate{len(out)}"),
+                    np.asarray(entry["isometry"], dtype=float),
+                    (parse_int_list("target", perm["target"]),
+                     None if sign is None else parse_int_list("sign", sign)),
+                    dict(entry["body_pairing"]),
+                )
+            except (KeyError, TypeError, ValueError, ParseError) as exc:
+                raise ParseError(f"candidate {_name_of(entry)!r}: {exc}") from exc
+            cand.validate_against(tree)
+            out.append(cand)
+        return out

@@ -474,6 +474,47 @@ class TestParseBoundaries:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {bad}: {owner} {entry['name']!r}: {where[0]!r} has non-finite entries"]
 
+    # (file, edit of its decoded content, the error after "error: <file>: ")
+    EXACT = {
+        "joint_origin_xyz_2": ("robot", lambda d: d["joints"][0].update(origin_xyz=[0.0, 0.1]),
+                               "joint 'hip_l': 'origin_xyz' must have 3 entries"),
+        "joint_origin_rpy_2": ("robot", lambda d: d["joints"][0].update(origin_rpy=[0.0, 0.1]),
+                               "joint 'hip_l': 'origin_rpy' must have 3 entries"),
+        "joint_axis_2": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 1.0]),
+                         "joint 'hip_l': 'axis' must have 3 entries"),
+        "joint_axis_4": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 1.0, 0.0, 0.0]),
+                         "joint 'hip_l': 'axis' must have 3 entries"),
+        "body_name_list": ("robot", lambda d: d["bodies"][0].update(name=[1]),
+                           "unhashable type: 'list'"),
+        "body_negative_mass": ("robot", lambda d: d["bodies"][1].update(mass=-1.0),
+                               "body 'leg_l': negative mass"),
+        "pairing_not_bijection": ("candidates",
+                                  lambda d: d["candidates"][0]["body_pairing"].update(torso="leg_l"),
+                                  "candidate 'sagittal': body pairing is not a bijection on bodies"),
+        "joint_perm_dim": ("candidates",
+                           lambda d: d["candidates"][0].update(joint_perm={"target": [0], "sign": [1]}),
+                           "candidate 'sagittal': joint permutation dim 1, tree has nj = 2"),
+        "joint_perm_target_float": ("candidates",
+                                    lambda d: d["candidates"][0]["joint_perm"].update(target=[1.5, 0]),
+                                    "candidate 'sagittal': entry 0: 'target' must be an integer, got float"),
+        "joint_perm_sign_float": ("candidates",
+                                  lambda d: d["candidates"][0]["joint_perm"].update(sign=[-1, -1.0]),
+                                  "candidate 'sagittal': entry 1: 'sign' must be an integer, got float"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXACT))
+    def test_robot_file_error_line(self, tmp_path, capsys, case):
+        which, edit, message = self.EXACT[case]
+        files = {"robot": FIXTURES / "minibiped.json",
+                 "candidates": FIXTURES / "minibiped_candidates.json"}
+        data = json.loads(files[which].read_text())
+        edit(data)
+        bad = files[which] = tmp_path / f"{which}.json"
+        bad.write_text(json.dumps(data))
+        assert run("robot", "verify", "--robot", str(files["robot"]),
+                   "--candidates", str(files["candidates"]), "--samples", "5") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+
     def test_candidate_error_names_the_candidate_once(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "minibiped_candidates.json").read_text())
         data["candidates"][0]["isometry"][0][1] = 0.1
@@ -483,6 +524,95 @@ class TestParseBoundaries:
                    "--candidates", str(bad)) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {bad}: candidate 'sagittal': isometry is not orthogonal"]
+
+
+@pytest.fixture(scope="module")
+def k4_weights(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weights") / "w.json"
+    assert main(["net", "demo-train", "--net-spec", NETSPEC, "--steps", "1", "--out", str(path)]) == 0
+    return path
+
+
+# every JSON-taking option: (the command that reads it, the JSON options
+# that command takes, each given its valid file unless it is the one broken)
+FUZZ_COMMANDS = {
+    "--rep-in": (["count"], ["--rep-in"]),
+    "--rep-out": (["count"], ["--rep-in", "--rep-out"]),
+    "--group": (["augment"], ["--group", "--schema"]),
+    "--schema": (["augment"], ["--group", "--schema"]),
+    "--net-spec": (["net", "demo-train", "--steps", "1"], ["--net-spec"]),
+    "--weights": (["net", "verify"], ["--net-spec", "--weights"]),
+    "--robot": (["robot", "verify", "--samples", "2"], ["--robot", "--candidates"]),
+    "--candidates": (["robot", "verify", "--samples", "2"], ["--robot", "--candidates"]),
+}
+FUZZ_BREAKS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "non_utf8": lambda text: b"\xff" + text,
+    "top_list": lambda text: b"[]",
+    "top_number": lambda text: b"5",
+    "top_string": lambda text: b'"text"',
+    "top_null": lambda text: b"null",
+}
+
+
+def _edited(change):
+    def edit(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data).encode()
+    return edit
+
+
+FUZZ_CASES = {
+    **{f"{option[2:]}-{how}": (option, brk)
+       for option in FUZZ_COMMANDS for how, brk in FUZZ_BREAKS.items()},
+    # inputs that used to end in a traceback
+    "body_name_list": ("--robot", _edited(lambda d: d["bodies"][0].update(name=[1]))),
+    "net_spec_nonlinearity_int": ("--net-spec", _edited(lambda d: d.update(nonlinearity=5))),
+    "net_spec_rep_int": ("--net-spec", _edited(lambda d: d.update(rep=5))),
+    "weights_coeffs_object": ("--weights",
+                              _edited(lambda d: d["layers"][0].update(coeffs={"a": 1}))),
+}
+
+
+class TestJsonFuzz:
+    """A malformed JSON file exits 2 with one stderr line that starts with
+    its path, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+    def test_malformed_json_exits_2_with_one_line(self, tmp_path, capsys, k4_weights, case):
+        option, breaks = FUZZ_CASES[case]
+        spec = tmp_path / "spec.json"  # the fixture spec with an absolute rep path
+        spec.write_text(json.dumps({**json.loads(Path(NETSPEC).read_text()), "rep": K4}))
+        files = {"--rep-in": K4, "--rep-out": K4, "--group": SOLO_GROUP, "--schema": COM_SCHEMA,
+                 "--net-spec": spec, "--weights": k4_weights,
+                 "--robot": FIXTURES / "minibiped.json",
+                 "--candidates": FIXTURES / "minibiped_candidates.json"}
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(breaks(Path(files[option]).read_bytes()))
+        files[option] = bad
+        words, options = FUZZ_COMMANDS[option]
+        argv = words + [w for key in options for w in (key, files[key])]
+        if words == ["augment"]:
+            data = tmp_path / "data.csv"
+            data.write_text("x\n1\n")
+            argv += ["--in", data, "--out", tmp_path / "o.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: ")
+
+    def test_non_utf8_csv_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x\n\xff\n")
+        assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                   "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {data}: 'utf-8' codec can't decode byte 0xff in "
+                                    "position 2: invalid start byte"]
+
 
 class TestUsageErrors:
     def test_bad_tol(self, capsys):
@@ -494,6 +624,24 @@ class TestUsageErrors:
         assert run("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
                    "--candidates", str(FIXTURES / "minibiped_candidates.json"),
                    "--samples", "0") == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["net", "demo-train", "--net-spec", NETSPEC, "--batch", "0"], "--batch"),
+        (["net", "init-stats", "--group", K4, "--batch", "-1"], "--batch"),
+        (["net", "init-stats", "--group", K4, "--width", "0"], "--width"),
+    ], ids=["demo_train_batch", "init_stats_batch", "init_stats_width"])
+    def test_size_below_one_exits_2(self, capsys, argv, option):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {option} must be >= 1"]
+
+    @pytest.mark.parametrize("key, value, width", [
+        ("hidden", [0], 0), ("hidden", [-4], -4), ("output", -4, -4)],
+        ids=["hidden_0", "hidden_-4", "output_-4"])
+    def test_net_spec_width_must_be_positive(self, tmp_path, capsys, key, value, width):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rep": K4, key: value}))
+        assert run("net", "demo-train", "--net-spec", str(spec), "--steps", "1") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: width {width} must be positive"]
 
     def test_seeded_determinism(self, tmp_path, capsys):
         args = ("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),

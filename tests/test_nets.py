@@ -300,6 +300,13 @@ class TestVarianceProfile:
         with pytest.raises(IncompatibleWidth):
             activation_variance_profile(2, 10, group, RELU, "fan_in", rng_seed=0)
 
+    @pytest.mark.parametrize("width", [0, -3, -6])
+    def test_non_positive_width_rejected(self, c3, width):
+        # 0 and -6 are multiples of the order; they used to reach direct_sum([])
+        group, _ = c3
+        with pytest.raises(IncompatibleWidth, match=f"width {width} must be positive"):
+            tiled_regular_representation(group, width)
+
 
 class TestWeightsFile:
     def test_roundtrip(self, tmp_path, k4):
@@ -337,6 +344,22 @@ class TestWeightsFile:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=f"layer 1: '{key}' has non-finite entries"):
             load_weights(net, str(path))
+
+    def test_failed_load_leaves_every_layer_as_it_was(self, tmp_path):
+        from robosym.errors import ParseError
+
+        group, reg = make_cyclic(4)
+        net = build_mlp(reg, reg, [8], RELU, rng_seed=3)
+        path = tmp_path / "w.json"
+        save_weights(build_mlp(reg, reg, [8], RELU, rng_seed=4), str(path))
+        data = json.loads(path.read_text())
+        data["layers"][1]["coeffs"][0] = np.nan
+        path.write_text(json.dumps(data))
+        before = [(layer.coeffs, layer.bias_coeffs) for layer in net.layers]
+        with pytest.raises(ParseError, match="layer 1: 'coeffs' has non-finite entries"):
+            load_weights(net, str(path))
+        for layer, (coeffs, bias_coeffs) in zip(net.layers, before):
+            assert layer.coeffs is coeffs and layer.bias_coeffs is bias_coeffs
 
     def test_failed_save_keeps_existing_file(self, tmp_path, k4):
         _, reps = k4
