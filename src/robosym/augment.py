@@ -413,8 +413,8 @@ def load_schema(path: str) -> list[dict]:
             for key in ("name", "kind"):
                 if not isinstance(field, dict) or key not in field:
                     raise ParseError(f"schema field {i} has no {key!r} key")
-            if "dim" in field:
-                parse_int("dim", field["dim"], f"schema field {i}")
+            if "dim" in field and parse_int("dim", field["dim"], f"schema field {i}") < 0:
+                raise ParseError(f"schema field {i}: 'dim' must be >= 0, got {field['dim']}")
         return data["fields"]
 
 

@@ -22,7 +22,7 @@ from . import augment as aug
 from . import basis as bas
 from . import nets, rigid
 from .errors import ParseError, RoboSymError, parse_int
-from .fileio import atomic_write_text, json_input
+from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     load_representation,
     load_representation_pair,
@@ -105,9 +105,10 @@ def cmd_count(args) -> int:
 def _compile_from_files(args):
     bundle = aug.load_group_bundle(args.group)
     raw_fields = aug.load_schema(args.schema)
-    schema = aug.resolve_schema(
-        raw_fields, bundle.joint_rep, bundle.isometries, bundle.leg_perm
-    )
+    with errors_named(args.schema):  # the schema's fields against the group
+        schema = aug.resolve_schema(
+            raw_fields, bundle.joint_rep, bundle.isometries, bundle.leg_perm
+        )
     plan = aug.compile_schema(
         schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm
     )
@@ -158,8 +159,9 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
         init_mode = spec.get("init_mode", "fan_in")
         seed = parse_int("seed", spec.get("seed", 0))
     _, rep_in = load_representation(rep_path)
-    rep_out = rep_in if output is None else tiled_regular_representation(rep_in.group, output)
-    return nets.build_mlp(rep_in, rep_out, hidden, nonlinearity, init_mode, rng_seed=seed)
+    with errors_named(path):  # the spec's widths and init mode against the group
+        rep_out = rep_in if output is None else tiled_regular_representation(rep_in.group, output)
+        return nets.build_mlp(rep_in, rep_out, hidden, nonlinearity, init_mode, rng_seed=seed)
 
 
 def cmd_net(args) -> int:
@@ -249,6 +251,7 @@ def cmd_robot(args) -> int:
             ],
             "verified": report.verified,
             "group_order": report.group.order,
+            "sizes": report.sizes,
         },
         None,
     )

@@ -10,20 +10,30 @@ from .errors import ParseError, RoboSymError
 
 
 @contextlib.contextmanager
+def errors_named(path: str) -> Iterator[None]:
+    """Any library error, ValueError, TypeError, KeyError, AttributeError or
+    IndexError raised in the ``with`` block becomes one ParseError starting
+    ``"<path>: "``: for checks of a file's data, also those that run after
+    the file is read (against another file's data)."""
+    try:
+        yield
+    except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def json_input(path: str) -> Iterator:
     """Decode the file at ``path`` as UTF-8 JSON and yield the data.  A file
-    that does not decode, and any library error, ValueError, TypeError,
-    KeyError, AttributeError or IndexError raised in the ``with`` block while
-    the caller reads the data, becomes one ParseError starting ``"<path>: "``."""
+    that does not decode, and an error raised in the ``with`` block while the
+    caller reads the data (as in ``errors_named``), becomes one ParseError
+    starting ``"<path>: "``."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    with errors_named(path):
         yield data
-    except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:

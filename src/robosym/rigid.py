@@ -30,6 +30,8 @@ JOINT_TYPES = ("revolute", "prismatic", "fixed")
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
+KIN_BLOCK = 128  # configurations per kinematics pass of the sampled check: bounds its memory
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     x, y, z = v
@@ -55,9 +57,7 @@ def _rodrigues(k: np.ndarray, k2: np.ndarray, angle: float) -> np.ndarray:
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    rx = rotation_about_axis(np.array([1.0, 0.0, 0.0]), roll)
-    ry = rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch)
-    rz = rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw)
+    rx, ry, rz = (rotation_about_axis(axis, angle) for axis, angle in zip(_EYE3, (roll, pitch, yaw)))
     return rz @ ry @ rx
 
 
@@ -66,13 +66,9 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
 @dataclass(eq=False)
@@ -154,8 +150,7 @@ class KinematicTree:
         self._inertia = np.array([b.inertia for b in bodies])
         self._revolute = np.array([j.jtype == "revolute" for j in self.actuated], dtype=bool)
         self._on_path = np.zeros((len(bodies), self.nj), dtype=bool)  # joint k is above body b
-        # (joint, parent id, child id, DoF or -1, (K, K @ K) of a revolute axis
-        # or None), parent before child
+        # (joint, parent id, child id, DoF or -1, (K, K @ K) if revolute else None), parents first
         self._walk = []
         # reachability doubles as the acyclicity check
         reached = set()
@@ -168,10 +163,8 @@ class KinematicTree:
             for j in children[name]:
                 parent, child = self._body_id[name], self._body_id[j.child]
                 k = self.dof_index.get(j.name, -1)
-                skews = None
-                if j.jtype == "revolute":
-                    axis_skew = skew(j.axis)
-                    skews = (axis_skew, axis_skew @ axis_skew)
+                axis_skew = skew(j.axis)
+                skews = (axis_skew, axis_skew @ axis_skew) if j.jtype == "revolute" else None
                 self._walk.append((j, parent, child, k, skews))
                 self._on_path[child] = self._on_path[parent]
                 if k >= 0:
@@ -200,18 +193,22 @@ class KinematicTree:
 
 
 def split_config(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base rotation, base position, joint coordinates) of q, or of a stack (..., nq)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (tree.nq,):
-        raise DimMismatch(f"configuration has length {q.shape}, tree expects {tree.nq}")
+    if q.shape[-1:] != (tree.nq,):
+        raise DimMismatch(f"configuration has length {q.shape[-1:]}, tree expects {tree.nq}")
     if tree.floating:
-        return q[:9].reshape(3, 3), q[9:12], q[12:]
-    return np.eye(3), np.zeros(3), q
+        return q[..., :9].reshape(*q.shape[:-1], 3, 3), q[..., 9:12], q[..., 12:]
+    return np.broadcast_to(_EYE3, (*q.shape[:-1], 3, 3)), np.zeros((*q.shape[:-1], 3)), q
 
 
 def merge_config(tree: KinematicTree, rot: np.ndarray, pos: np.ndarray, qjs: np.ndarray) -> np.ndarray:
+    """The inverse of ``split_config``, for one configuration or a stack."""
+    qjs = np.asarray(qjs, dtype=float)
     if tree.floating:
-        return np.concatenate([np.asarray(rot, float).ravel(), np.asarray(pos, float), qjs])
-    return np.asarray(qjs, dtype=float)
+        rot = np.asarray(rot, float)
+        return np.concatenate([rot.reshape(*rot.shape[:-2], 9), np.asarray(pos, float), qjs], axis=-1)
+    return qjs
 
 
 def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
@@ -223,11 +220,12 @@ def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
     return merge_config(tree, random_rotation(rng), rng.uniform(-1.0, 1.0, 3), qjs)
 
 
-def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> list[np.ndarray]:
+def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> np.ndarray:
+    """(samples, nq) configurations drawn in order from one rng stream."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    return [random_config(tree, rng) for _ in range(samples)]
+    return np.array([random_config(tree, rng) for _ in range(samples)])
 
 
 def integrate_config(tree: KinematicTree, q: np.ndarray, dq: np.ndarray, h: float) -> np.ndarray:
@@ -248,79 +246,94 @@ def integrate_config(tree: KinematicTree, q: np.ndarray, dq: np.ndarray, h: floa
 
 
 class _Kinematics(NamedTuple):
-    """Per-body arrays of one kinematics pass, in body-declaration order."""
+    """Per-body arrays of a pass over S configurations, bodies in declaration order."""
 
-    rot: np.ndarray  # (B, 3, 3) world orientation of each body frame
-    pos: np.ndarray  # (B, 3) world position of each body frame
-    com: np.ndarray  # (B, 3) world CoM
-    inertia: np.ndarray  # (B, 3, 3) world inertia about the CoM
-    jp: np.ndarray  # (B, 3, nv) CoM position Jacobian J_P
-    jr: np.ndarray  # (B, 3, nv) orientation Jacobian J_R
+    rot: np.ndarray  # (S, B, 3, 3) world orientation of each body frame
+    pos: np.ndarray  # (S, B, 3) world position of each body frame
+    com: np.ndarray  # (S, B, 3) world CoM
+    inertia: np.ndarray  # (S, B, 3, 3) world inertia about the CoM
+    jp: np.ndarray  # (S, B, 3, nv) CoM position Jacobian J_P
+    jr: np.ndarray  # (S, B, 3, nv) orientation Jacobian J_R
 
 
 def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
-    """The one kinematics pass at ``q``: a walk, parent before child, places
-    the bodies and joint axes; a Jacobian column (axis x lever arm if
-    revolute, the axis if prismatic) is masked to the bodies below its joint.
-    """
+    """The one kinematics pass, over a stack ``q`` (S, nq): a walk, parent
+    before child, places the bodies and joint axes of all S configurations at
+    once; a Jacobian column (axis x lever arm if revolute, the axis if
+    prismatic) is masked to the bodies below its joint.  A configuration's
+    arrays are bit for bit those of a pass of its own."""
     rot0, pos0, qjs = split_config(tree, q)
-    nb = len(tree.bodies)
-    rot = np.empty((nb, 3, 3))
-    pos = np.empty((nb, 3))
+    ns, nb = len(qjs), len(tree.bodies)
+    rot, pos = np.empty((ns, nb, 3, 3)), np.empty((ns, nb, 3))
     root = tree._body_id[tree.root]
-    rot[root], pos[root] = rot0, pos0
-    axes, points = np.zeros((2, tree.nj, 3))
+    rot[:, root], pos[:, root] = rot0, pos0
+    axes, points = np.zeros((2, ns, tree.nj, 3))
     for j, parent, child, k, skews in tree._walk:
-        r_pre = rot[parent] @ j.origin_rot
-        p_pre = pos[parent] + rot[parent] @ j.origin_xyz
-        rot[child], pos[child] = r_pre, p_pre
+        r_pre = rot[:, parent] @ j.origin_rot
+        p_pre = pos[:, parent] + rot[:, parent] @ j.origin_xyz
+        rot[:, child], pos[:, child] = r_pre, p_pre
         if k < 0:
             continue
-        axes[k] = r_pre @ j.axis
-        points[k] = p_pre
+        axes[:, k] = r_pre @ j.axis
+        points[:, k] = p_pre
         if skews is not None:
-            rot[child] = r_pre @ _rodrigues(*skews, qjs[k])
+            rot[:, child] = r_pre @ _rodrigues(*skews, qjs[:, k, None, None])
         else:
-            pos[child] = p_pre + axes[k] * qjs[k]
-    com = pos + (rot @ tree._com[:, :, None])[:, :, 0]
-    inertia = rot @ tree._inertia @ rot.transpose(0, 2, 1)
-    jp, jr = np.zeros((2, nb, 3, tree.nv))
+            pos[:, child] = p_pre + axes[:, k] * qjs[:, k, None]
+    com = pos + (rot @ tree._com[:, :, None])[..., 0]
+    inertia = rot @ tree._inertia @ rot.swapaxes(-1, -2)
+    # the joint columns (S, B, nj, 3), built in place: they are a pass's largest temporaries
+    on_path, revolute, axes = tree._on_path[:, :, None], tree._revolute[:, None], axes[:, None]
+    cols = _cross(axes, com[:, :, None] - points[:, None])
+    np.copyto(cols, axes, where=~revolute)
+    cols *= on_path
+    jp, jr = np.zeros((2, ns, nb, 3, tree.nv))
     if tree.floating:
         # base twist (v, omega): J_P = [I, -[c - p0]x], J_R = [0, I]
-        jp[:, :, 0:3] = np.eye(3)
-        jp[:, :, 3:6] = _cross(np.eye(3), (com - pos0)[:, None, :]).transpose(0, 2, 1)
-        jr[:, :, 3:6] = np.eye(3)
+        jp[..., 0:3] = _EYE3
+        jp[..., 3:6] = _cross(_EYE3, (com - pos0[:, None])[..., None, :]).swapaxes(-1, -2)
+        jr[..., 3:6] = _EYE3
     off = tree.nv - tree.nj
-    on_path = tree._on_path[:, :, None]
-    revolute = tree._revolute[:, None]
-    cols_p = np.where(revolute, _cross(axes, com[:, None, :] - points), axes)
-    jp[:, :, off:] = (cols_p * on_path).transpose(0, 2, 1)
-    jr[:, :, off:] = (axes * revolute * on_path).transpose(0, 2, 1)
+    jp[..., off:] = cols.swapaxes(-1, -2)
+    jr[..., off:] = np.multiply(axes * revolute, on_path, out=cols).swapaxes(-1, -2)
     return _Kinematics(rot, pos, com, inertia, jp, jr)
 
 
+def _kinematics_at(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
+    """The pass at one configuration ``q``: a stack of one, unstacked."""
+    return _Kinematics(*(a[0] for a in _kinematics(tree, np.reshape(q, (1, -1)))))
+
+
 def _mass_matrix(tree: KinematicTree, kin: _Kinematics) -> np.ndarray:
-    """sum_k m J_P^T J_P + J_R^T I_world J_R, summed in body order: another order
-    moves the last bits and can change which tied sample a report names."""
-    jp_t, jr_t = kin.jp.transpose(0, 2, 1), kin.jr.transpose(0, 2, 1)
-    return (tree._mass[:, None, None] * (jp_t @ kin.jp) + jr_t @ kin.inertia @ kin.jr).sum(axis=0)
+    """sum_k m J_P^T J_P + J_R^T I_world J_R for each configuration of a pass
+    (stacked or not), added one body at a time in body order: another order
+    moves the last bits and can change which tied sample a report names, and
+    a stack of every body's term would hold S B nv^2 floats at once."""
+    m = None
+    for b, mass in enumerate(tree._mass):
+        jp, jr = kin.jp[..., b, :, :], kin.jr[..., b, :, :]
+        term = jp.swapaxes(-1, -2) @ jp
+        term *= mass
+        term += jr.swapaxes(-1, -2) @ kin.inertia[..., b, :, :] @ jr
+        m = term if m is None else np.add(m, term, out=m)
+    return m
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """World pose (rotation, position) of every body frame."""
-    kin = _kinematics(tree, q)
+    kin = _kinematics_at(tree, q)
     return {b.name: (kin.rot[i], kin.pos[i]) for i, b in enumerate(tree.bodies)}
 
 
 def jacobians(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Geometric CoM Jacobians (J_P, J_R), each 3 x nv, per body."""
-    kin = _kinematics(tree, q)
+    kin = _kinematics_at(tree, q)
     return {b.name: (kin.jp[i], kin.jr[i]) for i, b in enumerate(tree.bodies)}
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     """M(q) = sum_k m J_P^T J_P + J_R^T I_world J_R, symmetric PSD, from one pass."""
-    return _mass_matrix(tree, _kinematics(tree, q))
+    return _mass_matrix(tree, _kinematics_at(tree, q))
 
 
 def kinetic_energy(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> float:
@@ -333,7 +346,7 @@ def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarr
     dq = np.asarray(dq, dtype=float)
     if dq.shape != (tree.nv,):
         raise DimMismatch(f"velocity has length {dq.shape}, tree expects {tree.nv}")
-    kin = _kinematics(tree, q)
+    kin = _kinematics_at(tree, q)
     total_mass = tree._mass.sum()
     if total_mass <= 0:
         raise ValueError("total mass must be positive for CoM momentum")
@@ -354,20 +367,12 @@ class MassMatrixReport:
 
     def __str__(self) -> str:
         status = "verified" if self.passed else "REJECTED"
-        return (
-            f"{status} on {self.samples} samples: max violation "
-            f"{self.max_violation:.3e} (tol {self.tol:.1e}) at element "
-            f"{self.worst_element}, sample {self.worst_sample}"
-        )
+        return (f"{status} on {self.samples} samples: max violation {self.max_violation:.3e} "
+                f"(tol {self.tol:.1e}) at element {self.worst_element}, sample {self.worst_sample}")
 
 
-def check_mass_matrix_equivariance(
-    tree: KinematicTree,
-    rep_q: Representation,
-    samples: int = 100,
-    tol: float = 1e-8,
-    rng_seed=0,
-) -> MassMatrixReport:
+def check_mass_matrix_equivariance(tree: KinematicTree, rep_q: Representation, samples: int = 100,
+                                   tol: float = 1e-8, rng_seed=0) -> MassMatrixReport:
     """Test M(rho(g) q) == rho(g) M(q) rho(g)^-1 on sampled configurations.
 
     This is the "M" term of ``identify_dms``'s sampled check, with every
@@ -378,10 +383,8 @@ def check_mass_matrix_equivariance(
     on the base pose.  The report names the first worst (sample, element).
     """
     if tree.floating:
-        raise DimMismatch(
-            "floating-base configurations are not plain vectors; "
-            "use identify_dms with candidate isometries instead"
-        )
+        raise DimMismatch("floating-base configurations are not plain vectors; "
+                          "use identify_dms with candidate isometries instead")
     if rep_q.dim != tree.nv:
         raise DimMismatch(f"representation dim {rep_q.dim}, tree has {tree.nv} DoF")
     same = {b.name: b.name for b in tree.bodies}
@@ -424,29 +427,27 @@ class CandidateDMS:
 
     def validate_against(self, tree: KinematicTree) -> None:
         if len(self.joint_perm[0]) != tree.nj:
-            raise DimMismatch(
-                f"candidate {self.name!r}: joint permutation dim {len(self.joint_perm[0])}, "
-                f"tree has nj = {tree.nj}"
-            )
+            raise DimMismatch(f"candidate {self.name!r}: joint permutation dim "
+                              f"{len(self.joint_perm[0])}, tree has nj = {tree.nj}")
         names = set(tree.body_index)
         if set(self.body_pairing) != names or set(self.body_pairing.values()) != names:
             raise ValueError(f"candidate {self.name!r}: body pairing is not a bijection on bodies")
 
     def config_action(self, tree: KinematicTree, q: np.ndarray) -> np.ndarray:
+        """g.q for one configuration or a stack (..., nq) of them."""
         rot, pos, qjs = split_config(tree, q)
         qjs_t = _apply_signed(*self.joint_perm, qjs)
         if not tree.floating:
             return qjs_t
         r = self.isometry
-        return merge_config(tree, r @ rot @ r.T, r @ pos, qjs_t)
+        return merge_config(tree, r @ rot @ r.T, (r @ pos[..., None])[..., 0], qjs_t)
 
     def velocity_matrix(self, tree: KinematicTree) -> np.ndarray:
         t = np.zeros((tree.nv, tree.nv))
-        off = 0
+        off = tree.nv - tree.nj
         if tree.floating:
             t[0:3, 0:3] = self.isometry
             t[3:6, 3:6] = self.det * self.isometry
-            off = 6
         t[off:, off:] = _apply_signed(*self.joint_perm, np.eye(tree.nj, dtype=np.int64)).T
         return t
 
@@ -466,16 +467,12 @@ class CandidateReport:
 
     def __str__(self) -> str:
         if self.passed:
-            return (
-                f"{self.name}: verified on {self.samples} samples "
-                f"(dyn {self.dynamic_violation:.1e}, kin {self.kinematic_violation:.1e}, "
-                f"mass {self.mass_matrix_violation:.1e}, tol {self.tol:.1e})"
-            )
+            return (f"{self.name}: verified on {self.samples} samples "
+                    f"(dyn {self.dynamic_violation:.1e}, kin {self.kinematic_violation:.1e}, "
+                    f"mass {self.mass_matrix_violation:.1e}, tol {self.tol:.1e})")
         worst = max(self.dynamic_violation, self.kinematic_violation, self.mass_matrix_violation)
-        return (
-            f"{self.name}: rejected: {self.failed_check} violation {worst:.3e} "
-            f"at sample {self.worst_sample} ({self.failed_where}, tol {self.tol:.1e})"
-        )
+        return (f"{self.name}: rejected: {self.failed_check} violation {worst:.3e} "
+                f"at sample {self.worst_sample} ({self.failed_where}, tol {self.tol:.1e})")
 
 
 @dataclass
@@ -484,6 +481,7 @@ class IdentifyReport:
     verified: list[str]
     group: FiniteGroup
     joint_rep: Representation
+    sizes: dict[str, int]  # what the check's cost grows with
 
     def __str__(self) -> str:
         lines = [str(c) for c in self.candidates]
@@ -496,46 +494,51 @@ _TERMS = ("mass", "CoM", "inertia", "J_P", "J_R", "M")
 _CHECKS = {"dynamic": slice(0, 3), "kinematic": slice(3, 5), "mass_matrix": slice(5, 6)}
 
 
-def _violations(tree: KinematicTree, cand: CandidateDMS, pair: np.ndarray, t: np.ndarray,
-                q: np.ndarray, at_q: _Kinematics, m_q: np.ndarray) -> np.ndarray:
-    """Per-body violations of the terms after "mass" at one sample: body k at
-    q against body ``pair[k]`` at g.q, with ``t`` the velocity matrix of g."""
-    r = cand.isometry
-    at_gq = _kinematics(tree, cand.config_action(tree, q))
-
-    def gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # max |a - b| per body
-        return np.abs(a - b).reshape(len(a), -1).max(axis=1)
-
-    return np.stack([
-        gap(at_q.com @ r.T, at_gq.com[pair]),
-        gap(r @ at_q.inertia @ r.T, at_gq.inertia[pair]),
-        gap(at_gq.jp[pair] @ t, r @ at_q.jp),
-        gap(at_gq.jr[pair] @ t, cand.det * (r @ at_q.jr)),
-        np.full(len(pair), np.abs(_mass_matrix(tree, at_gq) - t @ m_q @ t.T).max()),
-    ])
+def _block_samples(candidates: list[CandidateDMS]) -> int:
+    """Samples per pass: each brings its q and every candidate's g.q."""
+    return max(1, KIN_BLOCK // (1 + len(candidates)))
 
 
-def _sampled_violations(
-    tree: KinematicTree, candidates: list[CandidateDMS], samples: int, rng_seed
-) -> np.ndarray:
-    """(candidate, sample, term, body) violations of every term of ``_TERMS``.
-
-    Each sample's kinematics pass is shared by all candidates; a candidate
-    adds one pass per transformed sample.
-    """
+def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], samples: int,
+                        rng_seed) -> np.ndarray:
+    """(candidate, sample, term, body) violations of every term of ``_TERMS``:
+    body k at q against body ``pair[k]`` at g.q, with T(g) the velocity matrix.
+    The samples go in blocks of ``_block_samples``; one kinematics pass covers
+    a block's configurations q and every candidate's g.q."""
     for cand in candidates:
         cand.validate_against(tree)
+    nc, nb, nv = len(candidates), len(tree.bodies), tree.nv
     configs = _sample_configs(tree, samples, rng_seed)
-    pairs = [np.array([tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]) for c in candidates]
-    ts = [c.velocity_matrix(tree) for c in candidates]
-    viol = np.zeros((len(candidates), samples, len(_TERMS), len(tree.bodies)))
-    for c, pair in enumerate(pairs):
-        viol[c, :, 0] = np.abs(tree._mass - tree._mass[pair])  # does not depend on the sample
-    for s, q in enumerate(configs):
-        at_q = _kinematics(tree, q)
-        m_q = _mass_matrix(tree, at_q)
-        for c, (cand, pair, t) in enumerate(zip(candidates, pairs, ts)):
-            viol[c, s, 1:] = _violations(tree, cand, pair, t, q, at_q, m_q)
+    pairs = np.array([[tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]
+                      for c in candidates], dtype=np.intp).reshape(nc, nb)
+    # per candidate, shaped to broadcast over (sample, body)
+    r = np.array([c.isometry for c in candidates]).reshape(nc, 1, 1, 3, 3)
+    det_r = np.array([c.det for c in candidates]).reshape(nc, 1, 1, 1, 1) * r  # J_R maps under det(R) R
+    t = np.array([c.velocity_matrix(tree) for c in candidates]).reshape(nc, 1, nv, nv)
+    viol = np.empty((nc, samples, len(_TERMS), nb))
+    viol[:, :, 0] = np.abs(tree._mass - tree._mass[pairs])[:, None]  # does not depend on the sample
+
+    def gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """max |a - b| per (candidate, sample, body), worked out in the temporary a"""
+        return np.abs(np.subtract(a, b, out=a), out=a).max(axis=tuple(range(3, a.ndim)))
+
+    step = _block_samples(candidates)
+    for start in range(0, samples, step):
+        q = configs[start:start + step]
+        ns = len(q)
+        kin = _kinematics(tree, np.concatenate([q, *(c.config_action(tree, q) for c in candidates)]))
+        m = _mass_matrix(tree, kin).reshape(1 + nc, ns, nv, nv)
+        block = viol[:, start:start + ns]
+        block[:, :, 5] = np.abs(m[1:] - t @ m[0] @ t.swapaxes(-1, -2)).max(axis=(-1, -2))[..., None]
+        del m  # freed before the larger temporaries of the Jacobian terms
+        kin = _Kinematics(*(a.reshape(1 + nc, ns, *a.shape[1:]) for a in kin))
+        # body pair[k] at g.q in place k: (candidate, sample, body, ...)
+        paired = (np.arange(nc)[:, None, None] + 1, np.arange(ns)[:, None], pairs[:, None, :])
+        at_q = _Kinematics(*(a[0] for a in kin))
+        block[:, :, 1] = gap(at_q.com @ r[:, 0].swapaxes(-1, -2), kin.com[paired])
+        block[:, :, 2] = gap(r @ at_q.inertia @ r.swapaxes(-1, -2), kin.inertia[paired])
+        block[:, :, 3] = gap(kin.jp[paired] @ t[:, None], r @ at_q.jp)
+        block[:, :, 4] = gap(kin.jr[paired] @ t[:, None], det_r @ at_q.jr)
     return viol
 
 
@@ -556,14 +559,8 @@ def _candidate_report(tree: KinematicTree, cand: CandidateDMS, viol: np.ndarray,
     return report
 
 
-def identify_dms(
-    tree: KinematicTree,
-    candidates: list[CandidateDMS],
-    samples: int = 100,
-    tol: float = 1e-8,
-    rng_seed=0,
-    order_cap: int = 1024,
-) -> IdentifyReport:
+def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,
+                 tol: float = 1e-8, rng_seed=0, order_cap: int = 1024) -> IdentifyReport:
     """Certify candidate symmetries numerically and close the verified set.
 
     Per candidate this checks, on sampled configurations: dynamic-parameter
@@ -574,11 +571,14 @@ def identify_dms(
     only probabilistically: reports say "verified on N samples", not proven.
     """
     viol = _sampled_violations(tree, candidates, samples, rng_seed)
+    sizes = {"bodies": len(tree.bodies), "nv": tree.nv, "samples": samples, "candidates": len(candidates),
+             "configurations": samples * (1 + len(candidates)),
+             "kinematics_passes": (samples - 1) // _block_samples(candidates) + 1}
     reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, viol)]
     verified = [c for c, report in zip(candidates, reports) if report.passed]
     gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]
     group, rep = group_closure([t for t, _ in gens], [s for _, s in gens], order_cap=order_cap)
-    return IdentifyReport(reports, [c.name for c in verified], group, rep)
+    return IdentifyReport(reports, [c.name for c in verified], group, rep, sizes)
 
 
 def _name_of(entry) -> str:

@@ -291,6 +291,8 @@ class TestRobotCmd:
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["group_order"] == 2 and payload["verified"] == ["sagittal"]
+        assert payload["sizes"] == {"bodies": 3, "nv": 2, "samples": 10, "candidates": 1,
+                                    "configurations": 20, "kinematics_passes": 1}
         assert payload["candidates"][0]["worst_sample"] == -1
         assert run("robot", "verify",
                    "--robot", str(FIXTURES / "minibiped_perturbed.json"),
@@ -304,6 +306,15 @@ class TestRobotCmd:
         assert rejected["failed_where"] == "mass of body leg_l vs leg_r"
         assert f"at sample {worst} (mass of body leg_l vs leg_r, tol " in out
 
+    def test_json_report_sizes_count_the_passes(self, capsys):
+        # 2 candidates: a pass holds 128 // 3 = 42 samples, so 100 samples take 3 passes
+        assert run("robot", "verify", "--robot", str(FIXTURES / "solo_like.json"),
+                   "--candidates", str(FIXTURES / "solo_like_candidates.json"),
+                   "--samples", "100", "--json") == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["sizes"] == {
+            "bodies": 5, "nv": 10, "samples": 100, "candidates": 2, "configurations": 300,
+            "kinematics_passes": 3}
 
     def test_zero_dof_robot_verified(self, tmp_path, capsys):
         # one floating body and no joints: the joint permutation is empty
@@ -426,6 +437,46 @@ class TestParseBoundaries:
         assert str(bad) in err and "Traceback" not in err and len(err.splitlines()) == 1
         if case in self.MALFORMED_KEY:
             assert repr(self.MALFORMED_KEY[case]) in err
+
+    # a net spec or schema, read by net demo-train or augment: (command, the
+    # file's content, the error after "error: <file>: "); all but the first
+    # are checks against the group, made after the file is read
+    EXACT_SPEC_SCHEMA = {
+        "schema_dim_negative": ("augment",
+                                {"fields": [{"name": "a", "kind": "invariant_scalar", "dim": -2}]},
+                                "schema field 0: 'dim' must be >= 0, got -2"),
+        "schema_unknown_kind": ("augment", {"fields": [{"name": "a", "kind": "bogus"}]},
+                                "field 'a': unknown kind 'bogus'"),
+        "net_hidden_not_multiple": ("net", {"rep": K4, "hidden": [6]},
+                                    "width 6 is not a multiple of the group order 4"),
+        "net_init_mode_bogus": ("net", {"rep": K4, "init_mode": "bogus"},
+                                "mode must be fan_in or fan_out, got 'bogus'"),
+        "net_hidden_zero": ("net", {"rep": K4, "hidden": [0]}, "width 0 must be positive"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXACT_SPEC_SCHEMA))
+    def test_net_spec_or_schema_error_line(self, tmp_path, capsys, case):
+        command, content, message = self.EXACT_SPEC_SCHEMA[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        if command == "net":
+            argv = ["net", "demo-train", "--net-spec", str(bad), "--steps", "1"]
+        else:
+            data = tmp_path / "data.csv"
+            data.write_text("x\n1\n")
+            argv = ["augment", "--group", SOLO_GROUP, "--schema", str(bad), "--in", str(data),
+                    "--out", str(tmp_path / "o.csv")]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+
+    def test_error_in_the_rep_file_names_only_that_file(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"dim": 2, "generators": [{"target": [0, 0]}]}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rep": str(rep), "hidden": [6]}))
+        assert run("net", "demo-train", "--net-spec", str(spec), "--steps", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rep}: ") and str(spec) not in err
 
     @pytest.mark.parametrize(
         "body, line",
@@ -641,7 +692,7 @@ class TestUsageErrors:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"rep": K4, key: value}))
         assert run("net", "demo-train", "--net-spec", str(spec), "--steps", "1") == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: width {width} must be positive"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: width {width} must be positive"]
 
     def test_seeded_determinism(self, tmp_path, capsys):
         args = ("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),

@@ -461,14 +461,44 @@ class TestRefactorSafetyNet:
         one_pass = rigid._kinematics
         monkeypatch.setattr(rigid, "_kinematics", lambda tree, q: calls.append(q) or one_pass(tree, q))
         samples = 7
-        identify_dms(solo, solo_cands, samples=samples, rng_seed=0)
-        assert len(calls) <= samples * (len(solo_cands) + 1)
+        for kin_block in (rigid.KIN_BLOCK, 7):  # 7 // (1 + 2 candidates): passes of 2 samples
+            monkeypatch.setattr(rigid, "KIN_BLOCK", kin_block)
+            calls.clear()
+            report = identify_dms(solo, solo_cands, samples=samples, rng_seed=0)
+            block = kin_block // (len(solo_cands) + 1)
+            assert len(calls) == -(-samples // block) == report.sizes["kinematics_passes"]
+            assert max(len(q) for q in calls) <= kin_block
+            assert sum(len(q) for q in calls) == samples * (len(solo_cands) + 1)
         q = random_config(solo, np.random.default_rng(0))
         dq = np.ones(solo.nv)
         for fn, args in ((mass_matrix, ()), (kinetic_energy, (dq,)), (com_momentum, (dq,))):
             calls.clear()
             fn(solo, q, *args)
             assert len(calls) == 1, fn.__name__
+
+    @pytest.mark.parametrize("floating", [False, True])
+    def test_stacked_pass_equals_single_passes(self, floating):
+        rng = np.random.default_rng(31 + floating)
+        tree = tree_from_dict(random_chain_dict(rng, floating=floating, links=5))
+        qs = np.array([random_config(tree, rng) for _ in range(6)])
+        stacked = rigid._kinematics(tree, qs)
+        singles = [rigid._kinematics(tree, q[None]) for q in qs]
+        for field, got in zip(stacked._fields, stacked):
+            assert got.shape[:2] == (len(qs), len(tree.bodies)), field
+            assert np.array_equal(got, np.concatenate([getattr(k, field) for k in singles])), field
+        masses = rigid._mass_matrix(tree, stacked)
+        assert np.array_equal(masses, [mass_matrix(tree, q) for q in qs])
+
+    def test_config_action_acts_on_a_stack(self, solo, solo_cands):
+        qs = np.array([random_config(solo, np.random.default_rng(s)) for s in range(4)])
+        for cand in solo_cands:
+            assert np.array_equal(cand.config_action(solo, qs), [cand.config_action(solo, q) for q in qs])
+
+    @pytest.mark.parametrize("kin_block", [1, 5, 1000])
+    def test_sampled_violations_do_not_depend_on_the_block(self, solo, solo_cands, monkeypatch, kin_block):
+        want = rigid._sampled_violations(solo, solo_cands, 9, 3)
+        monkeypatch.setattr(rigid, "KIN_BLOCK", kin_block)
+        assert np.array_equal(rigid._sampled_violations(solo, solo_cands, 9, 3), want)
 
     @pytest.mark.parametrize("floating", [False, True])
     def test_mass_matrix_and_momentum_are_per_body_sums(self, floating):
