@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .groups import (
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
 TRACE_CHUNK = 32  # group elements per slab of the |G| x mn tracing tables
-BASIS_BLOCK = 1024  # orbits per chunk of basis-file JSON text
+BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +96,20 @@ class EquivBasis:
         w[o.index[lo:hi]] = o.sign[lo:hi]
         return w.reshape(self.m, self.n)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """``basis_fingerprint`` of this basis, computed once."""
+        return basis_fingerprint(self)
+
 
 def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
-    _, orbit = np.unique(canon[coords], return_inverse=True)
-    order = np.argsort(orbit, kind="stable")
-    return Orbits(coords[order], sign[coords[order]], orbit[order])
+    """Orbits numbered by their smallest coordinates; entries ordered by one sort
+    of the unique keys orbit * mn + index, which stay below 2^63 for mn < 3e9."""
+    first = np.zeros(canon.size, dtype=bool)
+    first[canon[coords]] = True
+    orbit = first.astype(np.int64).cumsum()[canon[coords]] - 1
+    orbit, index = np.divmod(np.sort(orbit * canon.size + coords), canon.size)
+    return Orbits(index, sign[index], orbit)
 
 
 def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbits, Orbits]:
@@ -304,17 +314,29 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
 
 
 def _orbits_json(orbits: Orbits, sep: str, colon: str):
-    """Yield the items of the orbits' JSON list, ``BASIS_BLOCK`` orbits per chunk:
-    one ``%`` format per block, filled with its interleaved indices and signs."""
-    pair, head = f"[%d{sep}%d]", f'{{"entries"{colon}['
-    counts = np.bincount(orbits.orbit, minlength=len(orbits)).tolist()
-    formats = {c: head + sep.join([pair] * c) + "]}" for c in set(counts)}  # by orbit size
-    hi = 0
-    for start in range(0, len(counts), BASIS_BLOCK):
-        block = counts[start : start + BASIS_BLOCK]
-        lo, hi = hi, hi + sum(block)
-        values = np.stack([orbits.index[lo:hi], orbits.sign[lo:hi]], axis=1).ravel().tolist()
-        yield (sep if start else "") + sep.join([formats[c] for c in block]) % tuple(values)
+    """Yield the items of the orbits' JSON list, ``BASIS_BLOCK`` entries per chunk.
+    Each entry is one fixed-width byte record, built column-major; the bytes it does
+    not use (first separator, head, leading zeros, "-" for +1, "]}") are zeroed and dropped."""
+    width = len(str(int(orbits.index.max(initial=0))))
+    fields = [sep, f'{{"entries"{colon}[', "[", "0" * width, sep, "-", "1]", "]}"]
+    ends = np.cumsum([len(f) for f in fields]).tolist()
+    head, units, minus, tail = slice(ends[0], ends[1]), ends[3] - 1, ends[4], slice(ends[6], None)
+    template = np.frombuffer("".join(fields).encode(), dtype=np.uint8)[:, None]
+    change = orbits.orbit[1:] != orbits.orbit[:-1]
+    opens, closes = np.insert(change, 0, True), np.append(change, True)
+    for lo in range(0, orbits.index.size, BASIS_BLOCK):
+        block = slice(lo, lo + BASIS_BLOCK)
+        buf = np.repeat(template, opens[block].size, axis=1)
+        buf[: len(sep), 0] *= lo > 0
+        buf[head] *= opens[block]
+        q = orbits.index[block]
+        for row in range(units, units - width, -1):
+            shown = (q > 0) | (row == units)  # a leading zero is dropped, a units digit never
+            q, r = np.divmod(q, 10)
+            buf[row] = (r + ord("0")) * shown
+        buf[minus] *= orbits.sign[block] < 0
+        buf[tail] *= closes[block]
+        yield buf.T.tobytes().translate(None, b"\0").decode()
 
 
 def basis_json_chunks(basis: EquivBasis, separators: tuple[str, str] = (", ", ": ")):

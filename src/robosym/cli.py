@@ -10,6 +10,7 @@ report next to the output file (or to stdout when there is no output file).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -259,6 +260,7 @@ def cmd_robot(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+@functools.lru_cache(maxsize=1)  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="robosym", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import EquivBasis, basis_fingerprint, bias_basis, orbit_basis
+from .basis import EquivBasis, bias_basis, orbit_basis
 from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite
 from .fileio import atomic_write_text, json_input
 from .groups import FiniteGroup, Representation, act, tiled_regular_representation
@@ -186,10 +186,6 @@ class EquivNet:
         return self.rep_in.dim
 
     @property
-    def output_dim(self) -> int:
-        return self.rep_out.dim
-
-    @property
     def num_parameters(self) -> int:
         return sum(layer.num_parameters for layer in self.layers)
 
@@ -352,8 +348,8 @@ def save_weights(net: EquivNet, path: str) -> None:
             {
                 "coeffs": layer.coeffs.tolist(),
                 "bias_coeffs": layer.bias_coeffs.tolist(),
-                "basis_hash": basis_fingerprint(layer.basis),
-                "bias_basis_hash": basis_fingerprint(layer.bias_basis),
+                "basis_hash": layer.basis.fingerprint,
+                "bias_basis_hash": layer.bias_basis.fingerprint,
             }
             for layer in net.layers
         ]
@@ -372,9 +368,9 @@ def load_weights(net: EquivNet, path: str) -> None:
         for li, (layer, entry) in enumerate(zip(net.layers, entries)):
             if not isinstance(entry, dict):
                 raise ParseError(f"'layers' entry {li} is not an object")
-            if entry.get("basis_hash") != basis_fingerprint(layer.basis):
+            if entry.get("basis_hash") != layer.basis.fingerprint:
                 raise ParseError(f"layer {li} basis hash mismatch")
-            if entry.get("bias_basis_hash") != basis_fingerprint(layer.bias_basis):
+            if entry.get("bias_basis_hash") != layer.bias_basis.fingerprint:
                 raise ParseError(f"layer {li} bias basis hash mismatch")
             for key in ("coeffs", "bias_coeffs"):
                 if key not in entry:

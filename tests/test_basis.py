@@ -27,6 +27,7 @@ from robosym.groups import (
     act,
     load_representation,
     make_cyclic,
+    tiled_regular_representation,
     trivial_representation,
     verify_homomorphism,
 )
@@ -264,6 +265,54 @@ class TestBasisSerialization:
         for block in (1, 2, 3):
             monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
             assert [(basis_text(b), basis_fingerprint(b)) for b in bases] == expected, block
+
+    @staticmethod
+    def assert_text_is_json_dumps(basis):
+        reference = basis_to_dict(basis)
+        compact = json.dumps(reference, separators=(",", ":"))
+        assert basis_text(basis) == json.dumps(reference)
+        assert basis_text(basis, (",", ":")) == compact
+        assert basis_fingerprint(basis) == hashlib.sha256(compact.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
+    def test_indices_at_digit_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        index = [0, 9, 10, 99, 100, 101, 1000]
+        orbits = Orbits(index, [1, -1, 1, -1, 1, -1, 1], [0, 0, 0, 1, 1, 2, 3])
+        basis = EquivBasis(11, 101, orbits, Orbits([5, 55], [1, -1], [0, 0]))
+        self.assert_text_is_json_dumps(basis)
+        assert '[[0, 1], [9, -1], [10, 1]]' in basis_text(basis)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
+    def test_zero_forced_orbit_with_negative_signs(self, monkeypatch, block):
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        _, rep = closure(gpm([1, 0], [-1, 1]))  # e0 -> -e1 -> -e0: order 4
+        basis = bias_basis(rep)
+        assert basis.rank == 0 and (basis.zero_forced.sign < 0).any()
+        self.assert_text_is_json_dumps(basis)
+        self.assert_text_is_json_dumps(orbit_basis(rep, rep))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
+    def test_single_entry_bias_orbits(self, monkeypatch, block):
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        group, _ = make_cyclic(3)
+        basis = bias_basis(trivial_representation(group, 12))
+        assert basis.rank == 12 and basis.total_entries == 12
+        self.assert_text_is_json_dumps(basis)
+
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
+    @pytest.mark.parametrize("block", [2, 3, 7, 1 << 10])
+    def test_chunks_hold_at_most_a_block_of_records(self, monkeypatch, separators, block):
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        group, _ = make_cyclic(4)
+        rep = tiled_regular_representation(group, 64)
+        basis = orbit_basis(rep, rep)
+        sep, colon = separators
+        record = f'{sep}{{"entries"{colon}[[{"9" * len(str(64 * 64 - 1))}{sep}-1]]}}'
+        chunks = list(basis_json_chunks(basis, separators))
+        assert max(len(c) for c in chunks) <= block * len(record)
+        # three fixed chunks, then one per block
+        assert len(chunks) == 3 + -(-basis.total_entries // block)
 
     def test_rank_zero_with_only_zero_forced_orbits(self, tmp_path):
         text = write_basis(tmp_path, "--rep-in", str(FIXTURES / "sign_flip.json"),

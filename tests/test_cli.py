@@ -1,12 +1,16 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robosym
 from conftest import FIXTURES
 from robosym.cli import main
 
@@ -702,3 +706,26 @@ class TestUsageErrors:
         first = capsys.readouterr().out
         run(*args)
         assert capsys.readouterr().out == first
+
+
+class TestOneProcess:
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
+        # the parser is built once per process; no call may see another's state
+        calls = [
+            ["basis", "--rep-in", C2, "--out", str(tmp_path / "b.json")],
+            ["count", "--rep-in", C2, "--bogus"],  # an argparse usage error
+            ["count", "--rep-in", K4],
+            ["robot", "verify", "--robot", str(FIXTURES / "minibiped_perturbed.json"),
+             "--candidates", str(FIXTURES / "minibiped_candidates.json"), "--samples", "5"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(robosym.__file__).parents[1])}
+        alone = [subprocess.run([sys.executable, "-m", "robosym.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120) for argv in calls]
+        assert [p.returncode for p in alone] == [0, 2, 0, 1]
+        for argv, proc in zip(calls, alone):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv[0]

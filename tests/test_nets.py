@@ -361,6 +361,28 @@ class TestWeightsFile:
         for layer, (coeffs, bias_coeffs) in zip(net.layers, before):
             assert layer.coeffs is coeffs and layer.bias_coeffs is bias_coeffs
 
+    def test_each_basis_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        from robosym import basis as basis_module
+        from robosym import nets
+
+        nets._cached_bases.cache_clear()
+        _, reg = make_cyclic(4)
+        net = build_mlp(reg, reg, [8, 8], RELU, rng_seed=3)
+        bases = {id(b): b for layer in net.layers for b in (layer.basis, layer.bias_basis)}
+        hashes = {k: basis_module.basis_fingerprint(b) for k, b in bases.items()}
+        calls = []
+        chunks = basis_module.basis_json_chunks
+        monkeypatch.setattr(basis_module, "basis_json_chunks",
+                            lambda *a: calls.append(1) or chunks(*a))
+        path = tmp_path / "w.json"
+        for _ in range(3):
+            save_weights(net, str(path))
+            load_weights(net, str(path))
+        assert len(calls) == len(bases)
+        saved = json.loads(path.read_text())["layers"]
+        assert [(e["basis_hash"], e["bias_basis_hash"]) for e in saved] == [
+            (hashes[id(layer.basis)], hashes[id(layer.bias_basis)]) for layer in net.layers]
+
     def test_failed_save_keeps_existing_file(self, tmp_path, k4):
         _, reps = k4
         net = build_mlp(reps["reg4"], reps["reg4"], [8], RELU, rng_seed=3)

@@ -1,9 +1,15 @@
-"""Property tests of augmentation on the fixture bundles, with drawn rows."""
+"""Property tests: augmentation on the fixture bundles, with drawn rows, and
+basis-file text on drawn generator sets."""
+
+import hashlib
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, basis_to_dict
+from robosym import basis as basis_module
 from robosym.augment import (
     augment_dataset,
     augment_row,
@@ -13,6 +19,9 @@ from robosym.augment import (
     orbit_average,
     resolve_schema,
 )
+from robosym.basis import basis_fingerprint, basis_json_chunks, bias_basis, orbit_basis
+from robosym.errors import ClosureExceeded
+from robosym.groups import Representation, group_closure
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -89,3 +98,35 @@ def test_orbit_average_is_idempotent(case):
     plan, targets = case
     once = orbit_average(plan, targets)
     np.testing.assert_allclose(orbit_average(plan, once), once, rtol=0, atol=ATOL)
+
+
+@st.composite
+def signed_pair(draw):
+    """Representations of one group on R^n and R^m from drawn signed
+    generators, closed jointly as the pair loader does."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    targets, signs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        moved = [n + i for i in draw(st.permutations(range(m)))]
+        targets.append(draw(st.permutations(range(n))) + moved)
+        signs.append(draw(st.lists(st.sampled_from([-1, 1]), min_size=n + m, max_size=n + m)))
+    try:
+        group, rep = group_closure(targets, signs, order_cap=256)
+    except ClosureExceeded:
+        hypothesis.reject()
+    return (Representation(group, rep.targets[:, :n], rep.signs[:, :n]),
+            Representation(group, rep.targets[:, n:] - n, rep.signs[:, n:]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(signed_pair(), st.integers(1, 7))
+def test_basis_text_is_json_dumps(pair, block):
+    # blocks of 1 to 7 entries split orbits between chunks
+    rep_in, rep_out = pair
+    with mock.patch.object(basis_module, "BASIS_BLOCK", block):
+        for basis in (orbit_basis(rep_in, rep_out), bias_basis(rep_out)):
+            reference = basis_to_dict(basis)
+            assert "".join(basis_json_chunks(basis)) == json.dumps(reference)
+            compact = json.dumps(reference, sort_keys=True, separators=(",", ":"))
+            assert "".join(basis_json_chunks(basis, (",", ":"))) == compact
+            assert basis_fingerprint(basis) == hashlib.sha256(compact.encode()).hexdigest()[:16]
