@@ -17,11 +17,12 @@ from operator import matmul
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, SchemaError, parse_int
+from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_int
 from .fileio import atomic_write_text, json_input
 from .groups import (
     FiniteGroup,
     Representation,
+    act,
     direct_sum,
     extend_by_words,
     generator_arrays,
@@ -47,57 +48,27 @@ CSV_BLOCK_ROWS = 512
 
 
 class IsometrySet:
-    """One orthogonal d x d matrix (with its determinant) per group element.
-
-    These are the spatial rotations/reflections the group imitates; they are
-    restricted to linear isometries fixing the origin.  ``rotations`` is a
-    read-only (|G|, d, d) array and ``dets`` holds the sign of each one's
-    determinant.
+    """One orthogonal d x d matrix per group element: the spatial
+    rotations/reflections the group imitates, restricted to linear isometries
+    fixing the origin.  ``rotations`` is a read-only (|G|, d, d) array and
+    ``dets`` a read-only (|G|,) array of the signs of their determinants.
     """
 
     def __init__(self, group: FiniteGroup, rotations):
         self.group = group
-        rotations = [np.asarray(m, dtype=float) for m in rotations]
-        if len(rotations) != group.order:
-            raise ValueError("need one isometry per group element")
-        d = self.dim = rotations[0].shape[0]
-        dets = []
-        for g, r in enumerate(rotations):
-            if r.shape != (d, d):
-                raise ValueError(f"isometry {g} has shape {r.shape}, expected ({d},{d})")
-            if not np.isfinite(r).all():  # before any product on it can warn
-                raise ValueError(f"isometry {g} has non-finite entries")
-            if not np.abs(r.T @ r - np.eye(d)).max() <= PLAN_TOL:
-                raise ValueError(f"isometry {g} is not orthogonal")
-            det = float(np.linalg.det(r))
-            if not abs(abs(det) - 1.0) <= 1e-9:
-                raise ValueError(f"isometry {g} has |det| != 1")
-            dets.append(1 if det > 0 else -1)
-        r = self.rotations = np.stack(rotations)
-        r.flags.writeable = False
-        if not np.abs(r[group.identity] - np.eye(d)).max() <= PLAN_TOL:
+        r = self.rotations = np.array(rotations, dtype=float)
+        if r.ndim != 3 or len(r) != group.order:
+            raise ValueError("need one d x d isometry per group element")
+        self.dets = np.array([check_isometry(f"isometry {g}", m, PLAN_TOL) for g, m in enumerate(r)])
+        self.dim = r.shape[-1]
+        r.flags.writeable = self.dets.flags.writeable = False
+        if not np.abs(r[group.identity] - np.eye(self.dim)).max() <= PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
         for g in group.elements():
             # R(g) R(h) against R(g h), for every h at once
             bad = ~(np.abs(r[g] @ r - r[group.cayley[g]]).max(axis=(1, 2)) <= 1e-9)
             if bad.any():
                 raise ValueError(f"isometries violate the Cayley table at ({g},{int(bad.argmax())})")
-        self.dets = tuple(dets)
-
-    def rotation(self, g: int) -> np.ndarray:
-        return self.rotations[g]
-
-    def det(self, g: int) -> int:
-        return self.dets[g]
-
-    def pseudo(self, g: int) -> np.ndarray:
-        """Transform for axial vectors: det(R) R."""
-        return self.dets[g] * self.rotations[g]
-
-    def homogeneous(self, g: int) -> np.ndarray:
-        h = np.eye(self.dim + 1)
-        h[: self.dim, : self.dim] = self.rotations[g]
-        return h
 
 
 @dataclass(frozen=True)
@@ -164,13 +135,15 @@ def _field_action(
     if f.kind in ("e3_vector", "kron_perm_vector"):
         blocks = isometries.rotations  # type: ignore[union-attr]
     elif f.kind == "e3_pseudovector":
-        blocks = np.stack([isometries.pseudo(g) for g in group.elements()])  # type: ignore[union-attr]
+        blocks = isometries.dets[:, None, None] * isometries.rotations  # type: ignore[union-attr]
     elif f.kind == "pose_conjugation":
         # X -> H X H^-1 on the flattened homogeneous matrix; H is orthogonal
-        # with zero translation, so this is the Kronecker conjugation below
-        # under row-major flattening.
-        homs = [isometries.homogeneous(g) for g in group.elements()]  # type: ignore[union-attr]
-        blocks = np.stack([np.kron(h, h) for h in homs])
+        # with zero translation, so this is kron(H, H) under row-major
+        # flattening: entry (i p + k, j p + l) is the one product H_ij H_kl.
+        d = isometries.dim  # type: ignore[union-attr]
+        h = np.zeros((group.order, d + 1, d + 1))
+        h[:, :d, :d], h[:, d, d] = isometries.rotations, 1.0  # type: ignore[union-attr]
+        blocks = (h[:, :, None, :, None] * h[:, None, :, None, :]).reshape(group.order, h[0].size, -1)
     else:
         raise SchemaError(f"field {f.name!r}: unknown kind {f.kind!r}")
     if f.kind != "kron_perm_vector":
@@ -204,11 +177,7 @@ class AugmentationPlan:
         rows = np.asarray(rows, dtype=float)
         if rows.shape[-1] != self.width:
             raise DimMismatch(f"rows have width {rows.shape[-1]}, plan width {self.width}")
-        # out[..., t] = rows * s, done as a gather (faster than the scatter)
-        t, s = self.perm.targets[g], self.perm.signs[g]
-        src = np.argsort(t)  # the inverse permutation: t[src[j]] = j
-        out = np.take(rows, src, axis=-1)
-        out *= s[src]
+        out = act(self.perm, g, rows)
         for sl, blocks, is_identity in self.rotations:
             if is_identity[g]:
                 continue
@@ -294,11 +263,6 @@ def compile_schema(
     return AugmentationPlan(schema, group, perm, rotations)
 
 
-def augment_row(plan: AugmentationPlan, g: int, row: np.ndarray) -> np.ndarray:
-    """Apply T(g) to one measurement row."""
-    return plan.apply_rows(g, row)
-
-
 def augment_dataset(plan: AugmentationPlan, rows: np.ndarray) -> np.ndarray:
     """Emit the |G| symmetric copies of a dataset, g-major.
 
@@ -357,10 +321,7 @@ def load_group_bundle(path: str) -> GroupBundle:
             try:
                 if "isometry" in entry:
                     m = np.asarray(entry["isometry"], dtype=float)
-                    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                        raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
-                    if not np.isfinite(m).all():
-                        raise ValueError("'isometry' has non-finite entries")
+                    check_isometry("'isometry'", m, PLAN_TOL)
                     if isos and m.shape != isos[0].shape:
                         raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
                                          f"generator's has shape {isos[0].shape}")

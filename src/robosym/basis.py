@@ -24,7 +24,6 @@ import numpy as np
 from .errors import CapExceeded, GroupMismatch, NonIntegralRank
 from .groups import (
     Representation,
-    _apply_signed,
     _linear_map_action,
     act,
     tensor_on_linear_maps,
@@ -232,7 +231,7 @@ def dense_nullspace_oracle(
     rep_w = tensor_on_linear_maps(rep_in, rep_out)
     eye = np.eye(mn, dtype=np.int64)  # an integer eye: a sign flip gives no -0.0
     blocks = [
-        _apply_signed(rep_w.targets[g], rep_w.signs[g], eye).T - np.eye(mn)
+        act(rep_w, g, eye).T - np.eye(mn)
         for g in group.elements()
         if g != group.identity
     ]

@@ -340,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0:
-        raise RoboSymError("--tol must be positive")
-    for attr in ("samples", "batch", "width"):
+    for attr in ("tol", "lr", "const_var"):
+        value = getattr(args, attr, None)
+        if value is not None and not 0 < value < np.inf:  # NaN fails both
+            raise RoboSymError(f"--{attr.replace('_', '-')} must be a positive finite number")
+    for attr in ("samples", "batch", "width", "steps", "depth"):
         value = getattr(args, attr, None)
         if value is not None and value < 1:
             raise RoboSymError(f"--{attr} must be >= 1")

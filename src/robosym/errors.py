@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the integer and
-finiteness checks that parsers of input files share."""
+"""Exception types shared across the library, the integer and finiteness
+checks that parsers of input files share, and the one check of an isometry."""
 
 import numpy as np
 
@@ -63,8 +63,14 @@ def parse_int(key: str, value, where: str | None = None) -> int:
 
 
 def parse_int_list(key: str, values) -> list[int]:
-    """``values``, read for ``key``, as JSON integers; a bad one is named by its index."""
-    return [parse_int(key, v, f"entry {j}") for j, v in enumerate(values)]
+    """``values``, read for ``key``, as JSON integers; the first bad one is named
+    by its index.  Only an entry that is not a plain int goes through parse_int."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        for j, v in enumerate(values):
+            if type(v) is not int:
+                parse_int(key, v, f"entry {j}")
+    return values
 
 
 def check_finite(where: str, **values) -> None:
@@ -74,3 +80,19 @@ def check_finite(where: str, **values) -> None:
     for key, value in values.items():
         if not np.isfinite(value).all():
             raise ParseError(f"{where}: {key!r} has non-finite entries")
+
+
+def check_isometry(name: str, r: np.ndarray, tol: float) -> int:
+    """The sign of det(r), once ``r`` is checked to be a finite square matrix
+    with |r^T r - I| <= ``tol`` entrywise and |det| within 1e-9 of 1; else
+    ValueError naming ``name``.  Finiteness goes first, so no product warns."""
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if not np.abs(r.T @ r - np.eye(len(r))).max() <= tol:
+        raise ValueError(f"{name} is not orthogonal")
+    det = float(np.linalg.det(r))
+    if not abs(abs(det) - 1.0) <= 1e-9:
+        raise ValueError(f"{name} has |det| != 1")
+    return 1 if det > 0 else -1

@@ -104,12 +104,8 @@ class EquivLayer:
         nonlinearity: Nonlinearity,
         coeffs: np.ndarray | None = None,
         bias_coeffs: np.ndarray | None = None,
-        basis: EquivBasis | None = None,
     ):
-        if basis is None:
-            basis, bias = _cached_bases(rep_in, rep_out)
-        else:
-            bias = bias_basis(rep_out)
+        basis, bias = _cached_bases(rep_in, rep_out)
         if not nonlinearity.odd and not rep_out.is_unsigned:
             raise ValueError(
                 f"nonlinearity {nonlinearity.name!r} is not odd and does not commute "
@@ -134,10 +130,6 @@ class EquivLayer:
     @property
     def n(self) -> int:
         return self.rep_in.dim
-
-    @property
-    def num_parameters(self) -> int:
-        return self.basis.rank + self.bias_basis.rank
 
     def weight(self) -> np.ndarray:
         o = self.basis.orbits
@@ -184,10 +176,6 @@ class EquivNet:
     @property
     def input_dim(self) -> int:
         return self.rep_in.dim
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(layer.num_parameters for layer in self.layers)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, parse_int_list
+from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_int_list
 from .fileio import json_input
 from .groups import FiniteGroup, Representation, _apply_signed, group_closure, signed_permutation
 
@@ -31,6 +31,7 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 KIN_BLOCK = 128  # configurations per kinematics pass of the sampled check: bounds its memory
+CANDIDATE_TOL = 1e-9  # entrywise |R^T R - I| allowed in a candidate's isometry
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -46,18 +47,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    k = skew(axis)
-    return _rodrigues(k, k @ k, angle)
-
-
 def _rodrigues(k: np.ndarray, k2: np.ndarray, angle: float) -> np.ndarray:
     """I + sin(angle) K + (1 - cos(angle)) K^2 with K = skew(axis), K2 = K @ K."""
     return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * k2
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    rx, ry, rz = (rotation_about_axis(axis, angle) for axis, angle in zip(_EYE3, (roll, pitch, yaw)))
+    rx, ry, rz = (_rodrigues(k, k @ k, angle) for k, angle in zip(map(skew, _EYE3), (roll, pitch, yaw)))
     return rz @ ry @ rx
 
 
@@ -228,23 +224,6 @@ def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> np.ndarray:
     return np.array([random_config(tree, rng) for _ in range(samples)])
 
 
-def integrate_config(tree: KinematicTree, q: np.ndarray, dq: np.ndarray, h: float) -> np.ndarray:
-    """First-order configuration step along a velocity-space direction.
-
-    Base angular velocity is world-frame: R <- exp(h [w]x) R.
-    """
-    dq = np.asarray(dq, dtype=float)
-    if dq.shape != (tree.nv,):
-        raise DimMismatch(f"velocity has length {dq.shape}, tree expects {tree.nv}")
-    rot, pos, qjs = split_config(tree, q)
-    if not tree.floating:
-        return qjs + h * dq
-    w = dq[3:6]
-    speed = np.linalg.norm(w)
-    step = rotation_about_axis(w / speed, speed * h) if speed > 0 else np.eye(3)
-    return merge_config(tree, step @ rot, pos + h * dq[:3], qjs + h * dq[6:])
-
-
 class _Kinematics(NamedTuple):
     """Per-body arrays of a pass over S configurations, bodies in declaration order."""
 
@@ -336,11 +315,6 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray) -> np.ndarray:
     return _mass_matrix(tree, _kinematics_at(tree, q))
 
 
-def kinetic_energy(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> float:
-    dq = np.asarray(dq, dtype=float)
-    return 0.5 * float(dq @ mass_matrix(tree, q) @ dq)
-
-
 def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Aggregate (linear, angular) momentum about the total center of mass."""
     dq = np.asarray(dq, dtype=float)
@@ -416,14 +390,7 @@ class CandidateDMS:
         self.isometry = np.asarray(self.isometry, dtype=float)
         if self.isometry.shape != (3, 3):
             raise ValueError("isometry must be 3x3")
-        if not np.isfinite(self.isometry).all():
-            raise ValueError("'isometry' has non-finite entries")
-        if np.abs(self.isometry.T @ self.isometry - np.eye(3)).max() > 1e-9:
-            raise ValueError("isometry is not orthogonal")
-        det = float(np.linalg.det(self.isometry))
-        if abs(abs(det) - 1.0) > 1e-9:
-            raise ValueError("|det| must be 1")
-        self.det = 1 if det > 0 else -1
+        self.det = check_isometry("'isometry'", self.isometry, CANDIDATE_TOL)
 
     def validate_against(self, tree: KinematicTree) -> None:
         if len(self.joint_perm[0]) != tree.nj:

@@ -16,8 +16,22 @@ from robosym.groups import (
     tiled_regular_representation,
     trivial_representation,
 )
+from robosym.rigid import merge_config, skew, split_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def integrate_config(tree, q, dq, h: float) -> np.ndarray:
+    """First-order configuration step along a velocity-space direction ``dq``;
+    the base angular velocity is world-frame: R <- exp(h [w]x) R."""
+    rot, pos, qjs = split_config(tree, q)
+    if not tree.floating:
+        return qjs + h * dq
+    w = dq[3:6]
+    speed = np.linalg.norm(w)
+    k = skew(w / speed) if speed > 0 else np.zeros((3, 3))
+    step = np.eye(3) + np.sin(speed * h) * k + (1.0 - np.cos(speed * h)) * (k @ k)
+    return merge_config(tree, step @ rot, pos + h * dq[:3], qjs + h * dq[6:])
 
 
 def gpm(target, sign=None) -> tuple[np.ndarray, np.ndarray]:

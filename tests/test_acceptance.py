@@ -11,7 +11,6 @@ import numpy as np
 from conftest import FIXTURES, c2_reps, c3_reps, closure, d8_reps, dense_perm, gpm, k4_reps, rep_matrix
 from robosym.augment import (
     augment_dataset,
-    augment_row,
     compile_schema,
     load_group_bundle,
     load_schema,
@@ -240,7 +239,7 @@ def test_criterion_8_augmentation_contract():
     cplan = compile_schema(cschema, cheetah.group, cheetah.joint_rep,
                            cheetah.isometries, cheetah.leg_perm)
     logits = rng.standard_normal(16)
-    moved = augment_row(cplan, 1, logits)
+    moved = cplan.apply_rows(1, logits)
     table = [0, 2, 1, 3, 8, 10, 9, 11, 4, 6, 5, 7, 12, 14, 13, 15]
     table_ok = all(moved[table[s]] == logits[s] for s in range(16))
     spot_ok = table[1] == 2 and table[5] == 10 and table[15] == 15
@@ -256,7 +255,7 @@ def test_criterion_8_augmentation_contract():
     for plan_k, r in ((mplan, row), (plan, rows[0])):
         for g in plan_k.group.elements():
             ginv = plan_k.group.inverse[g]
-            back = augment_row(plan_k, ginv, augment_row(plan_k, g, r))
+            back = plan_k.apply_rows(ginv, plan_k.apply_rows(g, r))
             worst_rt = max(worst_rt, float(np.abs(back - r).max()))
     report(
         8,

@@ -11,7 +11,6 @@ from conftest import FIXTURES, closure, dense, gpm
 from robosym.augment import (
     IsometrySet,
     augment_dataset,
-    augment_row,
     compile_schema,
     contact_state_rep,
     load_group_bundle,
@@ -24,6 +23,7 @@ from robosym.augment import (
 from robosym.errors import DimMismatch, ParseError, SchemaError
 from robosym.fileio import atomic_write_text
 from robosym.groups import Representation
+from robosym.rigid import CandidateDMS
 
 # full image of the 16 contact states under the left-right leg swap,
 # cross-checked by hand from the bit encoding (leg 0 = most significant)
@@ -72,16 +72,42 @@ class TestIsometrySet:
         with pytest.raises(ValueError, match=r"Cayley table at \(1,1\)"):
             IsometrySet(group, [np.eye(3), rot])
 
+    def test_tolerances_pinned(self, tmp_path):
+        # orthogonal to 1e-10: inside a candidate's 1e-9, outside a group file's 1e-12
+        r = np.diag([-1.0, 1.0, 1.0])
+        r[0, 1] = 1e-10
+        assert 5e-11 < np.abs(r.T @ r - np.eye(3)).max() < 2e-10
+        assert CandidateDMS("c", r, gpm([0]), {}).det == -1
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"dim": 2, "generators": [
+            {"target": [1, 0], "sign": [1, 1], "isometry": r.tolist()}]}))
+        with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
+            load_group_bundle(str(group))
+        r[0, 1] = 0.0
+        group.write_text(json.dumps({"dim": 2, "generators": [
+            {"target": [1, 0], "sign": [1, 1], "isometry": r.tolist()}]}))
+        assert load_group_bundle(str(group)).isometries.dets.tolist() == [1, -1]
+
     def test_dets(self, solo):
         iso = solo.isometries
         assert iso.dets[0] == 1
         assert sorted(iso.dets) == [-1, -1, 1, 1]  # two reflections, e, rotation
 
     def test_pseudo_equals_rotation_for_proper_elements(self, solo):
+        # a pseudovector turns with det(R) R: as a vector under a proper element
         iso = solo.isometries
+        raw = [{"name": "v", "kind": "e3_vector"}, {"name": "w", "kind": "e3_pseudovector"}]
+        plan = compile_schema(resolve_schema(raw, isometries=iso), solo.group, isometries=iso)
         for g, det in enumerate(iso.dets):
+            out = plan.apply_rows(g, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+            np.testing.assert_array_equal(out[3:], det * out[:3])
             if det == 1:
-                np.testing.assert_array_equal(iso.pseudo(g), iso.rotation(g))
+                np.testing.assert_array_equal(out[3:], out[:3])
+
+    def test_stored_read_only(self, solo):
+        iso = solo.isometries
+        assert not iso.rotations.flags.writeable and not iso.dets.flags.writeable
+        assert iso.rotations.shape == (4, 3, 3) and iso.dets.shape == (4,)
 
 
 class TestContactStateRep:
@@ -125,7 +151,7 @@ class TestCompileSchema:
             [{"name": "v", "kind": "e3_vector"}], isometries=cheetah.isometries
         )
         plan = compile_schema(schema, cheetah.group, isometries=cheetah.isometries)
-        out = augment_row(plan, 1, np.array([1.0, 2.0, 3.0]))
+        out = plan.apply_rows(1, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
 
     def test_pseudovector_reflection(self):
@@ -135,7 +161,7 @@ class TestCompileSchema:
         plan = compile_schema(schema, group, isometries=iso)
         # det R = -1 so the transform is -R = diag(1, -1, -1)
         np.testing.assert_array_equal(
-            augment_row(plan, 1, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, -1.0]
+            plan.apply_rows(1, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, -1.0]
         )
 
     def test_rotation_fields_match_dense_blocks(self):
@@ -151,9 +177,9 @@ class TestCompileSchema:
         plan = compile_schema(schema, group, isometries=iso, leg_perm=legs)
         x = np.random.default_rng(9).standard_normal(schema.width)
         for g in group.elements():
-            r = iso.rotation(g)
+            r = iso.rotations[g]
             expected = np.concatenate([r @ x[:3], np.kron(dense(legs, g), r) @ x[3:]])
-            np.testing.assert_allclose(augment_row(plan, g, x), expected, atol=1e-14)
+            np.testing.assert_allclose(plan.apply_rows(g, x), expected, atol=1e-14)
 
     def test_minicheetah_schema_width_54(self, cheetah):
         schema, plan = make_plan(cheetah, "minicheetah_schema.json")
@@ -190,9 +216,10 @@ class TestCompileSchema:
             x = np.eye(4)
             x[:3, :3] = np.linalg.qr(rng.standard_normal((3, 3)))[0]
             x[:3, 3] = rng.standard_normal(3)
-            h = solo.isometries.homogeneous(g)
+            h = np.eye(4)
+            h[:3, :3] = solo.isometries.rotations[g]
             expected = h @ x @ np.linalg.inv(h)
-            out = augment_row(plan, g, x.reshape(-1)).reshape(4, 4)
+            out = plan.apply_rows(g, x.reshape(-1)).reshape(4, 4)
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -200,14 +227,14 @@ class TestAugmentRow:
     def test_identity_unchanged(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         row = np.arange(plan.width, dtype=float)
-        np.testing.assert_array_equal(augment_row(plan, 0, row), row)
+        np.testing.assert_array_equal(plan.apply_rows(0, row), row)
 
     def test_group_inverse_roundtrip(self, cheetah):
         _, plan = make_plan(cheetah, "minicheetah_schema.json")
         rng = np.random.default_rng(1)
         row = rng.standard_normal(plan.width)
         for g in cheetah.group.elements():
-            back = augment_row(plan, cheetah.group.inverse[g], augment_row(plan, g, row))
+            back = plan.apply_rows(cheetah.group.inverse[g], plan.apply_rows(g, row))
             np.testing.assert_allclose(back, row, atol=1e-12)
 
     def test_com_momentum_vector_pseudovector_split(self, solo):
@@ -215,16 +242,15 @@ class TestAugmentRow:
         rng = np.random.default_rng(2)
         row = rng.standard_normal(plan.width)
         for g in solo.group.elements():
-            out = augment_row(plan, g, row)
-            r = solo.isometries.rotation(g)
-            det = solo.isometries.det(g)
+            out = plan.apply_rows(g, row)
+            r, det = solo.isometries.rotations[g], solo.isometries.dets[g]
             np.testing.assert_allclose(out[24:27], r @ row[24:27], atol=1e-14)
             np.testing.assert_allclose(out[27:30], det * (r @ row[27:30]), atol=1e-14)
 
     def test_width_mismatch(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         with pytest.raises(DimMismatch):
-            augment_row(plan, 0, np.ones(plan.width + 1))
+            plan.apply_rows(0, np.ones(plan.width + 1))
 
 
 class TestAugmentDataset:
@@ -271,10 +297,10 @@ class TestOrbitAverage:
         schema = resolve_schema([{"name": "y", "kind": "joint_space"}], joint_rep=rep)
         plan = compile_schema(schema, group, joint_rep=rep)
         y = np.array([[1.0, 2.0]])
-        stacked = np.vstack([y, augment_row(plan, 1, y[0])[None, :] + 0.1])
+        stacked = np.vstack([y, plan.apply_rows(1, y[0])[None, :] + 0.1])
         fixed = orbit_average(plan, stacked)
         # after averaging the pair is exactly equivariant
-        np.testing.assert_allclose(augment_row(plan, 1, fixed[0]), fixed[1], atol=1e-12)
+        np.testing.assert_allclose(plan.apply_rows(1, fixed[0]), fixed[1], atol=1e-12)
         np.testing.assert_allclose(orbit_average(plan, fixed), fixed, atol=1e-12)
 
     def test_zero_targets(self, solo):
@@ -414,7 +440,7 @@ class TestSignedGather:
         bundle, _ = _contact_bundle(tmp_path, 2)
         schema = resolve_schema(self.FIELDS[:1], bundle.joint_rep)
         plan = compile_schema(schema, bundle.group, bundle.joint_rep)
-        out = augment_row(plan, 1, np.array([0.0, -0.0]))
+        out = plan.apply_rows(1, np.array([0.0, -0.0]))
         # both coordinates swap places with their sign flipped
         assert np.signbit(out).tolist() == [False, True]
 

@@ -389,6 +389,10 @@ class TestParseBoundaries:
         "generator_dim_bool": ("count", "--rep-in", {"dim": True, "generators": [SWAP]}),
         "generator_target_float": ("count", "--rep-in",
                                    {"dim": 2, "generators": [{"target": [1.7, 0], "sign": [1, 1]}]}),
+        "generator_sign_bool": ("count", "--rep-in",
+                                {"dim": 2, "generators": [{"target": [1, 0], "sign": [1, True]}]}),
+        "generator_target_string": ("count", "--rep-in",
+                                    {"dim": 2, "generators": [{"target": [1, "0"], "sign": [1, 1]}]}),
         "schema_dim_float": ("augment", "--schema",
                              {"fields": [{"name": "s", "kind": "invariant_scalar", "dim": 2.9}]}),
         "net_seed_float": ("net", "--net-spec", {"rep": K4, "seed": 4.5}),
@@ -414,6 +418,7 @@ class TestParseBoundaries:
                      "net_output_list": "output", "schema_dim_list": "dim",
                      "generator_dim_float": "dim", "generator_dim_bool": "dim",
                      "generator_target_float": "target", "schema_dim_float": "dim",
+                     "generator_sign_bool": "sign", "generator_target_string": "target",
                      "net_seed_float": "seed", "group_leg_perm_int": "leg_perm",
                      "group_leg_perm_nested": "leg_perm", "group_leg_perm_out_of_range": "leg_perm",
                      "group_isometry_null": "isometry", "group_isometry_int": "isometry",
@@ -578,7 +583,7 @@ class TestParseBoundaries:
         assert run("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
                    "--candidates", str(bad)) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {bad}: candidate 'sagittal': isometry is not orthogonal"]
+            f"error: {bad}: candidate 'sagittal': 'isometry' is not orthogonal"]
 
 
 @pytest.fixture(scope="module")
@@ -684,10 +689,37 @@ class TestUsageErrors:
         (["net", "demo-train", "--net-spec", NETSPEC, "--batch", "0"], "--batch"),
         (["net", "init-stats", "--group", K4, "--batch", "-1"], "--batch"),
         (["net", "init-stats", "--group", K4, "--width", "0"], "--width"),
-    ], ids=["demo_train_batch", "init_stats_batch", "init_stats_width"])
+        (["net", "demo-train", "--net-spec", NETSPEC, "--steps", "0"], "--steps"),
+        (["net", "init-stats", "--group", K4, "--depth", "0"], "--depth"),
+        (["net", "init-stats", "--group", K4, "--depth", "-3"], "--depth"),
+    ], ids=["demo_train_batch", "init_stats_batch", "init_stats_width", "demo_train_steps",
+            "init_stats_depth", "init_stats_depth_negative"])
     def test_size_below_one_exits_2(self, capsys, argv, option):
         assert run(*argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {option} must be >= 1"]
+
+    ROBOT = ["robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
+             "--candidates", str(FIXTURES / "minibiped_candidates.json"), "--samples", "2"]
+    # (command, the real-valued option) for every such option of every command
+    REAL_OPTIONS = {
+        "robot_tol": (ROBOT, "--tol"),
+        "basis_tol": (["basis", "--rep-in", K4, "--out", "unwritten.json", "--oracle"], "--tol"),
+        "net_verify_tol": (["net", "verify", "--net-spec", NETSPEC, "--weights", NETSPEC], "--tol"),
+        "demo_train_lr": (["net", "demo-train", "--net-spec", NETSPEC, "--steps", "1"], "--lr"),
+        "init_stats_const_var": (["net", "init-stats", "--group", K4, "--depth", "2"], "--const-var"),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("case", sorted(REAL_OPTIONS))
+    def test_real_option_not_positive_finite_exits_2(self, tmp_path, capsys, monkeypatch, case, value):
+        monkeypatch.chdir(tmp_path)
+        argv, option = self.REAL_OPTIONS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, f"{option}={value}") == 2  # "=": argparse reads a bare -inf as an option
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {option} must be a positive finite number"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, value, width", [
         ("hidden", [0], 0), ("hidden", [-4], -4), ("output", -4, -4)],

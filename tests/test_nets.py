@@ -237,7 +237,8 @@ class TestCheckEquivariance:
         rep = c2_swap_rep()
         # orbit 0 lacks coordinate 3, which the swap pairs with coordinate 0
         bad_basis = EquivBasis(2, 2, Orbits([0, 1, 2], [1, 1, 1], [0, 1, 1]), Orbits([], [], []))
-        layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]), basis=bad_basis)
+        layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]))
+        layer.basis = bad_basis
         report = check_equivariance(EquivNet([layer]), samples=8, tol=1e-10, rng_seed=0)
         assert not report.passed
         assert report.worst_element == 1

@@ -1,5 +1,5 @@
 """Property tests: augmentation on the fixture bundles, with drawn rows, and
-basis-file text on drawn generator sets."""
+the three rank routes, the action and basis-file text on drawn generator sets."""
 
 import hashlib
 import json
@@ -8,20 +8,26 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict
+from conftest import FIXTURES, basis_to_dict, dense
 from robosym import basis as basis_module
 from robosym.augment import (
     augment_dataset,
-    augment_row,
     compile_schema,
     load_group_bundle,
     load_schema,
     orbit_average,
     resolve_schema,
 )
-from robosym.basis import basis_fingerprint, basis_json_chunks, bias_basis, orbit_basis
+from robosym.basis import (
+    basis_fingerprint,
+    basis_json_chunks,
+    bias_basis,
+    burnside_rank,
+    dense_nullspace_oracle,
+    orbit_basis,
+)
 from robosym.errors import ClosureExceeded
-from robosym.groups import Representation, group_closure
+from robosym.groups import Representation, act, group_closure, verify_homomorphism
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -80,7 +86,7 @@ def plan_and_rows(draw, per_element=False, elements=VALUES):
 def test_inverse_undoes_each_element(case, data):
     plan, rows = case
     g = data.draw(st.sampled_from(list(plan.group.elements())))
-    back = augment_row(plan, plan.group.inverse[g], augment_row(plan, g, rows))
+    back = plan.apply_rows(plan.group.inverse[g], plan.apply_rows(g, rows))
     np.testing.assert_allclose(back, rows, rtol=0, atol=ATOL)
 
 
@@ -130,3 +136,18 @@ def test_basis_text_is_json_dumps(pair, block):
             compact = json.dumps(reference, sort_keys=True, separators=(",", ":"))
             assert "".join(basis_json_chunks(basis, (",", ":"))) == compact
             assert basis_fingerprint(basis) == hashlib.sha256(compact.encode()).hexdigest()[:16]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(signed_pair(), st.data())
+def test_ranks_and_action_agree(pair, data):
+    # m n <= 16 here, far inside the oracle's cap
+    rep_in, rep_out = pair
+    assert verify_homomorphism(rep_in).passed and verify_homomorphism(rep_out).passed
+    rank = orbit_basis(rep_in, rep_out).rank
+    assert rank == burnside_rank(rep_in, rep_out) == dense_nullspace_oracle(rep_in, rep_out).shape[1]
+    g = data.draw(st.sampled_from(list(rep_in.group.elements())))
+    for rep in pair:
+        x = data.draw(hnp.arrays(float, (2, rep.dim), elements=VALUES))
+        np.testing.assert_array_equal(act(rep, g, x[0]), dense(rep, g) @ x[0])
+        np.testing.assert_array_equal(act(rep, g, x), x @ dense(rep, g).T)

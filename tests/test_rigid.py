@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, dense_perm, gpm
+from conftest import FIXTURES, closure, dense_perm, gpm, integrate_config
 from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.rigid import (
@@ -16,14 +16,12 @@ from robosym.rigid import (
     com_momentum,
     forward_kinematics,
     identify_dms,
-    integrate_config,
     jacobians,
-    kinetic_energy,
     load_candidates,
     load_robot,
     mass_matrix,
     random_config,
-    rotation_about_axis,
+    rpy_matrix,
     tree_from_dict,
 )
 
@@ -254,7 +252,7 @@ class TestMassMatrix:
             tree = tree_from_dict(random_chain_dict(rng, floating=floating))
             q = random_config(tree, rng)
             dq = rng.standard_normal(tree.nv)
-            t_matrix = kinetic_energy(tree, q, dq)
+            t_matrix = 0.5 * dq @ mass_matrix(tree, q) @ dq
             jac = jacobians(tree, q)
             kin = forward_kinematics(tree, q)
             t_bodies = 0.0
@@ -376,10 +374,9 @@ class TestMassMatrixEquivariance:
         for _ in range(20):
             q = random_config(biped, rng)
             dq = rng.standard_normal(biped.nv)
-            t1 = kinetic_energy(biped, q, dq)
-            t2 = kinetic_energy(
-                biped, cand.config_action(biped, q), dense_perm(cand.joint_perm) @ dq
-            )
+            t1 = 0.5 * dq @ mass_matrix(biped, q) @ dq
+            dq_g = dense_perm(cand.joint_perm) @ dq
+            t2 = 0.5 * dq_g @ mass_matrix(biped, cand.config_action(biped, q)) @ dq_g
             assert abs(t1 - t2) <= 1e-8 * max(1.0, abs(t1))
 
 
@@ -471,7 +468,7 @@ class TestRefactorSafetyNet:
             assert sum(len(q) for q in calls) == samples * (len(solo_cands) + 1)
         q = random_config(solo, np.random.default_rng(0))
         dq = np.ones(solo.nv)
-        for fn, args in ((mass_matrix, ()), (kinetic_energy, (dq,)), (com_momentum, (dq,))):
+        for fn, args in ((mass_matrix, ()), (com_momentum, (dq,))):
             calls.clear()
             fn(solo, q, *args)
             assert len(calls) == 1, fn.__name__
@@ -543,8 +540,7 @@ class TestRefactorSafetyNet:
 
 class TestRotations:
     def test_rodrigues_against_small_angle(self):
-        axis = np.array([0.0, 0.0, 1.0])
-        r = rotation_about_axis(axis, 1e-8)
+        r = rpy_matrix(0.0, 0.0, 1e-8)  # about the z axis
         np.testing.assert_allclose(r, np.eye(3) + 1e-8 * np.array(
             [[0, -1, 0], [1, 0, 0], [0, 0, 0]]), atol=1e-15)
 
