@@ -18,7 +18,7 @@ from operator import matmul
 import numpy as np
 
 from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_int
-from .fileio import atomic_write_text, json_input
+from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     FiniteGroup,
     Representation,
@@ -318,7 +318,7 @@ def load_group_bundle(path: str) -> GroupBundle:
         gens = data["generators"]
         isos, legs = [], []  # per generator, in file order
         for k, entry in enumerate(gens):
-            try:
+            with errors_named(f"generator {k}"):
                 if "isometry" in entry:
                     m = np.asarray(entry["isometry"], dtype=float)
                     check_isometry("'isometry'", m, PLAN_TOL)
@@ -336,8 +336,6 @@ def load_group_bundle(path: str) -> GroupBundle:
                         raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
                                          f"generator's lists {len(legs[0])}")
                     legs.append(np.array(target, dtype=np.intp))
-            except (ParseError, ValueError, TypeError) as exc:
-                raise ParseError(f"generator {k}: {exc}") from exc
         for key, values in (("isometry", isos), ("leg_perm", legs)):
             if 0 < len(values) < len(gens):
                 raise ParseError(f"either all generators carry {key!r} or none")
@@ -397,12 +395,13 @@ def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> None:
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a header line and rows of as many floats, in blocks of
-    ``CSV_BLOCK_ROWS`` lines.  Blank lines before the first row and after the
-    last are ignored; a blank line between rows, a row of another width or a
-    value ``float()`` rejects raises ``ParseError`` naming its line."""
+    ``CSV_BLOCK_ROWS`` lines; every line break ``str.splitlines`` knows ends a
+    row.  Blank lines before the first row and after the last are ignored; a
+    blank line between rows, a row of another width or a value ``float()``
+    rejects raises ``ParseError`` naming its line."""
     with open(path, "rb") as f:
         # a line break other than "\n" (e.g. a lone "\r") can only add rows;
-        # the array then grows in store()
+        # the array then grows below
         capacity = sum(b.count(b"\n") for b in iter(lambda: f.read(1 << 20), b""))
     try:
         with open(path, encoding="utf-8") as f:
@@ -412,29 +411,13 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
             names = header.split(",")
             width = len(names)
             rows = np.empty((capacity, width))
-            n = 0
-
-            def store(lines: list[str], first: int) -> None:
-                nonlocal rows, n
-                if not lines:
-                    return
-                if n + len(lines) > len(rows):
-                    rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
-                rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
-                n += len(lines)
-
-            # Whitespace before the first value and after the last one is dropped,
-            # as str.strip() on the whole body would.  So the last row read stays
-            # in `lines` until a later row or the end of the file shows whether it
-            # is the last one.  `lines` holds consecutive rows from line `first`.
-            lines, first, lineno, blank = [], 0, 1, 0
+            n, lineno, blank = 0, 1, 0
             while block := list(islice(f, CSV_BLOCK_ROWS)):
-                # splitlines, not the file's own line iteration, so that every
-                # line break str.splitlines knows ends a row
+                lines, first, error = [], 0, None  # the block's rows, consecutive from line `first`
                 for line in "".join(block).splitlines():
                     lineno += 1
                     if not line.strip():
-                        if lines and not blank:
+                        if (n or lines) and not blank:
                             blank = lineno
                         continue
                     if blank:
@@ -442,17 +425,17 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
                     elif line.count(",") != width - 1:
                         error = f"line {lineno}: {line.count(',') + 1} columns, header has {width}"
                     else:
-                        if not lines:
-                            first, line = lineno, line.lstrip()
+                        first = first or lineno
                         lines.append(line)
                         continue
-                    store(lines, first)
+                    break
+                if lines:  # parsed before a structural error is raised, so the first bad line is named
+                    if n + len(lines) > len(rows):
+                        rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
+                    rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
+                    n += len(lines)
+                if error:
                     raise ParseError(f"{path}: {error}")
-                store(lines[:-1], first)
-                first, lines = first + len(lines) - 1, lines[-1:]
-            if lines:
-                lines[-1] = lines[-1].rstrip()
-            store(lines, first)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return names, rows[:n]
@@ -466,10 +449,6 @@ def _parse_rows(path: str, lines: list[str], first: int, width: int) -> np.ndarr
         return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
     except ValueError:
         for i, line in enumerate(lines):
-            try:
+            with errors_named(f"{path}: line {first + i}: malformed numeric row"):
                 np.array(line.split(","), dtype=float)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {first + i}: malformed numeric row: {exc}"
-                ) from exc
         raise

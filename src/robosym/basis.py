@@ -181,7 +181,7 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
 def _nullspace_by_elimination(c: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal nullspace basis via Gauss-Jordan with partial pivoting."""
     rows, cols = c.shape
-    a = c.astype(float).copy()
+    a = c.astype(float)
     pivot_cols: list[int] = []
     r = 0
     for col in range(cols):
@@ -197,13 +197,10 @@ def _nullspace_by_elimination(c: np.ndarray, tol: float) -> np.ndarray:
         a[mask] -= np.outer(a[mask, col], a[r])
         pivot_cols.append(col)
         r += 1
-    pivot_set = set(pivot_cols)
-    free_cols = [c_ for c_ in range(cols) if c_ not in pivot_set]
+    free_cols = np.setdiff1d(np.arange(cols), pivot_cols)
     basis = np.zeros((cols, len(free_cols)))
-    for j, fc in enumerate(free_cols):
-        basis[fc, j] = 1.0
-        for i, pc in enumerate(pivot_cols):
-            basis[pc, j] = -a[i, fc]
+    basis[free_cols, np.arange(len(free_cols))] = 1.0
+    basis[pivot_cols] = -a[: len(pivot_cols), free_cols]
     if basis.shape[1] == 0:
         return basis
     q, _ = np.linalg.qr(basis)
@@ -218,9 +215,10 @@ def dense_nullspace_oracle(
 ) -> np.ndarray:
     """Brute-force equivariant basis: nullspace of the stacked constraints.
 
-    Stacks (rho_W(g) - I) for every non-identity g into one system and
-    eliminates.  Returns an orthonormal (mn x r') basis of the nullspace.
-    Verification-only; refuses problems with mn above ``cap``.
+    Stacks (rho_W(g) - I) for every non-identity generator g (every element
+    when the group records none; a map fixed by the generators is fixed by the
+    group) into one system and eliminates.  Returns an orthonormal (mn x r')
+    basis of the nullspace.  Verification-only; refuses mn above ``cap``.
     """
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
@@ -230,11 +228,8 @@ def dense_nullspace_oracle(
     group = rep_in.group
     rep_w = tensor_on_linear_maps(rep_in, rep_out)
     eye = np.eye(mn, dtype=np.int64)  # an integer eye: a sign flip gives no -0.0
-    blocks = [
-        act(rep_w, g, eye).T - np.eye(mn)
-        for g in group.elements()
-        if g != group.identity
-    ]
+    gens = set(group.generator_indices or group.elements()) - {group.identity}
+    blocks = [act(rep_w, g, eye).T - np.eye(mn) for g in sorted(gens)]
     if not blocks:
         return np.eye(mn)
     return _nullspace_by_elimination(np.vstack(blocks), tol)

@@ -205,9 +205,9 @@ def cmd_net(args) -> int:
     if args.action == "demo-train":
         net = _build_net_from_spec(args.net_spec)
         rng = np.random.default_rng(args.seed)
-        teacher = _build_net_from_spec(args.net_spec)
-        for layer in teacher.layers:
-            layer.coeffs = rng.standard_normal(layer.coeffs.shape) * 0.7
+        teacher = nets.EquivNet([nets.EquivLayer(layer.rep_in, layer.rep_out, layer.nonlinearity,
+                                                 rng.standard_normal(layer.coeffs.shape) * 0.7)
+                                 for layer in net.layers])
         x = rng.standard_normal((args.batch, net.input_dim))
         target, _ = nets.forward(teacher, x)
 
@@ -218,13 +218,15 @@ def cmd_net(args) -> int:
             grads = nets.grad_coeffs(net, x, 2.0 * diff / diff.size)
             return loss, grads
 
-        loss0, _ = loss_and_grads()
-        for _ in range(args.steps):
-            _, grads = loss_and_grads()
-            for layer, g in zip(net.layers, grads):
-                layer.coeffs = layer.coeffs - args.lr * g.coeffs
-                layer.bias_coeffs = layer.bias_coeffs - args.lr * g.bias_coeffs
-        loss1, _ = loss_and_grads()
+        # a rate too large overflows to inf or NaN: the loss line shows it, exit code 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss0, _ = loss_and_grads()
+            for _ in range(args.steps):
+                _, grads = loss_and_grads()
+                for layer, g in zip(net.layers, grads):
+                    layer.coeffs = layer.coeffs - args.lr * g.coeffs
+                    layer.bias_coeffs = layer.bias_coeffs - args.lr * g.bias_coeffs
+            loss1, _ = loss_and_grads()
         print(f"loss {loss0:.6f} -> {loss1:.6f} after {args.steps} gradient steps")
         if args.out:
             nets.save_weights(net, args.out)
@@ -348,6 +350,8 @@ def _validate(args) -> None:
         value = getattr(args, attr, None)
         if value is not None and value < 1:
             raise RoboSymError(f"--{attr} must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        raise RoboSymError("--seed must be >= 0")
     for attr in ("rep_in", "rep_out", "group", "schema", "infile", "net_spec",
                  "weights", "robot", "candidates"):
         path = getattr(args, attr, None)

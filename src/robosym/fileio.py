@@ -10,15 +10,15 @@ from .errors import ParseError, RoboSymError
 
 
 @contextlib.contextmanager
-def errors_named(path: str) -> Iterator[None]:
+def errors_named(where: str) -> Iterator[None]:
     """Any library error, ValueError, TypeError, KeyError, AttributeError or
     IndexError raised in the ``with`` block becomes one ParseError starting
-    ``"<path>: "``: for checks of a file's data, also those that run after
-    the file is read (against another file's data)."""
+    ``"<where>: "`` (a file, or an entry in one): for reads and checks of a
+    file's data, also those that run after it is read (against another file's)."""
     try:
         yield
     except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -27,11 +27,8 @@ def json_input(path: str) -> Iterator:
     that does not decode, and an error raised in the ``with`` block while the
     caller reads the data (as in ``errors_named``), becomes one ParseError
     starting ``"<path>: "``."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    with errors_named(f"{path}: invalid JSON"), open(path, encoding="utf-8") as f:
+        data = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
     with errors_named(path):
         yield data
 

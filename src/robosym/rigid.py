@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_int_list
-from .fileio import json_input
+from .fileio import errors_named, json_input
 from .groups import FiniteGroup, Representation, _apply_signed, group_closure, signed_permutation
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
@@ -553,13 +553,11 @@ def _name_of(entry) -> str:
 
 
 def _parse_body(entry: dict) -> RigidBody:
-    try:
+    with errors_named(f"body entry {_name_of(entry)!r}"):
         name = entry["name"]
         mass = float(entry["mass"])
         com = np.asarray(entry["com"], dtype=float)
         upper = [float(v) for v in entry["inertia"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"body entry {_name_of(entry)!r}: {exc}") from exc
     if com.shape != (3,):
         raise ParseError(f"body {name!r}: com must have 3 entries")
     if len(upper) != 6:
@@ -571,29 +569,24 @@ def _parse_body(entry: dict) -> RigidBody:
 
 
 def _parse_joint(entry: dict) -> Joint:
-    try:
+    with errors_named(f"joint entry {_name_of(entry)!r}"):
         name = entry["name"]
         rpy = [float(v) for v in entry.get("origin_rpy", (0.0, 0.0, 0.0))]
         xyz = np.asarray(entry.get("origin_xyz", (0.0, 0.0, 0.0)), dtype=float)
         axis = np.asarray(entry.get("axis", (0.0, 0.0, 1.0)), dtype=float)
-        for key, value in (("origin_rpy", rpy), ("origin_xyz", xyz), ("axis", axis)):
-            if np.shape(value) != (3,):
-                raise ParseError(f"joint {name!r}: {key!r} must have 3 entries")
-        check_finite(f"joint {name!r}", origin_rpy=rpy, origin_xyz=xyz, axis=axis)
-        return Joint(name, entry["parent"], entry["child"], entry["type"], rpy_matrix(*rpy), xyz, axis)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"joint entry {_name_of(entry)!r}: {exc}") from exc
+        parent, child, jtype = entry["parent"], entry["child"], entry["type"]
+    for key, value in (("origin_rpy", rpy), ("origin_xyz", xyz), ("axis", axis)):
+        if np.shape(value) != (3,):
+            raise ParseError(f"joint {name!r}: {key!r} must have 3 entries")
+    check_finite(f"joint {name!r}", origin_rpy=rpy, origin_xyz=xyz, axis=axis)
+    return Joint(name, parent, child, jtype, rpy_matrix(*rpy), xyz, axis)
 
 
 def tree_from_dict(data: dict) -> KinematicTree:
     """Build a tree from a parsed robot description; see the README for the layout."""
-    try:
-        base = data["base"]
-        bodies = [_parse_body(b) for b in data["bodies"]]
-        joints = [_parse_joint(j) for j in data.get("joints", [])]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed 'base', 'bodies' or 'joints': {exc}") from exc
-    return KinematicTree(base, bodies, joints)
+    with errors_named("missing or malformed 'base', 'bodies' or 'joints'"):
+        base, bodies, joints = data["base"], list(data["bodies"]), list(data.get("joints", []))
+    return KinematicTree(base, [_parse_body(b) for b in bodies], [_parse_joint(j) for j in joints])
 
 
 def load_robot(path: str) -> KinematicTree:
@@ -609,7 +602,7 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
             raise ParseError("expected an object with a 'candidates' list")
         out = []
         for entry in entries:
-            try:
+            with errors_named(f"candidate {_name_of(entry)!r}"):
                 perm = entry["joint_perm"]
                 sign = perm.get("sign")
                 cand = CandidateDMS(
@@ -619,8 +612,6 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
                      None if sign is None else parse_int_list("sign", sign)),
                     dict(entry["body_pairing"]),
                 )
-            except (KeyError, TypeError, ValueError, ParseError) as exc:
-                raise ParseError(f"candidate {_name_of(entry)!r}: {exc}") from exc
             cand.validate_against(tree)
             out.append(cand)
         return out

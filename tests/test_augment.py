@@ -540,15 +540,37 @@ class TestCsvRoundtrip:
             ("1,2\n3,x\n", 3),  # not a number
             ("1,2\n" * 600 + "3,x\n" + "4,\n", 602),  # first bad row, second block
             ("1,2\n3,\n4,5,6\n", 3),  # a malformed value before a ragged row
+            ("1,2\r\n\r\n3,4\r\n", 3),  # blank line between "\r\n" rows
+            ("1,2\n3,4\n x , 5\n", 4),  # a bad value on the last row
         ],
         ids=["blank", "whitespace", "short", "long", "not_a_number", "second_block",
-             "value_before_ragged"],
+             "value_before_ragged", "crlf_blank", "last_row"],
     )
     def test_read_rejects_and_names_the_line(self, tmp_path, body, line):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n" + body)
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {line}: "):
             read_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            ("1,2\r3,4\r", 2),
+            ("1,2\x0c3,4\x0c", 2),
+            ("1,2\u20283,4\u2028", 2),
+            # capacity from the "\n" count is 0, so the array grows, over three blocks
+            ("1,2\r3,4\r" * 750, 1500),
+            # blank lines before the first row span three blocks
+            ("\n" * 1200 + "1,2\n3,4\n", 2),
+        ],
+        ids=["cr", "form_feed", "line_separator", "cr_only_grows", "leading_blank_blocks"],
+    )
+    def test_read_splits_rows_at_every_line_break(self, tmp_path, body, rows):
+        path = tmp_path / "r.csv"
+        path.write_bytes(("a,b\n" + body).encode())
+        _, back = read_csv(str(path))
+        expected = np.array([[1.0, 2.0], [3.0, 4.0]] * (rows // 2))
+        assert back.tobytes() == expected.tobytes()
 
     def test_failed_chunk_stream_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from robosym.groups import (
     act,
     load_representation,
     make_cyclic,
+    regular_representation,
     tiled_regular_representation,
     trivial_representation,
     verify_homomorphism,
@@ -82,6 +84,24 @@ class TestOracle:
         group, rep = make_cyclic(2, 40)
         with pytest.raises(CapExceeded):
             dense_nullspace_oracle(rep, rep)  # mn = 6400
+
+    def test_memory_is_one_block_per_generator(self):
+        # B3, the signed permutations of 3 axes (order 48), from its regular
+        # representation to its standard one: mn = 144.  A block for each of
+        # the 47 non-identity elements peaked at 30 MiB; the cap allows
+        # mn = 2304 for B3 regular to itself, which would take about 7.7 GB
+        # (extrapolated from the peak at mn = 144)
+        group, std = closure(gpm([1, 0, 2]), gpm([1, 2, 0]), gpm([0, 1, 2], [-1, 1, 1]))
+        reg = regular_representation(group)
+        assert group.order == 48
+        tracemalloc.start()
+        try:
+            q = dense_nullspace_oracle(reg, std)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert q.shape[1] == burnside_rank(reg, std) == orbit_basis(reg, std).rank
 
 
 class TestOrbitBasis:

@@ -213,6 +213,14 @@ class TestNetCmd:
         first, last = (float(v) for v in re.findall(r"\d+\.\d+", line)[:2])
         assert last < first
 
+    def test_demo_train_overflow_exits_1_without_warnings(self, tmp_path, capsys):
+        # the loss overflows at this rate; numpy's warnings would fail the suite
+        weights = tmp_path / "w.json"
+        assert run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "3", "--lr", "1e30",
+                   "--out", str(weights)) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("loss 0.") and weights.exists()
+
     def test_verify_trained_weights_pass(self, tmp_path, capsys):
         weights = tmp_path / "w.json"
         run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "10", "--out", str(weights))
@@ -560,6 +568,9 @@ class TestParseBoundaries:
         "joint_perm_sign_float": ("candidates",
                                   lambda d: d["candidates"][0]["joint_perm"].update(sign=[-1, -1.0]),
                                   "candidate 'sagittal': entry 1: 'sign' must be an integer, got float"),
+        "joint_perm_not_object": ("candidates",
+                                  lambda d: d["candidates"][0].update(joint_perm=[1, 0]),
+                                  "candidate 'sagittal': 'list' object has no attribute 'get'"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXACT))
@@ -700,6 +711,19 @@ class TestUsageErrors:
 
     ROBOT = ["robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
              "--candidates", str(FIXTURES / "minibiped_candidates.json"), "--samples", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ROBOT,
+        ["net", "init-stats", "--group", K4, "--depth", "2", "--width", "8"],
+        ["net", "verify", "--net-spec", NETSPEC, "--weights", NETSPEC],
+        ["net", "demo-train", "--net-spec", NETSPEC, "--steps", "1"],
+    ], ids=["robot_verify", "init_stats", "net_verify", "demo_train"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exits_2(self, capsys, argv, seed):
+        assert run(*argv, f"--seed={seed}") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: --seed must be >= 0"]
+
     # (command, the real-valued option) for every such option of every command
     REAL_OPTIONS = {
         "robot_tol": (ROBOT, "--tol"),
