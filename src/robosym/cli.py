@@ -228,11 +228,16 @@ def cmd_net(args) -> int:
                     layer.bias_coeffs = layer.bias_coeffs - args.lr * g.bias_coeffs
             loss1, _ = loss_and_grads()
         print(f"loss {loss0:.6f} -> {loss1:.6f} after {args.steps} gradient steps")
-        if args.out:
-            nets.save_weights(net, args.out)
-            print(f"wrote weights to {args.out}")
-        _emit(args, {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}, args.out)
-        return EXIT_OK if loss1 < loss0 else EXIT_VERIFY_FAIL
+        out = args.out
+        if out:
+            try:
+                nets.save_weights(net, out)
+                print(f"wrote weights to {out}")
+            except ParseError as exc:  # a non-finite coefficient, which the loss line shows
+                print(f"no weights written to {out}: {exc}")
+                out = None
+        _emit(args, {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}, out)
+        return EXIT_OK if loss1 < loss0 and out == args.out else EXIT_VERIFY_FAIL
 
     raise RoboSymError(f"unknown net action {args.action!r}")
 

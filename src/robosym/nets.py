@@ -2,9 +2,9 @@
 
 Layers never store a free m x n weight matrix: the trainable state is one
 coefficient per signed orbit of the equivariant basis, and the matrix is
-scattered from those coefficients on demand.  Gradients flow through the
-same scatter, so training loops outside this module only ever see the
-coefficient vectors.
+scattered from those coefficients once per change of them or of the basis,
+then kept read-only.  Gradients flow through the same scatter, so training
+loops outside this module only ever see the coefficient vectors.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ class EquivLayer:
         self.nonlinearity = nonlinearity
         self.basis = basis
         self.bias_basis = bias
+        self._dense: dict[str, tuple] = {}  # kind -> (basis, coefficient bits, array)
         self.coeffs = np.zeros(basis.rank) if coeffs is None else np.asarray(coeffs, dtype=float)
         self.bias_coeffs = np.zeros(bias.rank) if bias_coeffs is None else np.asarray(bias_coeffs, dtype=float)
         if self.coeffs.shape != (basis.rank,):
@@ -132,16 +133,23 @@ class EquivLayer:
         return self.rep_in.dim
 
     def weight(self) -> np.ndarray:
-        o = self.basis.orbits
-        flat = np.zeros(self.m * self.n)
-        flat[o.index] = o.sign * self.coeffs[o.orbit]
-        return flat.reshape(self.m, self.n)
+        return self._scatter("weight", self.basis, self.coeffs, (self.m, self.n))
 
     def bias(self) -> np.ndarray:
-        o = self.bias_basis.orbits
-        b = np.zeros(self.m)
-        b[o.index] = o.sign * self.bias_coeffs[o.orbit]
-        return b
+        return self._scatter("bias", self.bias_basis, self.bias_coeffs, (self.m,))
+
+    def _scatter(self, kind: str, basis: EquivBasis, coeffs: np.ndarray, shape) -> np.ndarray:
+        """The read-only dense array of ``coeffs`` on ``basis``, scattered again only
+        when the basis object or the coefficients' bits change (assigned or in place)."""
+        bits = np.asarray(coeffs, dtype=float).tobytes()
+        kept = self._dense.get(kind)
+        if kept is None or kept[0] is not basis or kept[1] != bits:
+            o = basis.orbits
+            flat = np.zeros(math.prod(shape))
+            flat[o.index] = o.sign * np.frombuffer(bits)[o.orbit]  # the array matches its key
+            flat.flags.writeable = False
+            kept = self._dense[kind] = (basis, bits, flat.reshape(shape))
+        return kept[2]
 
     def coeff_grads(self, dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contract dense weight/bias gradients onto the shared coefficients."""
@@ -164,6 +172,7 @@ class EquivNet:
                     "(adjacent layers must share the intermediate representation)"
                 )
         self.layers = list(layers)
+        self._memo = None  # the last forward pass, for grad_coeffs to reuse
 
     @property
     def rep_in(self) -> Representation:
@@ -178,7 +187,7 @@ class EquivNet:
         return self.rep_in.dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerActivation:
     x_in: np.ndarray  # (batch, n)
     z: np.ndarray  # (batch, m), pre-nonlinearity
@@ -188,18 +197,38 @@ def forward(net: EquivNet, x: np.ndarray) -> tuple[np.ndarray, list[LayerActivat
     """Evaluate the net; keeps per-layer activations for the backward pass.
 
     ``x`` may be a single vector or a (batch, dim) array; the output matches.
+    The activations are read-only, and the pass is also kept on the net with
+    its own copy of ``x`` until the next forward or grad_coeffs.
     """
-    x = np.asarray(x, dtype=float)
+    net._memo = None
+    x = np.array(x, dtype=float)
     single = x.ndim == 1
     h = x[None, :] if single else x
     if h.shape[1] != net.input_dim:
         raise DimMismatch(f"input width {h.shape[1]}, network expects {net.input_dim}")
     acts: list[LayerActivation] = []
+    params = []  # each layer's (W, b, nonlinearity) as this pass read them
     for layer in net.layers:
-        z = h @ layer.weight().T + layer.bias()
+        w, b, sigma = layer.weight(), layer.bias(), layer.nonlinearity
+        h.flags.writeable = False
+        z = h @ w.T + b
+        z.flags.writeable = False
         acts.append(LayerActivation(h, z))
-        h = layer.nonlinearity.fn(z)
+        params.append((w, b, sigma))
+        h = sigma.fn(z)
+    h = h if h.flags.writeable else h.copy()  # the identity head returns z itself
+    net._memo = (x, list(net.layers), params, tuple(acts))
     return (h[0] if single else h), acts
+
+
+def _kept_acts(net: EquivNet, memo, x: np.ndarray):
+    """The activations of ``memo``, a pass kept by ``forward``, if it ran on x's shape and
+    bits with the layer objects, W, b and nonlinearities the net holds now; else None."""
+    kept_x, layers, params, acts = memo
+    holds = (kept_x.shape == x.shape and kept_x.tobytes() == x.tobytes() and layers == net.layers
+             and all(w is layer.weight() and b is layer.bias() and sigma is layer.nonlinearity
+                     for layer, (w, b, sigma) in zip(layers, params)))
+    return acts if holds else None
 
 
 @dataclass
@@ -213,12 +242,19 @@ def grad_coeffs(net: EquivNet, x: np.ndarray, loss_grad_y: np.ndarray) -> list[L
 
     The gradient of a coefficient aggregates the per-entry weight gradients
     over its orbit with the orbit's signs.  Batched inputs sum over the
-    batch.
+    batch.  The pass kept by the last ``forward`` is taken from the net and
+    reused if it still holds (see ``_kept_acts``); else forward runs again.
     """
-    y, acts = forward(net, x)
+    x = np.asarray(x, dtype=float)
+    memo, net._memo = net._memo, None
+    acts = _kept_acts(net, memo, x) if memo else None
+    if acts is None:
+        acts = forward(net, x)[1]
+        net._memo = None
+    y_shape = acts[-1].z.shape[1:] if x.ndim == 1 else acts[-1].z.shape
     g = np.asarray(loss_grad_y, dtype=float)
-    if g.shape != y.shape:
-        raise DimMismatch(f"loss gradient shape {g.shape} does not match output {y.shape}")
+    if g.shape != y_shape:
+        raise DimMismatch(f"loss gradient shape {g.shape} does not match output {y_shape}")
     g = g[None, :] if g.ndim == 1 else g
     reversed_grads: list[LayerGrads] = []
     for li in range(len(net.layers) - 1, -1, -1):
@@ -331,6 +367,10 @@ def activation_variance_profile(
 
 
 def save_weights(net: EquivNet, path: str) -> None:
+    """Write the coefficients; a non-finite one is refused, naming its layer,
+    before anything is written, as ``load_weights`` would refuse the file."""
+    for li, layer in enumerate(net.layers):
+        check_finite(f"layer {li}", coeffs=layer.coeffs, bias_coeffs=layer.bias_coeffs)
     data = {
         "layers": [
             {

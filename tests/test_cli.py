@@ -221,6 +221,28 @@ class TestNetCmd:
         out, err = capsys.readouterr()
         assert err == "" and out.startswith("loss 0.") and weights.exists()
 
+    def test_demo_train_non_finite_weights_are_not_written(self, tmp_path, capsys):
+        # at this rate the coefficients overflow to NaN, which JSON cannot hold
+        weights = tmp_path / "w.json"
+        weights.write_text("kept\n")
+        assert run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "20", "--lr", "1e30",
+                   "--out", str(weights)) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines() == [
+            "loss 0.172314 -> nan after 20 gradient steps",
+            f"no weights written to {weights}: layer 0: 'coeffs' has non-finite entries"]
+        assert weights.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+    def test_demo_train_output_is_pinned(self, tmp_path, capsys):
+        import hashlib
+
+        weights = tmp_path / "w.json"
+        assert run("net", "demo-train", "--net-spec", NETSPEC, "--seed", "7", "--steps", "40",
+                   "--out", str(weights)) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "loss 0.165004 -> 0.122943 after 40 gradient steps"
+        assert hashlib.sha256(weights.read_bytes()).hexdigest() == (
+            "04848903831d61ff0fcbf49561eeb43c138951572026157775805e70f9c09476")
+
     def test_verify_trained_weights_pass(self, tmp_path, capsys):
         weights = tmp_path / "w.json"
         run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "10", "--out", str(weights))

@@ -395,3 +395,175 @@ class TestWeightsFile:
             save_weights(net, str(path))
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+
+def _scattered(basis, coeffs, shape):
+    """A fresh dense array of ``coeffs`` on ``basis``, built apart from the layer."""
+    o = basis.orbits
+    flat = np.zeros(int(np.prod(shape)))
+    flat[o.index] = o.sign * coeffs[o.orbit]
+    return flat.reshape(shape)
+
+
+class TestWeightCache:
+    def _layer(self, k4):
+        _, reps = k4
+        rng = np.random.default_rng(11)
+        layer = EquivLayer(reps["reg4"], reps["tiled16"], RELU)
+        layer.coeffs = rng.standard_normal(layer.coeffs.shape)
+        layer.bias_coeffs = rng.standard_normal(layer.bias_coeffs.shape)
+        return layer
+
+    @staticmethod
+    def _assert_fresh(layer):
+        w, b = layer.weight(), layer.bias()
+        assert w.tobytes() == _scattered(layer.basis, layer.coeffs, (layer.m, layer.n)).tobytes()
+        assert b.tobytes() == _scattered(layer.bias_basis, layer.bias_coeffs, (layer.m,)).tobytes()
+        assert not w.flags.writeable and not b.flags.writeable
+        return w, b
+
+    def test_same_read_only_object_until_a_change(self, k4):
+        layer = self._layer(k4)
+        w, b = self._assert_fresh(layer)
+        assert layer.weight() is w and layer.bias() is b
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b[0] = 1.0
+        # new arrays with the same bits are no change
+        layer.coeffs, layer.bias_coeffs = layer.coeffs.copy(), layer.bias_coeffs.copy()
+        assert layer.weight() is w and layer.bias() is b
+
+    @pytest.mark.parametrize("change", ["assign", "in_place"])
+    @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
+    def test_coefficient_change_scatters_again(self, k4, key, change):
+        layer = self._layer(k4)
+        before = self._assert_fresh(layer)
+        if change == "assign":
+            setattr(layer, key, getattr(layer, key) * 2.0)
+        else:
+            getattr(layer, key)[0] += 0.25
+        after = self._assert_fresh(layer)
+        moved = 0 if key == "coeffs" else 1
+        assert after[moved] is not before[moved] and after[1 - moved] is before[1 - moved]
+
+    def test_replaced_basis_scatters_again(self):
+        rep = c2_swap_rep()
+        layer = EquivLayer(rep, rep, IDENT, coeffs=np.array([1.0, 0.5]))
+        w, _ = self._assert_fresh(layer)
+        layer.basis = EquivBasis(2, 2, Orbits([0, 1, 2], [1, 1, 1], [0, 1, 1]), Orbits([], [], []))
+        assert self._assert_fresh(layer)[0] is not w
+        layer.bias_basis = EquivBasis(2, 1, Orbits([1], [-1], [0]), Orbits([], [], []))
+        layer.bias_coeffs = np.array([3.0])
+        assert self._assert_fresh(layer)[1].tolist() == [0.0, -3.0]
+
+
+class TestForwardMemo:
+    """grad_coeffs reuses the pass of the forward before it only while that
+    pass still holds; the gradients never differ from a fresh computation."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from robosym import nets
+
+        calls = []
+        real = nets.forward
+        monkeypatch.setattr(nets, "forward", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @staticmethod
+    def _net(k4):
+        _, reps = k4
+        return build_mlp(reps["reg4"], reps["reg4"], [8, 8], RELU, rng_seed=3)
+
+    @staticmethod
+    def _fresh_grads(net, x, c):
+        layers = [EquivLayer(layer.rep_in, layer.rep_out, layer.nonlinearity, layer.coeffs.copy(),
+                             layer.bias_coeffs.copy()) for layer in net.layers]
+        return grad_coeffs(EquivNet(layers), np.array(x), c)
+
+    @staticmethod
+    def _assert_bits(grads, expected):
+        assert len(grads) == len(expected)
+        for g, e in zip(grads, expected):
+            assert g.coeffs.tobytes() == e.coeffs.tobytes()
+            assert g.bias_coeffs.tobytes() == e.bias_coeffs.tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_grad_after_forward_runs_no_second_pass(self, k4, counted, batch):
+        net = self._net(k4)
+        rng = np.random.default_rng(5)
+        shape = (4,) if batch is None else (batch, 4)
+        x, c = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = grad_coeffs(self._net(k4), x, c)
+        y, acts = forward(net, x)
+        counted.clear()
+        grads = grad_coeffs(net, x, c)
+        assert counted == []
+        self._assert_bits(grads, expected)
+        # the memo is taken: a second grad_coeffs runs forward again
+        self._assert_bits(grad_coeffs(net, x, c), expected)
+        assert counted == [1]
+
+    @pytest.mark.parametrize("change", ["x_in_place", "coeff_in_place", "bias_in_place",
+                                        "nonlinearity", "layer", "y_in_place", "other_forward"])
+    def test_invalidated_memo_gives_fresh_gradients(self, k4, counted, change):
+        net = self._net(k4)
+        rng = np.random.default_rng(6)
+        x, c = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        y, acts = forward(net, x)
+        if change == "x_in_place":
+            x[2, 1] += 1.0
+        elif change == "coeff_in_place":
+            net.layers[1].coeffs[0] += 0.5
+        elif change == "bias_in_place":
+            net.layers[0].bias_coeffs[0] += 0.5
+        elif change == "nonlinearity":
+            net.layers[0].nonlinearity = TANH
+        elif change == "layer":
+            old = net.layers[1]
+            net.layers[1] = EquivLayer(old.rep_in, old.rep_out, RELU, old.coeffs * 0.5)
+        elif change == "y_in_place":
+            y[:] = 7.0
+            assert not any(np.shares_memory(y, a) for act in acts for a in (act.x_in, act.z))
+        else:
+            forward(net, rng.standard_normal((5, 4)))
+        expected = self._fresh_grads(net, x, c)
+        counted.clear()
+        self._assert_bits(grad_coeffs(net, x, c), expected)
+        assert len(counted) == (0 if change == "y_in_place" else 1)
+
+    def test_kept_activations_are_read_only(self, k4):
+        net = self._net(k4)
+        x = np.random.default_rng(7).standard_normal((3, 4))
+        y, acts = forward(net, x)
+        assert y.flags.writeable
+        for act in acts:
+            assert not act.x_in.flags.writeable and not act.z.flags.writeable
+            assert not np.shares_memory(act.x_in, x)
+
+    def test_loss_gradient_shape_still_checked(self, k4):
+        net = self._net(k4)
+        x = np.ones(4)
+        forward(net, x)
+        with pytest.raises(DimMismatch, match=r"does not match output \(4,\)"):
+            grad_coeffs(net, x, np.ones((1, 4)))
+
+
+class TestSaveRefusesNonFinite:
+    @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
+    def test_names_the_layer_and_writes_nothing(self, tmp_path, k4, key):
+        from robosym.errors import ParseError
+
+        _, reps = k4
+        net = build_mlp(reps["reg4"], reps["reg4"], [8], RELU, rng_seed=3)
+        path = tmp_path / "w.json"
+        save_weights(net, str(path))
+        before = path.read_bytes()
+        getattr(net.layers[1], key)[0] = np.nan
+        with pytest.raises(ParseError, match=f"^layer 1: '{key}' has non-finite entries$"):
+            save_weights(net, str(path))
+        with pytest.raises(ParseError):
+            save_weights(net, str(tmp_path / "new.json"))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
