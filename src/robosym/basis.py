@@ -3,8 +3,8 @@
 Two independent routes are provided on purpose:
 
 * ``orbit_basis`` traces the orbits of the flat coordinates of vec(W) under
-  the group action on linear maps, in O(|G| m n) time and without ever
-  materializing an (mn x mn) matrix.
+  the group action on linear maps, in O(|G| m n) time but O(m n) memory and
+  without ever materializing an (mn x mn) matrix.
 * ``dense_nullspace_oracle`` stacks the fix-point constraints into one dense
   system and solves it by Gaussian elimination.  It exists solely to check
   the orbit route and is capped in size.
@@ -26,13 +26,13 @@ from .groups import (
     Representation,
     _linear_map_action,
     act,
-    tensor_on_linear_maps,
     trivial_representation,
 )
 
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
-TRACE_CHUNK = 32  # group elements per slab of the |G| x mn tracing tables
+TRACE_ENTRIES = 1 << 16  # entries per slab of the |G| x mn tables, one row at least; <= 2^30
+TRACE_CAP = 1 << 31  # mn bound of the int32 tracing tables
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
 
 
@@ -51,8 +51,10 @@ class Orbits:
 
     def __post_init__(self):
         for name, dtype in (("index", np.intp), ("sign", np.int8), ("orbit", np.intp)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable):
+                arr = np.array(arr, dtype=dtype)  # a caller's array is copied, never frozen
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
@@ -102,13 +104,20 @@ class EquivBasis:
 
 
 def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
-    """Orbits numbered by their smallest coordinates; entries ordered by one sort
-    of the unique keys orbit * mn + index, which stay below 2^63 for mn < 3e9."""
-    first = np.zeros(canon.size, dtype=bool)
-    first[canon[coords]] = True
-    orbit = first.astype(np.int64).cumsum()[canon[coords]] - 1
-    orbit, index = np.divmod(np.sort(orbit * canon.size + coords), canon.size)
-    return Orbits(index, sign[index], orbit)
+    """Orbits numbered by their smallest coordinates; entries ordered by one in-place
+    sort of the unique int64 keys orbit * mn + index, which stay below mn^2 < 2^62."""
+    mn = canon.size
+    keys = np.zeros(mn, dtype=np.intp)
+    keys[canon[coords]] = mn  # at each orbit's smallest coordinate
+    keys = np.cumsum(keys, out=keys)[canon[coords]]  # (orbit + 1) * mn
+    keys -= mn
+    keys += coords
+    keys.sort()
+    index = np.empty_like(keys)
+    np.divmod(keys, mn, out=(keys, index))
+    sign = sign[index]
+    index.flags.writeable = sign.flags.writeable = keys.flags.writeable = False
+    return Orbits(index, sign, keys)
 
 
 def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbits, Orbits]:
@@ -119,27 +128,38 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     and the first element g (in group order) that sends c onto i.  The sign
     g^-1 gives i equals the sign g gives c, which is the sign the orbit
     stores at i.  An orbit is zero-forced when some element fixes one of
-    its coordinates with sign -1.
+    its coordinates with sign -1.  Slabs of ``TRACE_ENTRIES`` int32 targets
+    (one element's if mn is more) keep memory O(mn) whatever |G|.
     """
     group = rep_out.group
     mn = rep_out.dim * rep_in.dim
-    coords = np.arange(mn)
-    canon = coords.copy()  # the identity, element 0, maps i to itself with sign +1
-    sign = np.ones(mn, dtype=np.int8)
+    if mn >= TRACE_CAP:
+        raise CapExceeded(f"mn = {mn} exceeds the orbit tracer's cap {TRACE_CAP - 1}")
+    rows = max(1, TRACE_ENTRIES // max(mn, 1))
+    shift = (2 * rows - 1).bit_length()  # keys < 2^shift mn <= max(4 TRACE_ENTRIES, 2 mn)
+    coords = np.arange(mn, dtype=np.int32)
+    best = coords.view(np.uint32) << shift  # the identity, element 0, maps i to itself with sign +1
+    flip = np.zeros(mn, dtype=np.int8)  # 1 where the stored sign is -1
     dead = np.zeros(mn, dtype=bool)
-    for start in range(0, group.order, TRACE_CHUNK):
-        t, s = _linear_map_action(rep_in, rep_out, group.inverse[start : start + TRACE_CHUNK])
-        dead |= ((t == coords) & (s < 0)).any(axis=0)
-        first = t.argmin(axis=0)
-        low = t[first, coords]
-        better = low < canon
-        canon[better] = low[better]
-        sign[better] = s[first, coords][better]
+    for start in range(0, group.order, rows):
+        t, s = _linear_map_action(rep_in, rep_out, group.inverse[start : start + rows])
+        neg = s < 0
+        dead |= ((t == coords) & neg).any(axis=0)
+        key = t.view(np.uint32)
+        key <<= shift
+        key |= neg
+        key |= np.arange(0, 2 * len(t), 2, dtype=np.uint32)[:, None]
+        key = key.min(axis=0)  # target << shift | 2 row | [sign < 0]: the first minimum
+        better = key < best  # best keeps no row bits, so an earlier slab wins a tie
+        np.bitwise_and(key, 1, out=flip, where=better, casting="unsafe")
+        np.bitwise_and(key, ~np.uint32((1 << shift) - 1), out=best, where=better)
+    del t, s, neg, key, better  # the last slab, before the orbits are grouped
+    canon, sign = np.right_shift(best, shift, out=best).view(np.int32), 1 - 2 * flip
     return _group_orbits(coords[~dead], canon, sign), _group_orbits(coords[dead], canon, sign)
 
 
 def orbit_basis(rep_in: Representation, rep_out: Representation) -> EquivBasis:
-    """Equivariant-map basis via orbit tracing, O(|G| m n).
+    """Equivariant-map basis via orbit tracing, O(|G| m n) time, O(m n) memory.
 
     The orbit of each flat coordinate of vec(W) under the group action on
     linear maps becomes one basis vector, unless some element maps a
@@ -178,10 +198,9 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     return total // group.order
 
 
-def _nullspace_by_elimination(c: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal nullspace basis via Gauss-Jordan with partial pivoting."""
-    rows, cols = c.shape
-    a = c.astype(float)
+def _nullspace_by_elimination(a: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal nullspace basis of float ``a``, eliminated in place (partial pivoting)."""
+    rows, cols = a.shape
     pivot_cols: list[int] = []
     r = 0
     for col in range(cols):
@@ -226,13 +245,14 @@ def dense_nullspace_oracle(
     if mn > cap:
         raise CapExceeded(f"mn = {mn} exceeds oracle cap {cap}")
     group = rep_in.group
-    rep_w = tensor_on_linear_maps(rep_in, rep_out)
-    eye = np.eye(mn, dtype=np.int64)  # an integer eye: a sign flip gives no -0.0
-    gens = set(group.generator_indices or group.elements()) - {group.identity}
-    blocks = [act(rep_w, g, eye).T - np.eye(mn) for g in sorted(gens)]
-    if not blocks:
+    gens = sorted(set(group.generator_indices or group.elements()) - {group.identity})
+    if not gens:
         return np.eye(mn)
-    return _nullspace_by_elimination(np.vstack(blocks), tol)
+    t, s = _linear_map_action(rep_in, rep_out, gens)
+    blocks, cols = np.zeros((len(gens), mn, mn)), np.arange(mn)  # block k: rho_W(g_k) - I
+    blocks[np.arange(len(gens))[:, None], t, cols] = s
+    blocks[:, cols, cols] -= 1
+    return _nullspace_by_elimination(blocks.reshape(-1, mn), tol)
 
 
 @dataclass

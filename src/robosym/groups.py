@@ -292,10 +292,11 @@ def _linear_map_action(rep_in: Representation, rep_out: Representation, elements
     """(targets, signs) on vec(W) of the selected elements, each (k, m*n).
 
     ``elements`` is an index array or slice over the group; the rows follow
-    the row-major convention vec(W)[i*n + j] = W[i, j].
+    the row-major convention vec(W)[i*n + j] = W[i, j].  Targets are int32,
+    so m*n must be below 2^31.
     """
     n = rep_in.dim
-    t = rep_out.targets[elements, :, None] * n + rep_in.targets[elements, None, :]
+    t = np.add(rep_out.targets[elements, :, None] * n, rep_in.targets[elements, None, :], dtype=np.int32)
     s = rep_out.signs[elements, :, None] * rep_in.signs[elements, None, :]
     return t.reshape(len(t), -1), s.reshape(len(s), -1)
 

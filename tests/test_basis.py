@@ -40,6 +40,20 @@ def flip_and_trivial():
     return flip, trivial_representation(group, 1)
 
 
+def traced_peak(fn):
+    """fn's result and the peak bytes of Python and numpy allocations during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def basis_bytes(basis):
+    return sum(a.nbytes for o in (basis.orbits, basis.zero_forced) for a in (o.index, o.sign, o.orbit))
+
+
 class TestOracle:
     """The oracle itself gets its own sanity anchors first."""
 
@@ -103,6 +117,17 @@ class TestOracle:
         assert peak < 8 * 2**20
         assert q.shape[1] == burnside_rank(reg, std) == orbit_basis(reg, std).rank
 
+    def test_memory_is_about_the_constraint_stack(self):
+        # K4 tiled 32 -> 32, mn = 1024 and two generators: the blocks go
+        # straight into one float stack of 16 MiB, which is eliminated in
+        # place.  At the cap (mn = 4096) the call takes 362 MiB but 1.4-2.5 s,
+        # too slow for this suite
+        group, _ = closure(gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1]))
+        rep = tiled_regular_representation(group, 32)
+        q, peak = traced_peak(lambda: dense_nullspace_oracle(rep, rep))
+        assert peak <= 1.5 * 2 * 1024**2 * 8
+        assert q.shape[1] == burnside_rank(rep, rep) == orbit_basis(rep, rep).rank
+
 
 class TestOrbitBasis:
     def test_trivial_group_all_singletons(self):
@@ -144,6 +169,47 @@ class TestOrbitBasis:
             basis = orbit_basis(rep_in, rep_out)
             seen = np.concatenate([basis.orbits.index, basis.zero_forced.index])
             assert sorted(seen) == list(range(rep_in.dim * rep_out.dim)), label
+
+
+class TestTracerMemory:
+    def test_peak_is_o_mn_at_order_1024(self):
+        # C1024 on its regular representation to itself: mn = 2^20 at the
+        # order cap.  A slab holds one element here, so the peak is O(mn)
+        group, _ = make_cyclic(1024)
+        reg = regular_representation(group)
+        basis, peak = traced_peak(lambda: orbit_basis(reg, reg))
+        assert basis.rank == burnside_rank(reg, reg) == 1024
+        assert peak < 128 * 2**20
+
+    def test_peak_within_three_bases(self):
+        # C2 tiled 512 -> 512, the widest map of the benchmark's catalogue,
+        # whose trace sets that workload's peak memory
+        group, _ = make_cyclic(2)
+        rep = tiled_regular_representation(group, 512)
+        basis, peak = traced_peak(lambda: orbit_basis(rep, rep))
+        assert basis.rank == 512 * 512 // 2
+        assert peak <= 3 * basis_bytes(basis)
+
+    def test_cap_raises_before_allocating(self):
+        group, _ = make_cyclic(2)
+        rep = tiled_regular_representation(group, 46342)  # mn = 46342^2 > 2^31 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="2147483647"):
+                orbit_basis(rep, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_orbits_copy_only_writable_arrays(self):
+        index = np.array([0, 1], dtype=np.intp)
+        orbits = Orbits(index, [1, -1], [0, 0])
+        assert orbits.index is not index and index.flags.writeable
+        index[0] = 5
+        assert orbits.index.tolist() == [0, 1]
+        index.flags.writeable = False
+        assert Orbits(index, [1, -1], [0, 0]).index is index
 
 
 class TestBurnside:
@@ -444,8 +510,12 @@ class TestRefactorSafetyNet:
             assert validate_basis(basis, rep_in, rep_out).passed, label
 
     def test_chunk_size_does_not_change_basis(self, all_pairs, monkeypatch):
+        # entry budgets of 1 (one element per slab), 3, and above |G| * mn
+        # (the whole group in one slab)
         pairs = [p for p in all_pairs if p[1].group.order > 2]
         expected = [basis_to_dict(orbit_basis(r_in, r_out)) for _, r_in, r_out in pairs]
-        monkeypatch.setattr(basis_module, "TRACE_CHUNK", 3)
-        for (label, r_in, r_out), want in zip(pairs, expected):
-            assert basis_to_dict(orbit_basis(r_in, r_out)) == want, label
+        whole = max(r_out.group.order * r_in.dim * r_out.dim for _, r_in, r_out in pairs) + 1
+        for budget in (1, 3, whole):
+            monkeypatch.setattr(basis_module, "TRACE_ENTRIES", budget)
+            for (label, r_in, r_out), want in zip(pairs, expected):
+                assert basis_to_dict(orbit_basis(r_in, r_out)) == want, (label, budget)

@@ -61,6 +61,16 @@ class TestBasisCmd:
         assert run("basis", "--rep-in", C2, "--out", str(out)) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    def test_map_above_the_tracer_cap_exits_2(self, tmp_path, capsys):
+        dim = 46342  # C2 tiled: mn = dim^2 > 2^31 - 1
+        rep = tmp_path / "c2_wide.json"
+        rep.write_text(json.dumps({"dim": dim, "generators": [
+            {"target": (np.arange(dim) ^ 1).tolist(), "sign": [1] * dim}]}))
+        assert run("basis", "--rep-in", str(rep), "--out", str(tmp_path / "b.json")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: mn = {dim**2} exceeds the orbit tracer's cap 2147483647"]
+        assert not (tmp_path / "b.json").exists()
+
 
 class TestCountCmd:
     def test_k4_regular(self, capsys):
