@@ -234,10 +234,10 @@ def dense_nullspace_oracle(
 ) -> np.ndarray:
     """Brute-force equivariant basis: nullspace of the stacked constraints.
 
-    Stacks (rho_W(g) - I) for every non-identity generator g (every element
-    when the group records none; a map fixed by the generators is fixed by the
-    group) into one system and eliminates.  Returns an orthonormal (mn x r')
-    basis of the nullspace.  Verification-only; refuses mn above ``cap``.
+    Stacks (rho_W(g) - I) for each generator g not generated by the ones
+    before it (every element when the group records none; a map fixed by the
+    generators is fixed by the group) and eliminates.  Returns an orthonormal
+    (mn x r') basis; refuses mn above ``cap`` or a stack above 2 cap^2 floats.
     """
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")
@@ -245,7 +245,18 @@ def dense_nullspace_oracle(
     if mn > cap:
         raise CapExceeded(f"mn = {mn} exceeds oracle cap {cap}")
     group = rep_in.group
-    gens = sorted(set(group.generator_indices or group.elements()) - {group.identity})
+    gens, reached = [], np.zeros(group.order, bool)
+    reached[group.identity] = True
+    for g in sorted(set(group.generator_indices or group.elements())):
+        if not reached[g]:  # else the kept generators generate it: its block adds no constraint
+            gens.append(g)
+            new = np.flatnonzero(reached)
+            while new.size:  # close the reached subgroup under right products with the kept ones
+                new = np.unique(group.cayley[new[:, None], gens])
+                new = new[~reached[new]]
+                reached[new] = True
+    if len(gens) * mn * mn > 2 * cap * cap:
+        raise CapExceeded(f"{len(gens)} generators at mn = {mn} exceed the oracle's stack of 2 x {cap}^2")
     if not gens:
         return np.eye(mn)
     t, s = _linear_map_action(rep_in, rep_out, gens)

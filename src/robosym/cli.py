@@ -119,6 +119,7 @@ def _compile_from_files(args):
 def cmd_augment(args) -> int:
     bundle, schema, plan = _compile_from_files(args)
     names, rows = aug.read_csv(args.infile)
+    rows_in = rows.shape[0]
     expected = schema.column_names()
     if names != expected:
         raise RoboSymError(
@@ -130,14 +131,17 @@ def cmd_augment(args) -> int:
     else:
         out_rows = aug.augment_dataset(plan, rows)
         action = "augmented"
-    aug.write_csv(args.out, expected, out_rows)
-    print(f"{action} {rows.shape[0]} rows into {out_rows.shape[0]} (group order "
+    del rows  # the input is freed before the output is formatted
+    distinct = aug.write_csv(args.out, expected, out_rows)
+    print(f"{action} {rows_in} rows into {out_rows.shape[0]} (group order "
           f"{bundle.group.order}) -> {args.out}")
     _emit(
         args,
         {
-            "rows_in": int(rows.shape[0]),
+            "rows_in": rows_in,
             "rows_out": int(out_rows.shape[0]),
+            "bytes_out": os.path.getsize(args.out),
+            "distinct_magnitudes": distinct,
             "group_order": bundle.group.order,
             "mode": action,
         },

@@ -499,17 +499,30 @@ class TestCsvRoundtrip:
     SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
 
-    @pytest.mark.parametrize("shape", ["row", "column", "no_rows", "bit_patterns"])
+    # 10k int64 bit patterns (NaN payloads, subnormals, both zeros) over
+    # 1250 rows, more than two CSV_BLOCK_ROWS blocks
+    BIT_PATTERNS = (np.random.default_rng(11)
+                    .integers(-(2**63), 2**63 - 1, size=(1250, 8), dtype=np.int64, endpoint=True)
+                    .view(np.float64))
+
+    @staticmethod
+    def _signed_repeats():
+        """The bit patterns and the specials, each beside its negation, twice
+        over: every magnitude repeats, in other blocks too, with both signs."""
+        block = np.vstack([np.resize(TestCsvRoundtrip.SPECIALS, (2, 8)), TestCsvRoundtrip.BIT_PATTERNS])
+        return np.tile(np.vstack([block, -block]), (2, 1))
+
+    @pytest.mark.parametrize("shape", ["row", "column", "no_rows", "bit_patterns", "signed_repeats",
+                                       "no_repeats"])
     def test_write_matches_fstring_reference(self, tmp_path, shape):
         rows = {
             "row": np.array([self.SPECIALS]),
             "column": np.array(self.SPECIALS)[:, None],
             "no_rows": np.zeros((0, 3)),
-            # 10k int64 bit patterns (NaN payloads, subnormals, both zeros)
-            # over 1250 rows, more than two CSV_BLOCK_ROWS blocks
-            "bit_patterns": np.random.default_rng(11)
-            .integers(-(2**63), 2**63 - 1, size=(1250, 8), dtype=np.int64, endpoint=True)
-            .view(np.float64),
+            "bit_patterns": self.BIT_PATTERNS,
+            "signed_repeats": self._signed_repeats(),
+            # all magnitudes distinct, so no value is looked up
+            "no_repeats": (np.sqrt(np.arange(2, 7702)) * np.resize([1, -1], 7700)).reshape(1100, 7),
         }[shape]
         names = [f"c_{i}" for i in range(rows.shape[1])]
         path = tmp_path / "w.csv"
@@ -519,6 +532,37 @@ class TestCsvRoundtrip:
         finite = ~np.isnan(rows)
         assert back.shape == rows.shape and np.array_equal(np.isnan(back), ~finite)
         assert back[finite].tobytes() == rows[finite].tobytes()
+
+    def test_write_no_columns_matches_fstring_reference(self, tmp_path):
+        # one "\n" per row; read_csv refuses the blank header, so no read-back
+        path = tmp_path / "w.csv"
+        assert write_csv(str(path), [], np.zeros((3, 0))) == 0
+        assert path.read_bytes() == self._reference_text([], np.zeros((3, 0))).encode() == b"\n" * 4
+
+    @pytest.mark.parametrize("shape", ["signed_repeats", "no_repeats", "zeros"])
+    def test_write_counts_distinct_magnitudes(self, tmp_path, shape):
+        rows = {"signed_repeats": self._signed_repeats(), "zeros": np.zeros((4, 3)),
+                "no_repeats": np.arange(12.0).reshape(4, 3)}[shape]
+        expected = np.unique(np.abs(rows).view(np.uint64)).size
+        assert write_csv(str(tmp_path / "w.csv"), [f"c_{i}" for i in range(rows.shape[1])], rows) == expected
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "signed_copies"])
+    def test_write_memory_is_bounded_per_value(self, tmp_path, repeats):
+        # 10,000 x 76 values: the sorted magnitudes take 8 bytes per value and
+        # the table 33 bytes per repeated magnitude; a block's text is fixed
+        rng = np.random.default_rng(5)
+        if repeats:  # each row four times, with its signs flipped in two copies
+            base = rng.standard_normal((2500, 76))
+            rows = np.repeat(base, 4, axis=0) * np.resize([[1.0], [-1.0]], (10000, 1))
+        else:
+            rows = rng.standard_normal((10000, 76))
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "w.csv"), [f"c_{i}" for i in range(76)], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * rows.size
 
     def test_read_accepts_what_float_accepts(self, tmp_path):
         tokens = ["1_0", " 1.5 ", "inf", "-NaN", "1e400", "-0", "+nan", "1e-400"]

@@ -129,6 +129,40 @@ class TestOracle:
         assert q.shape[1] == burnside_rank(rep, rep) == orbit_basis(rep, rep).rank
 
 
+    @staticmethod
+    def _c2_cubed(masks):
+        """C2^3 on dim 32 (four tiles of its regular representation, mn =
+        1024), generated by the XOR masks listed: generator m sends i to i ^ m."""
+        idx = np.arange(32)
+        return closure(*(gpm((idx ^ m).tolist()) for m in masks))[1]
+
+    def test_generators_the_others_generate_add_no_block(self):
+        # all 7 non-identity elements listed stacked 7 blocks (59.2 MiB);
+        # the 4 the first ones generate are dropped, so 3 blocks remain
+        three = self._c2_cubed([1, 2, 4])
+        seven = self._c2_cubed(range(1, 8))
+        assert len(seven.group.generator_indices) == 7
+        q3, peak3 = traced_peak(lambda: dense_nullspace_oracle(three, three))
+        q7, peak7 = traced_peak(lambda: dense_nullspace_oracle(seven, seven))
+        assert q7.shape == q3.shape == (1024, burnside_rank(three, three))
+        assert np.abs(q7 - q3 @ (q3.T @ q7)).max() < 1e-10  # the same span
+        assert peak7 <= 1.1 * peak3 and peak3 < 32 * 2**20
+
+    def test_stack_cap(self):
+        # 3 blocks at mn = 1024 exceed 2 cap^2 floats for a cap of 1100, and
+        # are refused before anything is allocated
+        three = self._c2_cubed([1, 2, 4])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="3 generators at mn = 1024"):
+                dense_nullspace_oracle(three, three, cap=1100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert dense_nullspace_oracle(three, three, cap=1255).shape == (1024, 128)
+
+
 class TestOrbitBasis:
     def test_trivial_group_all_singletons(self):
         _, rep = make_cyclic(1, 3)

@@ -115,6 +115,55 @@ class TestAugmentCmd:
                    "--in", str(path), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 401
 
+    # one field of every kind
+    ALL_KINDS = {"fields": [
+        {"name": "q", "kind": "joint_space"},
+        {"name": "v", "kind": "e3_vector"},
+        {"name": "w", "kind": "e3_pseudovector"},
+        {"name": "feet", "kind": "kron_perm_vector"},
+        {"name": "c", "kind": "categorical_contact"},
+        {"name": "pose", "kind": "pose_conjugation"},
+        {"name": "s", "kind": "invariant_scalar", "dim": 2},
+    ]}
+
+    @pytest.mark.parametrize("flag", [[], ["--orbit-average"]], ids=["augment", "orbit_average"])
+    def test_every_field_kind_matches_fstring_reference(self, tmp_path, flag):
+        from robosym import augment as aug
+
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(self.ALL_KINDS))
+        bundle = aug.load_group_bundle(SOLO_GROUP)
+        schema = aug.resolve_schema(self.ALL_KINDS["fields"], bundle.joint_rep,
+                                    bundle.isometries, bundle.leg_perm)
+        plan = aug.compile_schema(schema, bundle.group, bundle.joint_rep,
+                                  bundle.isometries, bundle.leg_perm)
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((4 * 300 if flag else 300, schema.width))
+        rows[rng.random(rows.shape) < 0.01] = -0.0
+        rows[:3, 0], rows[3, :4] = [np.nan, np.inf, -np.inf], 0.0
+        data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+        aug.write_csv(str(data), schema.column_names(), rows)
+        assert run("augment", "--group", SOLO_GROUP, "--schema", str(schema_path),
+                   "--in", str(data), "--out", str(out), *flag) == 0
+        expected = aug.orbit_average(plan, rows) if flag else aug.augment_dataset(plan, rows)
+        lines = [",".join(schema.column_names())] + [",".join(f"{v:.17g}" for v in r) for r in expected]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_json_report_sizes(self, tmp_path):
+        path, rows = self._write_dataset(tmp_path, n=10)
+        out = tmp_path / "aug.csv"
+        reports = []
+        for _ in range(2):
+            assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                       "--in", str(path), "--out", str(out), "--json") == 0
+            reports.append((tmp_path / "aug.csv.report.json").read_text())
+        assert reports[0] == reports[1]  # deterministic
+        report = json.loads(reports[0])
+        assert report["bytes_out"] == out.stat().st_size
+        # the K4 copies move and flip the same 10 x width magnitudes
+        assert report["distinct_magnitudes"] == np.unique(np.abs(rows).view(np.uint64)).size
+        assert report["rows_in"] == 10 and report["rows_out"] == 40 and report["mode"] == "augmented"
+
     def test_header_mismatch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
