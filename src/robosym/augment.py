@@ -11,9 +11,9 @@ held as a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import matmul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +73,13 @@ class IsometrySet:
                 raise ValueError(f"isometries violate the Cayley table at ({g},{int(bad.argmax())})")
 
 
-@dataclass(frozen=True)
-class SchemaField:
+class SchemaField(NamedTuple):
     name: str
     kind: str
     dim: int
 
 
-@dataclass(frozen=True)
-class MeasurementSchema:
+class MeasurementSchema(NamedTuple):
     fields: tuple[SchemaField, ...]
 
     @property
@@ -296,8 +294,7 @@ def orbit_average(plan: AugmentationPlan, target_rows: np.ndarray) -> np.ndarray
     return np.vstack([plan.apply_rows(g, mean) for g in plan.group.elements()])
 
 
-@dataclass
-class GroupBundle:
+class GroupBundle(NamedTuple):
     """Group plus the concrete representations a schema can reference."""
 
     group: FiniteGroup

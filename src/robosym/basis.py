@@ -16,14 +16,15 @@ trace, so the three can be cross-checked in tests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded, GroupMismatch, NonIntegralRank
 from .groups import (
     Representation,
+    _ReadOnly,
     _linear_map_action,
     act,
     trivial_representation,
@@ -36,8 +37,7 @@ TRACE_CAP = 1 << 31  # mn bound of the int32 tracing tables
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
 
 
-@dataclass(frozen=True, eq=False)
-class Orbits:
+class Orbits(_ReadOnly):
     """Signed orbits of flat vec(W) coordinates, as three read-only arrays.
 
     Entry k puts ``sign[k]`` at flat coordinate ``index[k]`` of orbit
@@ -45,17 +45,12 @@ class Orbits:
     numbered in the order of their smallest index, whose sign is +1.
     """
 
-    index: np.ndarray
-    sign: np.ndarray
-    orbit: np.ndarray
-
-    def __post_init__(self):
-        for name, dtype in (("index", np.intp), ("sign", np.int8), ("orbit", np.intp)):
-            arr = getattr(self, name)
+    def __init__(self, index: np.ndarray, sign: np.ndarray, orbit: np.ndarray):
+        for name, arr, dtype in (("index", index, np.intp), ("sign", sign, np.int8), ("orbit", orbit, np.intp)):
             if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable):
                 arr = np.array(arr, dtype=dtype)  # a caller's array is copied, never frozen
                 arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            self.__dict__[name] = arr
 
     def __len__(self) -> int:
         return int(self.orbit[-1]) + 1 if self.orbit.size else 0
@@ -66,8 +61,7 @@ class Orbits:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in ("index", "sign", "orbit"))
 
 
-@dataclass(frozen=True)
-class EquivBasis:
+class EquivBasis(_ReadOnly):
     """Signed-orbit basis of the space of equivariant m x n linear maps.
 
     ``orbits`` hold one free coefficient each; ``zero_forced`` orbits are
@@ -75,10 +69,14 @@ class EquivBasis:
     coefficient.  For bias bases use n = 1.
     """
 
-    m: int
-    n: int
-    orbits: Orbits
-    zero_forced: Orbits
+    def __init__(self, m: int, n: int, orbits: Orbits, zero_forced: Orbits):
+        self.__dict__.update(m=m, n=n, orbits=orbits, zero_forced=zero_forced)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.m, self.n, self.orbits, self.zero_forced)
+                == (other.m, other.n, other.orbits, other.zero_forced))
 
     @property
     def rank(self) -> int:
@@ -106,6 +104,8 @@ class EquivBasis:
 def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
     """Orbits numbered by their smallest coordinates; entries ordered by one in-place
     sort of the unique int64 keys orbit * mn + index, which stay below mn^2 < 2^62."""
+    if not coords.size:
+        return Orbits([], [], [])
     mn = canon.size
     keys = np.zeros(mn, dtype=np.intp)
     keys[canon[coords]] = mn  # at each orbit's smallest coordinate
@@ -141,7 +141,7 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     best = coords.view(np.uint32) << shift  # the identity, element 0, maps i to itself with sign +1
     flip = np.zeros(mn, dtype=np.int8)  # 1 where the stored sign is -1
     dead = np.zeros(mn, dtype=bool)
-    for start in range(0, group.order, rows):
+    for start in range(1, group.order, rows):  # element 0 is in best already
         t, s = _linear_map_action(rep_in, rep_out, group.inverse[start : start + rows])
         neg = s < 0
         dead |= ((t == coords) & neg).any(axis=0)
@@ -153,7 +153,8 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
         better = key < best  # best keeps no row bits, so an earlier slab wins a tie
         np.bitwise_and(key, 1, out=flip, where=better, casting="unsafe")
         np.bitwise_and(key, ~np.uint32((1 << shift) - 1), out=best, where=better)
-    del t, s, neg, key, better  # the last slab, before the orbits are grouped
+    if group.order > 1:
+        del t, s, neg, key, better  # the last slab, before the orbits are grouped
     canon, sign = np.right_shift(best, shift, out=best).view(np.int32), 1 - 2 * flip
     return _group_orbits(coords[~dead], canon, sign), _group_orbits(coords[dead], canon, sign)
 
@@ -206,14 +207,16 @@ def _nullspace_by_elimination(a: np.ndarray, tol: float) -> np.ndarray:
     for col in range(cols):
         if r >= rows:
             break
-        p = int(np.argmax(np.abs(a[r:, col]))) + r
-        if abs(a[p, col]) <= tol:
+        c = a[:, col].copy()  # the one strided walk down this column; kept in step with a
+        p = int(np.argmax(np.abs(c[r:]))) + r
+        if abs(c[p]) <= tol:
             continue
-        a[[r, p]] = a[[p, r]]
-        a[r] /= a[r, col]
-        mask = np.abs(a[:, col]) > 0
+        a[[r, p]], c[[r, p]] = a[[p, r]], c[[p, r]]
+        a[r] /= c[r]
+        c[r] = a[r, col]
+        mask = np.abs(c) > 0
         mask[r] = False
-        a[mask] -= np.outer(a[mask, col], a[r])
+        a[mask] -= np.outer(c[mask], a[r])
         pivot_cols.append(col)
         r += 1
     free_cols = np.setdiff1d(np.arange(cols), pivot_cols)
@@ -266,8 +269,7 @@ def dense_nullspace_oracle(
     return _nullspace_by_elimination(blocks.reshape(-1, mn), tol)
 
 
-@dataclass
-class BasisReport:
+class BasisReport(NamedTuple):
     passed: bool
     rank: int
     burnside: int

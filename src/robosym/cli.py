@@ -258,7 +258,7 @@ def cmd_robot(args) -> int:
         {
             "candidates": [
                 # every CandidateReport field; samples and tol are per run
-                {k: v for k, v in vars(c).items() if k not in ("samples", "tol")}
+                {k: v for k, v in c._asdict().items() if k not in ("samples", "tol")}
                 for c in report.candidates
             ],
             "verified": report.verified,

@@ -11,8 +11,7 @@ built by breadth-first closure of a generator list, so element ordering
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,8 +64,17 @@ def _apply_signed(target: np.ndarray, sign: np.ndarray, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class _ReadOnly:
+    """Base of records whose attributes ``__init__`` sets once, through ``__dict__``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class FiniteGroup(_ReadOnly):
     """Abstract finite group: Cayley table over element indices 0..order-1.
 
     ``cayley[a, b]`` is the element a b and ``inverse[a]`` is a^-1, both
@@ -75,16 +83,12 @@ class FiniteGroup:
     the group was closed from, in the order they were given.
     """
 
-    cayley: np.ndarray
-    inverse: np.ndarray
-    generator_indices: tuple[int, ...] = ()
     identity = 0
 
-    def __post_init__(self):
-        for name in ("cayley", "inverse"):
-            table = np.array(getattr(self, name), dtype=np.intp)
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
+    def __init__(self, cayley: np.ndarray, inverse: np.ndarray, generator_indices: tuple[int, ...] = ()):
+        cayley, inverse = np.array(cayley, dtype=np.intp), np.array(inverse, dtype=np.intp)
+        cayley.flags.writeable = inverse.flags.writeable = False
+        self.__dict__.update(cayley=cayley, inverse=inverse, generator_indices=generator_indices)
         if self.cayley.shape != (self.order, self.order) or self.inverse.shape != (self.order,):
             raise ValueError("need a square Cayley table and one inverse per element")
 
@@ -123,8 +127,7 @@ class FiniteGroup:
                 raise ValueError(f"associativity fails at ({a},{b},{cc})")
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
+class Representation(_ReadOnly):
     """One generalized permutation matrix per group element, as two arrays.
 
     Element g sends coordinate i to ``targets[g, i]`` with sign
@@ -132,17 +135,12 @@ class Representation:
     hashing go by the group and the array contents.
     """
 
-    group: FiniteGroup
-    targets: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        targets, signs = _checked_signed(self.targets, self.signs)
-        if targets.ndim != 2 or targets.shape[0] != self.group.order:
+    def __init__(self, group: FiniteGroup, targets: np.ndarray, signs: np.ndarray):
+        targets, signs = _checked_signed(targets, signs)
+        if targets.ndim != 2 or targets.shape[0] != group.order:
             raise ValueError("need one target row per group element")
         targets.flags.writeable = signs.flags.writeable = False
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "signs", signs)
+        self.__dict__.update(group=group, targets=targets, signs=signs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -337,8 +335,7 @@ def trivial_representation(group: FiniteGroup, dim: int = 1) -> Representation:
     return Representation(group, np.broadcast_to(np.arange(dim), shape), np.ones(shape))
 
 
-@dataclass
-class HomomorphismReport:
+class HomomorphismReport(NamedTuple):
     passed: bool
     checked_pairs: int
     first_violation: tuple[int, int] | None = None

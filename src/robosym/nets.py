@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ _SELU_ALPHA = 1.6732632423543772848170429916717
 _SELU_SCALE = 1.0507009873554804934193349852946
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
+class Nonlinearity(NamedTuple):
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
@@ -187,8 +185,7 @@ class EquivNet:
         return self.rep_in.dim
 
 
-@dataclass(frozen=True)
-class LayerActivation:
+class LayerActivation(NamedTuple):
     x_in: np.ndarray  # (batch, n)
     z: np.ndarray  # (batch, m), pre-nonlinearity
 
@@ -231,8 +228,7 @@ def _kept_acts(net: EquivNet, memo, x: np.ndarray):
     return acts if holds else None
 
 
-@dataclass
-class LayerGrads:
+class LayerGrads(NamedTuple):
     coeffs: np.ndarray
     bias_coeffs: np.ndarray
 
@@ -270,8 +266,7 @@ def grad_coeffs(net: EquivNet, x: np.ndarray, loss_grad_y: np.ndarray) -> list[L
     return reversed_grads[::-1]
 
 
-@dataclass
-class EquivarianceReport:
+class EquivarianceReport(NamedTuple):
     passed: bool
     max_violation: float
     worst_element: int

@@ -16,7 +16,6 @@ through the origin of the base frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,12 +66,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
                      [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
-@dataclass(eq=False)
 class RigidBody:
-    name: str
-    mass: float
-    com: np.ndarray
-    inertia: np.ndarray  # about the CoM, body frame
+    def __init__(self, name: str, mass: float, com: np.ndarray, inertia: np.ndarray):
+        self.name, self.mass, self.com = name, mass, com
+        self.inertia = inertia  # about the CoM, body frame
 
     def validate(self) -> None:
         if self.mass < 0:
@@ -85,15 +82,11 @@ class RigidBody:
             raise BadInertia(f"body {self.name!r}: inertia is not positive semidefinite")
 
 
-@dataclass(eq=False)
 class Joint:
-    name: str
-    parent: str
-    child: str
-    jtype: str
-    origin_rot: np.ndarray
-    origin_xyz: np.ndarray
-    axis: np.ndarray
+    def __init__(self, name: str, parent: str, child: str, jtype: str, origin_rot: np.ndarray,
+                 origin_xyz: np.ndarray, axis: np.ndarray):
+        self.name, self.parent, self.child, self.jtype = name, parent, child, jtype
+        self.origin_rot, self.origin_xyz, self.axis = origin_rot, origin_xyz, axis
 
     @property
     def actuated(self) -> bool:
@@ -330,8 +323,7 @@ def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarr
     return np.concatenate([p.sum(axis=0), h_ang.sum(axis=0)])
 
 
-@dataclass
-class MassMatrixReport:
+class MassMatrixReport(NamedTuple):
     passed: bool
     max_violation: float
     worst_element: int
@@ -370,7 +362,6 @@ def check_mass_matrix_equivariance(tree: KinematicTree, rep_q: Representation, s
     return MassMatrixReport(worst <= tol, worst, int(g), int(s), samples, tol)
 
 
-@dataclass
 class CandidateDMS:
     """Candidate symmetry: spatial isometry + joint permutation + body pairing.
 
@@ -380,17 +371,20 @@ class CandidateDMS:
     isometry-transformed world.
     """
 
-    name: str
-    isometry: np.ndarray
-    joint_perm: tuple[np.ndarray, np.ndarray]
-    body_pairing: dict[str, str]
-
-    def __post_init__(self):
-        self.joint_perm = signed_permutation(*self.joint_perm)
-        self.isometry = np.asarray(self.isometry, dtype=float)
+    def __init__(self, name: str, isometry: np.ndarray, joint_perm: tuple[np.ndarray, np.ndarray],
+                 body_pairing: dict[str, str]):
+        self.name, self.body_pairing = name, body_pairing
+        self.joint_perm = signed_permutation(*joint_perm)
+        self.isometry = np.asarray(isometry, dtype=float)
         if self.isometry.shape != (3, 3):
             raise ValueError("isometry must be 3x3")
         self.det = check_isometry("'isometry'", self.isometry, CANDIDATE_TOL)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.isometry, self.joint_perm, self.body_pairing)
+                == (other.name, other.isometry, other.joint_perm, other.body_pairing))
 
     def validate_against(self, tree: KinematicTree) -> None:
         if len(self.joint_perm[0]) != tree.nj:
@@ -419,8 +413,7 @@ class CandidateDMS:
         return t
 
 
-@dataclass
-class CandidateReport:
+class CandidateReport(NamedTuple):
     name: str
     passed: bool
     dynamic_violation: float
@@ -442,8 +435,7 @@ class CandidateReport:
                 f"at sample {self.worst_sample} ({self.failed_where}, tol {self.tol:.1e})")
 
 
-@dataclass
-class IdentifyReport:
+class IdentifyReport(NamedTuple):
     candidates: list[CandidateReport]
     verified: list[str]
     group: FiniteGroup
@@ -512,18 +504,16 @@ def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], sam
 def _candidate_report(tree: KinematicTree, cand: CandidateDMS, viol: np.ndarray, tol: float) -> CandidateReport:
     """Report from a candidate's (samples, terms, bodies) violations."""
     worst = {check: float(viol[:, terms].max()) for check, terms in _CHECKS.items()}
-    report = CandidateReport(cand.name, max(worst.values()) <= tol, *worst.values(), len(viol), tol)
-    if not report.passed:
-        # the largest check, then the first sample, term and body at its maximum
-        check = max(worst, key=worst.get)
-        v = viol[:, _CHECKS[check]]
-        s, term, k = np.unravel_index(np.argmax(v), v.shape)
-        name = tree.bodies[k].name
-        term_name = _TERMS[_CHECKS[check].start + term]
-        where = f"{term_name} of body {name} vs {cand.body_pairing[name]}"
-        report.failed_check, report.worst_sample = check, int(s)
-        report.failed_where = term_name if check == "mass_matrix" else where
-    return report
+    if max(worst.values()) <= tol:
+        return CandidateReport(cand.name, True, *worst.values(), len(viol), tol)
+    # the largest check, then the first sample, term and body at its maximum
+    check = max(worst, key=worst.get)
+    v = viol[:, _CHECKS[check]]
+    s, term, k = np.unravel_index(np.argmax(v), v.shape)
+    name = tree.bodies[k].name
+    term_name = _TERMS[_CHECKS[check].start + term]
+    where = term_name if check == "mass_matrix" else f"{term_name} of body {name} vs {cand.body_pairing[name]}"
+    return CandidateReport(cand.name, False, *worst.values(), len(viol), tol, check, int(s), where)
 
 
 def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,

@@ -169,6 +169,7 @@ class TestOrbitBasis:
         basis = orbit_basis(rep, rep)
         assert basis.rank == 9
         assert list(basis.orbits.orbit) == list(range(9))
+        assert set(basis.orbits.sign.tolist()) == {1} and len(basis.zero_forced) == 0
 
     def test_c2_swap_two_orbits(self):
         _, rep = closure(gpm([1, 0]))
@@ -235,6 +236,18 @@ class TestTracerMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_records_refuse_assignment(self, k4):
+        group, reps = k4
+        rep = reps["perm4"]
+        basis = orbit_basis(rep, rep)
+        for obj, name in ((group, "cayley"), (rep, "targets"), (basis.orbits, "index"),
+                          (basis, "m"), (basis, "fingerprint"), (basis, "new")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert basis.fingerprint == basis_fingerprint(basis) and basis.m == 4
 
     def test_orbits_copy_only_writable_arrays(self):
         index = np.array([0, 1], dtype=np.intp)

@@ -845,6 +845,14 @@ class TestUsageErrors:
         assert capsys.readouterr().out == first
 
 
+class TestImport:
+    def test_cli_import_generates_no_dataclass_code(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(robosym.__file__).parents[1])}
+        code = "import sys, robosym.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestOneProcess:
     def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
         # the parser is built once per process; no call may see another's state
