@@ -31,16 +31,6 @@ from .groups import (
     verify_homomorphism,
 )
 
-FIELD_KINDS = (
-    "joint_space",
-    "e3_vector",
-    "e3_pseudovector",
-    "kron_perm_vector",
-    "categorical_contact",
-    "pose_conjugation",
-    "invariant_scalar",
-)
-
 PLAN_TOL = 1e-12
 
 # rows per block when CSV text is formatted or parsed
@@ -116,43 +106,59 @@ def contact_state_rep(num_legs: int, leg_perm: tuple[np.ndarray, np.ndarray]) ->
     return (1 << shift[target]) @ bits
 
 
-def _field_action(
-    f: SchemaField,
-    group: FiniteGroup,
-    joint_rep: Representation | None,
-    isometries: IsometrySet | None,
-    leg_perm: Representation | None,
-) -> tuple[Representation, np.ndarray | None]:
-    """The field's coordinate permutation and, where a rotation mixes its
-    coordinates, the (|G|, k, k) blocks applied to each k-chunk after it."""
-    if f.kind == "joint_space":
-        return joint_rep, None  # type: ignore[return-value]
-    if f.kind == "categorical_contact":
-        states = contact_state_rep(leg_perm.dim, (leg_perm.targets, leg_perm.signs))  # type: ignore[union-attr]
-        return Representation(group, states, np.ones(states.shape)), None
-    if f.kind == "invariant_scalar":
-        return trivial_representation(group, f.dim), None
-    if f.kind in ("e3_vector", "kron_perm_vector"):
-        blocks = isometries.rotations  # type: ignore[union-attr]
-    elif f.kind == "e3_pseudovector":
-        blocks = isometries.dets[:, None, None] * isometries.rotations  # type: ignore[union-attr]
-    elif f.kind == "pose_conjugation":
-        # X -> H X H^-1 on the flattened homogeneous matrix; H is orthogonal
-        # with zero translation, so this is kron(H, H) under row-major
-        # flattening: entry (i p + k, j p + l) is the one product H_ij H_kl.
-        d = isometries.dim  # type: ignore[union-attr]
-        h = np.zeros((group.order, d + 1, d + 1))
-        h[:, :d, :d], h[:, d, d] = isometries.rotations, 1.0  # type: ignore[union-attr]
-        blocks = (h[:, :, None, :, None] * h[:, None, :, None, :]).reshape(group.order, h[0].size, -1)
-    else:
-        raise SchemaError(f"field {f.name!r}: unknown kind {f.kind!r}")
-    if f.kind != "kron_perm_vector":
-        return trivial_representation(group, blocks.shape[-1]), blocks
-    # leg i's d-block moves to leg target[i]'s, then R turns every leg
-    d = blocks.shape[-1]
-    targets = leg_perm.targets[:, :, None] * d + np.arange(d)  # type: ignore[union-attr]
-    signs = np.repeat(leg_perm.signs, d, axis=1)  # type: ignore[union-attr]
-    return Representation(group, targets.reshape(group.order, -1), signs), blocks
+def _pose_blocks(iso: IsometrySet) -> np.ndarray:
+    """X -> H X H^-1 on the flattened homogeneous matrix; H is orthogonal
+    with zero translation, so this is kron(H, H) under row-major
+    flattening: entry (i p + k, j p + l) is the one product H_ij H_kl."""
+    d = iso.dim
+    h = np.zeros((len(iso.rotations), d + 1, d + 1))
+    h[:, :d, :d], h[:, d, d] = iso.rotations, 1.0
+    return (h[:, :, None, :, None] * h[:, None, :, None, :]).reshape(len(h), h[0].size, -1)
+
+
+def _kron_action(b: GroupBundle) -> tuple[Representation, np.ndarray]:
+    """Leg i's d-block moves to leg target[i]'s, then R turns every leg."""
+    d, legs = b.isometries.dim, b.leg_perm
+    targets = legs.targets[:, :, None] * d + np.arange(d)
+    perm = Representation(b.group, targets.reshape(b.group.order, -1), np.repeat(legs.signs, d, axis=1))
+    return perm, b.isometries.rotations
+
+
+def _contact_action(b: GroupBundle) -> tuple[Representation, None]:
+    states = contact_state_rep(b.leg_perm.dim, (b.leg_perm.targets, b.leg_perm.signs))
+    return Representation(b.group, states, np.ones(states.shape)), None
+
+
+# kind -> (the bundle fields it needs, named for the error, its dim given the
+# bundle and the raw field, its action on the bundle: the coordinate
+# permutation, None where no coordinate moves, and, where a rotation mixes
+# the coordinates, the (|G|, k, k) blocks applied to each k-chunk after it)
+_KINDS = {
+    "joint_space": (("joint_rep",), "a joint-space representation",
+                    lambda b, raw: b.joint_rep.dim, lambda b: (b.joint_rep, None)),
+    "e3_vector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim,
+                  lambda b: (None, b.isometries.rotations)),
+    "e3_pseudovector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim,
+                        lambda b: (None, b.isometries.dets[:, None, None] * b.isometries.rotations)),
+    "kron_perm_vector": (("leg_perm", "isometries"), "leg permutations and isometries",
+                         lambda b, raw: b.leg_perm.dim * b.isometries.dim, _kron_action),
+    "categorical_contact": (("leg_perm",), "leg permutations", lambda b, raw: 1 << b.leg_perm.dim,
+                            _contact_action),
+    "pose_conjugation": (("isometries",), "an isometry set", lambda b, raw: (b.isometries.dim + 1) ** 2,
+                         lambda b: (None, _pose_blocks(b.isometries))),
+    "invariant_scalar": ((), None, lambda b, raw: int(raw.get("dim", 1)), lambda b: (None, None)),
+}
+FIELD_KINDS = tuple(_KINDS)
+
+
+def _field_kind(name: str, kind: str, b: GroupBundle):
+    """The (dim, action) pair of a field's kind, once ``b`` holds the context it needs."""
+    if kind not in _KINDS:
+        raise SchemaError(f"field {name!r}: unknown kind {kind!r}")
+    needs, what, dim, action = _KINDS[kind]
+    if any(getattr(b, c) is None for c in needs):
+        raise SchemaError(f"field {name!r}: schema needs {what}")
+    return dim, action
 
 
 class AugmentationPlan:
@@ -209,29 +215,11 @@ def resolve_schema(
     leg_perm: Representation | None = None,
 ) -> MeasurementSchema:
     """Fill in field dims from the group context and validate them."""
-    d = isometries.dim if isometries is not None else 3
-    iso, legs = "an isometry set", "leg permutations"
-    # kind -> (the context it needs, named, its dim)
-    context = {
-        "joint_space": ((joint_rep,), "a joint-space representation", lambda: joint_rep.dim),
-        "e3_vector": ((isometries,), iso, lambda: d),
-        "e3_pseudovector": ((isometries,), iso, lambda: d),
-        "kron_perm_vector": ((leg_perm, isometries), f"{legs} and isometries", lambda: leg_perm.dim * d),
-        "categorical_contact": ((leg_perm,), legs, lambda: 1 << leg_perm.dim),
-        "pose_conjugation": ((isometries,), iso, lambda: (d + 1) ** 2),
-    }
+    context = GroupBundle(None, joint_rep, isometries, leg_perm)  # type: ignore[arg-type]
     fields = []
     for raw in raw_fields:
         name, kind = raw["name"], raw["kind"]
-        if kind not in FIELD_KINDS:
-            raise SchemaError(f"field {name!r}: unknown kind {kind!r}")
-        if kind == "invariant_scalar":
-            dim = int(raw.get("dim", 1))
-        else:
-            needs, what, size = context[kind]
-            if any(c is None for c in needs):
-                raise SchemaError(f"field {name!r}: schema needs {what}")
-            dim = size()  # type: ignore[no-untyped-call]
+        dim = _field_kind(name, kind, context)[0](context, raw)
         declared = raw.get("dim")
         if declared is not None and int(declared) != dim:
             raise SchemaError(f"field {name!r}: declared dim {declared} but kind implies {dim}")
@@ -247,15 +235,14 @@ def compile_schema(
     leg_perm: Representation | None = None,
 ) -> AugmentationPlan:
     """Build the row permutation and rotation blocks for a resolved schema."""
+    context = GroupBundle(group, joint_rep, isometries, leg_perm)  # type: ignore[arg-type]
     perms, rotations = [], []
     for f, sl in zip(schema.fields, schema.slices()):
-        try:
-            perm, blocks = _field_action(f, group, joint_rep, isometries, leg_perm)
-            dim = perm.dim
-        except AttributeError as exc:
-            raise SchemaError(f"field {f.name!r}: missing group context") from exc
-        if dim != f.dim:
-            raise SchemaError(f"field {f.name!r}: transform has dim {dim}, field dim is {f.dim}")
+        perm, blocks = _field_kind(f.name, f.kind, context)[1](context)
+        if perm is None:
+            perm = trivial_representation(group, f.dim if blocks is None else blocks.shape[-1])
+        if perm.dim != f.dim:
+            raise SchemaError(f"field {f.name!r}: transform has dim {perm.dim}, field dim is {f.dim}")
         perms.append(perm)
         if blocks is not None:
             rotations.append((sl, blocks, (blocks == np.eye(blocks.shape[-1])).all(axis=(1, 2))))

@@ -277,19 +277,6 @@ class BasisReport(NamedTuple):
     max_residual: float
     first_violation: tuple[int, int, tuple[int, int]] | None = None
 
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        line = (
-            f"{status}: rank {self.rank} (burnside {self.burnside}), "
-            f"{self.zero_forced} zero-forced orbit(s), max residual {self.max_residual:.3e}"
-        )
-        if self.rank != self.burnside:
-            line += "; orbit count disagrees with the trace count"
-        elif self.first_violation is not None:
-            g, k, (i, j) = self.first_violation
-            line += f"; first violation at element {g}, orbit {k}, entry ({i},{j})"
-        return line
-
 
 def validate_basis(
     basis: EquivBasis,

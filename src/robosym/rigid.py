@@ -146,8 +146,6 @@ class KinematicTree:
         stack = [self.root]
         while stack:
             name = stack.pop()
-            if name in reached:
-                raise TreeCycle(f"body {name!r} reached twice")
             reached.add(name)
             for j in children[name]:
                 parent, child = self._body_id[name], self._body_id[j.child]
@@ -380,12 +378,6 @@ class CandidateDMS:
             raise ValueError("isometry must be 3x3")
         self.det = check_isometry("'isometry'", self.isometry, CANDIDATE_TOL)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.isometry, self.joint_perm, self.body_pairing)
-                == (other.name, other.isometry, other.joint_perm, other.body_pairing))
-
     def validate_against(self, tree: KinematicTree) -> None:
         if len(self.joint_perm[0]) != tree.nj:
             raise DimMismatch(f"candidate {self.name!r}: joint permutation dim "
@@ -402,15 +394,6 @@ class CandidateDMS:
             return qjs_t
         r = self.isometry
         return merge_config(tree, r @ rot @ r.T, (r @ pos[..., None])[..., 0], qjs_t)
-
-    def velocity_matrix(self, tree: KinematicTree) -> np.ndarray:
-        t = np.zeros((tree.nv, tree.nv))
-        off = tree.nv - tree.nj
-        if tree.floating:
-            t[0:3, 0:3] = self.isometry
-            t[3:6, 3:6] = self.det * self.isometry
-        t[off:, off:] = _apply_signed(*self.joint_perm, np.eye(tree.nj, dtype=np.int64)).T
-        return t
 
 
 class CandidateReport(NamedTuple):
@@ -461,7 +444,7 @@ def _block_samples(candidates: list[CandidateDMS]) -> int:
 def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], samples: int,
                         rng_seed) -> np.ndarray:
     """(candidate, sample, term, body) violations of every term of ``_TERMS``:
-    body k at q against body ``pair[k]`` at g.q, with T(g) the velocity matrix.
+    body k at q against body ``pair[k]`` at g.q, with T(g) g's action on velocities.
     The samples go in blocks of ``_block_samples``; one kinematics pass covers
     a block's configurations q and every candidate's g.q."""
     for cand in candidates:
@@ -473,7 +456,14 @@ def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], sam
     # per candidate, shaped to broadcast over (sample, body)
     r = np.array([c.isometry for c in candidates]).reshape(nc, 1, 1, 3, 3)
     det_r = np.array([c.det for c in candidates]).reshape(nc, 1, 1, 1, 1) * r  # J_R maps under det(R) R
-    t = np.array([c.velocity_matrix(tree) for c in candidates]).reshape(nc, 1, nv, nv)
+    # T(g) on velocities: R on a floating base's v, det(R) R on its omega, then
+    # the signed joint permutation, T[off + target[i], off + i] = sign[i]
+    t, off = np.zeros((nc, nv, nv)), nv - tree.nj
+    if tree.floating:
+        t[:, 0:3, 0:3], t[:, 3:6, 3:6] = r[:, 0, 0], det_r[:, 0, 0]
+    target, sign = np.array([c.joint_perm for c in candidates], np.intp).reshape(nc, 2, tree.nj).swapaxes(0, 1)
+    t[np.arange(nc)[:, None], off + target, off + np.arange(tree.nj)] = sign
+    t = t.reshape(nc, 1, nv, nv)
     viol = np.empty((nc, samples, len(_TERMS), nb))
     viol[:, :, 0] = np.abs(tree._mass - tree._mass[pairs])[:, None]  # does not depend on the sample
 

@@ -536,9 +536,10 @@ class TestParseBoundaries:
         if case in self.MALFORMED_KEY:
             assert repr(self.MALFORMED_KEY[case]) in err
 
-    # a net spec or schema, read by net demo-train or augment: (command, the
-    # file's content, the error after "error: <file>: "); all but the first
-    # are checks against the group, made after the file is read
+    # a net spec, schema or generator file, read by net demo-train, augment or
+    # count: (command, the file's content, the error after "error: <file>: ");
+    # the net and schema cases but the first are checks against the group,
+    # made after the file is read
     EXACT_SPEC_SCHEMA = {
         "schema_dim_negative": ("augment",
                                 {"fields": [{"name": "a", "kind": "invariant_scalar", "dim": -2}]},
@@ -550,6 +551,9 @@ class TestParseBoundaries:
         "net_init_mode_bogus": ("net", {"rep": K4, "init_mode": "bogus"},
                                 "mode must be fan_in or fan_out, got 'bogus'"),
         "net_hidden_zero": ("net", {"rep": K4, "hidden": [0]}, "width 0 must be positive"),
+        "generator_target_short": ("count", {"dim": 2, "generators": [{"target": [1], "sign": [1, 1]}]},
+                                   "generator 0 (line 1): target/sign length must equal dim"),
+        "generators_empty": ("count", {"dim": 2, "generators": []}, "no generators"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXACT_SPEC_SCHEMA))
@@ -557,13 +561,12 @@ class TestParseBoundaries:
         command, content, message = self.EXACT_SPEC_SCHEMA[case]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
-        if command == "net":
-            argv = ["net", "demo-train", "--net-spec", str(bad), "--steps", "1"]
-        else:
-            data = tmp_path / "data.csv"
-            data.write_text("x\n1\n")
-            argv = ["augment", "--group", SOLO_GROUP, "--schema", str(bad), "--in", str(data),
-                    "--out", str(tmp_path / "o.csv")]
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n")
+        argv = {"net": ["net", "demo-train", "--net-spec", str(bad), "--steps", "1"],
+                "count": ["count", "--rep-in", str(bad)],
+                "augment": ["augment", "--group", SOLO_GROUP, "--schema", str(bad), "--in", str(data),
+                            "--out", str(tmp_path / "o.csv")]}[command]
         assert run(*argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
@@ -637,6 +640,24 @@ class TestParseBoundaries:
                            "unhashable type: 'list'"),
         "body_negative_mass": ("robot", lambda d: d["bodies"][1].update(mass=-1.0),
                                "body 'leg_l': negative mass"),
+        "base_wheeled": ("robot", lambda d: d.update(base="wheeled"),
+                         "base must be 'fixed' or 'floating', got 'wheeled'"),
+        "body_duplicate": ("robot", lambda d: d["bodies"].append(dict(d["bodies"][1])),
+                           "duplicate body name 'leg_l'"),
+        "joint_spherical": ("robot", lambda d: d["joints"][0].update(type="spherical"),
+                            "joint 'hip_l': unknown type 'spherical'"),
+        "joint_unknown_parent": ("robot", lambda d: d["joints"][0].update(parent="pelvis"),
+                                 "joint 'hip_l': unknown parent or child body"),
+        "body_two_parents": ("robot",
+                             lambda d: d["joints"].append(dict(d["joints"][1], name="hip_x", child="leg_l")),
+                             "body 'leg_l' has more than one parent joint"),
+        "joint_axis_norm_2": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 2.0, 0.0]),
+                              "joint 'hip_l': axis must have unit norm"),
+        # a body whose only parent joint is its own: a cycle cut off from the root
+        "joint_self_loop": ("robot", lambda d: (d["bodies"].append(dict(d["bodies"][1], name="x")),
+                                                d["joints"].append(dict(d["joints"][1], name="loop",
+                                                                        parent="x", child="x"))),
+                            "unreachable bodies: ['x']"),
         "pairing_not_bijection": ("candidates",
                                   lambda d: d["candidates"][0]["body_pairing"].update(torso="leg_l"),
                                   "candidate 'sagittal': body pairing is not a bijection on bodies"),
@@ -825,6 +846,11 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: {option} must be a positive finite number"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_nonlinearity_exits_2(self, capsys):
+        assert run("net", "init-stats", "--group", K4, "--nonlinearity", "bogus") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: unknown nonlinearity 'bogus'"]
 
     @pytest.mark.parametrize("key, value, width", [
         ("hidden", [0], 0), ("hidden", [-4], -4), ("output", -4, -4)],

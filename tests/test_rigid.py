@@ -181,6 +181,44 @@ class TestForwardKinematics:
                 np.testing.assert_allclose(refl @ ck, ci, atol=1e-14)
 
 
+class TestFixedJoints:
+    """A fixed-joint foot on each leg of the minibiped: no DoF, rigidly carried."""
+
+    @pytest.fixture(scope="class")
+    def footed(self):
+        robot = json.loads((FIXTURES / "minibiped.json").read_text())
+        cands = json.loads((FIXTURES / "minibiped_candidates.json").read_text())["candidates"]
+        for side, other in (("l", "r"), ("r", "l")):
+            robot["bodies"].append({"name": f"foot_{side}", "mass": 0.3, "com": [0.0, 0.02, -0.05],
+                                    "inertia": [0.002, 0.0, 0.0, 0.003, 0.0, 0.001]})
+            robot["joints"].append({"name": f"ankle_{side}", "parent": f"leg_{side}",
+                                    "child": f"foot_{side}", "type": "fixed", "origin_xyz": [0, 0, -0.4]})
+            cands[0]["body_pairing"][f"foot_{side}"] = f"foot_{other}"
+        tree = tree_from_dict(robot)
+        c = cands[0]
+        perm = (c["joint_perm"]["target"], c["joint_perm"]["sign"])
+        return tree, CandidateDMS(c["name"], np.array(c["isometry"]), perm, c["body_pairing"])
+
+    def test_foot_pose_is_leg_pose_composed_with_the_joint_origin(self, footed):
+        tree, _ = footed
+        assert tree.nj == 2
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            poses = forward_kinematics(tree, random_config(tree, rng))
+            for side in "lr":
+                leg_rot, leg_pos = poses[f"leg_{side}"]
+                foot_rot, foot_pos = poses[f"foot_{side}"]
+                np.testing.assert_array_equal(foot_rot, leg_rot)  # the origin has no rotation
+                np.testing.assert_array_equal(foot_pos, leg_pos + leg_rot @ [0.0, 0.0, -0.4])
+
+    def test_sagittal_candidate_with_feet_paired_verifies(self, footed):
+        tree, cand = footed
+        report = identify_dms(tree, [cand], samples=50, rng_seed=1)
+        assert report.verified == ["sagittal"] and report.group.order == 2
+        c = report.candidates[0]
+        assert max(c.dynamic_violation, c.kinematic_violation, c.mass_matrix_violation) <= 1e-12
+
+
 class TestJacobians:
     def test_zero_dof_tree_empty(self):
         tree = tree_from_dict(
