@@ -384,12 +384,10 @@ def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> int:
         for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
             x = rows[start : start + CSV_BLOCK_ROWS]
             cells = np.abs(x).view(np.uint64).ravel()
-            text, miss = np.empty(cells.size, table_text.dtype), np.ones(cells.size, bool)
-            if len(table) > 1:  # some magnitude repeats; sorted lookups run about twice as fast
-                order = cells.argsort()
-                at = np.empty_like(order)
-                at[order] = table.searchsorted(cells[order])
-                text, miss = table_text[at], table[at] != cells
+            order = cells.argsort()  # sorted lookups run about twice as fast
+            at = np.empty_like(order)
+            at[order] = table.searchsorted(cells[order])
+            text, miss = table_text[at], table[at] != cells  # the sentinel matches no magnitude
             text[miss] = _csv_records(cells[miss].view(float))
             lines = np.empty((len(x), x.shape[1] * CSV_RECORD + 1), np.uint8)
             lines[:, :-1] = text.view(np.uint8).reshape(lines[:, :-1].shape)
@@ -417,10 +415,6 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     row.  Blank lines before the first row and after the last are ignored; a
     blank line between rows, a row of another width or a value ``float()``
     rejects raises ``ParseError`` naming its line."""
-    with open(path, "rb") as f:
-        # a line break other than "\n" (e.g. a lone "\r") can only add rows;
-        # the array then grows below
-        capacity = sum(b.count(b"\n") for b in iter(lambda: f.read(1 << 20), b""))
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline().strip()
@@ -428,14 +422,13 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
                 raise ParseError(f"{path}: missing header line")
             names = header.split(",")
             width = len(names)
-            rows = np.empty((capacity, width))
-            n, lineno, blank = 0, 1, 0
+            parsed, lineno, blank = [np.empty((0, width))], 1, 0
             while block := list(islice(f, CSV_BLOCK_ROWS)):
                 lines, first, error = [], 0, None  # the block's rows, consecutive from line `first`
                 for line in "".join(block).splitlines():
                     lineno += 1
                     if not line.strip():
-                        if (n or lines) and not blank:
+                        if (lines or len(parsed) > 1) and not blank:
                             blank = lineno
                         continue
                     if blank:
@@ -448,15 +441,12 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
                         continue
                     break
                 if lines:  # parsed before a structural error is raised, so the first bad line is named
-                    if n + len(lines) > len(rows):
-                        rows = np.concatenate([rows[:n], np.empty((max(n, len(lines)), width))])
-                    rows[n : n + len(lines)] = _parse_rows(path, lines, first, width)
-                    n += len(lines)
+                    parsed.append(_parse_rows(path, lines, first, width))
                 if error:
                     raise ParseError(f"{path}: {error}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return names, rows[:n]
+    return names, np.concatenate(parsed)
 
 
 def _parse_rows(path: str, lines: list[str], first: int, width: int) -> np.ndarray:

@@ -223,9 +223,7 @@ def _nullspace_by_elimination(a: np.ndarray, tol: float) -> np.ndarray:
     basis = np.zeros((cols, len(free_cols)))
     basis[free_cols, np.arange(len(free_cols))] = 1.0
     basis[pivot_cols] = -a[: len(pivot_cols), free_cols]
-    if basis.shape[1] == 0:
-        return basis
-    q, _ = np.linalg.qr(basis)
+    q, _ = np.linalg.qr(basis)  # (cols, 0) when the nullspace is empty
     return q
 
 

@@ -169,81 +169,80 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
         return nets.build_mlp(rep_in, rep_out, hidden, nonlinearity, init_mode, rng_seed=seed)
 
 
-def cmd_net(args) -> int:
-    if args.action == "init-stats":
-        _, rep = load_representation(args.group)
-        profile = nets.activation_variance_profile(
-            args.depth,
-            args.width,
-            rep.group,
-            nets.get_nonlinearity(args.nonlinearity),
-            args.mode if args.const_var is None else args.const_var,
-            batch=args.batch,
-            rng_seed=args.seed,
-        )
-        print("layer  std(pre-activation)")
-        for i, s in enumerate(profile):
-            print(f"{i + 1:5d}  {s:.6f}")
-        ratio = float(profile[-1] / profile[0])
-        print(f"std(last)/std(first) = {ratio:.4f}")
-        _emit(args, {"profile": profile.tolist(), "ratio": ratio}, None)
-        return EXIT_OK
+def cmd_net_init_stats(args) -> int:
+    _, rep = load_representation(args.group)
+    profile = nets.activation_variance_profile(
+        args.depth,
+        args.width,
+        rep.group,
+        nets.get_nonlinearity(args.nonlinearity),
+        args.mode if args.const_var is None else args.const_var,
+        batch=args.batch,
+        rng_seed=args.seed,
+    )
+    print("layer  std(pre-activation)")
+    for i, s in enumerate(profile):
+        print(f"{i + 1:5d}  {s:.6f}")
+    ratio = float(profile[-1] / profile[0])
+    print(f"std(last)/std(first) = {ratio:.4f}")
+    _emit(args, {"profile": profile.tolist(), "ratio": ratio}, None)
+    return EXIT_OK
 
-    if args.action == "verify":
-        net = _build_net_from_spec(args.net_spec)
-        nets.load_weights(net, args.weights)
-        rep = nets.check_equivariance(net, samples=args.samples, tol=args.tol, rng_seed=args.seed)
-        print(str(rep))
-        _emit(
-            args,
-            {
-                "passed": rep.passed,
-                "max_violation": rep.max_violation,
-                "element": rep.worst_element,
-                "sample": rep.worst_sample,
-            },
-            None,
-        )
-        return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
 
-    if args.action == "demo-train":
-        net = _build_net_from_spec(args.net_spec)
-        rng = np.random.default_rng(args.seed)
-        teacher = nets.EquivNet([nets.EquivLayer(layer.rep_in, layer.rep_out, layer.nonlinearity,
-                                                 rng.standard_normal(layer.coeffs.shape) * 0.7)
-                                 for layer in net.layers])
-        x = rng.standard_normal((args.batch, net.input_dim))
-        target, _ = nets.forward(teacher, x)
+def cmd_net_verify(args) -> int:
+    net = _build_net_from_spec(args.net_spec)
+    nets.load_weights(net, args.weights)
+    rep = nets.check_equivariance(net, samples=args.samples, tol=args.tol, rng_seed=args.seed)
+    print(str(rep))
+    _emit(
+        args,
+        {
+            "passed": rep.passed,
+            "max_violation": rep.max_violation,
+            "element": rep.worst_element,
+            "sample": rep.worst_sample,
+        },
+        None,
+    )
+    return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
 
-        def loss_and_grads():
-            y, _ = nets.forward(net, x)
-            diff = y - target
-            loss = float((diff**2).mean())
-            grads = nets.grad_coeffs(net, x, 2.0 * diff / diff.size)
-            return loss, grads
 
-        # a rate too large overflows to inf or NaN: the loss line shows it, exit code 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss0, _ = loss_and_grads()
-            for _ in range(args.steps):
-                _, grads = loss_and_grads()
-                for layer, g in zip(net.layers, grads):
-                    layer.coeffs = layer.coeffs - args.lr * g.coeffs
-                    layer.bias_coeffs = layer.bias_coeffs - args.lr * g.bias_coeffs
-            loss1, _ = loss_and_grads()
-        print(f"loss {loss0:.6f} -> {loss1:.6f} after {args.steps} gradient steps")
-        out = args.out
-        if out:
-            try:
-                nets.save_weights(net, out)
-                print(f"wrote weights to {out}")
-            except ParseError as exc:  # a non-finite coefficient, which the loss line shows
-                print(f"no weights written to {out}: {exc}")
-                out = None
-        _emit(args, {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}, out)
-        return EXIT_OK if loss1 < loss0 and out == args.out else EXIT_VERIFY_FAIL
+def cmd_net_demo_train(args) -> int:
+    net = _build_net_from_spec(args.net_spec)
+    rng = np.random.default_rng(args.seed)
+    teacher = nets.EquivNet([nets.EquivLayer(layer.rep_in, layer.rep_out, layer.nonlinearity,
+                                             rng.standard_normal(layer.coeffs.shape) * 0.7)
+                             for layer in net.layers])
+    x = rng.standard_normal((args.batch, net.input_dim))
+    target, _ = nets.forward(teacher, x)
 
-    raise RoboSymError(f"unknown net action {args.action!r}")
+    def loss_and_grads():
+        y, _ = nets.forward(net, x)
+        diff = y - target
+        loss = float((diff**2).mean())
+        grads = nets.grad_coeffs(net, x, 2.0 * diff / diff.size)
+        return loss, grads
+
+    # a rate too large overflows to inf or NaN: the loss line shows it, exit code 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss0, _ = loss_and_grads()
+        for _ in range(args.steps):
+            _, grads = loss_and_grads()
+            for layer, g in zip(net.layers, grads):
+                layer.coeffs = layer.coeffs - args.lr * g.coeffs
+                layer.bias_coeffs = layer.bias_coeffs - args.lr * g.bias_coeffs
+        loss1, _ = loss_and_grads()
+    print(f"loss {loss0:.6f} -> {loss1:.6f} after {args.steps} gradient steps")
+    out = args.out
+    if out:
+        try:
+            nets.save_weights(net, out)
+            print(f"wrote weights to {out}")
+        except ParseError as exc:  # a non-finite coefficient, which the loss line shows
+            print(f"no weights written to {out}: {exc}")
+            out = None
+    _emit(args, {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}, out)
+    return EXIT_OK if loss1 < loss0 and out == args.out else EXIT_VERIFY_FAIL
 
 
 def cmd_robot(args) -> int:
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     ns.add_argument("--batch", type=int, default=256)
     ns.add_argument("--seed", type=int, default=0)
     ns.add_argument("--json", action="store_true")
-    ns.set_defaults(func=cmd_net)
+    ns.set_defaults(func=cmd_net_init_stats)
 
     nv = nsub.add_parser("verify", help="check equivariance of a weights file")
     nv.add_argument("--net-spec", required=True)
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     nv.add_argument("--tol", type=float, default=1e-10)
     nv.add_argument("--seed", type=int, default=0)
     nv.add_argument("--json", action="store_true")
-    nv.set_defaults(func=cmd_net)
+    nv.set_defaults(func=cmd_net_verify)
 
     nd = nsub.add_parser("demo-train", help="tiny gradient-descent regression demo")
     nd.add_argument("--net-spec", required=True)
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     nd.add_argument("--seed", type=int, default=0)
     nd.add_argument("--out", default=None)
     nd.add_argument("--json", action="store_true")
-    nd.set_defaults(func=cmd_net)
+    nd.set_defaults(func=cmd_net_demo_train)
 
     r = sub.add_parser("robot", help="robot symmetry certification")
     rsub = r.add_subparsers(dest="action", required=True)

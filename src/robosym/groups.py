@@ -399,8 +399,10 @@ def generator_arrays(path: str, data) -> tuple[np.ndarray, np.ndarray]:
         try:
             gens.append(parse_generator(entry, dim))
         except (ValueError, ParseError, TypeError) as exc:
-            with open(path, encoding="utf-8") as f:
-                line = _line_of_occurrence(f.read(), '"target"', i)
+            line = None  # the i-th "target" token is this entry's only if the entry holds one
+            if isinstance(entry, dict) and "target" in entry:
+                with open(path, encoding="utf-8") as f:
+                    line = _line_of_occurrence(f.read(), '"target"', i)
             where = f"line {line}" if line is not None else f"index {i}"
             raise ParseError(f"generator {i} ({where}): {exc}") from exc
     if not gens:

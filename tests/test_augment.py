@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, closure, dense, gpm
+from robosym import augment
 from robosym.augment import (
     IsometrySet,
     augment_dataset,
@@ -521,7 +522,7 @@ class TestCsvRoundtrip:
             "no_rows": np.zeros((0, 3)),
             "bit_patterns": self.BIT_PATTERNS,
             "signed_repeats": self._signed_repeats(),
-            # all magnitudes distinct, so no value is looked up
+            # all magnitudes distinct, so every lookup misses
             "no_repeats": (np.sqrt(np.arange(2, 7702)) * np.resize([1, -1], 7700)).reshape(1100, 7),
         }[shape]
         names = [f"c_{i}" for i in range(rows.shape[1])]
@@ -602,7 +603,7 @@ class TestCsvRoundtrip:
             ("1,2\r3,4\r", 2),
             ("1,2\x0c3,4\x0c", 2),
             ("1,2\u20283,4\u2028", 2),
-            # capacity from the "\n" count is 0, so the array grows, over three blocks
+            # no "\n" after the header: 1,500 rows over three blocks
             ("1,2\r3,4\r" * 750, 1500),
             # blank lines before the first row span three blocks
             ("\n" * 1200 + "1,2\n3,4\n", 2),
@@ -615,6 +616,19 @@ class TestCsvRoundtrip:
         _, back = read_csv(str(path))
         expected = np.array([[1.0, 2.0], [3.0, 4.0]] * (rows // 2))
         assert back.tobytes() == expected.tobytes()
+
+    def test_read_opens_its_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        path.write_text("a,b\n1,2\n3,4\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(augment, "open", counting_open, raising=False)
+        _, rows = read_csv(str(path))
+        assert opened == [str(path)] and rows.shape == (2, 2)
 
     def test_failed_chunk_stream_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.csv"

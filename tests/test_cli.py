@@ -554,6 +554,11 @@ class TestParseBoundaries:
         "generator_target_short": ("count", {"dim": 2, "generators": [{"target": [1], "sign": [1, 1]}]},
                                    "generator 0 (line 1): target/sign length must equal dim"),
         "generators_empty": ("count", {"dim": 2, "generators": []}, "no generators"),
+        "generator_dim_zero": ("count", {"dim": 0, "generators": [{"target": [], "sign": []}]},
+                               "generator 0 (line 1): dim must be positive, got 0"),
+        # the only "target" token is generator 1's, so generator 0 is named by its index
+        "generator_without_target": ("count", {"dim": 2, "generators": [{"sign": [1, 1]}, SWAP]},
+                                     "generator 0 (index 0): generator needs 'target' and 'sign' arrays"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXACT_SPEC_SCHEMA))
@@ -580,17 +585,19 @@ class TestParseBoundaries:
         assert err.startswith(f"error: {rep}: ") and str(spec) not in err
 
     @pytest.mark.parametrize(
-        "body, line",
-        [("1,2\n\n3,4\n", 3), ("1,2\n3\n", 3), ("1,2\n3,4,5\n", 3), ("1,2\n1,x\n", 3)],
-        ids=["blank", "short", "long", "not_a_number"],
+        "text, where",
+        [("x,y\n1,2\n\n3,4\n", "line 3: "), ("x,y\n1,2\n3\n", "line 3: "),
+         ("x,y\n1,2\n3,4,5\n", "line 3: "), ("x,y\n1,2\n1,x\n", "line 3: "),
+         ("", "missing header line")],
+        ids=["blank", "short", "long", "not_a_number", "empty_file"],
     )
-    def test_malformed_csv_names_the_line(self, tmp_path, capsys, body, line):
+    def test_malformed_csv_names_the_line(self, tmp_path, capsys, text, where):
         data = tmp_path / "data.csv"
-        data.write_text("x,y\n" + body)
+        data.write_text(text)
         assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
                    "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
         err = capsys.readouterr().err
-        assert f"{data}: line {line}: " in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {data}: {where}") and len(err.splitlines()) == 1
 
 
     # (file, entry list, entry index, path to the number inside the entry)
@@ -640,6 +647,10 @@ class TestParseBoundaries:
                            "unhashable type: 'list'"),
         "body_negative_mass": ("robot", lambda d: d["bodies"][1].update(mass=-1.0),
                                "body 'leg_l': negative mass"),
+        "body_com_2": ("robot", lambda d: d["bodies"][0].update(com=[0.0, 0.0]),
+                       "body 'torso': com must have 3 entries"),
+        "body_inertia_5": ("robot", lambda d: d["bodies"][0].update(inertia=[0.1, 0.0, 0.0, 0.2, 0.0]),
+                           "body 'torso': inertia needs 6 upper-triangular entries"),
         "base_wheeled": ("robot", lambda d: d.update(base="wheeled"),
                          "base must be 'fixed' or 'floating', got 'wheeled'"),
         "body_duplicate": ("robot", lambda d: d["bodies"].append(dict(d["bodies"][1])),
@@ -745,7 +756,12 @@ FUZZ_CASES = {
     "net_spec_rep_int": ("--net-spec", _edited(lambda d: d.update(rep=5))),
     "weights_coeffs_object": ("--weights",
                               _edited(lambda d: d["layers"][0].update(coeffs={"a": 1}))),
+    "weights_bias_hash": ("--weights", _edited(lambda d: d["layers"][0].update(bias_basis_hash="0" * 16))),
+    "weights_coeff_missing": ("--weights", _edited(lambda d: d["layers"][0]["coeffs"].pop())),
 }
+# the error after "error: <file>: ", where a case pins it
+FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch",
+                 "weights_coeff_missing": "layer 0 coefficient count mismatch"}
 
 
 class TestJsonFuzz:
@@ -775,7 +791,7 @@ class TestJsonFuzz:
             assert run(*map(str, argv)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith(f"error: {bad}: ")
+        assert err.startswith(f"error: {bad}: {FUZZ_MESSAGES.get(case, '')}")
 
     def test_non_utf8_csv_names_the_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -1,9 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its lists match the code."""
 
+import argparse
 import re
 from pathlib import Path
 
 from robosym.augment import FIELD_KINDS
+from robosym.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +21,19 @@ def test_schema_file_paragraph_lists_every_field_kind_in_order():
     paragraph = README.read_text().split("**Schema file**", 1)[1].split("\n\n", 1)[0]
     listing = paragraph.split("field kinds", 1)[1].split("Field dims", 1)[0]
     assert re.findall(r"`([a-z0-9]+_\w+)`", listing) == list(FIELD_KINDS)
+
+
+def _commands(parser, words=("robosym",)):
+    """Every command ``parser`` runs, as typed: ``robosym net verify``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(words)]
+    return [c for name, sub in subs[0].choices.items() for c in _commands(sub, (*words, name))]
+
+
+def test_cli_section_shows_every_command():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = _commands(build_parser())
+    assert "robosym net demo-train" in commands and "robosym robot verify" in commands
+    assert [c for c in commands if not re.search(rf"^{re.escape(c)}( |$)", block, re.M)] == []
