@@ -35,6 +35,8 @@ ORACLE_TOL = 1e-10
 TRACE_ENTRIES = 1 << 16  # entries per slab of the |G| x mn tables, one row at least; <= 2^30
 TRACE_CAP = 1 << 31  # mn bound of the int32 tracing tables
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
+# [:, v]: v as three ASCII digits, 000 to 999
+_DIGITS = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3).T.copy()
 
 
 class Orbits(_ReadOnly):
@@ -103,18 +105,17 @@ class EquivBasis(_ReadOnly):
 
 def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
     """Orbits numbered by their smallest coordinates; entries ordered by one in-place
-    sort of the unique int64 keys orbit * mn + index, which stay below mn^2 < 2^62."""
+    sort of the unique int64 keys (orbit + 1) << 32 | index, as mn < 2^31."""
     if not coords.size:
         return Orbits([], [], [])
-    mn = canon.size
-    keys = np.zeros(mn, dtype=np.intp)
-    keys[canon[coords]] = mn  # at each orbit's smallest coordinate
-    keys = np.cumsum(keys, out=keys)[canon[coords]]  # (orbit + 1) * mn
-    keys -= mn
-    keys += coords
+    keys = np.zeros(canon.size, dtype=np.intp)
+    keys[canon[coords]] = 1 << 32  # at each orbit's smallest coordinate
+    keys = np.cumsum(keys, out=keys)[canon[coords]]  # (orbit + 1) << 32
+    keys |= coords
     keys.sort()
-    index = np.empty_like(keys)
-    np.divmod(keys, mn, out=(keys, index))
+    index = keys & 0xFFFFFFFF
+    keys >>= 32
+    keys -= 1
     sign = sign[index]
     index.flags.writeable = sign.flags.writeable = keys.flags.writeable = False
     return Orbits(index, sign, keys)
@@ -341,11 +342,13 @@ def _orbits_json(orbits: Orbits, sep: str, colon: str):
         buf = np.repeat(template, opens[block].size, axis=1)
         buf[: len(sep), 0] *= lo > 0
         buf[head] *= opens[block]
-        q = orbits.index[block]
-        for row in range(units, units - width, -1):
-            shown = (q > 0) | (row == units)  # a leading zero is dropped, a units digit never
-            q, r = np.divmod(q, 10)
-            buf[row] = (r + ord("0")) * shown
+        index = q = orbits.index[block].astype(np.int32)
+        for k in range(0, width, 3):  # digits k, k + 1 and k + 2 from the right, fewer at the top
+            q, r = np.divmod(q, 1000)
+            top = min(k + 3, width)
+            buf[units - top + 1 : units - k + 1] = np.take(_DIGITS[3 - top + k :], r, axis=1)
+        for k in range(1, width):
+            buf[units - k] *= index >= 10**k  # a leading zero is dropped, a units digit never
         buf[minus] *= orbits.sign[block] < 0
         buf[tail] *= closes[block]
         yield buf.T.tobytes().translate(None, b"\0").decode()

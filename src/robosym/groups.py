@@ -22,6 +22,7 @@ from .fileio import json_input
 T = TypeVar("T")
 
 DEFAULT_ORDER_CAP = 1024
+CLOSE_ENTRIES = 1 << 16  # product entries per slab of the closure, one element's at least
 
 
 def _checked_signed(targets, signs) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +87,7 @@ class FiniteGroup(_ReadOnly):
     identity = 0
 
     def __init__(self, cayley: np.ndarray, inverse: np.ndarray, generator_indices: tuple[int, ...] = ()):
-        cayley, inverse = np.array(cayley, dtype=np.intp), np.array(inverse, dtype=np.intp)
+        cayley, inverse = np.array(cayley, dtype=np.intp, order="C"), np.array(inverse, dtype=np.intp)
         cayley.flags.writeable = inverse.flags.writeable = False
         self.__dict__.update(cayley=cayley, inverse=inverse, generator_indices=generator_indices)
         if self.cayley.shape != (self.order, self.order) or self.inverse.shape != (self.order,):
@@ -193,46 +194,56 @@ def group_closure(
     if len(dims) != 1:
         raise DimMismatch(f"generators have mixed dims {sorted(dims)}")
 
-    dim = dims.pop()
-    elem_t = [np.arange(dim, dtype=np.intp)]
-    elem_s = [np.ones(dim, dtype=np.int8)]
-    index = {elem_t[0].tobytes() + elem_s[0].tobytes(): 0}
-    right = []  # right[x][j]: index of element x times generator j
-    found_by = [(0, 0)]  # element b was found as element x times generator j
+    # Element x is one int32 row of codes, target * 2 + [sign < 0], keyed by the
+    # row's bytes; x times generator j is codes[x][target_j] ^ [sign_j < 0].
+    dim, k = dims.pop(), len(gens)
+    gen_t, gen_neg = np.array([t for t, _ in gens]), np.array([s < 0 for _, s in gens], np.int32)
+    codes = np.arange(0, 2 * dim, 2, dtype=np.int32)[None].copy()
+    index = {codes[0].tobytes(): 0}
+    right, found = [], [[0]]  # right[x * k + j]: x times generator j; element b > 0 is first right[found[b]]
+    rows, width = max(1, CLOSE_ENTRIES // max(k * dim, 1)), 4 * dim
     x = 0
-    while x < len(elem_t):
-        row = []
-        for j, (gen_t, gen_s) in enumerate(gens):
-            t, s = elem_t[x][gen_t], gen_s * elem_s[x][gen_t]
-            key = t.tobytes() + s.tobytes()
-            k = index.get(key)
-            if k is None:
-                if len(elem_t) >= order_cap:
-                    raise ClosureExceeded(
-                        f"closure exceeds cap of {order_cap} elements; "
-                        "generators may not generate a finite group of that size"
-                    )
-                k = index[key] = len(elem_t)
-                elem_t.append(t)
-                elem_s.append(s)
-                found_by.append((x, j))
-            row.append(k)
-        right.append(row)
-        x += 1
+    while x < len(index):  # the next slab of found elements, each times every generator
+        n = len(index)
+        prod = codes[x : min(x + rows, n)][:, gen_t]
+        prod ^= gen_neg
+        raw = prod.tobytes()  # the products' keys, element first and generator second
+        ids = [index.setdefault(raw[i * width : (i + 1) * width], len(index))  # a new one gets the next index
+               for i in range(len(prod) * k)]
+        if len(index) > order_cap:
+            raise ClosureExceeded(
+                f"closure exceeds cap of {order_cap} elements; "
+                "generators may not generate a finite group of that size"
+            )
+        if len(index) > n:
+            seen = np.maximum.accumulate([n - 1] + ids)
+            first = np.flatnonzero(seen[1:] > seen[:-1])  # where each new element is found
+            if len(index) > len(codes):  # grown in place: no view of codes is alive
+                codes.resize((min(order_cap, 2 * len(index)), dim), refcheck=False)
+            codes[n : len(index)] = prod.reshape(-1, dim)[first]
+            found.append(first + x * k)
+        right += ids
+        x += len(prod)
 
-    # Column b of the Cayley table: a b = (a x) gen_j when b = x gen_j, and
-    # x was found before b.
-    order = len(elem_t)
-    right_arr = np.array(right, dtype=np.intp)
-    cayley = np.empty((order, order), dtype=np.intp)
-    cayley[:, 0] = np.arange(order)
-    for b in range(1, order):
-        x, j = found_by[b]
-        cayley[:, b] = right_arr[cayley[:, x], j]
-    inverse = (cayley == 0).argmax(axis=1)
-    gen_indices = tuple(index[t.tobytes() + s.tobytes()] for t, s in gens)
-    group = FiniteGroup(cayley, inverse, gen_indices)
-    return group, Representation(group, np.stack(elem_t), np.stack(elem_s))
+    # Column b of the Cayley table: a b = (a x) gen_j when b = x gen_j.  Columns are
+    # rows of cayley_t, filled a BFS level at a time: the elements found by those before.
+    order = len(index)
+    found_x, found_j = np.divmod(np.concatenate(found), k)
+    found_j *= order  # the offset of generator j's products in right_t
+    right_t = np.array(right).reshape(order, k).T.ravel()  # right_t[j * order + x]
+    cayley_t = np.empty((order, order), dtype=np.intp)  # cayley_t[b, a] = a b
+    cayley_t[0] = np.arange(order)
+    lo = 1
+    while lo < order:
+        hi = int(np.searchsorted(found_x, lo))
+        level = cayley_t[found_x[lo:hi]]
+        level += found_j[lo:hi, None]
+        cayley_t[lo:hi] = right_t[level]
+        lo = hi
+    inverse = (cayley_t == 0).argmax(axis=1)  # cayley_t[a, c] = c a is the identity at c = a^-1
+    group = FiniteGroup(cayley_t.T, inverse, tuple(right[:k]))  # identity times generator j
+    codes = codes[:order]
+    return group, Representation(group, codes >> 1, 1 - 2 * (codes & 1))
 
 
 def make_cyclic(k: int, block_dim: int = 1) -> tuple[FiniteGroup, Representation]:

@@ -417,6 +417,17 @@ class TestBasisSerialization:
         assert '[[0, 1], [9, -1], [10, 1]]' in basis_text(basis)
 
     @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
+    def test_seven_to_ten_digit_indices(self, monkeypatch, block):
+        # digits are written three at a time; 7 and 10 digits leave a partial
+        # top group, and 2^31 - 2 is the largest index below the tracer's cap
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        index = [999999, 10**6, 10**7 - 1, 10**9, 2**31 - 2]
+        orbits = Orbits(index, [1, -1, 1, 1, -1], [0, 0, 1, 1, 1])
+        basis = EquivBasis(2**16, 2**15, orbits, Orbits([7, 123456789], [1, -1], [0, 0]))
+        self.assert_text_is_json_dumps(basis)
+        assert '[[9999999, 1], [1000000000, 1], [2147483646, -1]]' in basis_text(basis)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
     def test_zero_forced_orbit_with_negative_signs(self, monkeypatch, block):
         monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
         _, rep = closure(gpm([1, 0], [-1, 1]))  # e0 -> -e1 -> -e0: order 4

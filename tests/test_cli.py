@@ -29,6 +29,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def unwritable_outs(tmp_path):
+    """An --out in a missing directory and an --out that is a directory, each
+    with the one error line that names it."""
+    missing, taken = tmp_path / "missing" / "out", tmp_path / "taken"
+    taken.mkdir()
+    return [(missing, f"error: [Errno 2] No such file or directory: '{missing}'"),
+            (taken, f"error: [Errno 21] Is a directory: '{taken}'")]
+
+
 class TestBasisCmd:
     def test_c2_swap_two_orbits(self, tmp_path, capsys):
         out = tmp_path / "basis.json"
@@ -59,6 +68,12 @@ class TestBasisCmd:
         out = tmp_path / "taken"
         out.mkdir()
         assert run("basis", "--rep-in", C2, "--out", str(out)) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_unwritable_out_is_named_by_its_path(self, tmp_path, capsys):
+        for out, message in unwritable_outs(tmp_path):
+            assert run("basis", "--rep-in", C2, "--out", str(out)) == 2
+            assert capsys.readouterr().err.splitlines() == [message]
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_map_above_the_tracer_cap_exits_2(self, tmp_path, capsys):
@@ -148,6 +163,14 @@ class TestAugmentCmd:
         expected = aug.orbit_average(plan, rows) if flag else aug.augment_dataset(plan, rows)
         lines = [",".join(schema.column_names())] + [",".join(f"{v:.17g}" for v in r) for r in expected]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_unwritable_out_is_named_by_its_path(self, tmp_path, capsys):
+        path, _ = self._write_dataset(tmp_path)
+        for out, message in unwritable_outs(tmp_path):
+            assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
+                       "--in", str(path), "--out", str(out)) == 2
+            assert capsys.readouterr().err.splitlines() == [message]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "taken"]
 
     def test_json_report_sizes(self, tmp_path):
         path, rows = self._write_dataset(tmp_path, n=10)

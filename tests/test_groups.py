@@ -2,16 +2,19 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import closure, dense, dense_perm, gpm, make_c3, make_d8, make_k4
+from robosym import groups as groups_module
 from robosym.errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError
 from robosym.groups import (
     FiniteGroup,
     act,
     direct_sum,
+    group_closure,
     load_representation,
     load_representation_pair,
     make_cyclic,
@@ -30,6 +33,55 @@ def element_order(group, a: int) -> int:
         x = group.cayley[x, a]
         k += 1
     return k
+
+
+def sequential_closure(targets, signs, order_cap):
+    """The breadth-first closure one element and one generator at a time:
+    element targets and signs, Cayley table, inverses and generator indices."""
+    gens = [gpm(t, s) for t, s in zip(targets, signs)]
+    dim = len(gens[0][0])
+    elem_t, elem_s = [np.arange(dim)], [np.ones(dim, dtype=np.int8)]
+    index = {elem_t[0].tobytes() + elem_s[0].tobytes(): 0}
+    right, found_by = [], [(0, 0)]  # right[x][j]: x times generator j, first found as found_by[b]
+    x = 0
+    while x < len(elem_t):
+        right.append([])
+        for j, (gen_t, gen_s) in enumerate(gens):
+            t, s = elem_t[x][gen_t], gen_s * elem_s[x][gen_t]
+            key = t.tobytes() + s.tobytes()
+            if key not in index:
+                if len(elem_t) >= order_cap:
+                    raise ClosureExceeded(f"closure exceeds cap of {order_cap} elements")
+                index[key] = len(elem_t)
+                elem_t.append(t)
+                elem_s.append(s)
+                found_by.append((x, j))
+            right[x].append(index[key])
+        x += 1
+    order, right = len(elem_t), np.array(right)
+    cayley = np.empty((order, order), dtype=np.intp)
+    cayley[:, 0] = np.arange(order)
+    for b in range(1, order):
+        x, j = found_by[b]
+        cayley[:, b] = right[cayley[:, x], j]
+    gen_indices = tuple(index[t.tobytes() + s.tobytes()] for t, s in gens)
+    return np.stack(elem_t), np.stack(elem_s), cayley, (cayley == 0).argmax(axis=1), gen_indices
+
+
+def assert_closure_is_sequential(targets, signs, order_cap):
+    """group_closure returns what sequential_closure returns, or raises
+    ClosureExceeded exactly when it does; the group order, or None."""
+    try:
+        expected = sequential_closure(targets, signs, order_cap)
+    except ClosureExceeded:
+        with pytest.raises(ClosureExceeded):
+            group_closure(targets, signs, order_cap=order_cap)
+        return None
+    group, rep = group_closure(targets, signs, order_cap=order_cap)
+    for got, want in zip((rep.targets, rep.signs, group.cayley, group.inverse), expected):
+        np.testing.assert_array_equal(got, want)
+    assert group.generator_indices == expected[4]
+    return group.order
 
 
 class TestGenPermMatrix:
@@ -128,6 +180,32 @@ class TestClosure:
             else:
                 with pytest.raises(ValueError, match=re.escape(expected)):
                     bad.validate()
+
+    @pytest.mark.parametrize("targets, signs, order_cap", [
+        ([list(range(1, 12)) + [0]], [[1] * 12], 12),  # 12 levels of one element
+        ([list(range(1, 12)) + [0]], [[1] * 12], 11),
+        ([list(range(8))] * 4, [[-1 if i // 2 == j else 1 for i in range(8)] for j in range(4)], 16),
+        ([[1, 0, 2], [1, 0, 2], [0, 1, 2], [0, 2, 1]], [[1, -1, 1], [1, -1, 1], [1, 1, 1], [1, 1, -1]], 256),
+        ([[]], [[]], 1),
+    ], ids=["c12", "c12_over_cap", "z2_4_sign_flips_dim8", "repeated_and_identity", "dim0"])
+    @pytest.mark.parametrize("entries", [1, 100, groups_module.CLOSE_ENTRIES])
+    def test_matches_the_sequential_reference(self, monkeypatch, targets, signs, order_cap, entries):
+        # slabs of one element, of a few (which split levels), and the default
+        monkeypatch.setattr(groups_module, "CLOSE_ENTRIES", entries)
+        assert_closure_is_sequential(targets, signs, order_cap)
+
+    def test_peak_at_the_order_cap(self):
+        # (Z2)^10 on its regular representation: order 1024 on dim 1024 with
+        # ten generators, the closure's widest levels at its cap.  It peaks at
+        # 41.8 MiB, and at 52.8 MiB when built one product at a time
+        idx = np.arange(1024)
+        tracemalloc.start()
+        try:
+            group, _ = group_closure([idx ^ (1 << j) for j in range(10)], np.ones((10, 1024)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group.order == 1024 and peak < 48 * 2**20
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureExceeded):

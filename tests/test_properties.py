@@ -1,5 +1,6 @@
 """Property tests: augmentation on the fixture bundles, with drawn rows, and
-the three rank routes, the action and basis-file text on drawn generator sets."""
+the closure, the three rank routes, the action, free orbits and basis-file
+text on drawn generator sets."""
 
 import hashlib
 import json
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, dense
+from conftest import FIXTURES, basis_to_dict, compose, dense, gpm
 from robosym import basis as basis_module
 from robosym.augment import (
     augment_dataset,
@@ -28,6 +29,7 @@ from robosym.basis import (
 )
 from robosym.errors import ClosureExceeded
 from robosym.groups import Representation, act, group_closure, verify_homomorphism
+from test_groups import assert_closure_is_sequential
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -107,21 +109,69 @@ def test_orbit_average_is_idempotent(case):
 
 
 @st.composite
-def signed_pair(draw):
-    """Representations of one group on R^n and R^m from drawn signed
-    generators, closed jointly as the pair loader does."""
+def signed_generators(draw):
+    """1 to 4 signed permutations of one dim from 0 to 6, as target and sign lists."""
+    dim = draw(st.integers(0, 6))
+    targets, signs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        targets.append(draw(st.permutations(range(dim))))
+        signs.append(draw(st.lists(st.sampled_from([-1, 1]), min_size=dim, max_size=dim)))
+    return targets, signs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(signed_generators())
+def test_closure_matches_the_sequential_reference(gens):
+    order = assert_closure_is_sequential(*gens, order_cap=256)
+    if order:  # a cap of the group's order, then of one element less
+        assert assert_closure_is_sequential(*gens, order_cap=order) == order
+        assert order == 1 or assert_closure_is_sequential(*gens, order_cap=order - 1) is None
+
+
+@st.composite
+def pair_generators(draw, count=st.integers(1, 3)):
+    """n and signed generators on R^(n+m), each a signed permutation of the
+    first n coordinates beside one of the last m."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     targets, signs = [], []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(count)):
         moved = [n + i for i in draw(st.permutations(range(m)))]
         targets.append(draw(st.permutations(range(n))) + moved)
         signs.append(draw(st.lists(st.sampled_from([-1, 1]), min_size=n + m, max_size=n + m)))
+    return n, targets, signs
+
+
+def close_pair(n, targets, signs):
+    """Representations of one group on R^n and R^m, closed jointly as the
+    pair loader does."""
     try:
         group, rep = group_closure(targets, signs, order_cap=256)
     except ClosureExceeded:
         hypothesis.reject()
     return (Representation(group, rep.targets[:, :n], rep.signs[:, :n]),
             Representation(group, rep.targets[:, n:] - n, rep.signs[:, n:]))
+
+
+@st.composite
+def signed_pair(draw):
+    """Representations of one group on R^n and R^m from drawn signed generators."""
+    return close_pair(*draw(pair_generators()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pair_generators(st.integers(2, 3)))
+def test_generator_lists_of_one_group_give_the_same_free_orbits(case):
+    # [a1 a2, a2, ..., ak] reversed generates the group that [a1, ..., ak] does.
+    # Zero-forced orbits are the same coordinates, but their signs may differ
+    n, targets, signs = case
+    a = [gpm(t, s) for t, s in zip(targets, signs)]
+    other = ([compose(a[0], a[1])] + a[1:])[::-1]
+    one, two = close_pair(n, targets, signs), close_pair(n, [t for t, _ in other], [s for _, s in other])
+    assert one[0].group.order == two[0].group.order
+    for x, y in ((orbit_basis(*one), orbit_basis(*two)), (bias_basis(one[1]), bias_basis(two[1]))):
+        assert x.orbits == y.orbits
+        np.testing.assert_array_equal(x.zero_forced.index, y.zero_forced.index)
+        np.testing.assert_array_equal(x.zero_forced.orbit, y.zero_forced.orbit)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
