@@ -11,6 +11,7 @@ held as a dense matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from operator import matmul
 from typing import NamedTuple
@@ -76,8 +77,8 @@ class MeasurementSchema(NamedTuple):
     def width(self) -> int:
         return sum(f.dim for f in self.fields)
 
-    def column_names(self) -> list[str]:
-        return [f"{f.name}_{i}" for f in self.fields for i in range(f.dim)]
+    def column_names(self) -> Iterator[str]:
+        return (f"{f.name}_{i}" for f in self.fields for i in range(f.dim))
 
     def slices(self) -> list[slice]:
         ends = np.cumsum([0] + [f.dim for f in self.fields]).tolist()
@@ -363,7 +364,7 @@ def load_schema(path: str) -> list[dict]:
         return data["fields"]
 
 
-def write_csv(path: str, column_names: list[str], rows: np.ndarray) -> int:
+def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray) -> int:
     """Write a header line of ``column_names`` and one line per row, every
     value as ``%.17g`` (it parses back to the same float), streamed to the
     atomic writer ``CSV_BLOCK_ROWS`` rows at a time.  A magnitude that occurs

@@ -67,8 +67,8 @@ class EquivBasis(_ReadOnly):
     """Signed-orbit basis of the space of equivariant m x n linear maps.
 
     ``orbits`` hold one free coefficient each; ``zero_forced`` orbits are
-    coordinates pinned to zero by a sign contradiction and carry no
-    coefficient.  For bias bases use n = 1.
+    coordinates pinned to zero by a sign contradiction, and carry no
+    coefficient and sign +1 throughout.  For bias bases use n = 1.
     """
 
     def __init__(self, m: int, n: int, orbits: Orbits, zero_forced: Orbits):
@@ -124,39 +124,35 @@ def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Or
 def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbits, Orbits]:
     """Orbits of vec(W) under the action on linear maps, free and zero-forced.
 
-    Row g of each slab is the action of g^-1, so the first minimum over the
-    group axis finds, for coordinate i, the orbit's smallest coordinate c
-    and the first element g (in group order) that sends c onto i.  The sign
-    g^-1 gives i equals the sign g gives c, which is the sign the orbit
-    stores at i.  An orbit is zero-forced when some element fixes one of
-    its coordinates with sign -1.  Slabs of ``TRACE_ENTRIES`` int32 targets
-    (one element's if mn is more) keep memory O(mn) whatever |G|.
+    Row g of each slab is the action of g, so the minimum over the group axis
+    of target << 1 | [sign < 0] finds, for coordinate i, its orbit's smallest
+    coordinate c and the sign an element sending i onto c gives i.  In a free
+    orbit all such elements agree (two that differed would fix c with sign
+    -1): that is the sign the orbit stores at i.  An orbit is zero-forced when
+    some element fixes one of its coordinates with sign -1; then both signs
+    send i onto c, and the minimum stores +1.  Slabs of ``TRACE_ENTRIES``
+    int32 targets (one element's if mn is more) keep memory O(mn) whatever |G|.
     """
     group = rep_out.group
     mn = rep_out.dim * rep_in.dim
     if mn >= TRACE_CAP:
         raise CapExceeded(f"mn = {mn} exceeds the orbit tracer's cap {TRACE_CAP - 1}")
     rows = max(1, TRACE_ENTRIES // max(mn, 1))
-    shift = (2 * rows - 1).bit_length()  # keys < 2^shift mn <= max(4 TRACE_ENTRIES, 2 mn)
     coords = np.arange(mn, dtype=np.int32)
-    best = coords.view(np.uint32) << shift  # the identity, element 0, maps i to itself with sign +1
-    flip = np.zeros(mn, dtype=np.int8)  # 1 where the stored sign is -1
+    best = coords.view(np.uint32) << 1  # the identity, element 0, maps i to itself with sign +1
     dead = np.zeros(mn, dtype=bool)
     for start in range(1, group.order, rows):  # element 0 is in best already
-        t, s = _linear_map_action(rep_in, rep_out, group.inverse[start : start + rows])
+        t, s = _linear_map_action(rep_in, rep_out, slice(start, start + rows))
         neg = s < 0
         dead |= ((t == coords) & neg).any(axis=0)
         key = t.view(np.uint32)
-        key <<= shift
+        key <<= 1
         key |= neg
-        key |= np.arange(0, 2 * len(t), 2, dtype=np.uint32)[:, None]
-        key = key.min(axis=0)  # target << shift | 2 row | [sign < 0]: the first minimum
-        better = key < best  # best keeps no row bits, so an earlier slab wins a tie
-        np.bitwise_and(key, 1, out=flip, where=better, casting="unsafe")
-        np.bitwise_and(key, ~np.uint32((1 << shift) - 1), out=best, where=better)
+        np.minimum(best, key.min(axis=0), out=best)  # target << 1 | [sign < 0]
     if group.order > 1:
-        del t, s, neg, key, better  # the last slab, before the orbits are grouped
-    canon, sign = np.right_shift(best, shift, out=best).view(np.int32), 1 - 2 * flip
+        del t, s, neg, key  # the last slab, before the orbits are grouped
+    sign = 1 - 2 * (best & 1).astype(np.int8)
+    canon = np.right_shift(best, 1, out=best).view(np.int32)
     return _group_orbits(coords[~dead], canon, sign), _group_orbits(coords[dead], canon, sign)
 
 
@@ -165,9 +161,9 @@ def orbit_basis(rep_in: Representation, rep_out: Representation) -> EquivBasis:
 
     The orbit of each flat coordinate of vec(W) under the group action on
     linear maps becomes one basis vector, unless some element maps a
-    coordinate onto another with contradictory signs, in which case the
-    whole orbit is forced to zero.  Output orbits are sorted by their
-    smallest flat index.
+    coordinate onto another with contradictory signs: then the whole orbit
+    is forced to zero, with every sign +1.  Orbits are sorted by their
+    smallest flat index, so the basis depends only on the group's action.
     """
     if rep_in.group != rep_out.group:
         raise GroupMismatch("input and output representations must share a group")

@@ -22,7 +22,7 @@ import numpy as np
 from . import augment as aug
 from . import basis as bas
 from . import nets, rigid
-from .errors import ParseError, RoboSymError, parse_int
+from .errors import ParseError, RoboSymError, parse_int, parse_int_list
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     load_representation,
@@ -103,28 +103,18 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _compile_from_files(args):
+def cmd_augment(args) -> int:
     bundle = aug.load_group_bundle(args.group)
     raw_fields = aug.load_schema(args.schema)
     with errors_named(args.schema):  # the schema's fields against the group
-        schema = aug.resolve_schema(
-            raw_fields, bundle.joint_rep, bundle.isometries, bundle.leg_perm
-        )
-    plan = aug.compile_schema(
-        schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm
-    )
-    return bundle, schema, plan
-
-
-def cmd_augment(args) -> int:
-    bundle, schema, plan = _compile_from_files(args)
+        schema = aug.resolve_schema(raw_fields, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
     names, rows = aug.read_csv(args.infile)
     rows_in = rows.shape[0]
-    expected = schema.column_names()
-    if names != expected:
-        raise RoboSymError(
-            f"CSV header does not match schema: got {names[:4]}..., expected {expected[:4]}..."
-        )
+    # the widths first: nothing is built to the schema's declared size before the file confirms it
+    if len(names) != schema.width or names != list(schema.column_names()):
+        raise RoboSymError(f"CSV header does not match schema: got {names[:4]}..., "
+                           f"expected {list(itertools.islice(schema.column_names(), 4))}...")
+    plan = aug.compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
     if args.orbit_average:
         out_rows = aug.orbit_average(plan, rows)
         action = "orbit-averaged"
@@ -132,7 +122,7 @@ def cmd_augment(args) -> int:
         out_rows = aug.augment_dataset(plan, rows)
         action = "augmented"
     del rows  # the input is freed before the output is formatted
-    distinct = aug.write_csv(args.out, expected, out_rows)
+    distinct = aug.write_csv(args.out, names, out_rows)
     print(f"{action} {rows_in} rows into {out_rows.shape[0]} (group order "
           f"{bundle.group.order}) -> {args.out}")
     _emit(
@@ -155,8 +145,9 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
         if not isinstance(spec, dict) or "rep" not in spec:
             raise ParseError("net spec has no 'rep' key")
         hidden = spec.get("hidden", [])
-        if not isinstance(hidden, list) or not all(isinstance(w, int) for w in hidden):
+        if not isinstance(hidden, list):
             raise ParseError("'hidden' must be a list of integer widths")
+        hidden = parse_int_list("hidden", hidden)
         rep_path = str(Path(path).parent / spec["rep"])
         out_spec = spec.get("output", "input")
         output = None if out_spec == "input" else parse_int("output", out_spec)

@@ -391,10 +391,12 @@ def load_weights(net: EquivNet, path: str) -> None:
         for li, (layer, entry) in enumerate(zip(net.layers, entries)):
             if not isinstance(entry, dict):
                 raise ParseError(f"'layers' entry {li} is not an object")
-            if entry.get("basis_hash") != layer.basis.fingerprint:
-                raise ParseError(f"layer {li} basis hash mismatch")
-            if entry.get("bias_basis_hash") != layer.bias_basis.fingerprint:
-                raise ParseError(f"layer {li} bias basis hash mismatch")
+            for key, what, basis in (("basis_hash", "basis", layer.basis),
+                                     ("bias_basis_hash", "bias basis", layer.bias_basis)):
+                stored = entry.get(key)
+                if stored != basis.fingerprint:  # the file's value is named as repr, on one line
+                    raise ParseError(f"layer {li} {what} hash mismatch: file has {stored!r}, "
+                                     f"basis is {basis.fingerprint!r}")
             for key in ("coeffs", "bias_coeffs"):
                 if key not in entry:
                     raise ParseError(f"layer {li} has no {key!r} key")

@@ -24,6 +24,7 @@ from robosym.basis import (
 )
 from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonIntegralRank
 from robosym.groups import (
+    FiniteGroup,
     Representation,
     act,
     load_representation,
@@ -432,7 +433,7 @@ class TestBasisSerialization:
         monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
         _, rep = closure(gpm([1, 0], [-1, 1]))  # e0 -> -e1 -> -e0: order 4
         basis = bias_basis(rep)
-        assert basis.rank == 0 and (basis.zero_forced.sign < 0).any()
+        assert basis.rank == 0 and (basis.zero_forced.sign == 1).all()  # zero-forced signs are +1
         self.assert_text_is_json_dumps(basis)
         self.assert_text_is_json_dumps(orbit_basis(rep, rep))
 
@@ -516,7 +517,9 @@ def _reference_basis_dict(rep_in, rep_out) -> dict:
             i, s = images[seed]
             consistent &= reached.setdefault(i, s) == s
         visited.update(reached)
-        (orbits if consistent else dead).append({"entries": sorted([i, s] for i, s in reached.items())})
+        # a zero-forced orbit carries no coefficient, and every sign in it is +1
+        (orbits if consistent else dead).append({"entries": sorted([i, s if consistent else 1]
+                                                                   for i, s in reached.items())})
     return {"m": m, "n": n, "orbits": orbits, "zero_forced": dead}
 
 
@@ -542,7 +545,8 @@ def _random_pair(rng):
 
 class TestRefactorSafetyNet:
     def test_fingerprints_pinned(self, all_pairs):
-        # weights files store these hashes, so they may never change
+        # weights files store these hashes, and a file whose hash changed no longer
+        # loads: one changes only with the basis file's definition
         pinned = json.loads((FIXTURES / "basis_fingerprints.json").read_text())
         assert len(pinned) == len(all_pairs)
         for label, rep_in, rep_out in all_pairs:
@@ -566,6 +570,34 @@ class TestRefactorSafetyNet:
             if rep_in.dim * rep_out.dim <= 256:
                 assert basis.rank == dense_nullspace_oracle(rep_in, rep_out).shape[1], label
             assert validate_basis(basis, rep_in, rep_out).passed, label
+
+    @staticmethod
+    def relabelled(rep_in, rep_out, rng):
+        """The pair with the group's non-identity elements relabelled at random:
+        old element a becomes p[a] in the Cayley table, the inverses, the
+        generator indices and both representations' rows alike."""
+        group = rep_in.group
+        p = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
+        q = np.argsort(p)  # q[p[a]] = a
+        relabelled = FiniteGroup(p[group.cayley[q][:, q]], p[group.inverse[q]],
+                                 tuple(int(p[g]) for g in group.generator_indices))
+        relabelled.validate()
+        return tuple(Representation(relabelled, r.targets[q], r.signs[q]) for r in (rep_in, rep_out))
+
+    def test_relabelled_elements_give_the_same_basis_bytes(self, all_pairs):
+        # the basis depends only on the group's action, also in its zero-forced orbits
+        _, swap_neg = closure(gpm([1, 0], [-1, 1]))  # order 4, a zero-forced bias basis
+        d8 = next((r_in, r_out) for label, r_in, r_out in all_pairs if label == "d8:planar2->planar2")
+        rng = np.random.default_rng(24)
+        for rep_in, rep_out in (d8, (swap_neg, swap_neg)):
+            bases = (orbit_basis(rep_in, rep_out), bias_basis(rep_out))
+            assert any(len(b.zero_forced) for b in bases)
+            for _ in range(4):
+                other_in, other_out = self.relabelled(rep_in, rep_out, rng)
+                for x, y in zip(bases, (orbit_basis(other_in, other_out), bias_basis(other_out))):
+                    for separators in ((", ", ": "), (",", ":")):
+                        assert basis_text(x, separators) == basis_text(y, separators)
+                    assert basis_fingerprint(x) == basis_fingerprint(y)
 
     def test_chunk_size_does_not_change_basis(self, all_pairs, monkeypatch):
         # entry budgets of 1 (one element per slab), 3, and above |G| * mn

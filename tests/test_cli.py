@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -193,6 +194,24 @@ class TestAugmentCmd:
         assert run("augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA,
                    "--in", str(path), "--out", str(tmp_path / "o.csv")) == 2
         assert "header" in capsys.readouterr().err
+
+    def test_header_width_is_checked_before_the_schema_sizes_anything(self, tmp_path, capsys):
+        # a schema declaring 10^7 columns against a one-column file: no plan and
+        # no list of 10^7 names is built before the header is refused
+        schema = tmp_path / "wide.json"
+        schema.write_text(json.dumps({"fields": [{"name": "s", "kind": "invariant_scalar", "dim": 10**7}]}))
+        path = tmp_path / "one.csv"
+        path.write_text("x\n1\n")
+        tracemalloc.start()
+        try:
+            code = run("augment", "--group", SOLO_GROUP, "--schema", str(schema),
+                       "--in", str(path), "--out", str(tmp_path / "o.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        assert capsys.readouterr().err.splitlines() == [
+            "error: CSV header does not match schema: got ['x']..., expected ['s_0', 's_1', 's_2', 's_3']..."]
 
     def test_roundtrip_values_exact(self, tmp_path):
         from robosym.augment import read_csv
@@ -492,6 +511,7 @@ class TestParseBoundaries:
         "schema_fields_not_list": ("augment", "--schema", {"fields": 3}),
         "generators_not_list": ("count", "--rep-in", {"dim": 2, "generators": 3}),
         "hidden_not_list": ("net", "--net-spec", {"rep": K4, "hidden": "ab"}),
+        "hidden_bool": ("net", "--net-spec", {"rep": K4, "hidden": [4, True]}),
         "generator_dim_list": ("count", "--rep-in", {"dim": [2], "generators": []}),
         "net_seed_list": ("net", "--net-spec", {"rep": K4, "seed": [4]}),
         "net_output_list": ("net", "--net-spec", {"rep": K4, "output": [4]}),
@@ -526,7 +546,7 @@ class TestParseBoundaries:
                                                            {**STAY, "isometry": np.eye(2).tolist()}]}),
     }
     # the key a case's error must name, where the file has one at fault
-    MALFORMED_KEY = {"generator_dim_list": "dim", "net_seed_list": "seed",
+    MALFORMED_KEY = {"generator_dim_list": "dim", "net_seed_list": "seed", "hidden_bool": "hidden",
                      "net_output_list": "output", "schema_dim_list": "dim",
                      "generator_dim_float": "dim", "generator_dim_bool": "dim",
                      "generator_target_float": "target", "schema_dim_float": "dim",
@@ -574,6 +594,11 @@ class TestParseBoundaries:
         "net_init_mode_bogus": ("net", {"rep": K4, "init_mode": "bogus"},
                                 "mode must be fan_in or fan_out, got 'bogus'"),
         "net_hidden_zero": ("net", {"rep": K4, "hidden": [0]}, "width 0 must be positive"),
+        # a JSON boolean is no width, also where it would be a valid one (true as 1)
+        "net_hidden_bool": ("net", {"rep": K4, "hidden": [True]},
+                            "entry 0: 'hidden' must be an integer, got bool"),
+        "net_hidden_bool_trivial": ("net", {"rep": TRIV, "hidden": [True, 2]},
+                                    "entry 0: 'hidden' must be an integer, got bool"),
         "generator_target_short": ("count", {"dim": 2, "generators": [{"target": [1], "sign": [1, 1]}]},
                                    "generator 0 (line 1): target/sign length must equal dim"),
         "generators_empty": ("count", {"dim": 2, "generators": []}, "no generators"),

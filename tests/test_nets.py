@@ -328,8 +328,12 @@ class TestWeightsFile:
         path = tmp_path / "w.json"
         save_weights(net, str(path))
         other = build_mlp(reps["tiled16"], reps["tiled16"], [16], RELU, rng_seed=3)
-        with pytest.raises(ParseError, match="hash"):
+        with pytest.raises(ParseError, match="hash") as raised:
             load_weights(other, str(path))
+        # the line names the file's hash and the basis's, so a basis change shows
+        stored, expected = net.layers[0].basis.fingerprint, other.layers[0].basis.fingerprint
+        assert str(raised.value).endswith(
+            f"layer 0 basis hash mismatch: file has {stored!r}, basis is {expected!r}")
 
     @pytest.mark.parametrize("key", ["coeffs", "bias_coeffs"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

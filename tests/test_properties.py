@@ -161,17 +161,19 @@ def signed_pair(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(pair_generators(st.integers(2, 3)))
 def test_generator_lists_of_one_group_give_the_same_free_orbits(case):
-    # [a1 a2, a2, ..., ak] reversed generates the group that [a1, ..., ak] does.
-    # Zero-forced orbits are the same coordinates, but their signs may differ
+    # [a1 a2, a2, ..., ak] reversed generates the group that [a1, ..., ak] does,
+    # so the two lists give the same basis files and fingerprints, zero-forced
+    # orbits included
     n, targets, signs = case
     a = [gpm(t, s) for t, s in zip(targets, signs)]
     other = ([compose(a[0], a[1])] + a[1:])[::-1]
     one, two = close_pair(n, targets, signs), close_pair(n, [t for t, _ in other], [s for _, s in other])
     assert one[0].group.order == two[0].group.order
     for x, y in ((orbit_basis(*one), orbit_basis(*two)), (bias_basis(one[1]), bias_basis(two[1]))):
-        assert x.orbits == y.orbits
-        np.testing.assert_array_equal(x.zero_forced.index, y.zero_forced.index)
-        np.testing.assert_array_equal(x.zero_forced.orbit, y.zero_forced.orbit)
+        assert x.orbits == y.orbits and x.zero_forced == y.zero_forced
+        for separators in ((", ", ": "), (",", ":")):
+            assert "".join(basis_json_chunks(x, separators)) == "".join(basis_json_chunks(y, separators))
+        assert basis_fingerprint(x) == basis_fingerprint(y)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
