@@ -23,6 +23,7 @@ from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     FiniteGroup,
     Representation,
+    _ReadOnly,
     act,
     direct_sum,
     extend_by_words,
@@ -40,7 +41,7 @@ CSV_RECORD = 25  # bytes per value written: separator, sign, %.17g of the magnit
 _CSV_SIGNS = bytes.maketrans(b"\1", b"-")  # a sign byte is 1 for "-", 0 for none
 
 
-class IsometrySet:
+class IsometrySet(_ReadOnly):
     """One orthogonal d x d matrix per group element: the spatial
     rotations/reflections the group imitates, restricted to linear isometries
     fixing the origin.  ``rotations`` is a read-only (|G|, d, d) array and
@@ -48,13 +49,12 @@ class IsometrySet:
     """
 
     def __init__(self, group: FiniteGroup, rotations):
-        self.group = group
-        r = self.rotations = np.array(rotations, dtype=float)
+        r = np.array(rotations, dtype=float)
         if r.ndim != 3 or len(r) != group.order:
             raise ValueError("need one d x d isometry per group element")
-        self.dets = np.array([check_isometry(f"isometry {g}", m, PLAN_TOL) for g, m in enumerate(r)])
-        self.dim = r.shape[-1]
-        r.flags.writeable = self.dets.flags.writeable = False
+        dets = np.array([check_isometry(f"isometry {g}", m, PLAN_TOL) for g, m in enumerate(r)])
+        r.flags.writeable = dets.flags.writeable = False
+        self.__dict__.update(group=group, rotations=r, dets=dets, dim=r.shape[-1])
         if not np.abs(r[group.identity] - np.eye(self.dim)).max() <= PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
         for g in group.elements():

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded, GroupMismatch, NonIntegralRank
 from .groups import (
+    TRACE_CAP,
     Representation,
     _ReadOnly,
     _linear_map_action,
@@ -33,7 +34,6 @@ from .groups import (
 ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
 TRACE_ENTRIES = 1 << 16  # entries per slab of the |G| x mn tables, one row at least; <= 2^30
-TRACE_CAP = 1 << 31  # mn bound of the int32 tracing tables
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
 # [:, v]: v as three ASCII digits, 000 to 999
 _DIGITS = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3).T.copy()

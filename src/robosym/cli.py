@@ -351,11 +351,6 @@ def _validate(args) -> None:
             raise RoboSymError(f"--{attr} must be >= 1")
     if getattr(args, "seed", 0) < 0:
         raise RoboSymError("--seed must be >= 0")
-    for attr in ("rep_in", "rep_out", "group", "schema", "infile", "net_spec",
-                 "weights", "robot", "candidates"):
-        path = getattr(args, attr, None)
-        if path is not None and not os.path.exists(path):
-            raise RoboSymError(f"input file not found: {path}")
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,8 @@ built by breadth-first closure of a generator list, so element ordering
 
 from __future__ import annotations
 
+import itertools
+import re
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -23,6 +25,7 @@ T = TypeVar("T")
 
 DEFAULT_ORDER_CAP = 1024
 CLOSE_ENTRIES = 1 << 16  # product entries per slab of the closure, one element's at least
+TRACE_CAP = 1 << 31  # m*n bound of _linear_map_action's int32 tables, so also a tiled width's
 
 
 def _checked_signed(targets, signs) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +305,7 @@ def _linear_map_action(rep_in: Representation, rep_out: Representation, elements
 
     ``elements`` is an index array or slice over the group; the rows follow
     the row-major convention vec(W)[i*n + j] = W[i, j].  Targets are int32,
-    so m*n must be below 2^31.
+    so m*n must be below ``TRACE_CAP``.
     """
     n = rep_in.dim
     t = np.add(rep_out.targets[elements, :, None] * n, rep_in.targets[elements, None, :], dtype=np.int32)
@@ -333,6 +336,8 @@ def tiled_regular_representation(group: FiniteGroup, width: int) -> Representati
     """Copies of the regular representation stacked to the requested width."""
     if width < 1:
         raise IncompatibleWidth(f"width {width} must be positive")
+    if width >= TRACE_CAP:
+        raise IncompatibleWidth(f"width {width} exceeds the orbit tracer's cap {TRACE_CAP - 1}")
     if width % group.order != 0:
         raise IncompatibleWidth(
             f"width {width} is not a multiple of the group order {group.order}"
@@ -376,29 +381,6 @@ def verify_homomorphism(rep: Representation) -> HomomorphismReport:
     return HomomorphismReport(True, checked)
 
 
-def _line_of_occurrence(text: str, token: str, occurrence: int) -> int | None:
-    """1-based line of the n-th occurrence of token, or None."""
-    pos = -1
-    for _ in range(occurrence + 1):
-        pos = text.find(token, pos + 1)
-        if pos < 0:
-            return None
-    return text.count("\n", 0, pos) + 1
-
-
-def parse_generator(entry: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """A generator entry {"target": [...], "sign": [...]} as checked
-    (target, sign) arrays of length ``dim``."""
-    if "target" not in entry or "sign" not in entry:
-        raise ParseError("generator needs 'target' and 'sign' arrays")
-    target, sign = (parse_int_list(key, entry[key]) for key in ("target", "sign"))
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if len(target) != dim:
-        raise ValueError("target/sign length must equal dim")
-    return signed_permutation(target, sign)
-
-
 def generator_arrays(path: str, data) -> tuple[np.ndarray, np.ndarray]:
     """``load_generator_file``'s arrays from ``data``, decoded from ``path``
     inside ``json_input(path)``, which names the file."""
@@ -408,13 +390,22 @@ def generator_arrays(path: str, data) -> tuple[np.ndarray, np.ndarray]:
     gens = []
     for i, entry in enumerate(data["generators"]):
         try:
-            gens.append(parse_generator(entry, dim))
+            if "target" not in entry or "sign" not in entry:
+                raise ParseError("generator needs 'target' and 'sign' arrays")
+            target, sign = (parse_int_list(key, entry[key]) for key in ("target", "sign"))
+            if dim <= 0:
+                raise ValueError(f"dim must be positive, got {dim}")
+            if len(target) != dim:
+                raise ValueError("target/sign length must equal dim")
+            gens.append(signed_permutation(target, sign))
         except (ValueError, ParseError, TypeError) as exc:
-            line = None  # the i-th "target" token is this entry's only if the entry holds one
+            line = None  # each earlier entry passed, so holds a "target" key: the i-th is this entry's
             if isinstance(entry, dict) and "target" in entry:
                 with open(path, encoding="utf-8") as f:
-                    line = _line_of_occurrence(f.read(), '"target"', i)
-            where = f"line {line}" if line is not None else f"index {i}"
+                    text = f.read()
+                key = next(itertools.islice(re.finditer(r'"target"\s*:', text), i, None), None)
+                line = key and text.count("\n", 0, key.start()) + 1
+            where = f"line {line}" if line else f"index {i}"
             raise ParseError(f"generator {i} ({where}): {exc}") from exc
     if not gens:
         raise ParseError("no generators")
@@ -425,7 +416,8 @@ def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load {"dim": n, "generators": [{"target": [...], "sign": [...]}, ...]}
     as (k, n) target and sign arrays.
 
-    Validation failures report the generator's line in the file.
+    A failing generator is named with its line in the file, that of the
+    i-th ``"target"`` key for generator i, or by its index when it has none.
     """
     with json_input(path) as data:
         return generator_arrays(path, data)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_int_list
 from .fileio import errors_named, json_input
-from .groups import FiniteGroup, Representation, _apply_signed, group_closure, signed_permutation
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Representation, _apply_signed, group_closure,
+                     signed_permutation)
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
@@ -507,7 +508,7 @@ def _candidate_report(tree: KinematicTree, cand: CandidateDMS, viol: np.ndarray,
 
 
 def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,
-                 tol: float = 1e-8, rng_seed=0, order_cap: int = 1024) -> IdentifyReport:
+                 tol: float = 1e-8, rng_seed=0, order_cap: int = DEFAULT_ORDER_CAP) -> IdentifyReport:
     """Certify candidate symmetries numerically and close the verified set.
 
     Per candidate this checks, on sampled configurations: dynamic-parameter

@@ -73,6 +73,16 @@ class TestIsometrySet:
         with pytest.raises(ValueError, match=r"Cayley table at \(1,1\)"):
             IsometrySet(group, [np.eye(3), rot])
 
+    @pytest.mark.parametrize("name", ["group", "rotations", "dets", "dim"])
+    def test_attributes_are_read_only(self, name):
+        group, _ = closure(gpm([1, 0]))
+        iso = IsometrySet(group, [np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+        with pytest.raises(AttributeError):
+            setattr(iso, name, None)
+        with pytest.raises(AttributeError):
+            delattr(iso, name)
+        assert iso.group is group and iso.dim == 3 and iso.dets.tolist() == [1, -1]
+
     def test_tolerances_pinned(self, tmp_path):
         # orthogonal to 1e-10: inside a candidate's 1e-9, outside a group file's 1e-12
         r = np.diag([-1.0, 1.0, 1.0])

@@ -106,6 +106,13 @@ class TestCountCmd:
         assert run("count", "--rep-in", FLIP, "--rep-out", TRIV) == 0
         assert "r=0" in capsys.readouterr().out
 
+    def test_escaped_target_key_exits_2_with_one_line(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(r'{"dim": 2, "generators": [{"\u0074arget": [0, 0], "sign": [1, 1]}]}')
+        assert run("count", "--rep-in", str(rep)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {rep}: generator 0 (index 0): target is not a permutation of 0..dim-1"]
+
     def test_mismatched_generator_counts_exit_2(self, capsys):
         assert run("count", "--rep-in", K4, "--rep-out", FLIP) == 2
         assert "generator" in capsys.readouterr().err
@@ -302,6 +309,25 @@ class TestNetCmd:
         out = capsys.readouterr().out
         ratio = float(out.strip().splitlines()[-1].split("=")[1])
         assert ratio < 0.1
+
+    @pytest.mark.parametrize("where", ["--width", "hidden", "output"])
+    def test_width_above_the_tracer_cap_exits_2(self, tmp_path, capsys, where):
+        width = 10**20  # a multiple of 4, too large for an index
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rep": K4, "hidden": [width] if where == "hidden" else [],
+                                    "output": width}))
+        argv = (["net", "init-stats", "--group", K4, "--width", str(width)] if where == "--width"
+                else ["net", "demo-train", "--net-spec", str(spec), "--steps", "1"])
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        named = "" if where == "--width" else f"{spec}: "
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named}width {width} exceeds the orbit tracer's cap 2147483647"]
+        assert peak < 1 << 20
 
     def test_demo_train_reduces_loss_and_writes_weights(self, tmp_path, capsys):
         import re
@@ -849,6 +875,44 @@ class TestJsonFuzz:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {data}: 'utf-8' codec can't decode byte 0xff in "
                                     "position 2: invalid start byte"]
+
+
+class TestMissingInput:
+    """A missing input exits 2 with the reader's one line, which names the
+    path, before any output is written."""
+
+    AUGMENT = ["augment", "--out", "OUT"], ["--group", "--schema", "--in"]
+    DEMO_TRAIN = ["net", "demo-train", "--steps", "1", "--out", "OUT"], ["--net-spec"]
+    # the option whose file is missing ("rep": the net spec's): the command and its input options
+    CASES = {"--rep-in": (["basis", "--out", "OUT"], ["--rep-in"]),
+             "--rep-out": (["basis", "--out", "OUT"], ["--rep-in", "--rep-out"]),
+             "init-stats --group": (["net", "init-stats"], ["--group"]),
+             "--group": AUGMENT, "--schema": AUGMENT, "--in": AUGMENT,
+             "--net-spec": DEMO_TRAIN, "rep": DEMO_TRAIN,
+             "--weights": (["net", "verify"], ["--net-spec", "--weights"]),
+             "--robot": (["robot", "verify"], ["--robot", "--candidates"]),
+             "--candidates": (["robot", "verify"], ["--robot", "--candidates"])}
+
+    @pytest.mark.parametrize("option", CASES)
+    def test_missing_input_exits_2_with_one_line(self, tmp_path, capsys, k4_weights, option):
+        missing = tmp_path / "missing.json"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rep": missing.name if option == "rep" else K4, "hidden": [8]}))
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1\n")
+        files = {"--rep-in": K4, "--rep-out": TRIV, "--group": SOLO_GROUP, "--schema": COM_SCHEMA,
+                 "--in": data, "--net-spec": spec, "--weights": k4_weights,
+                 "--robot": FIXTURES / "minibiped.json",
+                 "--candidates": FIXTURES / "minibiped_candidates.json"}
+        files[option.split()[-1]] = missing
+        words, options = self.CASES[option]
+        argv = [tmp_path / "out" if w == "OUT" else w for w in words]
+        argv += [w for key in options for w in (key, files[key])]
+        before = sorted(tmp_path.iterdir())
+        assert run(*map(str, argv)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 2] No such file or directory: '{missing}'"]
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsageErrors:

@@ -429,6 +429,34 @@ class TestJsonLoader:
         with pytest.raises(ParseError, match=r"generator 1 \(line 5\)"):
             load_representation(str(path))
 
+    def test_line_counts_target_keys_not_values(self, tmp_path):
+        # the string "target" on line 2 is a value, so it names no generator
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dim": 2, "generators": [\n'
+            ' {"label": "target", "target": [1, 0], "sign": [1, 1]},\n'
+            ' {"target": [0, 0], "sign": [1, 1]}\n]}\n'
+        )
+        with pytest.raises(ParseError) as info:
+            load_representation(str(path))
+        assert str(info.value) == (f"{path}: generator 1 (line 3): "
+                                   "target is not a permutation of 0..dim-1")
+
+    @pytest.mark.parametrize("generators", [
+        r'{"\u0074arget": [0, 0], "sign": [1, 1]}',
+        # one "target" key in the file, but it is generator 1's
+        r'{"\u0074arget": [1, 0], "sign": [1, 1]}, {"target": [0, 0], "sign": [1, 1]}',
+    ])
+    def test_escaped_target_key_is_named_by_index(self, tmp_path, generators):
+        # "\u0074arget" decodes to "target" but is not spelled so in the file
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "generators": [' + generators + "]}")
+        i = generators.count("sign") - 1
+        with pytest.raises(ParseError) as info:
+            load_representation(str(path))
+        assert str(info.value) == (f"{path}: generator {i} (index {i}): "
+                                   "target is not a permutation of 0..dim-1")
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json")
