@@ -23,6 +23,7 @@ from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     FiniteGroup,
     Representation,
+    _broken_relation,
     _ReadOnly,
     act,
     direct_sum,
@@ -30,7 +31,6 @@ from .groups import (
     generator_arrays,
     group_closure,
     trivial_representation,
-    verify_homomorphism,
 )
 
 PLAN_TOL = 1e-12
@@ -57,11 +57,8 @@ class IsometrySet(_ReadOnly):
         self.__dict__.update(group=group, rotations=r, dets=dets, dim=r.shape[-1])
         if not np.abs(r[group.identity] - np.eye(self.dim)).max() <= PLAN_TOL:
             raise ValueError("identity element must map to the identity isometry")
-        for g in group.elements():
-            # R(g) R(h) against R(g h), for every h at once
-            bad = ~(np.abs(r[g] @ r - r[group.cayley[g]]).max(axis=(1, 2)) <= 1e-9)
-            if bad.any():
-                raise ValueError(f"isometries violate the Cayley table at ({g},{int(bad.argmax())})")
+        if bad := _broken_relation(group, r, matmul, 1e-9):
+            raise ValueError(f"isometries violate the Cayley table at ({bad[0]},{bad[1]})")
 
 
 class SchemaField(NamedTuple):
@@ -198,12 +195,11 @@ class AugmentationPlan:
         return self.apply_rows(g, np.eye(self.width)).T
 
     def verify(self, tol: float = PLAN_TOL) -> float:
-        """Worst |T(g)T(h) - T(gh)| over all pairs; raises above tol."""
+        """Worst |T(x)T(s) - T(xs)| over elements x and generators s, so over all
+        pairs (see ``groups._broken_relation``); raises above tol."""
         mats = np.stack([self.transform_matrix(g) for g in self.group.elements()])
-        worst = 0.0
-        for g in self.group.elements():
-            # T(g) T(h) against T(g h), for every h at once
-            worst = max(worst, float(np.abs(mats[g] @ mats - mats[self.group.cayley[g]]).max()))
+        worst = max(float(np.abs(mats @ mats[s] - mats[self.group.cayley[:, s]]).max(initial=0.0))
+                    for s in self.group.generator_indices or self.group.elements())
         if worst > tol:
             raise SchemaError(f"plan transforms violate the Cayley table by {worst:.3e}")
         return worst
@@ -297,14 +293,13 @@ def load_group_bundle(path: str) -> GroupBundle:
     Beyond the core {"dim", "generators": [{"target", "sign"}]} layout, each
     generator may carry an "isometry" (d x d row-major matrix) and a
     "leg_perm" (target array over the legs); both are extended to the whole
-    group along the closure, and every generator must carry the value its
-    element gets.
+    group along the closure, and each generator's value must respect the
+    group relations: value(x) times it is value(x s) for every element x.
     """
     with json_input(path) as data:
         group, joint_rep = group_closure(*generator_arrays(path, data))
-        gens = data["generators"]
         isos, legs = [], []  # per generator, in file order
-        for k, entry in enumerate(gens):
+        for k, entry in enumerate(data["generators"]):
             with errors_named(f"generator {k}"):
                 if "isometry" in entry:
                     m = np.asarray(entry["isometry"], dtype=float)
@@ -323,31 +318,19 @@ def load_group_bundle(path: str) -> GroupBundle:
                         raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
                                          f"generator's lists {len(legs[0])}")
                     legs.append(np.array(target, dtype=np.intp))
-        for key, values in (("isometry", isos), ("leg_perm", legs)):
-            if 0 < len(values) < len(gens):
-                raise ParseError(f"either all generators carry {key!r} or none")
-        isometries = leg_perm = None
         at = group.generator_indices
-        if isos:
-            rotations = extend_by_words(group, dict(zip(at, isos)), matmul, np.eye(len(isos[0])))
-            isometries = IsometrySet(group, rotations)
-        if legs:
-            # leg perms are unsigned: P_a P_b sends leg i to a[b[i]]
-            perms = extend_by_words(group, dict(zip(at, legs)), lambda a, b: a[b], np.arange(len(legs[0])))
-            leg_perm = Representation(group, perms, np.ones((group.order, len(legs[0]))))
-            if not (check := verify_homomorphism(leg_perm)).passed:
-                raise ParseError(f"leg permutations do not respect the group relations ({check})")
-        # values are keyed by element: a generator that repeats an earlier
-        # one's element, or is the identity, must carry what its element gets
-        for k, gi in enumerate(at):
-            if isos and np.abs(rotations[gi] - isos[k]).max() > PLAN_TOL:
-                key = "isometry"
-            elif legs and (perms[gi] != legs[k]).any():
-                key = "leg_perm"
-            else:
-                continue
-            raise ParseError(f"generator {k}: its {key!r} differs from the one its "
-                             "element gets from the other generators")
+        ext = {}  # key -> the values of all elements; leg perms are unsigned: P_a P_b sends leg i to a[b[i]]
+        for key, given, unit, compose, tol in (("isometry", isos, np.eye, matmul, PLAN_TOL),
+                                               ("leg_perm", legs, np.arange, lambda a, b: a[..., b], 0)):
+            if 0 < len(given) < len(at):
+                raise ParseError(f"either all generators carry {key!r} or none")
+            if given:
+                ext[key] = np.array(extend_by_words(group, dict(zip(at, given)), compose, unit(len(given[0]))))
+                if bad := _broken_relation(group, ext[key], compose, tol, given):
+                    raise ParseError(f"generator {bad[2]}: its {key!r} breaks the group relations "
+                                     f"at element {bad[0]}")
+        isometries = IsometrySet(group, ext["isometry"]) if isos else None
+        leg_perm = Representation(group, ext["leg_perm"], np.ones(ext["leg_perm"].shape)) if legs else None
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 
 

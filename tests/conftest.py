@@ -1,5 +1,6 @@
 """Shared fixture matrix: groups, representations, and robot files."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,36 @@ def _extend(group, gen_perms):
     dim = len(gen_perms[0][0])
     mats = extend_by_words(group, values, compose, gpm(range(dim)))
     return Representation(group, [t for t, _ in mats], [s for _, s in mats])
+
+
+def breaks_some_pair(group, mats, tol) -> bool:
+    """Reference for the relation checks: whether |M(g) M(h) - M(g h)| > tol
+    in some entry for some pair of elements, one element's row of products at
+    a time, as the all-pairs loops of ``verify_homomorphism``, ``IsometrySet``
+    and ``AugmentationPlan.verify`` did (for invertible M, M(e) M(e) = M(e)
+    already forces M(e) = I)."""
+    return any(not np.abs(mats[g] @ mats - mats[group.cayley[g]]).max(initial=0.0) <= tol
+               for g in group.elements())
+
+
+K4_SWAPS = ([1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0])
+
+
+def write_z2_power_bundle(path, r: int, leg_perms=None) -> str:
+    """Write a group file of (Z2)^r on dim 2r and return its path: generator i
+    flips the signs of coordinates 2i and 2i+1, and carries the diagonal sign
+    isometry flipping axis i mod 3 and the K4 leg swap ``K4_SWAPS[i % 3]``;
+    ``leg_perms`` maps a generator to another leg permutation."""
+    generators = []
+    for i in range(r):
+        sign = [1] * (2 * r)
+        sign[2 * i] = sign[2 * i + 1] = -1
+        iso = np.eye(3)
+        iso[i % 3, i % 3] = -1.0
+        legs = (leg_perms or {}).get(i, K4_SWAPS[i % 3])
+        generators.append({"target": list(range(2 * r)), "sign": sign, "isometry": iso.tolist(), "leg_perm": legs})
+    Path(path).write_text(json.dumps({"dim": 2 * r, "generators": generators}, indent=1))
+    return str(path)
 
 
 def c2_reps() -> tuple[FiniteGroup, dict[str, Representation]]:

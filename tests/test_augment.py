@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, dense, gpm
+from conftest import FIXTURES, closure, dense, gpm, write_z2_power_bundle
 from robosym import augment
 from robosym.augment import (
     IsometrySet,
@@ -23,7 +23,7 @@ from robosym.augment import (
 )
 from robosym.errors import DimMismatch, ParseError, SchemaError
 from robosym.fileio import atomic_write_text
-from robosym.groups import Representation
+from robosym.groups import FiniteGroup, Representation, verify_homomorphism
 from robosym.rigid import CandidateDMS
 
 # full image of the 16 contact states under the left-right leg swap,
@@ -72,6 +72,15 @@ class TestIsometrySet:
         # a 90-degree rotation does not square to the identity
         with pytest.raises(ValueError, match=r"Cayley table at \(1,1\)"):
             IsometrySet(group, [np.eye(3), rot])
+
+    def test_group_without_generators_checks_every_element(self):
+        group, _ = closure(gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1]))
+        bare = FiniteGroup(group.cayley, group.inverse)
+        rotations = np.array([np.diag(d) for d in ([1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1])])
+        assert IsometrySet(bare, rotations).dets.tolist() == [1, -1, -1, 1]
+        rotations[3] = np.diag([1.0, 1.0, -1.0])  # no longer the product of elements 2 and 1
+        with pytest.raises(ValueError, match=r"Cayley table at \(2,1\)"):
+            IsometrySet(bare, rotations)
 
     @pytest.mark.parametrize("name", ["group", "rotations", "dets", "dim"])
     def test_attributes_are_read_only(self, name):
@@ -197,6 +206,15 @@ class TestCompileSchema:
         assert schema.width == 54
         assert [f.dim for f in schema.fields] == [12, 12, 3, 3, 12, 12]
         plan.verify()
+
+    def test_corrupted_rotation_block_fails_verify(self, solo):
+        _, plan = make_plan(solo, "com_schema.json")
+        sl, blocks, is_identity = plan.rotations[0]
+        blocks = blocks.copy()
+        blocks[2] = blocks[2] @ np.diag([1.0, 1.0, -1.0])
+        bad = augment.AugmentationPlan(plan.schema, plan.group, plan.perm, [(sl, blocks, is_identity)])
+        with pytest.raises(SchemaError, match="violate the Cayley table by 2.000e"):
+            bad.verify()
 
     def test_missing_context_reports_field(self, cheetah):
         with pytest.raises(SchemaError, match="'p'"):
@@ -350,6 +368,20 @@ class TestBundleLoading:
         )
         with pytest.raises(ParseError, match="relations"):
             load_group_bundle(str(path))
+
+    def test_z2_power_bundle_of_order_1024_loads(self, tmp_path):
+        bundle = load_group_bundle(write_z2_power_bundle(tmp_path / "z2.json", 10))
+        assert bundle.group.order == 1024 and bundle.joint_rep.dim == 20
+        assert bundle.isometries.dim == 3 and verify_homomorphism(bundle.leg_perm).passed
+        assert sorted(set(map(tuple, bundle.leg_perm.targets.tolist()))) == [
+            (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+
+    def test_four_cycle_leg_perm_names_generator_and_element(self, tmp_path):
+        # generator 0's 4-cycle squares to no identity: element 1 (its own) times it is not e
+        path = write_z2_power_bundle(tmp_path / "z2.json", 10, {0: [1, 2, 3, 0]})
+        with pytest.raises(ParseError) as info:
+            load_group_bundle(path)
+        assert str(info.value) == f"{path}: generator 0: its 'leg_perm' breaks the group relations at element 1"
 
     @staticmethod
     def _write_bundle(tmp_path, generators):

@@ -111,7 +111,7 @@ class TestCountCmd:
         rep.write_text(r'{"dim": 2, "generators": [{"\u0074arget": [0, 0], "sign": [1, 1]}]}')
         assert run("count", "--rep-in", str(rep)) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {rep}: generator 0 (index 0): target is not a permutation of 0..dim-1"]
+            f"error: {rep}: generator 0 (line 1): target is not a permutation of 0..dim-1"]
 
     def test_mismatched_generator_counts_exit_2(self, capsys):
         assert run("count", "--rep-in", K4, "--rep-out", FLIP) == 2
@@ -630,9 +630,9 @@ class TestParseBoundaries:
         "generators_empty": ("count", {"dim": 2, "generators": []}, "no generators"),
         "generator_dim_zero": ("count", {"dim": 0, "generators": [{"target": [], "sign": []}]},
                                "generator 0 (line 1): dim must be positive, got 0"),
-        # the only "target" token is generator 1's, so generator 0 is named by its index
+        # an entry without a "target" key is named by the line it starts on
         "generator_without_target": ("count", {"dim": 2, "generators": [{"sign": [1, 1]}, SWAP]},
-                                     "generator 0 (index 0): generator needs 'target' and 'sign' arrays"),
+                                     "generator 0 (line 1): generator needs 'target' and 'sign' arrays"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXACT_SPEC_SCHEMA))

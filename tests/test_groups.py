@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import closure, dense, dense_perm, gpm, make_c3, make_d8, make_k4
+from conftest import breaks_some_pair, closure, dense, dense_perm, gpm, make_c3, make_d8, make_k4
 from robosym import groups as groups_module
 from robosym.errors import ClosureExceeded, DimMismatch, GroupMismatch, ParseError
 from robosym.groups import (
     FiniteGroup,
+    Representation,
     act,
     direct_sum,
     group_closure,
@@ -391,6 +392,32 @@ class TestVerifyHomomorphism:
         _, reps = k4
         assert verify_homomorphism(reps["leg12"]).passed
 
+    def test_checks_each_element_times_each_generator(self, d8):
+        group, reps = d8
+        report = verify_homomorphism(reps["planar2"])
+        assert report == (True, 8 * 2, None)
+        # element 3's value swapped for element 5's: the first failing x s names both
+        t, s = reps["planar2"].targets.copy(), reps["planar2"].signs.copy()
+        t[3], s[3] = t[5], s[5]
+        report = verify_homomorphism(Representation(group, t, s))
+        assert not report.passed and report.checked_pairs == 16
+        x, g = report.first_violation
+        assert g in group.generator_indices
+        mats = [dense_perm((t[a], s[a])) for a in group.elements()]
+        assert (mats[x] @ mats[g] != mats[group.cayley[x, g]]).any()
+
+    def test_group_without_generators_checks_every_element(self, k4):
+        group, reps = k4
+        bare = FiniteGroup(group.cayley, group.inverse)
+        rep = reps["leg12"]
+        assert verify_homomorphism(Representation(bare, rep.targets, rep.signs)) == (True, 16, None)
+        signs = rep.signs.copy()
+        signs[2, 0] *= -1
+        corrupted = Representation(bare, rep.targets, signs)
+        report = verify_homomorphism(corrupted)
+        assert not report.passed and report.checked_pairs == 16
+        assert breaks_some_pair(bare, np.array([dense(corrupted, g) for g in bare.elements()]), 0)
+
 
 class TestRepresentationInvariants:
     def test_inverse_materializes_as_transpose(self, all_pairs):
@@ -448,14 +475,34 @@ class TestJsonLoader:
         r'{"\u0074arget": [1, 0], "sign": [1, 1]}, {"target": [0, 0], "sign": [1, 1]}',
     ])
     def test_escaped_target_key_is_named_by_index(self, tmp_path, generators):
-        # "\u0074arget" decodes to "target" but is not spelled so in the file
+        # "\u0074arget" decodes to "target" but is not spelled so in the file;
+        # the failing entry is still named by the line it starts on
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "generators": [' + generators + "]}")
         i = generators.count("sign") - 1
         with pytest.raises(ParseError) as info:
             load_representation(str(path))
-        assert str(info.value) == (f"{path}: generator {i} (index {i}): "
+        assert str(info.value) == (f"{path}: generator {i} (line 1): "
                                    "target is not a permutation of 0..dim-1")
+
+    @pytest.mark.parametrize("text, where", [
+        # generator 0's key is escaped, so the second plain "target" key is generator 2's
+        ('{"dim": 2, "generators": [\n {"\\u0074arget": [1, 0], "sign": [1, 1]},\n'
+         ' {"target": [0, 0], "sign": [1, 1]},\n {"target": [1, 0], "sign": [1, 1]}\n]}\n',
+         "generator 1 (line 3): target is not a permutation of 0..dim-1"),
+        # a top-level "target" key before the list is no generator's
+        ('{"target": "none",\n "dim": 2, "generators": [\n {"target": [0, 0], "sign": [1, 1]}\n]}\n',
+         "generator 0 (line 3): target is not a permutation of 0..dim-1"),
+        # an entry that is no object is named by its own line too
+        ('{"dim": 2, "generators": [\n {"target": [1, 0], "sign": [1, 1]},\n\n  5\n]}\n',
+         "generator 1 (line 4): argument of type 'int' is not iterable"),
+    ], ids=["escaped_key_before", "top_level_target_key", "non_object_entry"])
+    def test_failing_entry_is_named_by_the_line_it_starts_on(self, tmp_path, text, where):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_representation(str(path))
+        assert str(info.value) == f"{path}: {where}"
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"

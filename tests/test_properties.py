@@ -9,9 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, compose, dense, gpm
+from conftest import FIXTURES, basis_to_dict, breaks_some_pair, compose, dense, gpm
 from robosym import basis as basis_module
 from robosym.augment import (
+    IsometrySet,
     augment_dataset,
     compile_schema,
     load_group_bundle,
@@ -27,8 +28,8 @@ from robosym.basis import (
     dense_nullspace_oracle,
     orbit_basis,
 )
-from robosym.errors import ClosureExceeded
-from robosym.groups import Representation, act, group_closure, verify_homomorphism
+from robosym.errors import ClosureExceeded, SchemaError
+from robosym.groups import FiniteGroup, Representation, act, group_closure, verify_homomorphism
 from test_groups import assert_closure_is_sequential
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -126,6 +127,51 @@ def test_closure_matches_the_sequential_reference(gens):
     if order:  # a cap of the group's order, then of one element less
         assert assert_closure_is_sequential(*gens, order_cap=order) == order
         assert order == 1 or assert_closure_is_sequential(*gens, order_cap=order - 1) is None
+
+
+@st.composite
+def corrupted_closure(draw):
+    """The representation closed from drawn signed generators (order <= 64),
+    on its group or on the same table listing no generators, with one
+    element's value replaced by a drawn signed permutation (maybe the same)."""
+    targets, signs = draw(signed_generators())
+    try:
+        group, rep = group_closure(targets, signs, order_cap=64)
+    except ClosureExceeded:
+        hypothesis.reject()
+    if draw(st.booleans()):
+        group = FiniteGroup(group.cayley, group.inverse)
+    t, s = rep.targets.copy(), rep.signs.copy()
+    g = draw(st.sampled_from(list(group.elements())))
+    t[g] = draw(st.permutations(range(rep.dim)))
+    s[g] = draw(st.lists(st.sampled_from([-1, 1]), min_size=rep.dim, max_size=rep.dim))
+    return Representation(group, t, s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(corrupted_closure())
+def test_relation_checks_agree_with_all_pairs(rep):
+    group = rep.group
+    mats = np.array([dense(rep, g) for g in group.elements()])
+    holds = not breaks_some_pair(group, mats, 0.0)
+    report = verify_homomorphism(rep)
+    assert report.passed == holds
+    if not holds:
+        x, s = report.first_violation
+        assert (mats[x] @ mats[s] != mats[group.cayley[x, s]]).any()
+    if rep.dim:  # check_isometry rejects a 0 x 0 matrix
+        try:
+            accepted = IsometrySet(group, mats) is not None
+        except ValueError:
+            accepted = False
+        assert accepted == holds
+    schema = resolve_schema([{"name": "q", "kind": "joint_space"}], joint_rep=rep)
+    plan = compile_schema(schema, group, joint_rep=rep)
+    if holds:
+        assert plan.verify() == 0.0
+    else:
+        with pytest.raises(SchemaError):
+            plan.verify()
 
 
 @st.composite
