@@ -52,7 +52,7 @@ class IsometrySet(_ReadOnly):
         r = np.array(rotations, dtype=float)
         if r.ndim != 3 or len(r) != group.order:
             raise ValueError("need one d x d isometry per group element")
-        dets = np.array([check_isometry(f"isometry {g}", m, PLAN_TOL) for g, m in enumerate(r)])
+        dets = check_isometry("isometry", r, PLAN_TOL)
         r.flags.writeable = dets.flags.writeable = False
         self.__dict__.update(group=group, rotations=r, dets=dets, dim=r.shape[-1])
         if not np.abs(r[group.identity] - np.eye(self.dim)).max() <= PLAN_TOL:
@@ -303,6 +303,8 @@ def load_group_bundle(path: str) -> GroupBundle:
             with errors_named(f"generator {k}"):
                 if "isometry" in entry:
                     m = np.asarray(entry["isometry"], dtype=float)
+                    if m.ndim != 2:  # check_isometry would take it for a stack
+                        raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
                     check_isometry("'isometry'", m, PLAN_TOL)
                     if isos and m.shape != isos[0].shape:
                         raise ValueError(f"'isometry' has shape {m.shape} but an earlier "

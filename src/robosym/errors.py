@@ -82,17 +82,20 @@ def check_finite(where: str, **values) -> None:
             raise ParseError(f"{where}: {key!r} has non-finite entries")
 
 
-def check_isometry(name: str, r: np.ndarray, tol: float) -> int:
-    """The sign of det(r), once ``r`` is checked to be a finite square matrix
-    with |r^T r - I| <= ``tol`` entrywise and |det| within 1e-9 of 1; else
-    ValueError naming ``name``.  Finiteness goes first, so no product warns."""
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+def check_isometry(name: str, r: np.ndarray, tol: float) -> np.ndarray:
+    """The signs of det(r), once ``r``, a square matrix or a stack (n, d, d), is checked to be
+    finite with |r^T r - I| <= ``tol`` entrywise and |det| within 1e-9 of 1; else ValueError
+    naming ``name`` (a stack's first failing matrix i as ``name i``) and the first check it
+    fails.  A non-finite matrix is then checked as I, so no product warns."""
+    if r.ndim not in (2, 3) or r.shape[-1] != r.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError(f"{name} has non-finite entries")
-    if not np.abs(r.T @ r - np.eye(len(r))).max() <= tol:
-        raise ValueError(f"{name} is not orthogonal")
-    det = float(np.linalg.det(r))
-    if not abs(abs(det) - 1.0) <= 1e-9:
-        raise ValueError(f"{name} has |det| != 1")
-    return 1 if det > 0 else -1
+    eye, finite = np.eye(r.shape[-1]), np.isfinite(r).all(axis=(-1, -2))
+    r = np.where(finite[..., None, None], r, eye)
+    det = np.linalg.det(r)
+    failed = np.array([~finite, ~(np.abs(r.swapaxes(-1, -2) @ r - eye).max(axis=(-1, -2)) <= tol),
+                       ~(np.abs(np.abs(det) - 1.0) <= 1e-9)]).reshape(3, -1)
+    if failed.any():
+        i = failed.any(axis=0).argmax()
+        check = ("has non-finite entries", "is not orthogonal", "has |det| != 1")[failed[:, i].argmax()]
+        raise ValueError(f"{name if r.ndim == 2 else f'{name} {i}'} {check}")
+    return np.where(det > 0, 1, -1)

@@ -52,8 +52,11 @@ def _rodrigues(k: np.ndarray, k2: np.ndarray, angle: float) -> np.ndarray:
     return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * k2
 
 
+_AXIS_SKEWS = [(k, k @ k) for k in map(skew, _EYE3)]  # K and K @ K of the x, y and z axes
+
+
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    rx, ry, rz = (_rodrigues(k, k @ k, angle) for k, angle in zip(map(skew, _EYE3), (roll, pitch, yaw)))
+    rx, ry, rz = (_rodrigues(*skews, angle) for skews, angle in zip(_AXIS_SKEWS, (roll, pitch, yaw)))
     return rz @ ry @ rx
 
 
@@ -61,7 +64,7 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     # uniform over SO(3) via a normalized random quaternion
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
-    w, x, y, z = q
+    w, x, y, z = q.tolist()  # float arithmetic, bit for bit that of numpy scalars but faster
     return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
                      [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
                      [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
@@ -101,9 +104,7 @@ class KinematicTree:
     def __init__(self, base: str, bodies: list[RigidBody], joints: list[Joint]):
         if base not in ("fixed", "floating"):
             raise ParseError(f"base must be 'fixed' or 'floating', got {base!r}")
-        self.base = base
-        self.bodies = bodies
-        self.joints = joints
+        self.base, self.bodies, self.joints = base, bodies, joints
         self.body_index = {}
         for b in bodies:
             if b.name in self.body_index:
@@ -139,6 +140,7 @@ class KinematicTree:
         self._com = np.array([b.com for b in bodies])
         self._inertia = np.array([b.inertia for b in bodies])
         self._revolute = np.array([j.jtype == "revolute" for j in self.actuated], dtype=bool)
+        self._q_range = np.where(self._revolute, np.pi, 0.5)  # a joint is drawn from (-range, range)
         self._on_path = np.zeros((len(bodies), self.nj), dtype=bool)  # joint k is above body b
         # (joint, parent id, child id, DoF or -1, (K, K @ K) if revolute else None), parents first
         self._walk = []
@@ -160,6 +162,7 @@ class KinematicTree:
                 stack.append(j.child)
         if reached != set(self.body_index):
             raise TreeCycle(f"unreachable bodies: {sorted(set(self.body_index) - reached)}")
+        self._path_pairs = np.nonzero(self._on_path)  # (bodies, joints): the Jacobian columns not always 0
 
     @property
     def nj(self) -> int:
@@ -200,20 +203,10 @@ def merge_config(tree: KinematicTree, rot: np.ndarray, pos: np.ndarray, qjs: np.
 
 
 def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
-    qjs = np.empty(tree.nj)
-    for i, j in enumerate(tree.actuated):
-        qjs[i] = rng.uniform(-np.pi, np.pi) if j.jtype == "revolute" else rng.uniform(-0.5, 0.5)
+    qjs = rng.uniform(-tree._q_range, tree._q_range)
     if not tree.floating:
         return qjs
     return merge_config(tree, random_rotation(rng), rng.uniform(-1.0, 1.0, 3), qjs)
-
-
-def _sample_configs(tree: KinematicTree, samples: int, rng_seed) -> np.ndarray:
-    """(samples, nq) configurations drawn in order from one rng stream."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    return np.array([random_config(tree, rng) for _ in range(samples)])
 
 
 class _Kinematics(NamedTuple):
@@ -230,9 +223,9 @@ class _Kinematics(NamedTuple):
 def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
     """The one kinematics pass, over a stack ``q`` (S, nq): a walk, parent
     before child, places the bodies and joint axes of all S configurations at
-    once; a Jacobian column (axis x lever arm if revolute, the axis if
-    prismatic) is masked to the bodies below its joint.  A configuration's
-    arrays are bit for bit those of a pass of its own."""
+    once; a Jacobian column (axis x lever arm if revolute, the axis if prismatic)
+    is built only for the bodies below its joint (the tree's path pairs), 0
+    elsewhere.  A configuration's arrays are bit for bit those of a pass of its own."""
     rot0, pos0, qjs = split_config(tree, q)
     ns, nb = len(qjs), len(tree.bodies)
     rot, pos = np.empty((ns, nb, 3, 3)), np.empty((ns, nb, 3))
@@ -253,20 +246,19 @@ def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
             pos[:, child] = p_pre + axes[:, k] * qjs[:, k, None]
     com = pos + (rot @ tree._com[:, :, None])[..., 0]
     inertia = rot @ tree._inertia @ rot.swapaxes(-1, -2)
-    # the joint columns (S, B, nj, 3), built in place: they are a pass's largest temporaries
-    on_path, revolute, axes = tree._on_path[:, :, None], tree._revolute[:, None], axes[:, None]
-    cols = _cross(axes, com[:, :, None] - points[:, None])
-    np.copyto(cols, axes, where=~revolute)
-    cols *= on_path
     jp, jr = np.zeros((2, ns, nb, 3, tree.nv))
     if tree.floating:
-        # base twist (v, omega): J_P = [I, -[c - p0]x], J_R = [0, I]
-        jp[..., 0:3] = _EYE3
-        jp[..., 3:6] = _cross(_EYE3, (com - pos0[:, None])[..., None, :]).swapaxes(-1, -2)
-        jr[..., 3:6] = _EYE3
-    off = tree.nv - tree.nj
-    jp[..., off:] = cols.swapaxes(-1, -2)
-    jr[..., off:] = np.multiply(axes * revolute, on_path, out=cols).swapaxes(-1, -2)
+        # base twist (v, omega): J_P = [I, -[d]x] with d = c - p0, J_R = [0, I]
+        d = com - pos0[:, None]
+        jp[..., 0:3] = jr[..., 3:6] = _EYE3
+        jp[..., 1, 3], jp[..., 2, 3], jp[..., 0, 4] = -d[..., 2], d[..., 1], d[..., 2]
+        jp[..., 2, 4], jp[..., 0, 5], jp[..., 1, 5] = -d[..., 0], -d[..., 1], d[..., 0]
+    # column off + k of body b, for each path pair (b, k), written as a row of J^T
+    body, k = tree._path_pairs
+    rev, col, axis = tree._revolute[k], tree.nv - tree.nj + k, axes[:, k]
+    jr.swapaxes(-1, -2)[:, body[rev], col[rev]] = axis[:, rev]
+    axis[:, rev] = _cross(axis[:, rev], com[:, body[rev]] - points[:, k[rev]])
+    jp.swapaxes(-1, -2)[:, body, col] = axis
     return _Kinematics(rot, pos, com, inertia, jp, jr)
 
 
@@ -355,10 +347,11 @@ def check_mass_matrix_equivariance(tree: KinematicTree, rep_q: Representation, s
     same = {b.name: b.name for b in tree.bodies}
     elements = [CandidateDMS(f"element {g}", _EYE3, (rep_q.targets[g], rep_q.signs[g]), same)
                 for g in rep_q.group.elements()]
-    viol = _sampled_violations(tree, elements, samples, rng_seed)[:, :, _TERMS.index("M"), 0].T
-    s, g = np.unravel_index(np.argmax(viol), viol.shape)
-    worst = float(viol[s, g])
-    return MassMatrixReport(worst <= tol, worst, int(g), int(s), samples, tol)
+    best = _sampled_violations(tree, elements, samples, rng_seed)[:, list(_CHECKS).index("mass_matrix")]
+    # the first worst (sample, element) in sample-major order; lexsort puts a NaN, the worst, last
+    g = np.lexsort((-np.arange(len(best)), -best["sample"], best["value"]))[-1]
+    worst = float(best["value"][g])
+    return MassMatrixReport(worst <= tol, worst, int(g), int(best["sample"][g]), samples, tol)
 
 
 class CandidateDMS:
@@ -377,7 +370,7 @@ class CandidateDMS:
         self.isometry = np.asarray(isometry, dtype=float)
         if self.isometry.shape != (3, 3):
             raise ValueError("isometry must be 3x3")
-        self.det = check_isometry("'isometry'", self.isometry, CANDIDATE_TOL)
+        self.det = int(check_isometry("'isometry'", self.isometry, CANDIDATE_TOL))
 
     def validate_against(self, tree: KinematicTree) -> None:
         if len(self.joint_perm[0]) != tree.nj:
@@ -435,6 +428,8 @@ class IdentifyReport(NamedTuple):
 # the terms a failure location names, and the terms of each check
 _TERMS = ("mass", "CoM", "inertia", "J_P", "J_R", "M")
 _CHECKS = {"dynamic": slice(0, 3), "kinematic": slice(3, 5), "mass_matrix": slice(5, 6)}
+# a check's largest violation and where it is first reached; the column is a J_P or J_R gap's
+_WORST = np.dtype([("value", float)] + [(f, np.intp) for f in ("sample", "term", "body", "column")])
 
 
 def _block_samples(candidates: list[CandidateDMS]) -> int:
@@ -444,14 +439,17 @@ def _block_samples(candidates: list[CandidateDMS]) -> int:
 
 def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], samples: int,
                         rng_seed) -> np.ndarray:
-    """(candidate, sample, term, body) violations of every term of ``_TERMS``:
-    body k at q against body ``pair[k]`` at g.q, with T(g) g's action on velocities.
-    The samples go in blocks of ``_block_samples``; one kinematics pass covers
-    a block's configurations q and every candidate's g.q."""
+    """(candidate, check) records ``_WORST``: the largest violation of the check's terms (a NaN
+    if any), body k at q against body ``pair[k]`` at g.q with T(g) g's action on velocities,
+    and the first (sample, term, body, column) reaching it.  The samples are drawn from one
+    rng stream in blocks of ``_block_samples``, so memory does not grow with ``samples``;
+    one kinematics pass covers a block's q and every candidate's g.q."""
     for cand in candidates:
         cand.validate_against(tree)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     nc, nb, nv = len(candidates), len(tree.bodies), tree.nv
-    configs = _sample_configs(tree, samples, rng_seed)
+    rng = np.random.default_rng(rng_seed)
     pairs = np.array([[tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]
                       for c in candidates], dtype=np.intp).reshape(nc, nb)
     # per candidate, shaped to broadcast over (sample, body)
@@ -465,46 +463,58 @@ def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], sam
     target, sign = np.array([c.joint_perm for c in candidates], np.intp).reshape(nc, 2, tree.nj).swapaxes(0, 1)
     t[np.arange(nc)[:, None], off + target, off + np.arange(tree.nj)] = sign
     t = t.reshape(nc, 1, nv, nv)
-    viol = np.empty((nc, samples, len(_TERMS), nb))
-    viol[:, :, 0] = np.abs(tree._mass - tree._mass[pairs])[:, None]  # does not depend on the sample
+    best = np.zeros((nc, len(_CHECKS)), _WORST)
+    best["value"] = -np.inf
 
-    def gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """max |a - b| per (candidate, sample, body), worked out in the temporary a"""
-        return np.abs(np.subtract(a, b, out=a), out=a).max(axis=tuple(range(3, a.ndim)))
+    def gap(a: np.ndarray, b: np.ndarray, axis, out=None) -> np.ndarray:
+        """max |a - b| over ``axis``, worked out in the temporary a"""
+        return np.abs(np.subtract(a, b, out=a), out=a).max(axis=axis, out=out)
 
-    step = _block_samples(candidates)
-    for start in range(0, samples, step):
-        q = configs[start:start + step]
+    def block(q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each check's terms at the samples q, as (candidate, sample, term, body, column)."""
         ns = len(q)
         kin = _kinematics(tree, np.concatenate([q, *(c.config_action(tree, q) for c in candidates)]))
         m = _mass_matrix(tree, kin).reshape(1 + nc, ns, nv, nv)
-        block = viol[:, start:start + ns]
-        block[:, :, 5] = np.abs(m[1:] - t @ m[0] @ t.swapaxes(-1, -2)).max(axis=(-1, -2))[..., None]
+        mm = gap(m[1:], t @ m[0] @ t.swapaxes(-1, -2), (-1, -2)).reshape(nc, ns, 1, 1, 1)
         del m  # freed before the larger temporaries of the Jacobian terms
         kin = _Kinematics(*(a.reshape(1 + nc, ns, *a.shape[1:]) for a in kin))
         # body pair[k] at g.q in place k: (candidate, sample, body, ...)
         paired = (np.arange(nc)[:, None, None] + 1, np.arange(ns)[:, None], pairs[:, None, :])
         at_q = _Kinematics(*(a[0] for a in kin))
-        block[:, :, 1] = gap(at_q.com @ r[:, 0].swapaxes(-1, -2), kin.com[paired])
-        block[:, :, 2] = gap(r @ at_q.inertia @ r.swapaxes(-1, -2), kin.inertia[paired])
-        block[:, :, 3] = gap(kin.jp[paired] @ t[:, None], r @ at_q.jp)
-        block[:, :, 4] = gap(kin.jr[paired] @ t[:, None], det_r @ at_q.jr)
-    return viol
+        dyn, jac = np.empty((nc, ns, 3, nb, 1)), np.empty((nc, ns, 2, nb, nv))
+        dyn[:, :, 0, :, 0] = np.abs(tree._mass - tree._mass[pairs])[:, None]  # does not depend on the sample
+        gap(at_q.com @ r[:, 0].swapaxes(-1, -2), kin.com[paired], -1, dyn[:, :, 1, :, 0])
+        gap(r @ at_q.inertia @ r.swapaxes(-1, -2), kin.inertia[paired], (-1, -2), dyn[:, :, 2, :, 0])
+        gap(kin.jp[paired] @ t[:, None], r @ at_q.jp, -2, jac[:, :, 0])
+        gap(kin.jr[paired] @ t[:, None], det_r @ at_q.jr, -2, jac[:, :, 1])
+        return dyn, jac, mm
+
+    step = _block_samples(candidates)
+    for start in range(0, samples, step):
+        q = np.array([random_config(tree, rng) for _ in range(min(step, samples - start))])
+        for i, (v, first) in enumerate(zip(block(q), _CHECKS.values())):
+            at = v.reshape(nc, -1).argmax(axis=1)
+            value, old = v.reshape(nc, -1)[np.arange(nc), at], best["value"][:, i]
+            new = ~(value <= old) & ~np.isnan(old)  # strictly larger, or the first NaN
+            s, term, k, col = np.unravel_index(at[new], v.shape[1:])
+            best[new, i] = list(zip(value[new], start + s, first.start + term, k, col))
+    return best
 
 
-def _candidate_report(tree: KinematicTree, cand: CandidateDMS, viol: np.ndarray, tol: float) -> CandidateReport:
-    """Report from a candidate's (samples, terms, bodies) violations."""
-    worst = {check: float(viol[:, terms].max()) for check, terms in _CHECKS.items()}
+def _candidate_report(tree: KinematicTree, cand: CandidateDMS, best: np.ndarray, samples: int,
+                      tol: float) -> CandidateReport:
+    """Report from a candidate's records, one per check."""
+    worst = dict(zip(_CHECKS, best["value"].tolist()))
     if max(worst.values()) <= tol:
-        return CandidateReport(cand.name, True, *worst.values(), len(viol), tol)
+        return CandidateReport(cand.name, True, *worst.values(), samples, tol)
     # the largest check, then the first sample, term and body at its maximum
     check = max(worst, key=worst.get)
-    v = viol[:, _CHECKS[check]]
-    s, term, k = np.unravel_index(np.argmax(v), v.shape)
+    _, s, term, k, col = best[list(_CHECKS).index(check)].tolist()
     name = tree.bodies[k].name
-    term_name = _TERMS[_CHECKS[check].start + term]
-    where = term_name if check == "mass_matrix" else f"{term_name} of body {name} vs {cand.body_pairing[name]}"
-    return CandidateReport(cand.name, False, *worst.values(), len(viol), tol, check, int(s), where)
+    where = _TERMS[term] if check == "mass_matrix" else f"{_TERMS[term]} of body {name} vs {cand.body_pairing[name]}"
+    if check == "kinematic":  # the column's velocity coordinate
+        where += ", " + (["base"] * (tree.nv - tree.nj) + [f"joint {j.name}" for j in tree.actuated])[col]
+    return CandidateReport(cand.name, False, *worst.values(), samples, tol, check, s, where)
 
 
 def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,
@@ -518,11 +528,11 @@ def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: i
     and full mass-matrix equivariance.  Sampling rejects soundly but accepts
     only probabilistically: reports say "verified on N samples", not proven.
     """
-    viol = _sampled_violations(tree, candidates, samples, rng_seed)
+    best = _sampled_violations(tree, candidates, samples, rng_seed)
     sizes = {"bodies": len(tree.bodies), "nv": tree.nv, "samples": samples, "candidates": len(candidates),
              "configurations": samples * (1 + len(candidates)),
              "kinematics_passes": (samples - 1) // _block_samples(candidates) + 1}
-    reports = [_candidate_report(tree, *args, tol) for args in zip(candidates, viol)]
+    reports = [_candidate_report(tree, cand, b, samples, tol) for cand, b in zip(candidates, best)]
     verified = [c for c, report in zip(candidates, reports) if report.passed]
     gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]
     group, rep = group_closure([t for t, _ in gens], [s for _, s in gens], order_cap=order_cap)

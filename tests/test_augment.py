@@ -21,7 +21,7 @@ from robosym.augment import (
     resolve_schema,
     write_csv,
 )
-from robosym.errors import DimMismatch, ParseError, SchemaError
+from robosym.errors import DimMismatch, ParseError, SchemaError, check_isometry
 from robosym.fileio import atomic_write_text
 from robosym.groups import FiniteGroup, Representation, verify_homomorphism
 from robosym.rigid import CandidateDMS
@@ -65,6 +65,29 @@ class TestIsometrySet:
             rotations[g][1, 1] = value
             with pytest.raises(ValueError, match=f"isometry {g} has non-finite entries"):
                 IsometrySet(group, rotations)
+
+    def test_stack_check_names_what_the_per_element_check_named(self):
+        # the first failing element, then its first failing check; a non-finite one warns of nothing
+        rng = np.random.default_rng(5)
+        stack = np.array([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(6)])
+        assert check_isometry("isometry", stack, 1e-12).tolist() == [
+            check_isometry("isometry", m, 1e-12) for m in stack]
+        stack[4, 0, 0] = np.inf
+        stack[2] *= 1.1  # orthogonal columns, but not unit ones
+        for first, check in ((2, "is not orthogonal"), (4, "has non-finite entries")):
+            with pytest.raises(ValueError, match=f"^isometry {first} {check}$"):
+                check_isometry("isometry", stack, 1e-12)
+            stack[first] = np.eye(3)
+        with pytest.raises(ValueError, match=r"^'isometry' must be a square matrix, got shape \(1, 6, 3, 3\)$"):
+            check_isometry("'isometry'", stack[None], 1e-12)
+
+    def test_generator_isometry_must_be_one_matrix(self, tmp_path):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"dim": 2, "generators": [
+            {"target": [1, 0], "sign": [1, 1], "isometry": [np.eye(2).tolist()]}]}))
+        with pytest.raises(ParseError, match=r"generator 0: 'isometry' must be a square matrix, "
+                                             r"got shape \(1, 2, 2\)$"):
+            load_group_bundle(str(group))
 
     def test_cayley_violation_rejected(self):
         group, _ = closure(gpm([1, 0]))

@@ -1,6 +1,7 @@
 """Kinematics, mass matrix, momentum, and symmetry certification."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,54 @@ def random_chain_dict(rng, floating=False, links=4):
              "axis": axis.tolist()}
         )
     return {"base": "floating" if floating else "fixed", "bodies": bodies, "joints": joints}
+
+
+def random_tree_dict(rng, floating=False, links=6):
+    """random_chain_dict's bodies and joints, each joint hung off a random
+    earlier body (so the tree branches) and revolute, prismatic or fixed."""
+    data = random_chain_dict(rng, floating, links)
+    for i, joint in enumerate(data["joints"], 1):
+        joint["parent"] = f"b{rng.integers(i)}"
+        joint["type"] = str(rng.choice(rigid.JOINT_TYPES))
+    return data
+
+
+def all_pairs_kinematics(tree, q):
+    """The kinematics pass as it was before path pairs: every (body, joint)
+    column of J_P and J_R is built, then masked to the joints above the body."""
+    rot0, pos0, qjs = rigid.split_config(tree, q)
+    ns, nb = len(qjs), len(tree.bodies)
+    rot, pos = np.empty((ns, nb, 3, 3)), np.empty((ns, nb, 3))
+    root = tree._body_id[tree.root]
+    rot[:, root], pos[:, root] = rot0, pos0
+    axes, points = np.zeros((2, ns, tree.nj, 3))
+    for j, parent, child, k, skews in tree._walk:
+        r_pre = rot[:, parent] @ j.origin_rot
+        p_pre = pos[:, parent] + rot[:, parent] @ j.origin_xyz
+        rot[:, child], pos[:, child] = r_pre, p_pre
+        if k < 0:
+            continue
+        axes[:, k] = r_pre @ j.axis
+        points[:, k] = p_pre
+        if skews is not None:
+            rot[:, child] = r_pre @ rigid._rodrigues(*skews, qjs[:, k, None, None])
+        else:
+            pos[:, child] = p_pre + axes[:, k] * qjs[:, k, None]
+    com = pos + (rot @ tree._com[:, :, None])[..., 0]
+    inertia = rot @ tree._inertia @ rot.swapaxes(-1, -2)
+    on_path, revolute, axes = tree._on_path[:, :, None], tree._revolute[:, None], axes[:, None]
+    cols = rigid._cross(axes, com[:, :, None] - points[:, None])
+    np.copyto(cols, axes, where=~revolute)
+    cols *= on_path
+    jp, jr = np.zeros((2, ns, nb, 3, tree.nv))
+    if tree.floating:
+        jp[..., 0:3] = np.eye(3)
+        jp[..., 3:6] = rigid._cross(np.eye(3), (com - pos0[:, None])[..., None, :]).swapaxes(-1, -2)
+        jr[..., 3:6] = np.eye(3)
+    off = tree.nv - tree.nj
+    jp[..., off:] = cols.swapaxes(-1, -2)
+    jr[..., off:] = np.multiply(axes * revolute, on_path, out=cols).swapaxes(-1, -2)
+    return rigid._Kinematics(rot, pos, com, inertia, jp, jr)
 
 
 def fd_jacobians(tree, q, name, h=1e-7):
@@ -524,6 +573,61 @@ class TestRefactorSafetyNet:
         masses = rigid._mass_matrix(tree, stacked)
         assert np.array_equal(masses, [mass_matrix(tree, q) for q in qs])
 
+    @pytest.mark.parametrize("floating", [False, True])
+    def test_path_columns_equal_the_all_pairs_build(self, floating):
+        kinds, branched = set(), False
+        for seed in range(12):
+            rng = np.random.default_rng(40 + seed)
+            tree = tree_from_dict(random_tree_dict(rng, floating=floating))
+            kinds |= {j.jtype for j in tree.joints}
+            branched |= len({j.parent for j in tree.joints}) < len(tree.joints)
+            qs = np.array([random_config(tree, rng) for _ in range(4)])
+            got, want = rigid._kinematics(tree, qs), all_pairs_kinematics(tree, qs)
+            for field in got._fields:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (seed, field)
+            assert len(tree._path_pairs[0]) == tree._on_path.sum()
+        assert kinds == set(rigid.JOINT_TYPES) and branched
+
+    def test_path_pairs_are_the_joints_above_each_body(self, solo, trifinger):
+        assert len(solo._path_pairs[0]) == 4 and len(trifinger._path_pairs[0]) == 9
+        body, k = trifinger._path_pairs
+        moved = {(trifinger.bodies[b].name, trifinger.actuated[j].name) for b, j in zip(body, k)}
+        assert ("low_0", "upper_0") in moved and ("up_0", "lower_0") not in moved
+
+    def test_one_draw_per_sample_equals_the_per_joint_draws(self):
+        for seed in range(50):
+            tree = tree_from_dict(random_tree_dict(np.random.default_rng(seed), floating=bool(seed % 2)))
+            rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_config(tree, rng)
+            qjs = [scalar.uniform(-np.pi, np.pi) if j.jtype == "revolute" else scalar.uniform(-0.5, 0.5)
+                   for j in tree.actuated]
+            if tree.floating:
+                qjs = rigid.merge_config(tree, rigid.random_rotation(scalar), scalar.uniform(-1.0, 1.0, 3), qjs)
+            assert got.tobytes() == np.asarray(qjs, dtype=float).tobytes(), seed
+            assert rng.random() == scalar.random()  # the same stream consumed
+
+    def test_memory_does_not_grow_with_samples(self, solo, solo_cands):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                identify_dms(solo, solo_cands, samples=samples, rng_seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        identify_dms(solo, solo_cands, samples=20, rng_seed=0)  # first-call allocations
+        assert peak(5000) - peak(20) <= 2**20
+
+    def test_failed_where_names_the_jacobian_column(self, solo, solo_cands):
+        cand, best = solo_cands[0], np.zeros(3, rigid._WORST)
+        best["value"] = [0.0, 1.0, 0.0]  # the kinematic check fails
+        for col, suffix in ((2, "base"), (6, f"joint {solo.actuated[0].name}")):
+            best[1] = (1.0, 3, rigid._TERMS.index("J_P"), 1, col)
+            report = rigid._candidate_report(solo, cand, best, 5, 1e-8)
+            body = solo.bodies[1].name
+            assert report.failed_where == f"J_P of body {body} vs {cand.body_pairing[body]}, {suffix}"
+            assert report.worst_sample == 3
+
     def test_config_action_acts_on_a_stack(self, solo, solo_cands):
         qs = np.array([random_config(solo, np.random.default_rng(s)) for s in range(4)])
         for cand in solo_cands:
@@ -570,9 +674,13 @@ class TestRefactorSafetyNet:
             swapped[f"low_{i}"] = f"low_{(i + 2) % 3}"
         bad = CandidateDMS("swapped", good.isometry, good.joint_perm, swapped)
         where = identify_dms(trifinger, [bad], samples=5, rng_seed=0).candidates[0].failed_where
+        where, joint = where.split(", joint ")  # a Jacobian failure names its column's joint
         assert where.split(" of body ")[0] in ("CoM", "inertia", "J_P", "J_R")
         k, i = where.split(" of body ")[1].split(" vs ")
         assert swapped[k] == i and good.body_pairing[k] != i
+        # a gap is nonzero where one side is: the joint moves body k at q, or its image body i at g.q
+        j, ids = trifinger.dof_index[joint], trifinger._body_id
+        assert trifinger._on_path[ids[k], j] or trifinger._on_path[ids[i], good.joint_perm[0][j]]
         assert identify_dms(trifinger, [good], samples=5).candidates[0].failed_where is None
 
 
