@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from operator import matmul
+from operator import add, matmul
 from typing import NamedTuple
 
 import numpy as np
@@ -328,9 +328,10 @@ def load_group_bundle(path: str) -> GroupBundle:
                 raise ParseError(f"either all generators carry {key!r} or none")
             if given:
                 ext[key] = np.array(extend_by_words(group, dict(zip(at, given)), compose, unit(len(given[0]))))
-                if bad := _broken_relation(group, ext[key], compose, tol, given):
-                    raise ParseError(f"generator {bad[2]}: its {key!r} breaks the group relations "
-                                     f"at element {bad[0]}")
+                if bad := _broken_relation(group, ext[key], compose, tol, given):  # x's word, then j
+                    word = extend_by_words(group, {s: (i,) for i, s in enumerate(at)}, add, ())[bad[0]]
+                    raise ParseError(f"generator {bad[2]}: its {key!r} breaks the group relations on the "
+                                     f"product of generators {', '.join(map(str, word + (bad[2],)))}")
         isometries = IsometrySet(group, ext["isometry"]) if isos else None
         leg_perm = Representation(group, ext["leg_perm"], np.ones(ext["leg_perm"].shape)) if legs else None
     return GroupBundle(group, joint_rep, isometries, leg_perm)

@@ -366,13 +366,3 @@ def basis_fingerprint(basis: EquivBasis) -> str:
     for chunk in basis_json_chunks(basis, (",", ":")):
         digest.update(chunk.encode())
     return digest.hexdigest()[:16]
-
-
-def oracle_to_dict(oracle: np.ndarray, m: int, n: int) -> dict:
-    """Oracle output in the basis-file shape, with dense vectors instead of
-    sparse entries, so the two files can be diffed."""
-    return {
-        "m": m,
-        "n": n,
-        "orbits": [{"vector": oracle[:, k].tolist()} for k in range(oracle.shape[1])],
-    }

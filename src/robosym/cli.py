@@ -68,10 +68,6 @@ def cmd_basis(args) -> int:
     code = EXIT_OK
     if args.oracle:
         oracle = bas.dense_nullspace_oracle(rep_in, rep_out, tol=args.tol)
-        atomic_write_text(
-            args.out + ".oracle.json",
-            json.dumps(bas.oracle_to_dict(oracle, basis.m, basis.n)) + "\n",
-        )
         residual = bas.span_residual(basis, oracle)
         rank_b = bas.burnside_rank(rep_in, rep_out)
         agree = basis.rank == oracle.shape[1] == rank_b and residual < args.tol

@@ -27,28 +27,22 @@ CLOSE_ENTRIES = 1 << 16  # product entries per slab of the closure, one element'
 TRACE_CAP = 1 << 31  # m*n bound of _linear_map_action's int32 tables, so also a tiled width's
 
 
-def _checked_signed(targets, signs) -> tuple[np.ndarray, np.ndarray]:
-    """Signed permutations (..., dim) as intp targets and int8 signs, checked:
-    every target row lists 0..dim-1 once and every sign is +1 or -1."""
-    targets, signs = np.asarray(targets), np.asarray(signs)
-    if signs.shape != targets.shape:
-        raise ValueError("sign must have the shape of target")
-    if (np.sort(targets, axis=-1) != np.arange(targets.shape[-1])).any():
-        raise ValueError("target is not a permutation of 0..dim-1")
-    if (np.abs(signs) != 1).any():
-        raise ValueError("sign entries must be +1 or -1")
-    return targets.astype(np.intp), signs.astype(np.int8)
-
-
-def signed_permutation(target: Sequence[int],
-                       sign: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One signed permutation as checked (target, sign) arrays.
+def signed_permutation(target: Sequence, sign: Sequence | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations (..., dim) as checked intp targets and int8 signs.
 
     Coordinate i goes to ``target[i]`` with sign ``sign[i]`` (all +1 when
     ``sign`` is None), i.e. the matrix M has ``M[target[i], i] = sign[i]``;
-    dim 0 is allowed.
+    every target row lists 0..dim-1 once, every sign is +1 or -1, and dim 0 is allowed.
     """
-    return _checked_signed(target, np.ones(len(target)) if sign is None else sign)
+    target = np.asarray(target)
+    sign = np.ones(target.shape) if sign is None else np.asarray(sign)
+    if sign.shape != target.shape:
+        raise ValueError("sign must have the shape of target")
+    if (np.sort(target, axis=-1) != np.arange(target.shape[-1])).any():
+        raise ValueError("target is not a permutation of 0..dim-1")
+    if (np.abs(sign) != 1).any():
+        raise ValueError("sign entries must be +1 or -1")
+    return target.astype(np.intp), sign.astype(np.int8)
 
 
 def _apply_signed(target: np.ndarray, sign: np.ndarray, x) -> np.ndarray:
@@ -140,7 +134,7 @@ class Representation(_ReadOnly):
     """
 
     def __init__(self, group: FiniteGroup, targets: np.ndarray, signs: np.ndarray):
-        targets, signs = _checked_signed(targets, signs)
+        targets, signs = signed_permutation(targets, signs)
         if targets.ndim != 2 or targets.shape[0] != group.order:
             raise ValueError("need one target row per group element")
         targets.flags.writeable = signs.flags.writeable = False

@@ -39,14 +39,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, broadcast: the products and differences
-    np.cross forms, so bit-identical, without its per-call axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def _rodrigues(k: np.ndarray, k2: np.ndarray, angle: float) -> np.ndarray:
     """I + sin(angle) K + (1 - cos(angle)) K^2 with K = skew(axis), K2 = K @ K."""
     return _EYE3 + np.sin(angle) * k + (1.0 - np.cos(angle)) * k2
@@ -257,7 +249,7 @@ def _kinematics(tree: KinematicTree, q: np.ndarray) -> _Kinematics:
     body, k = tree._path_pairs
     rev, col, axis = tree._revolute[k], tree.nv - tree.nj + k, axes[:, k]
     jr.swapaxes(-1, -2)[:, body[rev], col[rev]] = axis[:, rev]
-    axis[:, rev] = _cross(axis[:, rev], com[:, body[rev]] - points[:, k[rev]])
+    axis[:, rev] = np.cross(axis[:, rev], com[:, body[rev]] - points[:, k[rev]])
     jp.swapaxes(-1, -2)[:, body, col] = axis
     return _Kinematics(rot, pos, com, inertia, jp, jr)
 
@@ -310,7 +302,7 @@ def com_momentum(tree: KinematicTree, q: np.ndarray, dq: np.ndarray) -> np.ndarr
         raise ValueError("total mass must be positive for CoM momentum")
     c = tree._mass @ kin.com / total_mass
     p = tree._mass[:, None] * (kin.jp @ dq)
-    h_ang = _cross(kin.com - c, p) + (kin.inertia @ (kin.jr @ dq)[:, :, None])[:, :, 0]
+    h_ang = np.cross(kin.com - c, p) + (kin.inertia @ (kin.jr @ dq)[:, :, None])[:, :, 0]
     return np.concatenate([p.sum(axis=0), h_ang.sum(axis=0)])
 
 

@@ -404,7 +404,17 @@ class TestBundleLoading:
         path = write_z2_power_bundle(tmp_path / "z2.json", 10, {0: [1, 2, 3, 0]})
         with pytest.raises(ParseError) as info:
             load_group_bundle(path)
-        assert str(info.value) == f"{path}: generator 0: its 'leg_perm' breaks the group relations at element 1"
+        assert str(info.value) == (f"{path}: generator 0: its 'leg_perm' breaks the group relations "
+                                   "on the product of generators 0, 0")
+
+    def test_a_broken_relation_is_named_by_the_files_generators(self, tmp_path):
+        # generator 9's 4-cycle: its element times generator 0 is the first product to fail,
+        # and the message names it by the file's generator numbers, not an element index
+        path = write_z2_power_bundle(tmp_path / "z2.json", 10, {9: [1, 2, 3, 0]})
+        with pytest.raises(ParseError) as info:
+            load_group_bundle(path)
+        assert str(info.value) == (f"{path}: generator 0: its 'leg_perm' breaks the group relations "
+                                   "on the product of generators 9, 0")
 
     @staticmethod
     def _write_bundle(tmp_path, generators):

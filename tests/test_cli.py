@@ -55,6 +55,29 @@ class TestBasisCmd:
         report = json.loads((tmp_path / "basis.json.report.json").read_text())
         assert report["oracle_agrees"] and report["span_residual"] < 1e-10
 
+    def test_oracle_on_1024_coefficients_stays_small(self, tmp_path):
+        # identity on 32 coordinates: rank m n = 1024, the oracle's own stack is 8 MiB;
+        # a dense copy of its columns would hold m n rank floats more, and their JSON text
+        rep = tmp_path / "id32.json"
+        rep.write_text(json.dumps({"dim": 32, "generators": [{"target": list(range(32)), "sign": [1] * 32}]}))
+        tracemalloc.start()
+        try:
+            code = run("basis", "--rep-in", str(rep), "--out", str(tmp_path / "b.json"), "--oracle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 16 << 20
+
+    def test_oracle_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
+        oracle = robosym.basis.dense_nullspace_oracle
+        monkeypatch.setattr(robosym.basis, "dense_nullspace_oracle", lambda *a, **k: oracle(*a, **k)[:, 1:])
+        out = tmp_path / "basis.json"
+        assert run("basis", "--rep-in", K4, "--out", str(out), "--oracle", "--json") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("oracle rank 3 = 4") and lines[2] == "oracle DISAGREES with orbit basis"
+        report = json.loads((tmp_path / "basis.json.report.json").read_text())
+        assert report["oracle_agrees"] is False and report["oracle_rank"] == 3 and report["rank"] == 4
+
     def test_corrupt_rep_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "generators": [\n {"target": [0, 0], "sign": [1, 1]}\n]}')
@@ -1028,3 +1051,20 @@ class TestOneProcess:
                 code = exc.code
             out, err = capsys.readouterr()
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv[0]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["basis", "augment", "demo-train"])
+    def test_a_command_writes_only_its_output_and_report(self, tmp_path, command):
+        # the README documents <out> and, with --json, <out>.report.json: no side file, no temp file
+        (inputs := tmp_path / "in").mkdir()
+        (outs := tmp_path / "out").mkdir()
+        out = outs / "result"
+        if command == "augment":
+            data, _ = TestAugmentCmd()._write_dataset(inputs)
+            argv = ["augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA, "--in", str(data)]
+        else:
+            argv = (["basis", "--rep-in", K4, "--oracle"] if command == "basis"
+                    else ["net", "demo-train", "--net-spec", NETSPEC, "--steps", "2"])
+        assert run(*argv, "--out", str(out), "--json") == 0
+        assert sorted(p.name for p in outs.iterdir()) == ["result", "result.report.json"]

@@ -96,6 +96,25 @@ class TestGenPermMatrix:
         with pytest.raises(ValueError, match="sign"):
             signed_permutation([1, 0], [1, 2])
 
+    def test_a_stack_passes_as_intp_targets_and_int8_signs(self):
+        targets, signs = signed_permutation([[1, 0, 2], [2, 1, 0]], [[1, -1, 1], [-1, -1, 1]])
+        assert targets.dtype == np.intp and signs.dtype == np.int8
+        np.testing.assert_array_equal(targets, [[1, 0, 2], [2, 1, 0]])
+        np.testing.assert_array_equal(signs, [[1, -1, 1], [-1, -1, 1]])
+        np.testing.assert_array_equal(signed_permutation([[1, 0], [0, 1]])[1], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("targets, signs, message", [
+        ([[1, 0], [0, 1]], [[1, 1]], "sign must have the shape of target"),
+        ([[1, 0], [1, 1]], [[1, 1], [1, 1]], "target is not a permutation of 0..dim-1"),
+        ([[1, 0], [0, 1]], [[1, 1], [0, 1]], "sign entries must be +1 or -1"),
+    ])
+    def test_a_malformed_stack_gets_one_message_from_both_entry_points(self, targets, signs, message):
+        with pytest.raises(ValueError) as direct:
+            signed_permutation(targets, signs)
+        with pytest.raises(ValueError) as via_rep:
+            Representation(make_cyclic(2)[0], targets, signs)
+        assert str(direct.value) == str(via_rep.value) == message
+
     def test_compose_matches_dense_product(self):
         # the closure's products, every pair of the group; up to dim 4 the
         # group (at most the 384 signed permutations of 4 coordinates) stays

@@ -130,13 +130,13 @@ def all_pairs_kinematics(tree, q):
     com = pos + (rot @ tree._com[:, :, None])[..., 0]
     inertia = rot @ tree._inertia @ rot.swapaxes(-1, -2)
     on_path, revolute, axes = tree._on_path[:, :, None], tree._revolute[:, None], axes[:, None]
-    cols = rigid._cross(axes, com[:, :, None] - points[:, None])
+    cols = np.cross(axes, com[:, :, None] - points[:, None])
     np.copyto(cols, axes, where=~revolute)
     cols *= on_path
     jp, jr = np.zeros((2, ns, nb, 3, tree.nv))
     if tree.floating:
         jp[..., 0:3] = np.eye(3)
-        jp[..., 3:6] = rigid._cross(np.eye(3), (com - pos0[:, None])[..., None, :]).swapaxes(-1, -2)
+        jp[..., 3:6] = np.cross(np.eye(3), (com - pos0[:, None])[..., None, :]).swapaxes(-1, -2)
         jr[..., 3:6] = np.eye(3)
     off = tree.nv - tree.nj
     jp[..., off:] = cols.swapaxes(-1, -2)
