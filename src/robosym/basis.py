@@ -35,6 +35,7 @@ ORACLE_CAP = 4096
 ORACLE_TOL = 1e-10
 TRACE_ENTRIES = 1 << 16  # entries per slab of the |G| x mn tables, one row at least; <= 2^30
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
+SPAN_BLOCK = 256  # orbit vectors per projection in span_residual
 # [:, v]: v as three ASCII digits, 000 to 999
 _DIGITS = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3).T.copy()
 
@@ -103,24 +104,6 @@ class EquivBasis(_ReadOnly):
         return basis_fingerprint(self)
 
 
-def _group_orbits(coords: np.ndarray, canon: np.ndarray, sign: np.ndarray) -> Orbits:
-    """Orbits numbered by their smallest coordinates; entries ordered by one in-place
-    sort of the unique int64 keys (orbit + 1) << 32 | index, as mn < 2^31."""
-    if not coords.size:
-        return Orbits([], [], [])
-    keys = np.zeros(canon.size, dtype=np.intp)
-    keys[canon[coords]] = 1 << 32  # at each orbit's smallest coordinate
-    keys = np.cumsum(keys, out=keys)[canon[coords]]  # (orbit + 1) << 32
-    keys |= coords
-    keys.sort()
-    index = keys & 0xFFFFFFFF
-    keys >>= 32
-    keys -= 1
-    sign = sign[index]
-    index.flags.writeable = sign.flags.writeable = keys.flags.writeable = False
-    return Orbits(index, sign, keys)
-
-
 def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbits, Orbits]:
     """Orbits of vec(W) under the action on linear maps, free and zero-forced.
 
@@ -132,6 +115,12 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     some element fixes one of its coordinates with sign -1; then both signs
     send i onto c, and the minimum stores +1.  Slabs of ``TRACE_ENTRIES``
     int32 targets (one element's if mn is more) keep memory O(mn) whatever |G|.
+
+    One in-place sort of the uint64 keys dead << 63 | c << 32 | i (c, i < mn
+    < 2^31) then puts the zero-forced orbits after the free ones, each run
+    ordered by smallest coordinate, then by index.  The keys' buffer becomes
+    the orbit numbers: a flag where the high half changes, summed in place,
+    from 0 again at the first zero-forced entry.
     """
     group = rep_out.group
     mn = rep_out.dim * rep_in.dim
@@ -149,11 +138,26 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
         key <<= 1
         key |= neg
         np.minimum(best, key.min(axis=0), out=best)  # target << 1 | [sign < 0]
-    if group.order > 1:
-        del t, s, neg, key  # the last slab, before the orbits are grouped
+        del t, s, neg, key  # before the next slab is built
     sign = 1 - 2 * (best & 1).astype(np.int8)
-    canon = np.right_shift(best, 1, out=best).view(np.int32)
-    return _group_orbits(coords[~dead], canon, sign), _group_orbits(coords[dead], canon, sign)
+    best >>= 1
+    np.bitwise_or(best, 1 << 31, out=best, where=dead)
+    free = mn - np.count_nonzero(dead)
+    keys = best.astype(np.uint64)
+    keys <<= 32
+    keys |= coords.view(np.uint32)
+    del best, dead, coords
+    keys.sort()
+    orbit = keys.view(np.intp)
+    index = orbit & 0xFFFFFFFF
+    sign = sign[index]
+    orbit >>= 32
+    orbit[1:] = orbit[1:] != orbit[:-1]
+    for run in orbit[:free], orbit[free:]:
+        run[:1] = 0
+        np.cumsum(run, out=run)
+    index.flags.writeable = sign.flags.writeable = orbit.flags.writeable = False
+    return tuple(Orbits(index[p], sign[p], orbit[p]) for p in (slice(free), slice(free, None)))
 
 
 def orbit_basis(rep_in: Representation, rep_out: Representation) -> EquivBasis:
@@ -311,14 +315,15 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
     """Largest distance of any orbit vector from the oracle's span.
 
     Orbit vectors are normalized before projection; residual is the 2-norm
-    of the component outside the span.
+    of the component outside the span.  ``SPAN_BLOCK`` vectors are projected at a time.
     """
-    worst = 0.0
-    for k in range(basis.rank):
-        v = basis.materialize(k).ravel()
-        v = v / np.linalg.norm(v)
-        resid = v - oracle @ (oracle.T @ v)
-        worst = max(worst, float(np.linalg.norm(resid)))
+    o, worst = basis.orbits, 0.0
+    for k in range(0, basis.rank, SPAN_BLOCK):
+        lo, hi = np.searchsorted(o.orbit, [k, k + SPAN_BLOCK])
+        v = np.zeros((basis.m * basis.n, min(SPAN_BLOCK, basis.rank - k)))
+        v[o.index[lo:hi], o.orbit[lo:hi] - k] = o.sign[lo:hi]
+        v /= np.linalg.norm(v, axis=0)
+        worst = max(worst, float(np.linalg.norm(v - oracle @ (oracle.T @ v), axis=0).max()))
     return worst
 
 
@@ -331,13 +336,14 @@ def _orbits_json(orbits: Orbits, sep: str, colon: str):
     ends = np.cumsum([len(f) for f in fields]).tolist()
     head, units, minus, tail = slice(ends[0], ends[1]), ends[3] - 1, ends[4], slice(ends[6], None)
     template = np.frombuffer("".join(fields).encode(), dtype=np.uint8)[:, None]
-    change = orbits.orbit[1:] != orbits.orbit[:-1]
-    opens, closes = np.insert(change, 0, True), np.append(change, True)
     for lo in range(0, orbits.index.size, BASIS_BLOCK):
-        block = slice(lo, lo + BASIS_BLOCK)
-        buf = np.repeat(template, opens[block].size, axis=1)
+        block = slice(lo, min(lo + BASIS_BLOCK, orbits.index.size))
+        size, before = block.stop - lo, orbits.orbit[lo - 1] if lo else -1
+        # opens[k]: entry lo + k starts an orbit, as one past the last entry does
+        opens = np.diff(orbits.orbit[lo : block.stop + 1], prepend=before, append=-1) != 0
+        buf = np.repeat(template, size, axis=1)
         buf[: len(sep), 0] *= lo > 0
-        buf[head] *= opens[block]
+        buf[head] *= opens[:size]
         index = q = orbits.index[block].astype(np.int32)
         for k in range(0, width, 3):  # digits k, k + 1 and k + 2 from the right, fewer at the top
             q, r = np.divmod(q, 1000)
@@ -346,7 +352,7 @@ def _orbits_json(orbits: Orbits, sep: str, colon: str):
         for k in range(1, width):
             buf[units - k] *= index >= 10**k  # a leading zero is dropped, a units digit never
         buf[minus] *= orbits.sign[block] < 0
-        buf[tail] *= closes[block]
+        buf[tail] *= opens[1 : size + 1]
         yield buf.T.tobytes().translate(None, b"\0").decode()
 
 

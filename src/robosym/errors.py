@@ -86,14 +86,16 @@ def check_isometry(name: str, r: np.ndarray, tol: float) -> np.ndarray:
     """The signs of det(r), once ``r``, a square matrix or a stack (n, d, d), is checked to be
     finite with |r^T r - I| <= ``tol`` entrywise and |det| within 1e-9 of 1; else ValueError
     naming ``name`` (a stack's first failing matrix i as ``name i``) and the first check it
-    fails.  A non-finite matrix is then checked as I, so no product warns."""
+    fails.  A non-finite matrix is then checked as I, so no product warns; an entry near the
+    float maximum overflows to inf or nan, silently, and fails the orthogonality check."""
     if r.ndim not in (2, 3) or r.shape[-1] != r.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {r.shape}")
     eye, finite = np.eye(r.shape[-1]), np.isfinite(r).all(axis=(-1, -2))
     r = np.where(finite[..., None, None], r, eye)
-    det = np.linalg.det(r)
-    failed = np.array([~finite, ~(np.abs(r.swapaxes(-1, -2) @ r - eye).max(axis=(-1, -2)) <= tol),
-                       ~(np.abs(np.abs(det) - 1.0) <= 1e-9)]).reshape(3, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(r)
+        failed = np.array([~finite, ~(np.abs(r.swapaxes(-1, -2) @ r - eye).max(axis=(-1, -2)) <= tol),
+                           ~(np.abs(np.abs(det) - 1.0) <= 1e-9)]).reshape(3, -1)
     if failed.any():
         i = failed.any(axis=0).argmax()
         check = ("has non-finite entries", "is not orthogonal", "has |det| != 1")[failed[:, i].argmax()]

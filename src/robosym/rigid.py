@@ -16,6 +16,7 @@ through the origin of the base frame.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -116,7 +117,7 @@ class KinematicTree:
                 raise ParseError(f"joint {j.name!r}: unknown parent or child body")
             if j.child in child_names:
                 raise TreeCycle(f"body {j.child!r} has more than one parent joint")
-            if j.actuated and abs(np.linalg.norm(j.axis) - 1.0) > 1e-12:
+            if j.actuated and abs(math.hypot(*j.axis) - 1.0) > 1e-12:  # hypot: no overflow near the float max
                 raise ParseError(f"joint {j.name!r}: axis must have unit norm")
             child_names.add(j.child)
             children[j.parent].append(j)
@@ -195,10 +196,11 @@ def merge_config(tree: KinematicTree, rot: np.ndarray, pos: np.ndarray, qjs: np.
 
 
 def random_config(tree: KinematicTree, rng: np.random.Generator) -> np.ndarray:
-    qjs = rng.uniform(-tree._q_range, tree._q_range)
+    # low + (high - low) * u, as Generator.uniform forms it, without its checks of the bounds
+    qjs = -tree._q_range + 2 * tree._q_range * rng.random(tree._q_range.size)
     if not tree.floating:
         return qjs
-    return merge_config(tree, random_rotation(rng), rng.uniform(-1.0, 1.0, 3), qjs)
+    return merge_config(tree, random_rotation(rng), -1.0 + 2.0 * rng.random(3), qjs)
 
 
 class _Kinematics(NamedTuple):

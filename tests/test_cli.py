@@ -303,6 +303,19 @@ class TestAugmentCmd:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {group}: generator 0: 'isometry' has non-finite entries"]
 
+    def test_huge_isometry_entry_exits_2_without_warning(self, tmp_path, capsys):
+        # r^T r overflows on an entry near the float maximum; the check still names orthogonality
+        data = json.loads(Path(SOLO_GROUP).read_text())
+        data["generators"][1]["isometry"][0][0] = 1e308
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("augment", "--group", str(group), "--schema", COM_SCHEMA,
+                       "--in", str(tmp_path / "unread.csv"), "--out", str(tmp_path / "o.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {group}: generator 1: 'isometry' is not orthogonal"]
+
     def test_truncated_csv_exits_0_or_2(self, tmp_path, capsys):
         path, _ = self._write_dataset(tmp_path, n=20)
         data = path.read_bytes()
@@ -761,6 +774,8 @@ class TestParseBoundaries:
                              "body 'leg_l' has more than one parent joint"),
         "joint_axis_norm_2": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 2.0, 0.0]),
                               "joint 'hip_l': axis must have unit norm"),
+        "joint_axis_norm_huge": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 1e308, 0.0]),
+                                 "joint 'hip_l': axis must have unit norm"),
         # a body whose only parent joint is its own: a cycle cut off from the root
         "joint_self_loop": ("robot", lambda d: (d["bodies"].append(dict(d["bodies"][1], name="x")),
                                                 d["joints"].append(dict(d["joints"][1], name="loop",

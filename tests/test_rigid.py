@@ -698,3 +698,17 @@ class TestRotations:
             r = random_rotation(rng)
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-14)
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("name", ["minibiped", "minibiped_perturbed", "solo_like", "trifinger"])
+    def test_random_config_draws_as_uniform_does(self, name):
+        # each range -r..r forms -r + 2r u, bit for bit rng.uniform's draw on the same stream
+        from robosym.rigid import merge_config, random_rotation
+
+        tree = load_robot(str(FIXTURES / f"{name}.json"))
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                qjs = ref.uniform(-tree._q_range, tree._q_range)
+                if tree.floating:
+                    qjs = merge_config(tree, random_rotation(ref), ref.uniform(-1.0, 1.0, 3), qjs)
+                assert random_config(tree, rng).tobytes() == qjs.tobytes()
