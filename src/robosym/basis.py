@@ -200,9 +200,16 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     return total // group.order
 
 
-def _nullspace_by_elimination(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal nullspace basis of float ``a``, eliminated in place (partial pivoting)."""
-    rows, cols = a.shape
+def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, gens: list, tol: float) -> np.ndarray:
+    """Orthonormal nullspace basis of the stacked blocks rho_W(g) - I, one per g in ``gens``.
+    Builds the stack, eliminates it in place (partial pivoting) and frees it before the QR."""
+    t, s = _linear_map_action(rep_in, rep_out, gens)
+    cols = t.shape[1]
+    a, diag = np.zeros((len(gens), cols, cols)), np.arange(cols)
+    a[np.arange(len(gens))[:, None], t, diag] = s
+    a[:, diag, diag] -= 1
+    a = a.reshape(-1, cols)
+    rows = a.shape[0]
     pivot_cols: list[int] = []
     r = 0
     for col in range(cols):
@@ -224,6 +231,7 @@ def _nullspace_by_elimination(a: np.ndarray, tol: float) -> np.ndarray:
     basis = np.zeros((cols, len(free_cols)))
     basis[free_cols, np.arange(len(free_cols))] = 1.0
     basis[pivot_cols] = -a[: len(pivot_cols), free_cols]
+    del a  # the stack, before np.linalg.qr allocates its workspace
     q, _ = np.linalg.qr(basis)  # (cols, 0) when the nullspace is empty
     return q
 
@@ -261,11 +269,7 @@ def dense_nullspace_oracle(
         raise CapExceeded(f"{len(gens)} generators at mn = {mn} exceed the oracle's stack of 2 x {cap}^2")
     if not gens:
         return np.eye(mn)
-    t, s = _linear_map_action(rep_in, rep_out, gens)
-    blocks, cols = np.zeros((len(gens), mn, mn)), np.arange(mn)  # block k: rho_W(g_k) - I
-    blocks[np.arange(len(gens))[:, None], t, cols] = s
-    blocks[:, cols, cols] -= 1
-    return _nullspace_by_elimination(blocks.reshape(-1, mn), tol)
+    return _nullspace_by_elimination(rep_in, rep_out, gens, tol)
 
 
 class BasisReport(NamedTuple):
@@ -329,31 +333,31 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
 
 def _orbits_json(orbits: Orbits, sep: str, colon: str):
     """Yield the items of the orbits' JSON list, ``BASIS_BLOCK`` entries per chunk.
-    Each entry is one fixed-width byte record, built column-major; the bytes it does
-    not use (first separator, head, leading zeros, "-" for +1, "]}") are zeroed and dropped."""
-    width = len(str(int(orbits.index.max(initial=0))))
-    fields = [sep, f'{{"entries"{colon}[', "[", "0" * width, sep, "-", "1]", "]}"]
-    ends = np.cumsum([len(f) for f in fields]).tolist()
-    head, units, minus, tail = slice(ends[0], ends[1]), ends[3] - 1, ends[4], slice(ends[6], None)
-    template = np.frombuffer("".join(fields).encode(), dtype=np.uint8)[:, None]
-    for lo in range(0, orbits.index.size, BASIS_BLOCK):
-        block = slice(lo, min(lo + BASIS_BLOCK, orbits.index.size))
-        size, before = block.stop - lo, orbits.orbit[lo - 1] if lo else -1
-        # opens[k]: entry lo + k starts an orbit, as one past the last entry does
-        opens = np.diff(orbits.orbit[lo : block.stop + 1], prepend=before, append=-1) != 0
-        buf = np.repeat(template, size, axis=1)
-        buf[: len(sep), 0] *= lo > 0
-        buf[head] *= opens[:size]
-        index = q = orbits.index[block].astype(np.int32)
+    Each entry is one fixed-width byte record, built column-major: "[", index, sep, "-1]" and an
+    end slot of sep, or of 0x01 where the next entry opens an orbit, or of "]}" after the last.
+    Unused bytes (leading zeros, "-" for +1) are zeroed and dropped, then each 0x01 expanded."""
+    width, size, opener = len(str(int(orbits.index.max(initial=0)))), orbits.index.size, f'{{"entries"{colon}['
+    units, minus, end, slot = width, width + len(sep) + 1, width + len(sep) + 4, max(len(sep), 2)
+    record = np.frombuffer(f"[{'0' * width}{sep}-1]{sep}".ljust(end + slot, "\0").encode(), np.uint8)[:, None]
+    last = np.frombuffer(b"]}".ljust(slot, b"\0"), np.uint8)
+    for lo in range(0, size, BASIS_BLOCK):
+        hi = min(lo + BASIS_BLOCK, size)
+        buf = np.repeat(record, hi - lo, axis=1)
+        index = q = orbits.index[lo:hi].astype(np.int32)
         for k in range(0, width, 3):  # digits k, k + 1 and k + 2 from the right, fewer at the top
             q, r = np.divmod(q, 1000)
             top = min(k + 3, width)
             buf[units - top + 1 : units - k + 1] = np.take(_DIGITS[3 - top + k :], r, axis=1)
         for k in range(1, width):
             buf[units - k] *= index >= 10**k  # a leading zero is dropped, a units digit never
-        buf[minus] *= orbits.sign[block] < 0
-        buf[tail] *= opens[1 : size + 1]
-        yield buf.T.tobytes().translate(None, b"\0").decode()
+        buf[minus] *= orbits.sign[lo:hi] < 0
+        opens = np.diff(orbits.orbit[lo : hi + 1]) != 0  # [k]: entry lo + k + 1 opens an orbit
+        buf[end:, : opens.size] *= ~opens
+        buf[end, : opens.size] |= opens
+        if hi == size:
+            buf[end:, -1] = last
+        text = buf.T.tobytes().translate(None, b"\0").replace(b"\1", f"]}}{sep}{opener}".encode()).decode()
+        yield opener + text if lo == 0 else text
 
 
 def basis_json_chunks(basis: EquivBasis, separators: tuple[str, str] = (", ", ": ")):

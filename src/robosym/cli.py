@@ -179,7 +179,10 @@ def cmd_net_init_stats(args) -> int:
 def cmd_net_verify(args) -> int:
     net = _build_net_from_spec(args.net_spec)
     nets.load_weights(net, args.weights)
-    rep = nets.check_equivariance(net, samples=args.samples, tol=args.tol, rng_seed=args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite coefficients whose outputs overflow: exit 2
+        rep = nets.check_equivariance(net, samples=args.samples, tol=args.tol, rng_seed=args.seed)
+    if not np.isfinite(rep.max_violation):
+        raise ParseError(f"{args.weights}: coefficients too large: the net's outputs overflow")
     print(str(rep))
     _emit(
         args,

@@ -73,13 +73,14 @@ def parse_int_list(key: str, values) -> list[int]:
     return values
 
 
-def check_finite(where: str, **values) -> None:
+def check_finite(where: str, cap: float = np.finfo(float).max, **values) -> None:
     """Raise ParseError naming ``where`` and the first key whose value (a
-    number or an array of them) holds a NaN or an infinity, so a parser
-    rejects it before any arithmetic on it can warn."""
+    number or an array of them) holds a NaN or an infinity, or an entry above
+    ``cap`` in magnitude, so a parser rejects it before any arithmetic on it can warn."""
     for key, value in values.items():
-        if not np.isfinite(value).all():
-            raise ParseError(f"{where}: {key!r} has non-finite entries")
+        if not (np.abs(value) <= cap).all():  # a NaN compares false
+            what = "non-finite entries" if not np.isfinite(value).all() else f"entries above {cap:g} in magnitude"
+            raise ParseError(f"{where}: {key!r} has {what}")
 
 
 def check_isometry(name: str, r: np.ndarray, tol: float) -> np.ndarray:

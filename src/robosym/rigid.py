@@ -33,6 +33,7 @@ _EYE3.setflags(write=False)
 
 KIN_BLOCK = 128  # configurations per kinematics pass of the sampled check: bounds its memory
 CANDIDATE_TOL = 1e-9  # entrywise |R^T R - I| allowed in a candidate's isometry
+VALUE_CAP = 1e50  # |entry| of a body's mass, com and inertia and a joint's origin_xyz: M's products stay finite
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -547,7 +548,7 @@ def _parse_body(entry: dict) -> RigidBody:
         raise ParseError(f"body {name!r}: com must have 3 entries")
     if len(upper) != 6:
         raise ParseError(f"body {name!r}: inertia needs 6 upper-triangular entries")
-    check_finite(f"body {name!r}", mass=mass, com=com, inertia=upper)
+    check_finite(f"body {name!r}", VALUE_CAP, mass=mass, com=com, inertia=upper)
     ixx, ixy, ixz, iyy, iyz, izz = upper
     inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     return RigidBody(name, mass, com, inertia)
@@ -563,7 +564,8 @@ def _parse_joint(entry: dict) -> Joint:
     for key, value in (("origin_rpy", rpy), ("origin_xyz", xyz), ("axis", axis)):
         if np.shape(value) != (3,):
             raise ParseError(f"joint {name!r}: {key!r} must have 3 entries")
-    check_finite(f"joint {name!r}", origin_rpy=rpy, origin_xyz=xyz, axis=axis)
+    check_finite(f"joint {name!r}", VALUE_CAP, origin_xyz=xyz)
+    check_finite(f"joint {name!r}", origin_rpy=rpy, axis=axis)
     return Joint(name, parent, child, jtype, rpy_matrix(*rpy), xyz, axis)
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, closure, dense, gpm
+from conftest import FIXTURES, basis_to_dict, closure, dense, gpm, make_k4
 from robosym import basis as basis_module
 from robosym import cli
 from robosym.basis import (
@@ -479,6 +479,38 @@ class TestBasisSerialization:
         basis = bias_basis(trivial_representation(group, 12))
         assert basis.rank == 12 and basis.total_entries == 12
         self.assert_text_is_json_dumps(basis)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, basis_module.BASIS_BLOCK])
+    def test_record_edge_cases(self, monkeypatch, block):
+        # blocks of 2: the first ends where orbit 0 ends, so the next chunk opens orbit 1, a
+        # singleton; the free list's last entry ends the fourth block; the zero-forced list is
+        # split inside its second orbit; indices cross 9/10, 99/100, 999/1000 and 9999/10000,
+        # with sign -1 at four and five digits
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        orbits = Orbits([9, 10, 999, 1000, 9999, 10000, 10001, 12345],
+                        [1, -1, 1, 1, -1, 1, -1, -1], [0, 0, 1, 2, 2, 3, 3, 3])
+        basis = EquivBasis(125, 100, orbits, Orbits([0, 1, 99, 100, 101], [1] * 5, [0, 0, 1, 1, 1]))
+        self.assert_text_is_json_dumps(basis)
+        for sep, colon in (", ", ": "), (",", ":"):
+            chunks = list(basis_json_chunks(basis, (sep, colon)))
+            assert len(chunks) == 3 + -(-8 // block) + -(-5 // block)
+            assert not any("\0" in c or "\1" in c for c in chunks)
+            if block == 2:
+                assert chunks[1] == f'{{"entries"{colon}[[9{sep}1]{sep}[10{sep}-1]]}}{sep}{{"entries"{colon}['
+                assert chunks[2].startswith("[999") and chunks[4].endswith(f"[12345{sep}-1]]}}")
+
+    @pytest.mark.parametrize("group, width, digest", [
+        # 102,400 entries, six-digit indices, orbits of 2
+        (make_cyclic(2)[0], 320, "d35ee4677a51d9b75a74db96d9686e7feb737fa6e911b66a66777417c18c5cd5"),
+        # 16,384 entries, five-digit indices, orbits of 4
+        (make_k4()[0], 128, "08bbcfc9d4f59b02f405d325150066cc603f26da79f46485a97d5f84fc4f2b16"),
+    ], ids=["c2_tiled_320", "k4_tiled_128"])
+    def test_text_at_benchmark_widths(self, group, width, digest):
+        rep = tiled_regular_representation(group, width)
+        basis = orbit_basis(rep, rep)
+        self.assert_text_is_json_dumps(basis)
+        # the file's exact bytes, pinned apart from json.dumps
+        assert hashlib.sha256((basis_text(basis) + "\n").encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
     @pytest.mark.parametrize("block", [2, 3, 7, 1 << 10])

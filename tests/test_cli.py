@@ -449,6 +449,22 @@ class TestNetCmd:
             f"error: {weights}: layer 1: {key!r} has non-finite entries"]
 
 
+    def test_verify_huge_coefficient_exits_2(self, tmp_path, capsys):
+        # a finite coefficient near the float maximum overflows the outputs: no warning and
+        # no NaN violation reported as a failure, since the net is equivariant by construction
+        weights = tmp_path / "w.json"
+        run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "2", "--out", str(weights))
+        data = json.loads(weights.read_text())
+        data["layers"][0]["coeffs"][0] = 1e308
+        weights.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("net", "verify", "--net-spec", NETSPEC, "--weights", str(weights)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {weights}: coefficients too large: the net's outputs overflow"]
+
+
 class TestRobotCmd:
     def test_biped_verified_order_two(self, capsys):
         assert run("robot", "verify",
@@ -774,6 +790,11 @@ class TestParseBoundaries:
                              "body 'leg_l' has more than one parent joint"),
         "joint_axis_norm_2": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 2.0, 0.0]),
                               "joint 'hip_l': axis must have unit norm"),
+        # finite entries whose products in M would overflow
+        "body_com_huge": ("robot", lambda d: d["bodies"][1]["com"].__setitem__(0, 1e308),
+                          "body 'leg_l': 'com' has entries above 1e+50 in magnitude"),
+        "joint_origin_xyz_huge": ("robot", lambda d: d["joints"][0].update(origin_xyz=[0.0, -1e51, 0.0]),
+                                  "joint 'hip_l': 'origin_xyz' has entries above 1e+50 in magnitude"),
         "joint_axis_norm_huge": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 1e308, 0.0]),
                                  "joint 'hip_l': axis must have unit norm"),
         # a body whose only parent joint is its own: a cycle cut off from the root
