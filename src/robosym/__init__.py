@@ -16,7 +16,6 @@ from .basis import (
     dense_nullspace_oracle,
     orbit_basis,
     span_residual,
-    validate_basis,
 )
 from .errors import (
     BadInertia,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_int
+from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_float, parse_int
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     FiniteGroup,
@@ -302,7 +302,7 @@ def load_group_bundle(path: str) -> GroupBundle:
         for k, entry in enumerate(data["generators"]):
             with errors_named(f"generator {k}"):
                 if "isometry" in entry:
-                    m = np.asarray(entry["isometry"], dtype=float)
+                    m = parse_float("isometry", entry["isometry"])
                     if m.ndim != 2:  # check_isometry would take it for a stack
                         raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
                     check_isometry("'isometry'", m, PLAN_TOL)

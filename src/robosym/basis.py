@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .groups import (
     Representation,
     _ReadOnly,
     _linear_map_action,
-    act,
     trivial_representation,
 )
 
@@ -272,49 +270,6 @@ def dense_nullspace_oracle(
     return _nullspace_by_elimination(rep_in, rep_out, gens, tol)
 
 
-class BasisReport(NamedTuple):
-    passed: bool
-    rank: int
-    burnside: int
-    zero_forced: int
-    max_residual: float
-    first_violation: tuple[int, int, tuple[int, int]] | None = None
-
-
-def validate_basis(
-    basis: EquivBasis,
-    rep_in: Representation,
-    rep_out: Representation,
-    tol: float = ORACLE_TOL,
-) -> BasisReport:
-    """Check every orbit vector satisfies rho_out(g) W = W rho_in(g).
-
-    Also checks the orbit count against the Burnside rank.  Violations are
-    reported, not raised.
-    """
-    group = rep_out.group
-    worst = 0.0
-    violation = None
-    for k in range(basis.rank):
-        w = basis.materialize(k)
-        for g in group.elements():
-            resid = act(rep_out, g, w.T).T - act(rep_in, group.inverse[g], w)  # rho_out(g) W - W rho_in(g)
-            local = float(np.abs(resid).max()) if resid.size else 0.0
-            if local > worst:
-                worst = local
-                if local > tol and violation is None:
-                    i, j = np.unravel_index(int(np.abs(resid).argmax()), resid.shape)
-                    violation = (g, k, (int(i), int(j)))
-    try:
-        expected = burnside_rank(rep_in, rep_out)
-    except NonIntegralRank:
-        expected = -1
-    passed = worst <= tol and basis.rank == expected
-    if basis.rank != expected and violation is None:
-        violation = (group.identity, -1, (-1, -1))
-    return BasisReport(passed, basis.rank, expected, len(basis.zero_forced), worst, violation)
-
-
 def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
     """Largest distance of any orbit vector from the oracle's span.
 
@@ -331,14 +286,14 @@ def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:
     return worst
 
 
-def _orbits_json(orbits: Orbits, sep: str, colon: str):
+def _orbits_json(orbits: Orbits, sep: bytes, colon: bytes):
     """Yield the items of the orbits' JSON list, ``BASIS_BLOCK`` entries per chunk.
     Each entry is one fixed-width byte record, built column-major: "[", index, sep, "-1]" and an
     end slot of sep, or of 0x01 where the next entry opens an orbit, or of "]}" after the last.
     Unused bytes (leading zeros, "-" for +1) are zeroed and dropped, then each 0x01 expanded."""
-    width, size, opener = len(str(int(orbits.index.max(initial=0)))), orbits.index.size, f'{{"entries"{colon}['
+    width, size, opener = len(str(int(orbits.index.max(initial=0)))), orbits.index.size, b'{"entries"%b[' % colon
     units, minus, end, slot = width, width + len(sep) + 1, width + len(sep) + 4, max(len(sep), 2)
-    record = np.frombuffer(f"[{'0' * width}{sep}-1]{sep}".ljust(end + slot, "\0").encode(), np.uint8)[:, None]
+    record = np.frombuffer(b"[%b%b-1]%b" % (b"0" * width, sep, sep) + b"\0" * (slot - len(sep)), np.uint8)[:, None]
     last = np.frombuffer(b"]}".ljust(slot, b"\0"), np.uint8)
     for lo in range(0, size, BASIS_BLOCK):
         hi = min(lo + BASIS_BLOCK, size)
@@ -356,17 +311,19 @@ def _orbits_json(orbits: Orbits, sep: str, colon: str):
         buf[end, : opens.size] |= opens
         if hi == size:
             buf[end:, -1] = last
-        text = buf.T.tobytes().translate(None, b"\0").replace(b"\1", f"]}}{sep}{opener}".encode()).decode()
-        yield opener + text if lo == 0 else text
+        text = buf.T.tobytes().translate(None, b"\0").replace(b"\1", b"]}" + sep + opener)
+        yield (opener + text if lo == 0 else text).decode()
 
 
 def basis_json_chunks(basis: EquivBasis, separators: tuple[str, str] = (", ", ": ")):
     """Yield the basis file's JSON text as ``json.dumps`` with ``separators`` writes it."""
     sep, colon = separators
+    if "\0" in sep or "\1" in sep:  # the formatter drops NUL bytes and expands 0x01 ones
+        raise ValueError("the item separator must not hold a NUL or 0x01 character")
     yield f'{{"m"{colon}{basis.m}{sep}"n"{colon}{basis.n}{sep}"orbits"{colon}['
-    yield from _orbits_json(basis.orbits, sep, colon)
+    yield from _orbits_json(basis.orbits, sep.encode(), colon.encode())
     yield f']{sep}"zero_forced"{colon}['
-    yield from _orbits_json(basis.zero_forced, sep, colon)
+    yield from _orbits_json(basis.zero_forced, sep.encode(), colon.encode())
     yield "]}"
 
 

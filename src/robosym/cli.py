@@ -140,6 +140,9 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
     with json_input(path) as spec:
         if not isinstance(spec, dict) or "rep" not in spec:
             raise ParseError("net spec has no 'rep' key")
+        for key in ("rep", "nonlinearity", "init_mode"):
+            if not isinstance(spec.get(key, ""), str):
+                raise ParseError(f"{key!r} must be a string, got {type(spec[key]).__name__}")
         hidden = spec.get("hidden", [])
         if not isinstance(hidden, list):
             raise ParseError("'hidden' must be a list of integer widths")
@@ -150,6 +153,8 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
         nonlinearity = nets.get_nonlinearity(spec.get("nonlinearity", "relu"))
         init_mode = spec.get("init_mode", "fan_in")
         seed = parse_int("seed", spec.get("seed", 0))
+        if seed < 0:
+            raise ParseError(f"'seed' must be >= 0, got {seed}")
     _, rep_in = load_representation(rep_path)
     with errors_named(path):  # the spec's widths and init mode against the group
         rep_out = rep_in if output is None else tiled_regular_representation(rep_in.group, output)

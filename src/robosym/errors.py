@@ -1,4 +1,4 @@
-"""Exception types shared across the library, the integer and finiteness
+"""Exception types shared across the library, the integer, float and finiteness
 checks that parsers of input files share, and the one check of an isometry."""
 
 import numpy as np
@@ -71,6 +71,19 @@ def parse_int_list(key: str, values) -> list[int]:
             if type(v) is not int:
                 parse_int(key, v, f"entry {j}")
     return values
+
+
+def parse_float(key: str, value, path: tuple = ()) -> np.ndarray:
+    """``value``, read for ``key``, as a float array if it is a JSON number or a list (of lists)
+    of them; a bool, string, null or object in it raises ParseError naming the key and the
+    entry's index ``path``, so nothing is coerced.  A flat list of numbers is one pass over types."""
+    if isinstance(value, (bool, str, dict, type(None))):
+        at = f"entry {path[0] if len(path) == 1 else path}: " if path else ""
+        raise ParseError(f"{at}{key!r} must be a number, got {type(value).__name__}")
+    if isinstance(value, list) and not set(map(type, value)) <= {int, float}:
+        for j, v in enumerate(value):
+            parse_float(key, v, (*path, j))
+    return np.asarray(value, dtype=float)
 
 
 def check_finite(where: str, cap: float = np.finfo(float).max, **values) -> None:

@@ -11,13 +11,14 @@ from .errors import ParseError, RoboSymError
 
 @contextlib.contextmanager
 def errors_named(where: str) -> Iterator[None]:
-    """Any library error, ValueError, TypeError, KeyError, AttributeError or
-    IndexError raised in the ``with`` block becomes one ParseError starting
-    ``"<where>: "`` (a file, or an entry in one): for reads and checks of a
-    file's data, also those that run after it is read (against another file's)."""
+    """Any library error, ValueError, TypeError, KeyError, AttributeError,
+    IndexError or OverflowError (a JSON integer beyond the float range) raised
+    in the ``with`` block becomes one ParseError starting ``"<where>: "`` (a
+    file, or an entry in one): for reads and checks of a file's data, also
+    those that run after it is read (against another file's)."""
     try:
         yield
-    except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError) as exc:
+    except (RoboSymError, ValueError, TypeError, KeyError, AttributeError, IndexError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

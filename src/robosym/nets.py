@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .basis import EquivBasis, bias_basis, orbit_basis
-from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite
-from .fileio import atomic_write_text, json_input
+from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite, parse_float
+from .fileio import atomic_write_text, errors_named, json_input
 from .groups import FiniteGroup, Representation, act, tiled_regular_representation
 
 _SELU_ALPHA = 1.6732632423543772848170429916717
@@ -400,8 +400,8 @@ def load_weights(net: EquivNet, path: str) -> None:
             for key in ("coeffs", "bias_coeffs"):
                 if key not in entry:
                     raise ParseError(f"layer {li} has no {key!r} key")
-            coeffs = np.asarray(entry["coeffs"], dtype=float)
-            bias_coeffs = np.asarray(entry["bias_coeffs"], dtype=float)
+            with errors_named(f"layer {li}"):
+                coeffs, bias_coeffs = (parse_float(key, entry[key]) for key in ("coeffs", "bias_coeffs"))
             if coeffs.shape != layer.coeffs.shape or bias_coeffs.shape != layer.bias_coeffs.shape:
                 raise ParseError(f"layer {li} coefficient count mismatch")
             check_finite(f"layer {li}", coeffs=coeffs, bias_coeffs=bias_coeffs)

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_int_list
+from .errors import (BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_float,
+                     parse_int_list)
 from .fileio import errors_named, json_input
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Representation, _apply_signed, group_closure,
                      signed_permutation)
@@ -541,15 +542,15 @@ def _name_of(entry) -> str:
 def _parse_body(entry: dict) -> RigidBody:
     with errors_named(f"body entry {_name_of(entry)!r}"):
         name = entry["name"]
-        mass = float(entry["mass"])
-        com = np.asarray(entry["com"], dtype=float)
-        upper = [float(v) for v in entry["inertia"]]
+        mass = float(parse_float("mass", entry["mass"]))
+        com = parse_float("com", entry["com"])
+        upper = parse_float("inertia", entry["inertia"])
     if com.shape != (3,):
         raise ParseError(f"body {name!r}: com must have 3 entries")
-    if len(upper) != 6:
+    if upper.shape != (6,):
         raise ParseError(f"body {name!r}: inertia needs 6 upper-triangular entries")
     check_finite(f"body {name!r}", VALUE_CAP, mass=mass, com=com, inertia=upper)
-    ixx, ixy, ixz, iyy, iyz, izz = upper
+    ixx, ixy, ixz, iyy, iyz, izz = upper.tolist()
     inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     return RigidBody(name, mass, com, inertia)
 
@@ -557,9 +558,9 @@ def _parse_body(entry: dict) -> RigidBody:
 def _parse_joint(entry: dict) -> Joint:
     with errors_named(f"joint entry {_name_of(entry)!r}"):
         name = entry["name"]
-        rpy = [float(v) for v in entry.get("origin_rpy", (0.0, 0.0, 0.0))]
-        xyz = np.asarray(entry.get("origin_xyz", (0.0, 0.0, 0.0)), dtype=float)
-        axis = np.asarray(entry.get("axis", (0.0, 0.0, 1.0)), dtype=float)
+        rpy = parse_float("origin_rpy", entry.get("origin_rpy", [0.0, 0.0, 0.0])).tolist()
+        xyz = parse_float("origin_xyz", entry.get("origin_xyz", [0.0, 0.0, 0.0]))
+        axis = parse_float("axis", entry.get("axis", [0.0, 0.0, 1.0]))
         parent, child, jtype = entry["parent"], entry["child"], entry["type"]
     for key, value in (("origin_rpy", rpy), ("origin_xyz", xyz), ("axis", axis)):
         if np.shape(value) != (3,):
@@ -594,7 +595,7 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
                 sign = perm.get("sign")
                 cand = CandidateDMS(
                     entry.get("name", f"candidate{len(out)}"),
-                    np.asarray(entry["isometry"], dtype=float),
+                    parse_float("isometry", entry["isometry"]),
                     (parse_int_list("target", perm["target"]),
                      None if sign is None else parse_int_list("sign", sign)),
                     dict(entry["body_pairing"]),

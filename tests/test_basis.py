@@ -10,6 +10,7 @@ import pytest
 from conftest import FIXTURES, basis_to_dict, closure, dense, gpm, make_k4
 from robosym import basis as basis_module
 from robosym import cli
+from robosym.augment import AugmentationPlan, MeasurementSchema, SchemaField, augment_dataset
 from robosym.basis import (
     EquivBasis,
     Orbits,
@@ -20,16 +21,17 @@ from robosym.basis import (
     dense_nullspace_oracle,
     orbit_basis,
     span_residual,
-    validate_basis,
 )
 from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonIntegralRank
 from robosym.groups import (
     FiniteGroup,
     Representation,
     act,
+    direct_sum,
     load_representation,
     make_cyclic,
     regular_representation,
+    tensor_on_linear_maps,
     tiled_regular_representation,
     trivial_representation,
     verify_homomorphism,
@@ -330,29 +332,6 @@ class TestBiasBasis:
                     np.testing.assert_allclose(act(rep, g, b), b, atol=0)
 
 
-class TestValidateBasis:
-    def test_pass_and_rank_match(self):
-        _, rep = closure(gpm([1, 0]))
-        report = validate_basis(orbit_basis(rep, rep), rep, rep)
-        assert report.passed and report.rank == report.burnside == 2
-
-    def test_corrupted_sign_fails_with_location(self):
-        _, rep = closure(gpm([1, 0]))
-        good = orbit_basis(rep, rep)
-        assert basis_to_dict(good)["orbits"][1] == {"entries": [[1, 1], [2, 1]]}
-        o = good.orbits
-        bad = EquivBasis(good.m, good.n, Orbits(o.index, [1, 1, 1, -1], o.orbit), good.zero_forced)
-        report = validate_basis(bad, rep, rep)
-        assert not report.passed
-        g, k, (i, j) = report.first_violation
-        assert k == 1 and g == 1
-
-    def test_empty_basis_vacuous_pass(self):
-        flip, triv = flip_and_trivial()
-        report = validate_basis(orbit_basis(flip, triv), flip, triv)
-        assert report.passed and report.rank == 0 and report.zero_forced == 1
-
-
 class TestOracleEquivalence:
     """Span agreement between the two routes over the whole fixture matrix."""
 
@@ -499,6 +478,24 @@ class TestBasisSerialization:
                 assert chunks[1] == f'{{"entries"{colon}[[9{sep}1]{sep}[10{sep}-1]]}}{sep}{{"entries"{colon}['
                 assert chunks[2].startswith("[999") and chunks[4].endswith(f"[12345{sep}-1]]}}")
 
+    @pytest.mark.parametrize("block", [1, 3, basis_module.BASIS_BLOCK])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_non_ascii_and_wide_separators(self, monkeypatch, k, block):
+        # the record is laid out in bytes, so a separator of several UTF-8 bytes, or of
+        # several characters, shifts every later column by its encoded length
+        monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
+        rep = tiled_regular_representation(make_cyclic(k)[0], 4 * k)
+        for basis in (orbit_basis(rep, rep), bias_basis(rep)):
+            reference = basis_to_dict(basis)
+            for separators in (("，", "："), ("é", "ü"), (" ,  ", " : "), ("", "")):
+                assert basis_text(basis, separators) == json.dumps(reference, separators=separators)
+
+    @pytest.mark.parametrize("sep", ["\0", ",\1"])
+    def test_separator_with_nul_or_0x01_is_rejected(self, sep):
+        _, rep = closure(gpm([1, 0]))
+        with pytest.raises(ValueError, match="^the item separator must not hold a NUL or 0x01 character$"):
+            basis_text(orbit_basis(rep, rep), (sep, ": "))
+
     @pytest.mark.parametrize("group, width, digest", [
         # 102,400 entries, six-digit indices, orbits of 2
         (make_cyclic(2)[0], 320, "d35ee4677a51d9b75a74db96d9686e7feb737fa6e911b66a66777417c18c5cd5"),
@@ -610,6 +607,18 @@ def _random_pair(rng):
         )
 
 
+def orbits_fixed(basis, rep_in, rep_out) -> bool:
+    """Whether every element fixes every orbit vector, checked for all entries and elements
+    at once: g fixes orbit vector k exactly when it sends each entry i of k to an entry of k,
+    with sgn[t_g(i)] = s_g(i) sgn[i]."""
+    action = tensor_on_linear_maps(rep_in, rep_out)
+    o = basis.orbits
+    oid, sgn = np.full(basis.m * basis.n, -1), np.zeros(basis.m * basis.n, dtype=int)
+    oid[o.index], sgn[o.index] = o.orbit, o.sign
+    t, s = action.targets[:, o.index], action.signs[:, o.index]
+    return bool((oid[t] == o.orbit).all() and (sgn[t] == s * o.sign).all())
+
+
 class TestRefactorSafetyNet:
     def test_fingerprints_pinned(self, all_pairs):
         # weights files store these hashes, and a file whose hash changed no longer
@@ -636,7 +645,16 @@ class TestRefactorSafetyNet:
             assert basis.rank == burnside_rank(rep_in, rep_out), label
             if rep_in.dim * rep_out.dim <= 256:
                 assert basis.rank == dense_nullspace_oracle(rep_in, rep_out).shape[1], label
-            assert validate_basis(basis, rep_in, rep_out).passed, label
+            assert orbits_fixed(basis, rep_in, rep_out), label
+
+    def test_invariance_check_rejects_a_corrupted_sign(self):
+        _, rep = closure(gpm([1, 0]))
+        good = orbit_basis(rep, rep)
+        assert basis_to_dict(good)["orbits"][1] == {"entries": [[1, 1], [2, 1]]}
+        assert orbits_fixed(good, rep, rep)
+        o = good.orbits
+        bad = EquivBasis(good.m, good.n, Orbits(o.index, [1, 1, 1, -1], o.orbit), good.zero_forced)
+        assert not orbits_fixed(bad, rep, rep)
 
     @staticmethod
     def relabelled(rep_in, rep_out, rng):
@@ -676,3 +694,31 @@ class TestRefactorSafetyNet:
             monkeypatch.setattr(basis_module, "TRACE_ENTRIES", budget)
             for (label, r_in, r_out), want in zip(pairs, expected):
                 assert basis_to_dict(orbit_basis(r_in, r_out)) == want, (label, budget)
+
+
+class TestAugmentedLeastSquares:
+    def test_fit_on_augmented_copies_equals_fit_in_orbit_coefficients(self):
+        # least squares over the |G| copies of each (x, y) row is a G-invariant problem, so its
+        # one minimizer is equivariant and minimizes the plain loss over the equivariant maps:
+        # the fit of the orbit-basis coefficients to the original rows
+        rng = np.random.default_rng(2302)
+        for trial in range(30):
+            rep_in, rep_out = _random_pair(rng)
+            group, n, m = rep_in.group, rep_in.dim, rep_out.dim
+            label = f"trial {trial}, |G| = {group.order}, n = {n}, m = {m}"
+            schema = MeasurementSchema((SchemaField("x", "joint_space", n), SchemaField("y", "joint_space", m)))
+            plan = AugmentationPlan(schema, group, direct_sum([rep_in, rep_out]), [])
+            rows = rng.standard_normal((-(-n // group.order), n + m))  # N |G| >= n
+            while np.linalg.matrix_rank(augment_dataset(plan, rows)[:, :n]) < n:  # W is then unique
+                rows = np.vstack([rows, rng.standard_normal(n + m)])
+            copies = augment_dataset(plan, rows)
+            w_aug = np.linalg.lstsq(copies[:, :n], copies[:, n:], rcond=None)[0].T
+            basis = orbit_basis(rep_in, rep_out)
+            vectors = np.array([basis.materialize(k) for k in range(basis.rank)]).reshape(basis.rank, m, n)
+            design = (vectors @ rows[:, :n].T).transpose(2, 1, 0).reshape(len(rows) * m, basis.rank)  # [(i, j), k]
+            coeffs = np.linalg.lstsq(design, rows[:, n:].ravel(), rcond=None)[0]
+            w_orbit = np.tensordot(coeffs, vectors, axes=1)
+            np.testing.assert_allclose(w_aug, w_orbit, rtol=0, atol=1e-9, err_msg=label)
+            for g in group.elements():
+                np.testing.assert_allclose(dense(rep_out, g) @ w_aug, w_aug @ dense(rep_in, g),
+                                           rtol=0, atol=1e-9, err_msg=label)

@@ -1,17 +1,20 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robosym
+from robosym import augment as aug
 from conftest import FIXTURES
 from robosym.cli import main
 
@@ -891,15 +894,146 @@ FUZZ_CASES = {
                               _edited(lambda d: d["layers"][0].update(coeffs={"a": 1}))),
     "weights_bias_hash": ("--weights", _edited(lambda d: d["layers"][0].update(bias_basis_hash="0" * 16))),
     "weights_coeff_missing": ("--weights", _edited(lambda d: d["layers"][0]["coeffs"].pop())),
+    "net_spec_nonlinearity_null": ("--net-spec", _edited(lambda d: d.update(nonlinearity=None))),
+    "net_spec_seed_negative": ("--net-spec", _edited(lambda d: d.update(seed=-1))),
+    # numbers that are no JSON numbers, which used to be coerced and pass
+    "weights_coeffs_string": ("--weights", _edited(lambda d: d["layers"][0]["coeffs"].__setitem__(0, "0.123"))),
+    "weights_bias_coeffs_bool": ("--weights", _edited(lambda d: d["layers"][1]["bias_coeffs"].__setitem__(0, True))),
+    "body_mass_string": ("--robot", _edited(lambda d: d["bodies"][0].update(mass="1.5"))),
+    "body_mass_bool": ("--robot", _edited(lambda d: d["bodies"][0].update(mass=True))),
+    "body_com_string": ("--robot", _edited(lambda d: d["bodies"][1]["com"].__setitem__(1, "0.0"))),
+    "joint_origin_xyz_string": ("--robot", _edited(lambda d: d["joints"][0].update(origin_xyz=[0, "0.1", 0]))),
+    "candidate_isometry_string": ("--candidates",
+                                  _edited(lambda d: d["candidates"][0]["isometry"][0].__setitem__(0, "-1.0"))),
+    "group_isometry_string": ("--group", _edited(lambda d: d["generators"][1]["isometry"][2].__setitem__(1, "0"))),
+    # a JSON integer beyond the float range
+    "body_mass_huge_integer": ("--robot", _edited(lambda d: d["bodies"][0].update(mass=10**400))),
 }
-# the error after "error: <file>: ", where a case pins it
-FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch",
-                 "weights_coeff_missing": "layer 0 coefficient count mismatch"}
+# the whole error after "error: <file>: ", where a case pins it
+FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file has '0000000000000000', "
+                                      "basis is '4c25fa45b033a452'",
+                 "weights_coeff_missing": "layer 0 coefficient count mismatch",
+                 "net_spec_rep_int": "'rep' must be a string, got int",
+                 "net_spec_nonlinearity_int": "'nonlinearity' must be a string, got int",
+                 "net_spec_nonlinearity_null": "'nonlinearity' must be a string, got NoneType",
+                 "net_spec_seed_negative": "'seed' must be >= 0, got -1",
+                 "weights_coeffs_string": "layer 0: entry 0: 'coeffs' must be a number, got str",
+                 "weights_bias_coeffs_bool": "layer 1: entry 0: 'bias_coeffs' must be a number, got bool",
+                 "body_mass_string": "body entry 'torso': 'mass' must be a number, got str",
+                 "body_mass_bool": "body entry 'torso': 'mass' must be a number, got bool",
+                 "body_com_string": "body entry 'leg_l': entry 1: 'com' must be a number, got str",
+                 "joint_origin_xyz_string": "joint entry 'hip_l': entry 1: 'origin_xyz' must be a number, got str",
+                 "candidate_isometry_string":
+                     "candidate 'sagittal': entry (0, 0): 'isometry' must be a number, got str",
+                 "group_isometry_string": "generator 1: entry (2, 1): 'isometry' must be a number, got str",
+                 "body_mass_huge_integer": "body entry 'torso': int too large to convert to float"}
+
+
+# per kind of JSON input the CLI reads: the command that reads it and the option naming it
+MUTATED_COMMANDS = {"rep": (["count"], "--rep-in"), "group": (["augment"], "--group"),
+                    "schema": (["augment"], "--schema"), "net_spec": (["net", "demo-train", "--steps", "1"], "--net-spec"),
+                    "weights": (["net", "verify", "--samples", "4"], "--weights"),
+                    "robot": (["robot", "verify", "--samples", "2"], "--robot"),
+                    "candidates": (["robot", "verify", "--samples", "2"], "--candidates")}
+# every such input: (its kind, its fixture, the fixtures its command reads beside it); the net
+# spec is read with an absolute rep path, and the weights file is a trained one
+MUTATED_INPUTS = {
+    **{f"rep-{name}": ("rep", f"{name}.json", {}) for name in ("k4_regular", "c2_swap", "sign_flip", "trivial_c2")},
+    "group-k4_solo": ("group", "k4_solo.json", {"--schema": "com_schema.json"}),
+    "group-c2_minicheetah": ("group", "c2_minicheetah.json", {"--schema": "minicheetah_schema.json"}),
+    "schema-com": ("schema", "com_schema.json", {"--group": "k4_solo.json"}),
+    "schema-minicheetah": ("schema", "minicheetah_schema.json", {"--group": "c2_minicheetah.json"}),
+    "schema-contact": ("schema", "contact_schema.json", {"--group": "c2_minicheetah.json"}),
+    "net_spec": ("net_spec", None, {}),
+    "weights": ("weights", None, {}),
+    **{f"robot-{name}": ("robot", f"{name}.json", {"--candidates": f"{cands}_candidates.json"})
+       for name, cands in (("minibiped", "minibiped"), ("minibiped_perturbed", "minibiped"),
+                           ("solo_like", "solo_like"), ("trifinger", "trifinger"))},
+    **{f"candidates-{name}": ("candidates", f"{name}_candidates.json", {"--robot": f"{name}.json"})
+       for name in ("minibiped", "solo_like", "trifinger")},
+}
+MUTANTS = (None, True, False, "", [], {}, 1e30, -1e30, float("nan"), 1e308, 1e-320, 10**400)
+MUTATIONS_PER_INPUT = 48
+
+
+def _value_paths(data, path=()):
+    """The path of every value inside decoded JSON ``data``, its root excluded."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _value_paths(value, (*path, key))
+
+
+def _mutated(data, path, how):
+    """A copy of ``data`` whose value at ``path`` is swapped for ``how[1]`` ("set"), deleted
+    ("delete") or, in a list, given a copy beside it ("duplicate")."""
+    data = json.loads(json.dumps(data))
+    *parents, key = path
+    owner = data
+    for k in parents:
+        owner = owner[k]
+    if how[0] == "set":
+        owner[key] = how[1]
+    elif how[0] == "delete":
+        del owner[key]
+    else:
+        owner.insert(key, owner[key])
+    return data
+
+
+def _mutations(data, rng, count):
+    """``count`` (path, how) pairs drawn from every value and every way to change it."""
+    cases = [(path, how) for path in _value_paths(data)
+             for how in [("set", v) for v in MUTANTS] + [("delete",)]
+             + [("duplicate",)] * isinstance(path[-1], int)]
+    return [cases[i] for i in rng.choice(len(cases), min(count, len(cases)), replace=False)]
 
 
 class TestJsonFuzz:
     """A malformed JSON file exits 2 with one stderr line that starts with
     its path, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATED_INPUTS))
+    def test_value_mutations_keep_the_exit_code_contract(self, tmp_path, k4_weights, name):
+        # a finding: an exception or warning escaping main, a code outside {0, 1, 2}, exit 2
+        # with other than one stderr line, or exit 1 with a NaN in a report when no input held one
+        kind, fixture, others = MUTATED_INPUTS[name]
+        words, option = MUTATED_COMMANDS[kind]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**json.loads(Path(NETSPEC).read_text()), "rep": K4}))
+        files = {key: FIXTURES / f for key, f in others.items()}
+        files[option] = {"net_spec": spec, "weights": k4_weights}.get(kind, FIXTURES / str(fixture))
+        if kind == "weights":
+            files["--net-spec"] = spec
+        report = tmp_path / "o.csv.report.json"
+        if words == ["augment"]:  # a one-row CSV under the schema's header
+            bundle = aug.load_group_bundle(str(files["--group"]))
+            schema = aug.resolve_schema(aug.load_schema(str(files["--schema"])),
+                                        bundle.joint_rep, bundle.isometries, bundle.leg_perm)
+            files["--in"] = tmp_path / "data.csv"
+            files["--in"].write_text(",".join(schema.column_names()) + "\n" + ",".join(["0.5"] * schema.width) + "\n")
+            files["--out"] = tmp_path / "o.csv"
+        data = json.loads(Path(files[option]).read_text())
+        bad = files[option] = tmp_path / "bad.json"
+        argv = words + [str(w) for pair in files.items() for w in pair] + ["--json"]
+        findings = []
+        for path, how in _mutations(data, np.random.default_rng(sorted(MUTATED_INPUTS).index(name)),
+                                    MUTATIONS_PER_INPUT):
+            bad.write_text(json.dumps(_mutated(data, path, how)))
+            report.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            try:
+                with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+            except Exception as exc:  # an escape, a warning made an error included
+                findings.append((path, how, repr(exc)))
+                continue
+            text = stdout.getvalue() + (report.read_text() if report.exists() else "")
+            if (code not in (0, 1, 2) or code == 2 and len(stderr.getvalue().splitlines()) != 1
+                    or code == 1 and "NaN" in text and "NaN" not in json.dumps(how)):
+                findings.append((path, how, code, stderr.getvalue()))
+        assert findings == []
 
     @pytest.mark.parametrize("case", sorted(FUZZ_CASES))
     def test_malformed_json_exits_2_with_one_line(self, tmp_path, capsys, k4_weights, case):
@@ -924,7 +1058,9 @@ class TestJsonFuzz:
             assert run(*map(str, argv)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert err.startswith(f"error: {bad}: {FUZZ_MESSAGES.get(case, '')}")
+        assert err.startswith(f"error: {bad}: ")
+        if case in FUZZ_MESSAGES:
+            assert err == f"error: {bad}: {FUZZ_MESSAGES[case]}\n"
 
     def test_non_utf8_csv_names_the_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
