@@ -38,7 +38,6 @@ from .groups import (
     direct_sum,
     group_closure,
     load_representation,
-    make_cyclic,
     regular_representation,
     tensor_on_linear_maps,
     tiled_regular_representation,

@@ -82,7 +82,7 @@ class MeasurementSchema(NamedTuple):
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def contact_state_rep(num_legs: int, leg_perm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def contact_state_rep(leg_perm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Targets of the permutation of the 2^L categorical contact states
     induced by a leg permutation.
 
@@ -92,10 +92,9 @@ def contact_state_rep(num_legs: int, leg_perm: tuple[np.ndarray, np.ndarray]) ->
     state goes to the state whose legs are permuted accordingly.
     """
     target, sign = (np.asarray(a) for a in leg_perm)
+    num_legs = target.shape[-1]
     if num_legs > 16:
         raise SchemaError(f"{num_legs} legs would give 2^{num_legs} states; capped at 16")
-    if target.shape[-1] != num_legs:
-        raise DimMismatch(f"leg permutation has dim {target.shape[-1]}, expected {num_legs}")
     if (sign != 1).any():
         raise SchemaError("contact states carry no sign; leg permutation must be unsigned")
     shift = num_legs - 1 - np.arange(num_legs)
@@ -123,7 +122,7 @@ def _kron_action(b: GroupBundle) -> tuple[Representation, np.ndarray]:
 
 
 def _contact_action(b: GroupBundle) -> tuple[Representation, None]:
-    states = contact_state_rep(b.leg_perm.dim, (b.leg_perm.targets, b.leg_perm.signs))
+    states = contact_state_rep((b.leg_perm.targets, b.leg_perm.signs))
     return Representation(b.group, states, np.ones(states.shape)), None
 
 
@@ -189,20 +188,6 @@ class AugmentationPlan:
             with np.errstate(invalid="ignore"):  # inf * 0 in the product is a NaN, as documented
                 out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
         return out
-
-    def transform_matrix(self, g: int) -> np.ndarray:
-        """Dense T(g); the rows of apply_rows(g, I) are its columns."""
-        return self.apply_rows(g, np.eye(self.width)).T
-
-    def verify(self, tol: float = PLAN_TOL) -> float:
-        """Worst |T(x)T(s) - T(xs)| over elements x and generators s, so over all
-        pairs (see ``groups._broken_relation``); raises above tol."""
-        mats = np.stack([self.transform_matrix(g) for g in self.group.elements()])
-        worst = max(float(np.abs(mats @ mats[s] - mats[self.group.cayley[:, s]]).max(initial=0.0))
-                    for s in self.group.generator_indices or self.group.elements())
-        if worst > tol:
-            raise SchemaError(f"plan transforms violate the Cayley table by {worst:.3e}")
-        return worst
 
 
 def resolve_schema(

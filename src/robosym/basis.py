@@ -88,14 +88,6 @@ class EquivBasis(_ReadOnly):
         """Sum of squared basis entries; every entry is +-1."""
         return self.orbits.index.size
 
-    def materialize(self, k: int) -> np.ndarray:
-        """Dense m x n matrix of basis vector k."""
-        o = self.orbits
-        lo, hi = np.searchsorted(o.orbit, [k, k + 1])
-        w = np.zeros(self.m * self.n)
-        w[o.index[lo:hi]] = o.sign[lo:hi]
-        return w.reshape(self.m, self.n)
-
     @cached_property
     def fingerprint(self) -> str:
         """``basis_fingerprint`` of this basis, computed once."""

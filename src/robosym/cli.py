@@ -143,10 +143,7 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
         for key in ("rep", "nonlinearity", "init_mode"):
             if not isinstance(spec.get(key, ""), str):
                 raise ParseError(f"{key!r} must be a string, got {type(spec[key]).__name__}")
-        hidden = spec.get("hidden", [])
-        if not isinstance(hidden, list):
-            raise ParseError("'hidden' must be a list of integer widths")
-        hidden = parse_int_list("hidden", hidden)
+        hidden = parse_int_list("hidden", spec.get("hidden", []))
         rep_path = str(Path(path).parent / spec["rep"])
         out_spec = spec.get("output", "input")
         output = None if out_spec == "input" else parse_int("output", out_spec)

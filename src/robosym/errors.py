@@ -63,9 +63,11 @@ def parse_int(key: str, value, where: str | None = None) -> int:
 
 
 def parse_int_list(key: str, values) -> list[int]:
-    """``values``, read for ``key``, as JSON integers; the first bad one is named
-    by its index.  Only an entry that is not a plain int goes through parse_int."""
-    values = list(values)
+    """``values``, read for ``key``, if it is a list of JSON integers; else ParseError naming
+    the key, or the first bad entry by its index.  Only an entry that is not a plain int goes
+    through parse_int."""
+    if not isinstance(values, list):
+        raise ParseError(f"{key!r} must be a list, got {type(values).__name__}")
     if not set(map(type, values)) <= {int}:
         for j, v in enumerate(values):
             if type(v) is not int:

@@ -22,14 +22,23 @@ def errors_named(where: str) -> Iterator[None]:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises ValueError naming it."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return data
+
+
 @contextlib.contextmanager
 def json_input(path: str) -> Iterator:
     """Decode the file at ``path`` as UTF-8 JSON and yield the data.  A file
-    that does not decode, and an error raised in the ``with`` block while the
-    caller reads the data (as in ``errors_named``), becomes one ParseError
-    starting ``"<path>: "``."""
+    that does not decode or repeats a key in an object, and an error raised in
+    the ``with`` block while the caller reads the data (as in ``errors_named``),
+    becomes one ParseError starting ``"<path>: "``."""
     with errors_named(f"{path}: invalid JSON"), open(path, encoding="utf-8") as f:
-        data = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        data = json.load(f, object_pairs_hook=_unique_keys)  # JSONDecodeError, UnicodeDecodeError: ValueErrors
     with errors_named(path):
         yield data
 
@@ -42,7 +51,7 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     OSError names ``path``, not the temporary file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except OSError as exc:

@@ -109,21 +109,6 @@ class FiniteGroup(_ReadOnly):
     def elements(self) -> range:
         return range(self.order)
 
-    def validate(self) -> None:
-        """Check identity, inverse and associativity axioms on the table,
-        one element's row of products at a time; raises at the first failure."""
-        c, every = self.cayley, np.arange(self.order)
-        bad_identity = (c[self.identity] != every) | (c[:, self.identity] != every)
-        bad = bad_identity | (c[every, self.inverse] != self.identity)
-        if bad.any():
-            x = int(bad.argmax())
-            raise ValueError(f"{'identity' if bad_identity[x] else 'inverse'} axiom fails at element {x}")
-        for a in self.elements():
-            bad = c[c[a]] != c[a][c]  # [b, c]: (a b) c against a (b c)
-            if bad.any():
-                b, cc = divmod(int(bad.argmax()), self.order)
-                raise ValueError(f"associativity fails at ({a},{b},{cc})")
-
 
 class Representation(_ReadOnly):
     """One generalized permutation matrix per group element, as two arrays.
@@ -241,17 +226,6 @@ def group_closure(
     group = FiniteGroup(cayley_t.T, inverse, tuple(right[:k]))  # identity times generator j
     codes = codes[:order]
     return group, Representation(group, codes >> 1, 1 - 2 * (codes & 1))
-
-
-def make_cyclic(k: int, block_dim: int = 1) -> tuple[FiniteGroup, Representation]:
-    """Cyclic group C_k acting by cycling k blocks of block_dim coordinates."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if block_dim < 1:
-        raise ValueError("block_dim must be >= 1")
-    dim = k * block_dim
-    tgt = [((i // block_dim + 1) % k) * block_dim + i % block_dim for i in range(dim)]
-    return group_closure([tgt], [[1] * dim], order_cap=k)
 
 
 def extend_by_words(

@@ -62,7 +62,7 @@ def get_nonlinearity(name: str) -> Nonlinearity:
     raise ValueError(f"unknown nonlinearity {name!r}")
 
 
-def init_variance(basis: EquivBasis, nonlinearity: Nonlinearity, mode: str) -> float:
+def init_variance(basis: EquivBasis, nonlinearity: Nonlinearity, mode: str | float) -> float:
     """Coefficient variance that keeps activations (fan_in) or gradients
     (fan_out) at constant variance across layers."""
     lam = basis.total_entries
@@ -72,6 +72,8 @@ def init_variance(basis: EquivBasis, nonlinearity: Nonlinearity, mode: str) -> f
         return basis.m / (lam * nonlinearity.gain)
     if mode == "fan_out":
         return basis.n / (lam * nonlinearity.gain)
+    if not isinstance(mode, str):  # a constant variance, the control case
+        return float(mode)
     raise ValueError(f"mode must be fan_in or fan_out, got {mode!r}")
 
 
@@ -350,10 +352,7 @@ def activation_variance_profile(
     layers = []
     for _ in range(depth):
         layer = EquivLayer(rep, rep, nonlinearity)
-        if isinstance(init_mode, str):
-            layer.coeffs = init_coeffs(layer.basis, nonlinearity, init_mode, rng)
-        else:
-            layer.coeffs = rng.normal(0.0, math.sqrt(float(init_mode)), size=layer.basis.rank)
+        layer.coeffs = init_coeffs(layer.basis, nonlinearity, init_mode, rng)
         layers.append(layer)
     net = EquivNet(layers)
     x = rng.standard_normal((batch, width))

@@ -403,7 +403,7 @@ class CandidateReport(NamedTuple):
             return (f"{self.name}: verified on {self.samples} samples "
                     f"(dyn {self.dynamic_violation:.1e}, kin {self.kinematic_violation:.1e}, "
                     f"mass {self.mass_matrix_violation:.1e}, tol {self.tol:.1e})")
-        worst = max(self.dynamic_violation, self.kinematic_violation, self.mass_matrix_violation)
+        worst = getattr(self, f"{self.failed_check}_violation")
         return (f"{self.name}: rejected: {self.failed_check} violation {worst:.3e} "
                 f"at sample {self.worst_sample} ({self.failed_where}, tol {self.tol:.1e})")
 
@@ -500,17 +500,17 @@ def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], sam
 def _candidate_report(tree: KinematicTree, cand: CandidateDMS, best: np.ndarray, samples: int,
                       tol: float) -> CandidateReport:
     """Report from a candidate's records, one per check."""
-    worst = dict(zip(_CHECKS, best["value"].tolist()))
-    if max(worst.values()) <= tol:
-        return CandidateReport(cand.name, True, *worst.values(), samples, tol)
-    # the largest check, then the first sample, term and body at its maximum
-    check = max(worst, key=worst.get)
-    _, s, term, k, col = best[list(_CHECKS).index(check)].tolist()
+    worst = best["value"].tolist()
+    if (best["value"] <= tol).all():  # a NaN fails
+        return CandidateReport(cand.name, True, *worst, samples, tol)
+    # the largest check (the first NaN, if any), then the first sample, term and body at its maximum
+    i = int(best["value"].argmax())
+    check, (_, s, term, k, col) = list(_CHECKS)[i], best[i].tolist()
     name = tree.bodies[k].name
     where = _TERMS[term] if check == "mass_matrix" else f"{_TERMS[term]} of body {name} vs {cand.body_pairing[name]}"
     if check == "kinematic":  # the column's velocity coordinate
         where += ", " + (["base"] * (tree.nv - tree.nj) + [f"joint {j.name}" for j in tree.actuated])[col]
-    return CandidateReport(cand.name, False, *worst.values(), samples, tol, check, s, where)
+    return CandidateReport(cand.name, False, *worst, samples, tol, check, s, where)
 
 
 def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,
@@ -591,14 +591,16 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
         out = []
         for entry in entries:
             with errors_named(f"candidate {_name_of(entry)!r}"):
-                perm = entry["joint_perm"]
+                perm, pairing = entry["joint_perm"], entry["body_pairing"]
                 sign = perm.get("sign")
+                if not isinstance(pairing, dict) or not all(isinstance(v, str) for v in pairing.values()):
+                    raise ParseError("'body_pairing' must map body names to body names")
                 cand = CandidateDMS(
                     entry.get("name", f"candidate{len(out)}"),
                     parse_float("isometry", entry["isometry"]),
                     (parse_int_list("target", perm["target"]),
                      None if sign is None else parse_int_list("sign", sign)),
-                    dict(entry["body_pairing"]),
+                    pairing,
                 )
             cand.validate_against(tree)
             out.append(cand)

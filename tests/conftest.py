@@ -52,6 +52,12 @@ def compose(a, b):
     return ta[tb], sb * sa[tb]
 
 
+def cyclic(k: int, block_dim: int = 1):
+    """Cyclic group C_k acting by cycling k blocks of block_dim coordinates."""
+    dim = k * block_dim
+    return closure(gpm([((i // block_dim + 1) % k) * block_dim + i % block_dim for i in range(dim)]), order_cap=k)
+
+
 def make_c2():
     """Reflection group from the 2-dim swap."""
     return closure(gpm([1, 0]))
@@ -82,9 +88,8 @@ def _extend(group, gen_perms):
 def breaks_some_pair(group, mats, tol) -> bool:
     """Reference for the relation checks: whether |M(g) M(h) - M(g h)| > tol
     in some entry for some pair of elements, one element's row of products at
-    a time, as the all-pairs loops of ``verify_homomorphism``, ``IsometrySet``
-    and ``AugmentationPlan.verify`` did (for invertible M, M(e) M(e) = M(e)
-    already forces M(e) = I)."""
+    a time, as the all-pairs loops of ``verify_homomorphism`` and ``IsometrySet``
+    did (for invertible M, M(e) M(e) = M(e) already forces M(e) = I)."""
     return any(not np.abs(mats[g] @ mats - mats[group.cayley[g]]).max(initial=0.0) <= tol
                for g in group.elements())
 
@@ -220,6 +225,20 @@ def dense_perm(perm) -> np.ndarray:
 
 def dense(rep: Representation, g: int) -> np.ndarray:
     return dense_perm((rep.targets[g], rep.signs[g]))
+
+
+def orbit_vector(basis, k: int) -> np.ndarray:
+    """Dense m x n matrix of basis vector k: its orbit's signs at its entries."""
+    o, w = basis.orbits, np.zeros(basis.m * basis.n)
+    at = o.orbit == k
+    w[o.index[at]] = o.sign[at]
+    return w.reshape(basis.m, basis.n)
+
+
+def plan_matrices(plan) -> np.ndarray:
+    """Dense T(g) of every group element, (|G|, width, width): the rows of
+    apply_rows(g, I) are the columns of T(g)."""
+    return np.stack([plan.apply_rows(g, np.eye(plan.width)).T for g in plan.group.elements()])
 
 
 def basis_to_dict(basis) -> dict:

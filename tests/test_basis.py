@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, closure, dense, gpm, make_k4
+from conftest import FIXTURES, basis_to_dict, closure, cyclic, dense, gpm, make_k4, orbit_vector
 from robosym import basis as basis_module
 from robosym import cli
 from robosym.augment import AugmentationPlan, MeasurementSchema, SchemaField, augment_dataset
@@ -29,13 +29,13 @@ from robosym.groups import (
     act,
     direct_sum,
     load_representation,
-    make_cyclic,
     regular_representation,
     tensor_on_linear_maps,
     tiled_regular_representation,
     trivial_representation,
     verify_homomorphism,
 )
+from test_groups import assert_sequential
 
 
 def flip_and_trivial():
@@ -61,7 +61,7 @@ class TestOracle:
     """The oracle itself gets its own sanity anchors first."""
 
     def test_trivial_group_identity_basis(self):
-        group, rep = make_cyclic(1, 3)
+        group, rep = cyclic(1, 3)
         q = dense_nullspace_oracle(rep, rep)
         np.testing.assert_array_equal(q, np.eye(9))
 
@@ -98,7 +98,7 @@ class TestOracle:
                 assert np.abs(resid).max() < 1e-12, label
 
     def test_cap(self):
-        group, rep = make_cyclic(2, 40)
+        group, rep = cyclic(2, 40)
         with pytest.raises(CapExceeded):
             dense_nullspace_oracle(rep, rep)  # mn = 6400
 
@@ -168,7 +168,7 @@ class TestOracle:
 
 class TestOrbitBasis:
     def test_trivial_group_all_singletons(self):
-        _, rep = make_cyclic(1, 3)
+        _, rep = cyclic(1, 3)
         basis = orbit_basis(rep, rep)
         assert basis.rank == 9
         assert list(basis.orbits.orbit) == list(range(9))
@@ -213,7 +213,7 @@ class TestTracerMemory:
     def test_peak_is_o_mn_at_order_1024(self):
         # C1024 on its regular representation to itself: mn = 2^20 at the
         # order cap.  A slab holds one element here, so the peak is O(mn)
-        group, _ = make_cyclic(1024)
+        group, _ = cyclic(1024)
         reg = regular_representation(group)
         basis, peak = traced_peak(lambda: orbit_basis(reg, reg))
         assert basis.rank == burnside_rank(reg, reg) == 1024
@@ -222,7 +222,7 @@ class TestTracerMemory:
     def test_peak_within_one_and_a_quarter_bases(self):
         # C2 tiled 512 -> 512, the widest map of the benchmark's catalogue,
         # whose trace sets that workload's peak memory
-        group, _ = make_cyclic(2)
+        group, _ = cyclic(2)
         rep = tiled_regular_representation(group, 512)
         basis, peak = traced_peak(lambda: orbit_basis(rep, rep))
         assert basis.rank == 512 * 512 // 2
@@ -242,7 +242,7 @@ class TestTracerMemory:
         assert peak <= 1.6 * size
 
     def test_cap_raises_before_allocating(self):
-        group, _ = make_cyclic(2)
+        group, _ = cyclic(2)
         rep = tiled_regular_representation(group, 46342)  # mn = 46342^2 > 2^31 - 1
         tracemalloc.start()
         try:
@@ -304,7 +304,7 @@ class TestBurnside:
 
 class TestBiasBasis:
     def test_trivial_rank_three(self):
-        _, rep = make_cyclic(1, 3)
+        _, rep = cyclic(1, 3)
         assert bias_basis(rep).rank == 3
 
     def test_swap_shared_bias(self):
@@ -327,7 +327,7 @@ class TestBiasBasis:
             seen.add(id(rep))
             basis = bias_basis(rep)
             for k in range(basis.rank):
-                b = basis.materialize(k).ravel()
+                b = orbit_vector(basis, k).ravel()
                 for g in rep.group.elements():
                     np.testing.assert_allclose(act(rep, g, b), b, atol=0)
 
@@ -349,14 +349,14 @@ class TestOracleEquivalence:
         def reference(basis, q):
             worst = 0.0
             for k in range(basis.rank):
-                v = basis.materialize(k).ravel()
+                v = orbit_vector(basis, k).ravel()
                 v = v / np.linalg.norm(v)
                 worst = max(worst, float(np.linalg.norm(v - q @ (q.T @ v))))
             return worst
 
         rng = np.random.default_rng(94)
         pairs = [_random_pair(rng) for _ in range(20)]
-        group, _ = make_cyclic(2)
+        group, _ = cyclic(2)
         pairs.append((tiled_regular_representation(group, 32),) * 2)  # rank 512: two blocks
         for rep_in, rep_out in pairs:
             basis, mn = orbit_basis(rep_in, rep_out), rep_in.dim * rep_out.dim
@@ -454,7 +454,7 @@ class TestBasisSerialization:
     @pytest.mark.parametrize("block", [1, 2, 3, basis_module.BASIS_BLOCK])
     def test_single_entry_bias_orbits(self, monkeypatch, block):
         monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
-        group, _ = make_cyclic(3)
+        group, _ = cyclic(3)
         basis = bias_basis(trivial_representation(group, 12))
         assert basis.rank == 12 and basis.total_entries == 12
         self.assert_text_is_json_dumps(basis)
@@ -484,7 +484,7 @@ class TestBasisSerialization:
         # the record is laid out in bytes, so a separator of several UTF-8 bytes, or of
         # several characters, shifts every later column by its encoded length
         monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
-        rep = tiled_regular_representation(make_cyclic(k)[0], 4 * k)
+        rep = tiled_regular_representation(cyclic(k)[0], 4 * k)
         for basis in (orbit_basis(rep, rep), bias_basis(rep)):
             reference = basis_to_dict(basis)
             for separators in (("，", "："), ("é", "ü"), (" ,  ", " : "), ("", "")):
@@ -498,7 +498,7 @@ class TestBasisSerialization:
 
     @pytest.mark.parametrize("group, width, digest", [
         # 102,400 entries, six-digit indices, orbits of 2
-        (make_cyclic(2)[0], 320, "d35ee4677a51d9b75a74db96d9686e7feb737fa6e911b66a66777417c18c5cd5"),
+        (cyclic(2)[0], 320, "d35ee4677a51d9b75a74db96d9686e7feb737fa6e911b66a66777417c18c5cd5"),
         # 16,384 entries, five-digit indices, orbits of 4
         (make_k4()[0], 128, "08bbcfc9d4f59b02f405d325150066cc603f26da79f46485a97d5f84fc4f2b16"),
     ], ids=["c2_tiled_320", "k4_tiled_128"])
@@ -513,7 +513,7 @@ class TestBasisSerialization:
     @pytest.mark.parametrize("block", [2, 3, 7, 1 << 10])
     def test_chunks_hold_at_most_a_block_of_records(self, monkeypatch, separators, block):
         monkeypatch.setattr(basis_module, "BASIS_BLOCK", block)
-        group, _ = make_cyclic(4)
+        group, _ = cyclic(4)
         rep = tiled_regular_representation(group, 64)
         basis = orbit_basis(rep, rep)
         sep, colon = separators
@@ -639,7 +639,7 @@ class TestRefactorSafetyNet:
             rep_in, rep_out = _random_pair(rng)
             basis = orbit_basis(rep_in, rep_out)
             label = f"trial {trial}, |G| = {rep_in.group.order}"
-            rep_in.group.validate()
+            assert_sequential(rep_in.group, direct_sum([rep_in, rep_out]))
             assert verify_homomorphism(rep_in).passed and verify_homomorphism(rep_out).passed, label
             assert basis_to_dict(basis) == _reference_basis_dict(rep_in, rep_out), label
             assert basis.rank == burnside_rank(rep_in, rep_out), label
@@ -666,7 +666,9 @@ class TestRefactorSafetyNet:
         q = np.argsort(p)  # q[p[a]] = a
         relabelled = FiniteGroup(p[group.cayley[q][:, q]], p[group.inverse[q]],
                                  tuple(int(p[g]) for g in group.generator_indices))
-        relabelled.validate()
+        # p is an isomorphism from the checked group, so the relabelled table is a group's
+        np.testing.assert_array_equal(relabelled.cayley[p[:, None], p], p[group.cayley])
+        np.testing.assert_array_equal(relabelled.inverse[p], p[group.inverse])
         return tuple(Representation(relabelled, r.targets[q], r.signs[q]) for r in (rep_in, rep_out))
 
     def test_relabelled_elements_give_the_same_basis_bytes(self, all_pairs):
@@ -714,7 +716,7 @@ class TestAugmentedLeastSquares:
             copies = augment_dataset(plan, rows)
             w_aug = np.linalg.lstsq(copies[:, :n], copies[:, n:], rcond=None)[0].T
             basis = orbit_basis(rep_in, rep_out)
-            vectors = np.array([basis.materialize(k) for k in range(basis.rank)]).reshape(basis.rank, m, n)
+            vectors = np.array([orbit_vector(basis, k) for k in range(basis.rank)]).reshape(basis.rank, m, n)
             design = (vectors @ rows[:, :n].T).transpose(2, 1, 0).reshape(len(rows) * m, basis.rank)  # [(i, j), k]
             coeffs = np.linalg.lstsq(design, rows[:, n:].ravel(), rcond=None)[0]
             w_orbit = np.tensordot(coeffs, vectors, axes=1)

@@ -17,6 +17,7 @@ import robosym
 from robosym import augment as aug
 from conftest import FIXTURES
 from robosym.cli import main
+from robosym.errors import RoboSymError
 
 C2 = str(FIXTURES / "c2_swap.json")
 K4 = str(FIXTURES / "k4_regular.json")
@@ -908,6 +909,12 @@ FUZZ_CASES = {
     "group_isometry_string": ("--group", _edited(lambda d: d["generators"][1]["isometry"][2].__setitem__(1, "0"))),
     # a JSON integer beyond the float range
     "body_mass_huge_integer": ("--robot", _edited(lambda d: d["bodies"][0].update(mass=10**400))),
+    # a repeated key, whose last value used to win silently
+    "body_mass_duplicated": ("--robot", lambda text: text.replace(b'"mass": ', b'"mass": 999.0, "mass": ', 1)),
+    # values of the wrong type that used to end in a message naming no key
+    "generator_sign_float": ("--rep-in", _edited(lambda d: d["generators"][0].update(sign=3.0))),
+    "candidate_body_pairing_list": ("--candidates",
+                                    _edited(lambda d: d["candidates"][0]["body_pairing"].update(torso=[]))),
 }
 # the whole error after "error: <file>: ", where a case pins it
 FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file has '0000000000000000', "
@@ -926,7 +933,11 @@ FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file ha
                  "candidate_isometry_string":
                      "candidate 'sagittal': entry (0, 0): 'isometry' must be a number, got str",
                  "group_isometry_string": "generator 1: entry (2, 1): 'isometry' must be a number, got str",
-                 "body_mass_huge_integer": "body entry 'torso': int too large to convert to float"}
+                 "body_mass_huge_integer": "body entry 'torso': int too large to convert to float",
+                 "body_mass_duplicated": "invalid JSON: duplicated key 'mass'",
+                 "generator_sign_float": "generator 0 (line 1): 'sign' must be a list, got float",
+                 "candidate_body_pairing_list":
+                     "candidate 'sagittal': 'body_pairing' must map body names to body names"}
 
 
 # per kind of JSON input the CLI reads: the command that reads it and the option naming it
@@ -1007,12 +1018,15 @@ class TestJsonFuzz:
             files["--net-spec"] = spec
         report = tmp_path / "o.csv.report.json"
         if words == ["augment"]:  # a one-row CSV under the schema's header
-            bundle = aug.load_group_bundle(str(files["--group"]))
-            schema = aug.resolve_schema(aug.load_schema(str(files["--schema"])),
-                                        bundle.joint_rep, bundle.isometries, bundle.leg_perm)
-            files["--in"] = tmp_path / "data.csv"
-            files["--in"].write_text(",".join(schema.column_names()) + "\n" + ",".join(["0.5"] * schema.width) + "\n")
-            files["--out"] = tmp_path / "o.csv"
+            bundle, schema_file = aug.load_group_bundle(str(files["--group"])), files["--schema"]
+            files["--in"], files["--out"] = tmp_path / "data.csv", tmp_path / "o.csv"
+
+            def write_data(schema_path):
+                schema = aug.resolve_schema(aug.load_schema(str(schema_path)),
+                                            bundle.joint_rep, bundle.isometries, bundle.leg_perm)
+                files["--in"].write_text(",".join(schema.column_names()) + "\n" + ",".join(["0.5"] * schema.width) + "\n")
+
+            write_data(schema_file)
         data = json.loads(Path(files[option]).read_text())
         bad = files[option] = tmp_path / "bad.json"
         argv = words + [str(w) for pair in files.items() for w in pair] + ["--json"]
@@ -1020,6 +1034,11 @@ class TestJsonFuzz:
         for path, how in _mutations(data, np.random.default_rng(sorted(MUTATED_INPUTS).index(name)),
                                     MUTATIONS_PER_INPUT):
             bad.write_text(json.dumps(_mutated(data, path, how)))
+            if kind == "schema":  # the CSV under the mutant's own header, so a mutant that resolves is compiled
+                try:
+                    write_data(bad)
+                except (RoboSymError, TypeError):  # rejected: the unmutated schema's CSV
+                    write_data(schema_file)
             report.unlink(missing_ok=True)
             stdout, stderr = io.StringIO(), io.StringIO()
             try:
@@ -1226,6 +1245,20 @@ class TestOneProcess:
 
 
 class TestOutputFiles:
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale with UTF-8 mode off, a non-ASCII field name must still be written
+        schema, data, out = tmp_path / "schema.json", tmp_path / "data.csv", tmp_path / "o.csv"
+        schema.write_text(json.dumps({"fields": [{"name": "é", "kind": "invariant_scalar"}]}))
+        data.write_bytes("é_0\n1.5\n".encode())
+        env = {**os.environ, "PYTHONPATH": str(Path(robosym.__file__).parents[1]), "LC_ALL": "POSIX",
+               "PYTHONUTF8": "0"}
+        argv = ["augment", "--group", SOLO_GROUP, "--schema", str(schema), "--in", str(data), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "robosym.cli", *argv, "--json"], env=env,
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_bytes() == "é_0\n".encode() + b"1.5\n" * 4
+        assert json.loads((tmp_path / "o.csv.report.json").read_text())["rows_out"] == 4
+
     @pytest.mark.parametrize("command", ["basis", "augment", "demo-train"])
     def test_a_command_writes_only_its_output_and_report(self, tmp_path, command):
         # the README documents <out> and, with --json, <out>.report.json: no side file, no temp file

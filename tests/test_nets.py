@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import closure, gpm
+from conftest import closure, cyclic, gpm
 from robosym.basis import EquivBasis, Orbits, orbit_basis
 from robosym.errors import DegenerateBasis, DimMismatch, IncompatibleWidth
 from robosym.groups import (
     act,
-    make_cyclic,
     tiled_regular_representation,
     trivial_representation,
 )
@@ -69,7 +68,7 @@ class TestInit:
         assert init_variance(basis, RELU, "fan_in") == 1.0
 
     def test_trivial_single_entry_identity(self):
-        _, rep = make_cyclic(1, 1)
+        _, rep = cyclic(1, 1)
         basis = orbit_basis(rep, rep)
         assert init_variance(basis, IDENT, "fan_in") == 1.0
 
@@ -353,7 +352,7 @@ class TestWeightsFile:
     def test_failed_load_leaves_every_layer_as_it_was(self, tmp_path):
         from robosym.errors import ParseError
 
-        group, reg = make_cyclic(4)
+        group, reg = cyclic(4)
         net = build_mlp(reg, reg, [8], RELU, rng_seed=3)
         path = tmp_path / "w.json"
         save_weights(build_mlp(reg, reg, [8], RELU, rng_seed=4), str(path))
@@ -371,7 +370,7 @@ class TestWeightsFile:
         from robosym import nets
 
         nets._cached_bases.cache_clear()
-        _, reg = make_cyclic(4)
+        _, reg = cyclic(4)
         net = build_mlp(reg, reg, [8, 8], RELU, rng_seed=3)
         bases = {id(b): b for layer in net.layers for b in (layer.basis, layer.bias_basis)}
         hashes = {k: basis_module.basis_fingerprint(b) for k, b in bases.items()}

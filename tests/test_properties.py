@@ -9,9 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, breaks_some_pair, compose, dense, gpm
+from conftest import FIXTURES, basis_to_dict, breaks_some_pair, compose, dense, gpm, plan_matrices
 from robosym import basis as basis_module
 from robosym.augment import (
+    PLAN_TOL,
     IsometrySet,
     augment_dataset,
     compile_schema,
@@ -28,7 +29,7 @@ from robosym.basis import (
     dense_nullspace_oracle,
     orbit_basis,
 )
-from robosym.errors import ClosureExceeded, SchemaError
+from robosym.errors import ClosureExceeded
 from robosym.groups import FiniteGroup, Representation, act, group_closure, verify_homomorphism
 from test_groups import assert_closure_is_sequential
 
@@ -166,12 +167,8 @@ def test_relation_checks_agree_with_all_pairs(rep):
             accepted = False
         assert accepted == holds
     schema = resolve_schema([{"name": "q", "kind": "joint_space"}], joint_rep=rep)
-    plan = compile_schema(schema, group, joint_rep=rep)
-    if holds:
-        assert plan.verify() == 0.0
-    else:
-        with pytest.raises(SchemaError):
-            plan.verify()
+    plan_mats = plan_matrices(compile_schema(schema, group, joint_rep=rep))
+    assert breaks_some_pair(group, plan_mats, 0.0) == breaks_some_pair(group, plan_mats, PLAN_TOL) == (not holds)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, dense_perm, gpm, integrate_config
+from conftest import FIXTURES, closure, cyclic, dense_perm, gpm, integrate_config
 from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.rigid import (
@@ -416,9 +416,7 @@ class TestMassMatrixEquivariance:
         assert violations[1.10] > violations[1.05] > 0
 
     def test_identity_only_group_vacuous_pass(self, biped):
-        from robosym.groups import make_cyclic
-
-        _, rep = make_cyclic(1, 2)
+        _, rep = cyclic(1, 2)
         report = check_mass_matrix_equivariance(biped, rep, samples=5, rng_seed=0)
         assert report.passed and report.max_violation == 0.0
 
@@ -502,6 +500,19 @@ class TestIdentifyDms:
         report = identify_dms(tree, biped_cands, samples=20, rng_seed=1)
         assert not report.candidates[0].passed
         assert report.candidates[0].failed_check is not None
+
+    def test_nan_mass_matrix_gap_fails_and_is_named(self, biped, biped_cands):
+        # CoMs of 1e160 overflow M to inf, so its gap is a NaN while the dynamic and kinematic gaps
+        # stay 0; the NaN, though not the first check's, must fail the candidate and be named
+        bodies = [b if b.name == "torso" else RigidBody(b.name, b.mass, b.com * 1e160, b.inertia)
+                  for b in biped.bodies]
+        tree = KinematicTree(biped.base, bodies, biped.joints)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = identify_dms(tree, biped_cands, samples=5, rng_seed=0)
+        cand = report.candidates[0]
+        assert report.verified == [] and (cand.dynamic_violation, cand.kinematic_violation) == (0.0, 0.0)
+        assert not cand.passed and np.isnan(cand.mass_matrix_violation)
+        assert str(cand) == "sagittal: rejected: mass_matrix violation nan at sample 0 (M, tol 1.0e-08)"
 
     def test_closure_exceeded_propagates(self, biped):
         from robosym.errors import ClosureExceeded
