@@ -8,15 +8,9 @@ exactly, and certify candidate morphological symmetries of rigid-body
 trees numerically.
 """
 
-from .basis import (
-    EquivBasis,
-    Orbits,
-    bias_basis,
-    burnside_rank,
-    dense_nullspace_oracle,
-    orbit_basis,
-    span_residual,
-)
+import importlib.util as _util
+import sys as _sys
+
 from .errors import (
     BadInertia,
     CapExceeded,
@@ -46,3 +40,20 @@ from .groups import (
 )
 
 __version__ = "0.1.0"
+
+# augment, basis, nets and rigid are registered in sys.modules but compiled and run on first
+# attribute access, so a command loads only the layer it runs.
+for _name in ("augment", "basis", "nets", "rigid"):
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _sys.modules[_spec.name] = globals()[_name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])
+
+
+def __getattr__(name: str):
+    """The seven names re-exported from ``basis`` (PEP 562): the first one loads it."""
+    if name in ("EquivBasis", "Orbits", "bias_basis", "burnside_rank", "dense_nullspace_oracle",
+                "orbit_basis", "span_residual"):
+        from . import basis
+        return getattr(basis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

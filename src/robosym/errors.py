@@ -77,15 +77,23 @@ def parse_int_list(key: str, values) -> list[int]:
 
 def parse_float(key: str, value, path: tuple = ()) -> np.ndarray:
     """``value``, read for ``key``, as a float array if it is a JSON number or a list (of lists)
-    of them; a bool, string, null or object in it raises ParseError naming the key and the
-    entry's index ``path``, so nothing is coerced.  A flat list of numbers is one pass over types."""
+    of them; a bool, string, null or object in it, a ragged nesting or an integer beyond the float
+    range raises ParseError naming the key and the entry's index ``path``, so nothing is coerced.
+    A flat list of numbers is one pass over types."""
     if isinstance(value, (bool, str, dict, type(None))):
-        at = f"entry {path[0] if len(path) == 1 else path}: " if path else ""
-        raise ParseError(f"{at}{key!r} must be a number, got {type(value).__name__}")
-    if isinstance(value, list) and not set(map(type, value)) <= {int, float}:
-        for j, v in enumerate(value):
-            parse_float(key, v, (*path, j))
-    return np.asarray(value, dtype=float)
+        problem = f"must be a number, got {type(value).__name__}"
+    else:
+        if isinstance(value, list) and not set(map(type, value)) <= {int, float}:
+            for j, v in enumerate(value):
+                parse_float(key, v, (*path, j))
+        try:
+            return np.asarray(value, dtype=float)
+        except ValueError:  # lists of unequal lengths, or lists beside numbers
+            problem = "is ragged: its lists differ in length or sit beside numbers"
+        except OverflowError:  # a JSON integer beyond the float range
+            problem = "has an integer beyond the float range"
+    at = f"entry {path[0] if len(path) == 1 else path}: " if path else ""
+    raise ParseError(f"{at}{key!r} {problem}")
 
 
 def check_finite(where: str, cap: float = np.finfo(float).max, **values) -> None:

@@ -535,12 +535,16 @@ def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: i
     return IdentifyReport(reports, [c.name for c in verified], group, rep, sizes)
 
 
-def _name_of(entry) -> str:
-    return entry.get("name", "?") if isinstance(entry, dict) else "?"
+def _objects(what: str, entries: list) -> list[dict]:
+    """``entries`` if each is a JSON object; else ParseError naming the first other one by its index."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{what} entry {i}: expected an object, got {type(entry).__name__}")
+    return entries
 
 
 def _parse_body(entry: dict) -> RigidBody:
-    with errors_named(f"body entry {_name_of(entry)!r}"):
+    with errors_named(f"body entry {entry.get('name', '?')!r}"):
         name = entry["name"]
         mass = float(parse_float("mass", entry["mass"]))
         com = parse_float("com", entry["com"])
@@ -556,7 +560,7 @@ def _parse_body(entry: dict) -> RigidBody:
 
 
 def _parse_joint(entry: dict) -> Joint:
-    with errors_named(f"joint entry {_name_of(entry)!r}"):
+    with errors_named(f"joint entry {entry.get('name', '?')!r}"):
         name = entry["name"]
         rpy = parse_float("origin_rpy", entry.get("origin_rpy", [0.0, 0.0, 0.0])).tolist()
         xyz = parse_float("origin_xyz", entry.get("origin_xyz", [0.0, 0.0, 0.0]))
@@ -574,7 +578,8 @@ def tree_from_dict(data: dict) -> KinematicTree:
     """Build a tree from a parsed robot description; see the README for the layout."""
     with errors_named("missing or malformed 'base', 'bodies' or 'joints'"):
         base, bodies, joints = data["base"], list(data["bodies"]), list(data.get("joints", []))
-    return KinematicTree(base, [_parse_body(b) for b in bodies], [_parse_joint(j) for j in joints])
+    return KinematicTree(base, [_parse_body(b) for b in _objects("body", bodies)],
+                         [_parse_joint(j) for j in _objects("joint", joints)])
 
 
 def load_robot(path: str) -> KinematicTree:
@@ -589,9 +594,11 @@ def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
         if not isinstance(entries, list):
             raise ParseError("expected an object with a 'candidates' list")
         out = []
-        for entry in entries:
-            with errors_named(f"candidate {_name_of(entry)!r}"):
+        for entry in _objects("candidate", entries):
+            with errors_named(f"candidate {entry.get('name', '?')!r}"):
                 perm, pairing = entry["joint_perm"], entry["body_pairing"]
+                if not isinstance(perm, dict):
+                    raise ParseError(f"'joint_perm' must be an object, got {type(perm).__name__}")
                 sign = perm.get("sign")
                 if not isinstance(pairing, dict) or not all(isinstance(v, str) for v in pairing.values()):
                     raise ParseError("'body_pairing' must map body names to body names")

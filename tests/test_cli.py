@@ -820,7 +820,25 @@ class TestParseBoundaries:
                                   "candidate 'sagittal': entry 1: 'sign' must be an integer, got float"),
         "joint_perm_not_object": ("candidates",
                                   lambda d: d["candidates"][0].update(joint_perm=[1, 0]),
-                                  "candidate 'sagittal': 'list' object has no attribute 'get'"),
+                                  "candidate 'sagittal': 'joint_perm' must be an object, got list"),
+        "joint_entry_not_object": ("robot", lambda d: d["joints"].__setitem__(0, 5),
+                                   "joint entry 0: expected an object, got int"),
+        "body_entry_not_object": ("robot", lambda d: d["bodies"].__setitem__(1, 5),
+                                  "body entry 1: expected an object, got int"),
+        "candidate_entry_not_object": ("candidates", lambda d: d["candidates"].__setitem__(0, [1]),
+                                       "candidate entry 0: expected an object, got list"),
+        "body_com_ragged": ("robot", lambda d: d["bodies"][0].update(com=[0.0, [1.0, 2.0], 0.0]),
+                            "body entry 'torso': 'com' is ragged: its lists differ in length or sit beside numbers"),
+        "body_inertia_ragged": ("robot",
+                                lambda d: d["bodies"][0].update(inertia=[[0.1, 0.0], [0.0], 0.2, 0.0, 0.0, 0.3]),
+                                "body entry 'torso': 'inertia' is ragged: "
+                                "its lists differ in length or sit beside numbers"),
+        "joint_axis_huge_int": ("robot", lambda d: d["joints"][0].update(axis=[0.0, 10 ** 400, 0.0]),
+                                "joint entry 'hip_l': 'axis' has an integer beyond the float range"),
+        "candidate_isometry_ragged": ("candidates",
+                                      lambda d: d["candidates"][0]["isometry"].__setitem__(1, [0.0, 1.0]),
+                                      "candidate 'sagittal': 'isometry' is ragged: "
+                                      "its lists differ in length or sit beside numbers"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXACT))
@@ -933,7 +951,7 @@ FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file ha
                  "candidate_isometry_string":
                      "candidate 'sagittal': entry (0, 0): 'isometry' must be a number, got str",
                  "group_isometry_string": "generator 1: entry (2, 1): 'isometry' must be a number, got str",
-                 "body_mass_huge_integer": "body entry 'torso': int too large to convert to float",
+                 "body_mass_huge_integer": "body entry 'torso': 'mass' has an integer beyond the float range",
                  "body_mass_duplicated": "invalid JSON: duplicated key 'mass'",
                  "generator_sign_float": "generator 0 (line 1): 'sign' must be a list, got float",
                  "candidate_body_pairing_list":
@@ -1214,11 +1232,89 @@ class TestUsageErrors:
 
 
 class TestImport:
-    def test_cli_import_generates_no_dataclass_code(self):
+    # the package's public names, by the module that defines them
+    PUBLIC = {
+        "errors": ["BadInertia", "CapExceeded", "ClosureExceeded", "DegenerateBasis", "DimMismatch",
+                   "GroupMismatch", "IncompatibleWidth", "NonIntegralRank", "ParseError", "RoboSymError",
+                   "SchemaError", "TreeCycle"],
+        "groups": ["FiniteGroup", "Representation", "act", "direct_sum", "group_closure", "load_representation",
+                   "regular_representation", "tensor_on_linear_maps", "tiled_regular_representation",
+                   "trivial_representation", "verify_homomorphism"],
+        "basis": ["EquivBasis", "Orbits", "bias_basis", "burnside_rank", "dense_nullspace_oracle", "orbit_basis",
+                  "span_residual"],
+    }
+    # what `import robosym` runs, and the modules it registers to load on first use
+    PACKAGE = ["robosym", "robosym.errors", "robosym.fileio", "robosym.groups"]
+    LAZY = ["robosym.augment", "robosym.basis", "robosym.nets", "robosym.rigid"]
+
+    @staticmethod
+    def fresh(code: str):
+        """The JSON value printed last by ``code``, run in a new interpreter in which
+        ``loaded()`` lists the robosym modules that have run and ``registered()`` those in
+        sys.modules; a module registered to load on first use is not a plain ModuleType, and
+        ``type`` does not load it."""
+        prelude = ("import json, sys, types\n"
+                   "def loaded(): return sorted(n for n, m in sys.modules.items()\n"
+                   "                            if n.startswith('robosym') and type(m) is types.ModuleType)\n"
+                   "def registered(): return sorted(n for n in sys.modules if n.startswith('robosym'))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(robosym.__file__).parents[1])}
-        code = "import sys, robosym.cli; print('dataclasses' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        proc = subprocess.run([sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_cli_import_generates_no_dataclass_code(self):
+        assert self.fresh("import robosym.cli; print(json.dumps('dataclasses' in sys.modules))") is False
+
+    def test_cli_import_runs_only_the_modules_it_needs(self):
+        loaded, registered = self.fresh("import robosym.cli; print(json.dumps([loaded(), registered()]))")
+        assert loaded == sorted(self.PACKAGE + ["robosym.cli"])
+        assert registered == sorted(loaded + self.LAZY)
+
+    def test_the_package_registers_every_layer_module_at_once(self):
+        # a tracer that wraps the layer modules finds each in sys.modules without importing it
+        loaded, registered = self.fresh("import robosym; print(json.dumps([loaded(), registered()]))")
+        assert loaded == self.PACKAGE
+        assert registered == sorted(loaded + self.LAZY)
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),
+          "--candidates", str(FIXTURES / "minibiped_candidates.json"), "--samples", "5"], ["robosym.rigid"]),
+        (["augment", "--group", SOLO_GROUP, "--schema", COM_SCHEMA], ["robosym.augment"]),
+        (["basis", "--rep-in", K4], ["robosym.basis"]),
+        (["count", "--rep-in", K4], ["robosym.basis"]),
+        (["net", "demo-train", "--net-spec", NETSPEC, "--steps", "1"], ["robosym.basis", "robosym.nets"]),
+    ], ids=["robot_verify", "augment", "basis", "count", "net_demo_train"])
+    def test_a_command_loads_only_its_own_layer(self, tmp_path, argv, layers):
+        if argv[0] == "augment":
+            argv = argv + ["--in", str(TestAugmentCmd()._write_dataset(tmp_path)[0])]
+        if argv[0] in ("augment", "basis"):
+            argv = argv + ["--out", str(tmp_path / "out")]
+        code, added = self.fresh(f"import robosym.cli\nbefore = loaded()\ncode = robosym.cli.main({argv!r})\n"
+                                 "print(json.dumps([code, sorted(set(loaded()) - set(before))]))")
+        assert (code, added) == (0, layers)
+
+    @pytest.mark.parametrize("first, then", [("robosym.basis", "robosym.cli"), ("robosym.cli", "robosym.basis")])
+    def test_basis_is_one_module_whatever_is_imported_first(self, first, then):
+        assert self.fresh(f"import {first}, {then}\nimport robosym\nb = sys.modules['robosym.basis']\n"
+                          "print(json.dumps([b is robosym.basis is robosym.cli.bas,"
+                          " robosym.EquivBasis is b.EquivBasis, robosym.orbit_basis is b.orbit_basis]))"
+                          ) == [True, True, True]
+
+    def test_every_public_name_resolves_both_ways(self):
+        pairs = [(module, name) for module, names in self.PUBLIC.items() for name in names]
+        assert len(pairs) == 30
+        checks = self.fresh(
+            "import robosym\nout = []\n"
+            f"for module, name in {pairs!r}:\n"
+            "    exec(f'from robosym import {name} as imported')\n"
+            "    out.append(imported is getattr(robosym, name) is getattr(sys.modules['robosym.' + module], name))\n"
+            "print(json.dumps(out))")
+        assert checks == [True] * 30
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        assert self.fresh("import robosym\nprint(json.dumps([hasattr(robosym, 'bogus'), loaded()]))") == [
+            False, self.PACKAGE]
 
 
 class TestOneProcess:
