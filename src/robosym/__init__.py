@@ -10,6 +10,8 @@ trees numerically.
 
 import importlib.util as _util
 import sys as _sys
+import threading as _threading
+import types as _types
 
 from .errors import (
     BadInertia,
@@ -41,13 +43,29 @@ from .groups import (
 
 __version__ = "0.1.0"
 
+_LOADING, _STARTED = _threading.RLock(), set()
+
+
+class _Layer(_types.ModuleType):
+    """A layer module registered in sys.modules but not yet run.  Its first attribute read runs it
+    while holding one lock, and only then makes it a plain module, so another thread reading it
+    meanwhile waits for the whole module (as Python 3.12's LazyLoader does; 3.11's takes no lock)."""
+
+    def __getattribute__(self, name):
+        with _LOADING:
+            if type(self) is _Layer and self not in _STARTED:  # else run, or running in this thread
+                _STARTED.add(self)
+                _types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = _types.ModuleType
+        return _types.ModuleType.__getattribute__(self, name)
+
+
 # augment, basis, nets and rigid are registered in sys.modules but compiled and run on first
 # attribute access, so a command loads only the layer it runs.
 for _name in ("augment", "basis", "nets", "rigid"):
     _spec = _util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = _util.LazyLoader(_spec.loader)
     _sys.modules[_spec.name] = globals()[_name] = _util.module_from_spec(_spec)
-    _spec.loader.exec_module(globals()[_name])
+    globals()[_name].__class__ = _Layer
 
 
 def __getattr__(name: str):

@@ -3,10 +3,10 @@
 A measurement row is a concatenation of typed fields (joint-space vectors,
 spatial vectors, pseudovectors, per-leg quantities, categorical contact
 states, flattened poses, invariant scalars).  A schema plus a group bundle
-compiles into, per group element, one signed gather over the row's
-coordinates (it moves every value exactly, NaN and -0.0 included) and then
-small dense blocks for the fields a rotation mixes; no permutation is ever
-held as a dense matrix.
+compiles into one ``Representation``: per group element, one signed gather
+over the row's coordinates (it moves every value exactly, NaN and -0.0
+included) and then small dense blocks for the fields a rotation mixes; no
+permutation is ever held as a dense matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .groups import (
     FiniteGroup,
     Representation,
     _broken_relation,
-    _ReadOnly,
     act,
     direct_sum,
     extend_by_words,
@@ -39,26 +38,6 @@ PLAN_TOL = 1e-12
 CSV_BLOCK_ROWS = 128  # the buffers of a block of 76 columns take about 1 MiB
 CSV_RECORD = 25  # bytes per value written: separator, sign, %.17g of the magnitude (<= 23)
 _CSV_SIGNS = bytes.maketrans(b"\1", b"-")  # a sign byte is 1 for "-", 0 for none
-
-
-class IsometrySet(_ReadOnly):
-    """One orthogonal d x d matrix per group element: the spatial
-    rotations/reflections the group imitates, restricted to linear isometries
-    fixing the origin.  ``rotations`` is a read-only (|G|, d, d) array and
-    ``dets`` a read-only (|G|,) array of the signs of their determinants.
-    """
-
-    def __init__(self, group: FiniteGroup, rotations):
-        r = np.array(rotations, dtype=float)
-        if r.ndim != 3 or len(r) != group.order:
-            raise ValueError("need one d x d isometry per group element")
-        dets = check_isometry("isometry", r, PLAN_TOL)
-        r.flags.writeable = dets.flags.writeable = False
-        self.__dict__.update(group=group, rotations=r, dets=dets, dim=r.shape[-1])
-        if not np.abs(r[group.identity] - np.eye(self.dim)).max() <= PLAN_TOL:
-            raise ValueError("identity element must map to the identity isometry")
-        if bad := _broken_relation(group, r, matmul, 1e-9):
-            raise ValueError(f"isometries violate the Cayley table at ({bad[0]},{bad[1]})")
 
 
 class SchemaField(NamedTuple):
@@ -76,10 +55,6 @@ class MeasurementSchema(NamedTuple):
 
     def column_names(self) -> Iterator[str]:
         return (f"{f.name}_{i}" for f in self.fields for i in range(f.dim))
-
-    def slices(self) -> list[slice]:
-        ends = np.cumsum([0] + [f.dim for f in self.fields]).tolist()
-        return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def contact_state_rep(leg_perm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -103,47 +78,53 @@ def contact_state_rep(leg_perm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return (1 << shift[target]) @ bits
 
 
-def _pose_blocks(iso: IsometrySet) -> np.ndarray:
+def _turned(rep: Representation, blocks: np.ndarray) -> Representation:
+    """``rep``'s gather, then ``blocks`` (|G|, k, k) on every k-chunk of its coordinates."""
+    return Representation(rep.group, rep.targets, rep.signs, [(slice(0, rep.dim), blocks)])
+
+
+def _pose_action(b: GroupBundle, dim: int) -> Representation:
     """X -> H X H^-1 on the flattened homogeneous matrix; H is orthogonal
     with zero translation, so this is kron(H, H) under row-major
     flattening: entry (i p + k, j p + l) is the one product H_ij H_kl."""
-    d = iso.dim
-    h = np.zeros((len(iso.rotations), d + 1, d + 1))
-    h[:, :d, :d], h[:, d, d] = iso.rotations, 1.0
-    return (h[:, :, None, :, None] * h[:, None, :, None, :]).reshape(len(h), h[0].size, -1)
+    r = b.isometries.blocks[0][1]
+    d = r.shape[-1]
+    h = np.zeros((len(r), d + 1, d + 1))
+    h[:, :d, :d], h[:, d, d] = r, 1.0
+    blocks = (h[:, :, None, :, None] * h[:, None, :, None, :]).reshape(len(h), h[0].size, -1)
+    return _turned(trivial_representation(b.group, blocks.shape[-1]), blocks)
 
 
-def _kron_action(b: GroupBundle) -> tuple[Representation, np.ndarray]:
+def _kron_action(b: GroupBundle, dim: int) -> Representation:
     """Leg i's d-block moves to leg target[i]'s, then R turns every leg."""
-    d, legs = b.isometries.dim, b.leg_perm
-    targets = legs.targets[:, :, None] * d + np.arange(d)
-    perm = Representation(b.group, targets.reshape(b.group.order, -1), np.repeat(legs.signs, d, axis=1))
-    return perm, b.isometries.rotations
+    r, legs = b.isometries.blocks[0][1], b.leg_perm
+    d = r.shape[-1]
+    targets = (legs.targets[:, :, None] * d + np.arange(d)).reshape(b.group.order, -1)
+    return _turned(Representation(b.group, targets, np.repeat(legs.signs, d, axis=1)), r)
 
 
-def _contact_action(b: GroupBundle) -> tuple[Representation, None]:
-    states = contact_state_rep((b.leg_perm.targets, b.leg_perm.signs))
-    return Representation(b.group, states, np.ones(states.shape)), None
+def _pseudo_action(b: GroupBundle, dim: int) -> Representation:
+    """det(R) R: a pseudovector turns as a vector under a proper element."""
+    r = b.isometries.blocks[0][1]
+    return _turned(b.isometries, np.where(np.linalg.det(r) > 0, 1, -1)[:, None, None] * r)
 
 
 # kind -> (the bundle fields it needs, named for the error, its dim given the
-# bundle and the raw field, its action on the bundle: the coordinate
-# permutation, None where no coordinate moves, and, where a rotation mixes
-# the coordinates, the (|G|, k, k) blocks applied to each k-chunk after it)
+# bundle and the raw field, and its action on the bundle, given the field's dim)
 _KINDS = {
     "joint_space": (("joint_rep",), "a joint-space representation",
-                    lambda b, raw: b.joint_rep.dim, lambda b: (b.joint_rep, None)),
-    "e3_vector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim,
-                  lambda b: (None, b.isometries.rotations)),
-    "e3_pseudovector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim,
-                        lambda b: (None, b.isometries.dets[:, None, None] * b.isometries.rotations)),
+                    lambda b, raw: b.joint_rep.dim, lambda b, dim: b.joint_rep),
+    "e3_vector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim, lambda b, dim: b.isometries),
+    "e3_pseudovector": (("isometries",), "an isometry set", lambda b, raw: b.isometries.dim, _pseudo_action),
     "kron_perm_vector": (("leg_perm", "isometries"), "leg permutations and isometries",
                          lambda b, raw: b.leg_perm.dim * b.isometries.dim, _kron_action),
     "categorical_contact": (("leg_perm",), "leg permutations", lambda b, raw: 1 << b.leg_perm.dim,
-                            _contact_action),
+                            lambda b, dim: Representation(b.group, contact_state_rep((b.leg_perm.targets,
+                                                                                      b.leg_perm.signs)), None)),
     "pose_conjugation": (("isometries",), "an isometry set", lambda b, raw: (b.isometries.dim + 1) ** 2,
-                         lambda b: (None, _pose_blocks(b.isometries))),
-    "invariant_scalar": ((), None, lambda b, raw: int(raw.get("dim", 1)), lambda b: (None, None)),
+                         _pose_action),
+    "invariant_scalar": ((), None, lambda b, raw: int(raw.get("dim", 1)),
+                         lambda b, dim: trivial_representation(b.group, dim)),
 }
 FIELD_KINDS = tuple(_KINDS)
 
@@ -158,42 +139,10 @@ def _field_kind(name: str, kind: str, b: GroupBundle):
     return dim, action
 
 
-class AugmentationPlan:
-    """Per group element, a signed gather over the row (``perm``, the direct
-    sum of the fields' coordinate permutations), then, for each ``(slice,
-    blocks, is_identity)`` in ``rotations``, ``blocks[g]`` (k x k) on every
-    k-chunk of the slice, skipped where ``is_identity[g]`` says the block is
-    exactly the identity (so the gathered values, NaN and -0.0 included,
-    stay as they are)."""
-
-    def __init__(self, schema: MeasurementSchema, group: FiniteGroup, perm: Representation, rotations):
-        self.schema = schema
-        self.group = group
-        self.perm = perm
-        self.rotations = rotations
-
-    @property
-    def width(self) -> int:
-        return self.schema.width
-
-    def apply_rows(self, g: int, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape[-1] != self.width:
-            raise DimMismatch(f"rows have width {rows.shape[-1]}, plan width {self.width}")
-        out = act(self.perm, g, rows)
-        for sl, blocks, is_identity in self.rotations:
-            if is_identity[g]:
-                continue
-            field = out[..., sl]
-            with np.errstate(invalid="ignore"):  # inf * 0 in the product is a NaN, as documented
-                out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
-        return out
-
-
 def resolve_schema(
     raw_fields,
     joint_rep: Representation | None = None,
-    isometries: IsometrySet | None = None,
+    isometries: Representation | None = None,
     leg_perm: Representation | None = None,
 ) -> MeasurementSchema:
     """Fill in field dims from the group context and validate them."""
@@ -213,35 +162,29 @@ def compile_schema(
     schema: MeasurementSchema,
     group: FiniteGroup,
     joint_rep: Representation | None = None,
-    isometries: IsometrySet | None = None,
+    isometries: Representation | None = None,
     leg_perm: Representation | None = None,
-) -> AugmentationPlan:
-    """Build the row permutation and rotation blocks for a resolved schema."""
+) -> Representation:
+    """The action on a row of the resolved schema: the direct sum of its fields' actions."""
     context = GroupBundle(group, joint_rep, isometries, leg_perm)  # type: ignore[arg-type]
-    perms, rotations = [], []
-    for f, sl in zip(schema.fields, schema.slices()):
-        perm, blocks = _field_kind(f.name, f.kind, context)[1](context)
-        if perm is None:
-            perm = trivial_representation(group, f.dim if blocks is None else blocks.shape[-1])
-        if perm.dim != f.dim:
-            raise SchemaError(f"field {f.name!r}: transform has dim {perm.dim}, field dim is {f.dim}")
-        perms.append(perm)
-        if blocks is not None:
-            rotations.append((sl, blocks, (blocks == np.eye(blocks.shape[-1])).all(axis=(1, 2))))
-    perm = direct_sum(perms) if perms else trivial_representation(group, 0)
-    return AugmentationPlan(schema, group, perm, rotations)
+    actions = []
+    for f in schema.fields:
+        actions.append(_field_kind(f.name, f.kind, context)[1](context, f.dim))
+        if actions[-1].dim != f.dim:
+            raise SchemaError(f"field {f.name!r}: transform has dim {actions[-1].dim}, field dim is {f.dim}")
+    return direct_sum(actions) if actions else trivial_representation(group, 0)
 
 
-def augment_dataset(plan: AugmentationPlan, rows: np.ndarray) -> np.ndarray:
+def augment_dataset(plan: Representation, rows: np.ndarray) -> np.ndarray:
     """Emit the |G| symmetric copies of a dataset, g-major.
 
     The identity block comes first, so the original rows open the output.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return np.vstack([plan.apply_rows(g, rows) for g in plan.group.elements()])
+    return np.vstack([act(plan, g, rows) for g in plan.group.elements()])
 
 
-def orbit_average(plan: AugmentationPlan, target_rows: np.ndarray) -> np.ndarray:
+def orbit_average(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
     """Replace each orbit of evaluated targets with its group average.
 
     ``target_rows`` holds |G| g-major blocks of N rows each (the layout
@@ -255,12 +198,11 @@ def orbit_average(plan: AugmentationPlan, target_rows: np.ndarray) -> np.ndarray
     if rows.shape[0] % order != 0:
         raise DimMismatch(f"{rows.shape[0]} rows is not a multiple of group order {order}")
     n = rows.shape[0] // order
-    mean = np.zeros((n, plan.width))
+    mean = np.zeros((n, plan.dim))
     for g in plan.group.elements():
-        ginv = plan.group.inverse[g]
-        mean += plan.apply_rows(ginv, rows[g * n : (g + 1) * n])
+        mean += act(plan, plan.group.inverse[g], rows[g * n : (g + 1) * n])
     mean /= order
-    return np.vstack([plan.apply_rows(g, mean) for g in plan.group.elements()])
+    return np.vstack([act(plan, g, mean) for g in plan.group.elements()])
 
 
 class GroupBundle(NamedTuple):
@@ -268,7 +210,7 @@ class GroupBundle(NamedTuple):
 
     group: FiniteGroup
     joint_rep: Representation
-    isometries: IsometrySet | None = None
+    isometries: Representation | None = None  # the identity gather, then one (|G|, d, d) block: R
     leg_perm: Representation | None = None
 
 
@@ -317,8 +259,12 @@ def load_group_bundle(path: str) -> GroupBundle:
                     word = extend_by_words(group, {s: (i,) for i, s in enumerate(at)}, add, ())[bad[0]]
                     raise ParseError(f"generator {bad[2]}: its {key!r} breaks the group relations on the "
                                      f"product of generators {', '.join(map(str, word + (bad[2],)))}")
-        isometries = IsometrySet(group, ext["isometry"]) if isos else None
-        leg_perm = Representation(group, ext["leg_perm"], np.ones(ext["leg_perm"].shape)) if legs else None
+        isometries = None
+        if isos:  # each generator's is checked; a product of them, to the same tolerance, here.  e maps to
+            # I, and x s to value(x) value(s), by the extension and the relation check above
+            check_isometry("isometry", ext["isometry"], PLAN_TOL)
+            isometries = _turned(trivial_representation(group, len(isos[0])), ext["isometry"])
+        leg_perm = Representation(group, ext["leg_perm"], None) if legs else None
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 
 

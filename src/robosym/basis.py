@@ -20,12 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, GroupMismatch, NonIntegralRank
+from .errors import CapExceeded, NonIntegralRank
 from .groups import (
     TRACE_CAP,
     Representation,
     _ReadOnly,
     _linear_map_action,
+    _shared_group,
     trivial_representation,
 )
 
@@ -112,7 +113,7 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     the orbit numbers: a flag where the high half changes, summed in place,
     from 0 again at the first zero-forced entry.
     """
-    group = rep_out.group
+    group = _shared_group(rep_in, rep_out)
     mn = rep_out.dim * rep_in.dim
     if mn >= TRACE_CAP:
         raise CapExceeded(f"mn = {mn} exceeds the orbit tracer's cap {TRACE_CAP - 1}")
@@ -123,12 +124,14 @@ def _trace_orbits(rep_in: Representation, rep_out: Representation) -> tuple[Orbi
     for start in range(1, group.order, rows):  # element 0 is in best already
         t, s = _linear_map_action(rep_in, rep_out, slice(start, start + rows))
         neg = s < 0
-        dead |= ((t == coords) & neg).any(axis=0)
+        hit = t == coords
+        hit &= neg
+        dead |= hit[0] if rows == 1 else hit.any(axis=0)  # a one-element slab's row is its reduction
         key = t.view(np.uint32)
         key <<= 1
         key |= neg
-        np.minimum(best, key.min(axis=0), out=best)  # target << 1 | [sign < 0]
-        del t, s, neg, key  # before the next slab is built
+        np.minimum(best, key[0] if rows == 1 else key.min(axis=0), out=best)  # target << 1 | [sign < 0]
+        del t, s, neg, hit, key  # before the next slab is built
     sign = 1 - 2 * (best & 1).astype(np.int8)
     best >>= 1
     np.bitwise_or(best, 1 << 31, out=best, where=dead)
@@ -159,8 +162,6 @@ def orbit_basis(rep_in: Representation, rep_out: Representation) -> EquivBasis:
     is forced to zero, with every sign +1.  Orbits are sorted by their
     smallest flat index, so the basis depends only on the group's action.
     """
-    if rep_in.group != rep_out.group:
-        raise GroupMismatch("input and output representations must share a group")
     return EquivBasis(rep_out.dim, rep_in.dim, *_trace_orbits(rep_in, rep_out))
 
 
@@ -179,9 +180,7 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     Raises NonIntegralRank when the average is not a non-negative integer,
     which signals that the inputs are not representations of the group.
     """
-    if rep_in.group != rep_out.group:
-        raise GroupMismatch("input and output representations must share a group")
-    group = rep_in.group
+    group = _shared_group(rep_in, rep_out)
     total = int(rep_out.traces() @ rep_in.traces()[group.inverse])
     if total % group.order != 0 or total < 0:
         raise NonIntegralRank(
@@ -239,12 +238,10 @@ def dense_nullspace_oracle(
     generators is fixed by the group) and eliminates.  Returns an orthonormal
     (mn x r') basis; refuses mn above ``cap`` or a stack above 2 cap^2 floats.
     """
-    if rep_in.group != rep_out.group:
-        raise GroupMismatch("input and output representations must share a group")
+    group = _shared_group(rep_in, rep_out)
     mn = rep_in.dim * rep_out.dim
     if mn > cap:
         raise CapExceeded(f"mn = {mn} exceeds oracle cap {cap}")
-    group = rep_in.group
     gens, reached = [], np.zeros(group.order, bool)
     reached[group.identity] = True
     for g in sorted(set(group.generator_indices or group.elements())):

@@ -1,12 +1,12 @@
-"""Finite groups of generalized permutation matrices.
+"""Finite groups of generalized permutation matrices, and the one stored group action.
 
-Everything in this module is exact integer arithmetic.  A matrix with
-exactly one +-1 entry per row and column is a signed permutation, stored as
-a (target, sign) pair of arrays: coordinate i goes to ``target[i]`` with
-sign ``sign[i]``.  A representation stacks one such pair per group element
-into two (|G|, dim) arrays, and a group is its Cayley table.  Groups are
-built by breadth-first closure of a generator list, so element ordering
-(identity first, then discovery order) is reproducible bit-for-bit.
+A matrix with exactly one +-1 entry per row and column is a signed
+permutation, stored as a (target, sign) pair of arrays: coordinate i goes to
+``target[i]`` with sign ``sign[i]``.  A representation stacks one such pair
+per group element into two (|G|, dim) arrays, then may carry rotation blocks,
+and a group is its Cayley table.  Groups are built by breadth-first closure
+of a generator list, so element ordering (identity first, then discovery
+order) is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ def signed_permutation(target: Sequence, sign: Sequence | None = None) -> tuple[
     if (np.abs(sign) != 1).any():
         raise ValueError("sign entries must be +1 or -1")
     return target.astype(np.intp), sign.astype(np.int8)
-
-
-def _apply_signed(target: np.ndarray, sign: np.ndarray, x) -> np.ndarray:
-    """M x for the signed permutation (target, sign), as one gather (faster than a scatter).
-
-    Accepts a vector of length dim or an array whose last axis has length
-    dim (batched application); ``_apply_signed(t, s, np.eye(dim, dtype=int)).T``
-    is M, with no -0.0, as the result has the dtype of ``x`` and int64 combined.
-    """
-    x = np.asarray(x)
-    if x.shape[-1] != len(target):
-        raise DimMismatch(f"vector of length {x.shape[-1]} for matrix of dim {len(target)}")
-    src = np.argsort(target)  # the inverse permutation: target[src[j]] = j
-    out = np.take(x, src, axis=-1).astype(np.result_type(x, np.int64), copy=False)
-    out *= sign[src]
-    return out
 
 
 class _ReadOnly:
@@ -111,19 +95,26 @@ class FiniteGroup(_ReadOnly):
 
 
 class Representation(_ReadOnly):
-    """One generalized permutation matrix per group element, as two arrays.
+    """A group action: per element, one signed gather, then optional rotation blocks.
 
-    Element g sends coordinate i to ``targets[g, i]`` with sign
-    ``signs[g, i]``.  Both arrays are (|G|, dim) and read-only; equality and
-    hashing go by the group and the array contents.
+    Element g sends coordinate i to ``targets[g, i]`` with sign ``signs[g, i]``
+    (+1 if ``signs`` is None); both arrays are (E, dim) and read-only.  Then,
+    for each ``(slice, blocks, is_identity)`` in ``blocks``, ``blocks[g]`` of
+    the (E, k, k) array turns every k-chunk of the slice, skipped where
+    ``is_identity[g]`` says it is exactly the identity.  E is the group's
+    order, or any count of candidates if ``group`` is None (a list that need
+    not close).  Equality and hashing go by the group and the array contents.
     """
 
-    def __init__(self, group: FiniteGroup, targets: np.ndarray, signs: np.ndarray):
+    def __init__(self, group: FiniteGroup | None, targets: np.ndarray, signs: np.ndarray | None, blocks=()):
         targets, signs = signed_permutation(targets, signs)
-        if targets.ndim != 2 or targets.shape[0] != group.order:
+        if targets.ndim != 2 or group is not None and targets.shape[0] != group.order:
             raise ValueError("need one target row per group element")
-        targets.flags.writeable = signs.flags.writeable = False
-        self.__dict__.update(group=group, targets=targets, signs=signs)
+        arrays = [(sl, np.array(b, dtype=float)) for sl, b in blocks]
+        blocks = tuple((sl, b, (b == np.eye(b.shape[-1])).all(axis=(1, 2))) for sl, b in arrays)
+        for a in (targets, signs, *(a for _, b, same in blocks for a in (b, same))):
+            a.flags.writeable = False
+        self.__dict__.update(group=group, targets=targets, signs=signs, blocks=blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -132,6 +123,7 @@ class Representation(_ReadOnly):
             self.group == other.group
             and np.array_equal(self.targets, other.targets)
             and np.array_equal(self.signs, other.signs)
+            and [(sl, b.tobytes()) for sl, b, _ in self.blocks] == [(sl, b.tobytes()) for sl, b, _ in other.blocks]
         )
 
     def __hash__(self) -> int:
@@ -147,12 +139,27 @@ class Representation(_ReadOnly):
 
     def traces(self) -> np.ndarray:
         """Signed trace of every element: the signs of its fixed coordinates, summed."""
+        if self.blocks:
+            raise ValueError("a signed trace reads only the signed gather, but this action has rotation blocks")
         return np.where(self.targets == np.arange(self.dim), self.signs, 0).sum(axis=1)
 
 
 def act(rep: Representation, g: int, x: np.ndarray) -> np.ndarray:
-    """Group action rho(g) x, computed coordinate-wise in O(dim)."""
-    return _apply_signed(rep.targets[g], rep.signs[g], x)
+    """rho(g) x on the last axis of x: one signed gather, in O(dim), then g's blocks that are
+    not the identity, so values no block turns (NaN and -0.0 included) move exactly.  Without
+    blocks ``act(rep, g, np.eye(dim, dtype=int)).T`` is rho(g) as integers, with no -0.0."""
+    x = np.asarray(x, dtype=float) if rep.blocks else np.asarray(x)
+    if x.shape[-1] != rep.dim:
+        raise DimMismatch(f"vector of length {x.shape[-1]} for matrix of dim {rep.dim}")
+    src = np.argsort(rep.targets[g])  # the inverse permutation: target[src[j]] = j
+    out = np.take(x, src, axis=-1).astype(np.result_type(x, np.int64), copy=False)
+    out *= rep.signs[g][src]
+    for sl, blocks, is_identity in rep.blocks:
+        if not is_identity[g]:
+            field = out[..., sl]
+            with np.errstate(invalid="ignore"):  # inf * 0 in the product is a NaN, as documented
+                out[..., sl] = (field.reshape(-1, blocks.shape[-1]) @ blocks[g].T).reshape(field.shape)
+    return out
 
 
 def group_closure(
@@ -258,15 +265,25 @@ def extend_by_words(
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
-    """Block-diagonal sum of representations of one group."""
+    """Block-diagonal sum of representations of one group (or of equally long candidate lists)."""
     if not reps:
         raise GroupMismatch("direct_sum of an empty list has no group")
     group = reps[0].group
     if any(r.group != group for r in reps[1:]):
         raise GroupMismatch("representations belong to different groups")
-    offsets = np.cumsum([0] + [r.dim for r in reps])
+    offsets = np.cumsum([0] + [r.dim for r in reps]).tolist()
     targets = np.hstack([r.targets + off for r, off in zip(reps, offsets)])
-    return Representation(group, targets, np.hstack([r.signs for r in reps]))
+    blocks = [(slice(sl.start + off, sl.stop + off), b) for r, off in zip(reps, offsets) for sl, b, _ in r.blocks]
+    return Representation(group, targets, np.hstack([r.signs for r in reps]), blocks)
+
+
+def _shared_group(rep_in: Representation, rep_out: Representation) -> FiniteGroup:
+    """The group two actions share, for the bases, which read only the gathers: blocks are refused."""
+    if rep_in.group != rep_out.group:
+        raise GroupMismatch("input and output representations must share a group")
+    if rep_in.blocks or rep_out.blocks:
+        raise ValueError("an equivariant basis reads only the signed gather, but an action has rotation blocks")
+    return rep_in.group
 
 
 def _linear_map_action(rep_in: Representation, rep_out: Representation, elements):
@@ -291,9 +308,7 @@ def tensor_on_linear_maps(rep_in: Representation, rep_out: Representation) -> Re
     permutations are orthogonal, so rho_in(g^-1)^T = rho_in(g) and the
     action is a broadcast of the two index arrays.
     """
-    if rep_in.group != rep_out.group:
-        raise GroupMismatch("input and output representations must share a group")
-    return Representation(rep_in.group, *_linear_map_action(rep_in, rep_out, slice(None)))
+    return Representation(_shared_group(rep_in, rep_out), *_linear_map_action(rep_in, rep_out, slice(None)))
 
 
 def regular_representation(group: FiniteGroup) -> Representation:

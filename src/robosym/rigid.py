@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_float,
                      parse_int_list)
 from .fileio import errors_named, json_input
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Representation, _apply_signed, group_closure,
-                     signed_permutation)
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Representation, direct_sum, group_closure, signed_permutation
 
 JOINT_TYPES = ("revolute", "prismatic", "fixed")
 
@@ -340,10 +339,9 @@ def check_mass_matrix_equivariance(tree: KinematicTree, rep_q: Representation, s
                           "use identify_dms with candidate isometries instead")
     if rep_q.dim != tree.nv:
         raise DimMismatch(f"representation dim {rep_q.dim}, tree has {tree.nv} DoF")
-    same = {b.name: b.name for b in tree.bodies}
-    elements = [CandidateDMS(f"element {g}", _EYE3, (rep_q.targets[g], rep_q.signs[g]), same)
-                for g in rep_q.group.elements()]
-    best = _sampled_violations(tree, elements, samples, rng_seed)[:, list(_CHECKS).index("mass_matrix")]
+    same = np.broadcast_to(np.arange(len(tree.bodies)), (rep_q.group.order, len(tree.bodies)))
+    r = np.broadcast_to(_EYE3, (rep_q.group.order, 3, 3))
+    best = _sampled_violations(tree, r, rep_q, same, samples, rng_seed)[:, list(_CHECKS).index("mass_matrix")]
     # the first worst (sample, element) in sample-major order; lexsort puts a NaN, the worst, last
     g = np.lexsort((-np.arange(len(best)), -best["sample"], best["value"]))[-1]
     worst = float(best["value"][g])
@@ -375,15 +373,6 @@ class CandidateDMS:
         names = set(tree.body_index)
         if set(self.body_pairing) != names or set(self.body_pairing.values()) != names:
             raise ValueError(f"candidate {self.name!r}: body pairing is not a bijection on bodies")
-
-    def config_action(self, tree: KinematicTree, q: np.ndarray) -> np.ndarray:
-        """g.q for one configuration or a stack (..., nq) of them."""
-        rot, pos, qjs = split_config(tree, q)
-        qjs_t = _apply_signed(*self.joint_perm, qjs)
-        if not tree.floating:
-            return qjs_t
-        r = self.isometry
-        return merge_config(tree, r @ rot @ r.T, (r @ pos[..., None])[..., 0], qjs_t)
 
 
 class CandidateReport(NamedTuple):
@@ -428,37 +417,62 @@ _CHECKS = {"dynamic": slice(0, 3), "kinematic": slice(3, 5), "mass_matrix": slic
 _WORST = np.dtype([("value", float)] + [(f, np.intp) for f in ("sample", "term", "body", "column")])
 
 
-def _block_samples(candidates: list[CandidateDMS]) -> int:
+def _block_samples(candidates: int) -> int:
     """Samples per pass: each brings its q and every candidate's g.q."""
-    return max(1, KIN_BLOCK // (1 + len(candidates)))
+    return max(1, KIN_BLOCK // (1 + candidates))
 
 
-def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], samples: int,
-                        rng_seed) -> np.ndarray:
-    """(candidate, check) records ``_WORST``: the largest violation of the check's terms (a NaN
-    if any), body k at q against body ``pair[k]`` at g.q with T(g) g's action on velocities,
-    and the first (sample, term, body, column) reaching it.  The samples are drawn from one
-    rng stream in blocks of ``_block_samples``, so memory does not grow with ``samples``;
-    one kinematics pass covers a block's q and every candidate's g.q."""
-    for cand in candidates:
-        cand.validate_against(tree)
+def _stack(tree: KinematicTree, candidates: list[CandidateDMS]):
+    """The candidates as one stack: their isometries (C, 3, 3), their signed joint
+    permutations (a ``Representation`` of no group) and body pairings (C, B)."""
+    nc, perms = len(candidates), [c.joint_perm for c in candidates]
+    joint = Representation(None, *(np.reshape([p[i] for p in perms], (nc, tree.nj)) for i in (0, 1)))
+    pairs = [[tree._body_id[c.body_pairing[b.name]] for b in tree.bodies] for c in candidates]
+    return np.reshape([c.isometry for c in candidates], (nc, 3, 3)), joint, np.reshape(pairs, (nc, -1))
+
+
+def _config_action(tree: KinematicTree, r: np.ndarray, joint: Representation, q: np.ndarray) -> np.ndarray:
+    """g.q (C, S, nq) of each candidate g, isometry ``r[g]`` and joint permutation ``joint`` row g,
+    at each configuration of the stack q (S, nq): the joints move as velocities do, and a
+    floating base's pose turns by R."""
+    rot, pos, qjs = split_config(tree, q)
+    src = np.argsort(joint.targets, axis=1)  # out[j] = sign[src[j]] q[src[j]]
+    out = np.take(qjs, src.ravel(), axis=-1).reshape(len(qjs), *src.shape)
+    out = (out * np.take_along_axis(joint.signs, src, axis=1)).swapaxes(0, 1)
+    if not tree.floating:
+        return out
+    r = r[:, None]
+    return merge_config(tree, r @ rot @ r.swapaxes(-1, -2), (r @ pos[..., None])[..., 0], out)
+
+
+def _velocity_action(tree: KinematicTree, r: np.ndarray, det_r: np.ndarray, joint: Representation) -> Representation:
+    """T(g) on velocities of each candidate g, as one stack: R on a floating base's v, det(R) R
+    on its omega, then the signed joint permutation."""
+    if not tree.floating:
+        return joint
+    base = Representation(None, np.tile(np.arange(6), (len(r), 1)), None, [(slice(0, 3), r), (slice(3, 6), det_r)])
+    return direct_sum([base, joint])
+
+
+def _sampled_violations(tree: KinematicTree, r: np.ndarray, joint: Representation, pairs: np.ndarray,
+                        samples: int, rng_seed) -> np.ndarray:
+    """(candidate, check) records ``_WORST`` of the candidates in ``_stack``'s form: the largest
+    violation of the check's terms (a NaN if any), body k at q against body ``pairs[c, k]`` at g.q
+    with T(g) g's action on velocities, and the first (sample, term, body, column) reaching it.
+    The samples are drawn from one rng stream in blocks of ``_block_samples``, so memory does not
+    grow with ``samples``; one kinematics pass covers a block's q and every candidate's g.q."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    nc, nb, nv = len(candidates), len(tree.bodies), tree.nv
+    nc, nb, nv = len(r), len(tree.bodies), tree.nv
     rng = np.random.default_rng(rng_seed)
-    pairs = np.array([[tree._body_id[c.body_pairing[b.name]] for b in tree.bodies]
-                      for c in candidates], dtype=np.intp).reshape(nc, nb)
-    # per candidate, shaped to broadcast over (sample, body)
-    r = np.array([c.isometry for c in candidates]).reshape(nc, 1, 1, 3, 3)
-    det_r = np.array([c.det for c in candidates]).reshape(nc, 1, 1, 1, 1) * r  # J_R maps under det(R) R
-    # T(g) on velocities: R on a floating base's v, det(R) R on its omega, then
-    # the signed joint permutation, T[off + target[i], off + i] = sign[i]
-    t, off = np.zeros((nc, nv, nv)), nv - tree.nj
-    if tree.floating:
-        t[:, 0:3, 0:3], t[:, 3:6, 3:6] = r[:, 0, 0], det_r[:, 0, 0]
-    target, sign = np.array([c.joint_perm for c in candidates], np.intp).reshape(nc, 2, tree.nj).swapaxes(0, 1)
-    t[np.arange(nc)[:, None], off + target, off + np.arange(tree.nj)] = sign
-    t = t.reshape(nc, 1, nv, nv)
+    det_r = np.where(np.linalg.det(r) > 0, 1.0, -1.0)[:, None, None] * r  # J_R maps under det(R) R
+    t = _velocity_action(tree, r, det_r, joint)
+    # T(g) as flat gathers over (candidate, entry): T M T^T's entry (i, j) is sign[i] sign[j] M[src[i], src[j]]
+    # before the base blocks, which turn only what the gather leaves in place; column j of J T(g) is J's
+    # column target[j], turned by the blocks and times sign[target[j]]
+    src = np.argsort(t.targets, axis=1)
+    sign = np.take_along_axis(t.signs, src, axis=1)
+    m_at, j_at = (src[:, :, None] * nv + src[:, None, :]).ravel(), (np.arange(nc)[:, None] * nv + t.targets).ravel()
     best = np.zeros((nc, len(_CHECKS)), _WORST)
     best["value"] = -np.inf
 
@@ -466,26 +480,47 @@ def _sampled_violations(tree: KinematicTree, candidates: list[CandidateDMS], sam
         """max |a - b| over ``axis``, worked out in the temporary a"""
         return np.abs(np.subtract(a, b, out=a), out=a).max(axis=axis, out=out)
 
+    def jacobian_gap(j: np.ndarray, turn: np.ndarray, out: np.ndarray) -> None:
+        """max over rows of |J T(g) - R J| into ``out`` (C, S, B, nv), R = ``turn``, for a pass's J: body pair[k]'s
+        at g.q, in place k, a row at a time (small temporaries), as (sample, body, candidate, column)."""
+        g, ns = j[1:], j.shape[1]
+        for sl, blocks, _ in t.blocks:
+            g[..., sl] = (g[..., sl].reshape(nc, -1, 3) @ blocks).reshape(g[..., sl].shape)
+        g *= sign[:, None, None, None]
+        rj = turn @ j[0][:, :, None]
+        at = (np.arange(nc), np.arange(ns)[:, None, None], pairs.T)
+        for row in range(3):
+            d = np.take(g[(*at, row)].reshape(ns, nb, -1), j_at, axis=-1).reshape(ns, nb, nc, nv)
+            d = np.abs(np.subtract(d, rj[..., row, :], out=d), out=d)
+            most = np.maximum(most, d, out=most) if row else d
+        out[...] = most.transpose(2, 0, 1, 3)
+
     def block(q: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each check's terms at the samples q, as (candidate, sample, term, body, column)."""
         ns = len(q)
-        kin = _kinematics(tree, np.concatenate([q, *(c.config_action(tree, q) for c in candidates)]))
+        kin = _kinematics(tree, np.concatenate([q, _config_action(tree, r, joint, q).reshape(-1, tree.nq)]))
         m = _mass_matrix(tree, kin).reshape(1 + nc, ns, nv, nv)
-        mm = gap(m[1:], t @ m[0] @ t.swapaxes(-1, -2), (-1, -2)).reshape(nc, ns, 1, 1, 1)
-        del m  # freed before the larger temporaries of the Jacobian terms
+        tmt = np.take(m[0].reshape(ns, -1), m_at, axis=-1).reshape(ns, nc, nv, nv)  # T M T^T: (sample, candidate)
+        tmt *= sign[:, :, None]
+        tmt *= sign[:, None, :]
+        for sl, blocks, _ in t.blocks:
+            tmt[..., sl, :] = blocks @ tmt[..., sl, :]
+            tmt[..., sl] = tmt[..., sl] @ blocks.swapaxes(-1, -2)
+        mm = gap(m[1:].swapaxes(0, 1), tmt, (-1, -2)).T.reshape(nc, ns, 1, 1, 1)
+        del m, tmt  # freed before the larger temporaries of the Jacobian terms
         kin = _Kinematics(*(a.reshape(1 + nc, ns, *a.shape[1:]) for a in kin))
         # body pair[k] at g.q in place k: (candidate, sample, body, ...)
         paired = (np.arange(nc)[:, None, None] + 1, np.arange(ns)[:, None], pairs[:, None, :])
-        at_q = _Kinematics(*(a[0] for a in kin))
+        at_q, iso = _Kinematics(*(a[0] for a in kin)), r.reshape(nc, 1, 1, 3, 3)  # iso over (sample, body)
         dyn, jac = np.empty((nc, ns, 3, nb, 1)), np.empty((nc, ns, 2, nb, nv))
         dyn[:, :, 0, :, 0] = np.abs(tree._mass - tree._mass[pairs])[:, None]  # does not depend on the sample
-        gap(at_q.com @ r[:, 0].swapaxes(-1, -2), kin.com[paired], -1, dyn[:, :, 1, :, 0])
-        gap(r @ at_q.inertia @ r.swapaxes(-1, -2), kin.inertia[paired], (-1, -2), dyn[:, :, 2, :, 0])
-        gap(kin.jp[paired] @ t[:, None], r @ at_q.jp, -2, jac[:, :, 0])
-        gap(kin.jr[paired] @ t[:, None], det_r @ at_q.jr, -2, jac[:, :, 1])
+        gap(at_q.com @ iso[:, 0].swapaxes(-1, -2), kin.com[paired], -1, dyn[:, :, 1, :, 0])
+        gap(iso @ at_q.inertia @ iso.swapaxes(-1, -2), kin.inertia[paired], (-1, -2), dyn[:, :, 2, :, 0])
+        for i, (j, turn) in enumerate(((kin.jp, r), (kin.jr, det_r))):
+            jacobian_gap(j, turn, jac[:, :, i])
         return dyn, jac, mm
 
-    step = _block_samples(candidates)
+    step = _block_samples(nc)
     for start in range(0, samples, step):
         q = np.array([random_config(tree, rng) for _ in range(min(step, samples - start))])
         for i, (v, first) in enumerate(zip(block(q), _CHECKS.values())):
@@ -524,10 +559,12 @@ def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: i
     and full mass-matrix equivariance.  Sampling rejects soundly but accepts
     only probabilistically: reports say "verified on N samples", not proven.
     """
-    best = _sampled_violations(tree, candidates, samples, rng_seed)
+    for cand in candidates:
+        cand.validate_against(tree)
+    best = _sampled_violations(tree, *_stack(tree, candidates), samples, rng_seed)
     sizes = {"bodies": len(tree.bodies), "nv": tree.nv, "samples": samples, "candidates": len(candidates),
              "configurations": samples * (1 + len(candidates)),
-             "kinematics_passes": (samples - 1) // _block_samples(candidates) + 1}
+             "kinematics_passes": (samples - 1) // _block_samples(len(candidates)) + 1}
     reports = [_candidate_report(tree, cand, b, samples, tol) for cand, b in zip(candidates, best)]
     verified = [c for c, report in zip(candidates, reports) if report.passed]
     gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]

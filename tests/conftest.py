@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robosym import rigid
 from robosym.groups import (
     FiniteGroup,
     Representation,
+    act,
     direct_sum,
     extend_by_words,
     group_closure,
@@ -88,8 +90,8 @@ def _extend(group, gen_perms):
 def breaks_some_pair(group, mats, tol) -> bool:
     """Reference for the relation checks: whether |M(g) M(h) - M(g h)| > tol
     in some entry for some pair of elements, one element's row of products at
-    a time, as the all-pairs loops of ``verify_homomorphism`` and ``IsometrySet``
-    did (for invertible M, M(e) M(e) = M(e) already forces M(e) = I)."""
+    a time, as the all-pairs loops of ``verify_homomorphism`` and of a group
+    file's isometries did (for invertible M, M(e) M(e) = M(e) already forces M(e) = I)."""
     return any(not np.abs(mats[g] @ mats - mats[group.cayley[g]]).max(initial=0.0) <= tol
                for g in group.elements())
 
@@ -236,9 +238,23 @@ def orbit_vector(basis, k: int) -> np.ndarray:
 
 
 def plan_matrices(plan) -> np.ndarray:
-    """Dense T(g) of every group element, (|G|, width, width): the rows of
-    apply_rows(g, I) are the columns of T(g)."""
-    return np.stack([plan.apply_rows(g, np.eye(plan.width)).T for g in plan.group.elements()])
+    """Dense T(g) of every group element, (|G|, dim, dim): the rows of
+    act(plan, g, I) are the columns of T(g)."""
+    return np.stack([act(plan, g, np.eye(plan.dim)).T for g in plan.group.elements()])
+
+
+def isometries(group, rotations) -> Representation:
+    """The action of one (|G|, d, d) stack of isometries on R^d, as ``load_group_bundle``
+    builds it from a group file: the identity gather, then one block."""
+    d = np.shape(rotations)[-1]
+    return Representation(group, np.tile(np.arange(d), (group.order, 1)), np.ones((group.order, d)),
+                          [(slice(0, d), rotations)])
+
+
+def config_action(tree, cand, q) -> np.ndarray:
+    """g.q of one candidate at one configuration or a stack, through the stack ``identify_dms`` acts with."""
+    r, joint, _ = rigid._stack(tree, [cand])
+    return rigid._config_action(tree, r, joint, np.reshape(q, (-1, tree.nq)))[0].reshape(np.shape(q))
 
 
 def basis_to_dict(basis) -> dict:

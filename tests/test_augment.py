@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, breaks_some_pair, closure, dense, gpm, plan_matrices, write_z2_power_bundle
+from conftest import (FIXTURES, breaks_some_pair, closure, dense, gpm, isometries, plan_matrices,
+                      write_z2_power_bundle)
 from robosym import augment
 from robosym.augment import (
-    IsometrySet,
     augment_dataset,
     compile_schema,
     contact_state_rep,
@@ -23,7 +23,7 @@ from robosym.augment import (
 )
 from robosym.errors import DimMismatch, ParseError, SchemaError, check_isometry
 from robosym.fileio import atomic_write_text
-from robosym.groups import FiniteGroup, Representation, verify_homomorphism
+from robosym.groups import FiniteGroup, Representation, _broken_relation, act, verify_homomorphism
 from robosym.rigid import CandidateDMS
 
 # full image of the 16 contact states under the left-right leg swap,
@@ -50,21 +50,31 @@ def make_plan(bundle, schema_file):
 
 
 class TestIsometrySet:
-    def test_non_orthogonal_rejected(self):
-        group, _ = closure(gpm([1, 0]))
+    """The isometries of a group file: checked where the file is read, and kept as
+    the one-block action ``load_group_bundle`` builds."""
+
+    @staticmethod
+    def _bundle(tmp_path, *isometries):
+        """A C2 file (a joint swap) with each generator's isometry, or a file of generators."""
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [
+            {"target": [1, 0], "sign": [1, 1], "isometry": np.asarray(m).tolist()} for m in isometries]}))
+        return str(path)
+
+    def test_non_orthogonal_rejected(self, tmp_path):
         bad = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="orthogonal"):
-            IsometrySet(group, [np.eye(3), bad])
+        with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
+            load_group_bundle(self._bundle(tmp_path, bad))
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_nan_rejected(self, g):
-        # NaN and +-inf are named before any product on them can warn
-        group, _ = closure(gpm([1, 0]))
+        # NaN and +-inf in a stack of isometries (the check a group file's elements
+        # pass) are named by the element, before any product on them can warn
         for value in (np.nan, np.inf, -np.inf):
-            rotations = [np.eye(3), np.diag([-1.0, 1.0, 1.0])]
+            rotations = np.array([np.eye(3), np.diag([-1.0, 1.0, 1.0])])
             rotations[g][1, 1] = value
             with pytest.raises(ValueError, match=f"isometry {g} has non-finite entries"):
-                IsometrySet(group, rotations)
+                check_isometry("isometry", rotations, augment.PLAN_TOL)
 
     def test_stack_check_names_what_the_per_element_check_named(self):
         # the first failing element, then its first failing check; a non-finite one warns of nothing
@@ -89,31 +99,30 @@ class TestIsometrySet:
                                              r"got shape \(1, 2, 2\)$"):
             load_group_bundle(str(group))
 
-    def test_cayley_violation_rejected(self):
-        group, _ = closure(gpm([1, 0]))
+    def test_cayley_violation_rejected(self, tmp_path):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        # a 90-degree rotation does not square to the identity
-        with pytest.raises(ValueError, match=r"Cayley table at \(1,1\)"):
-            IsometrySet(group, [np.eye(3), rot])
+        # a 90-degree rotation does not square to the identity, as the joint swap does
+        with pytest.raises(ParseError, match="generator 0: its 'isometry' breaks the group relations "
+                                             "on the product of generators 0, 0$"):
+            load_group_bundle(self._bundle(tmp_path, rot))
 
     def test_group_without_generators_checks_every_element(self):
+        # the relation check that load_group_bundle runs takes every element as a generator
         group, _ = closure(gpm([1, 0, 3, 2]), gpm([2, 3, 0, 1]))
         bare = FiniteGroup(group.cayley, group.inverse)
         rotations = np.array([np.diag(d) for d in ([1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1])])
-        assert IsometrySet(bare, rotations).dets.tolist() == [1, -1, -1, 1]
+        assert _broken_relation(bare, rotations, np.matmul, 1e-9) is None
         rotations[3] = np.diag([1.0, 1.0, -1.0])  # no longer the product of elements 2 and 1
-        with pytest.raises(ValueError, match=r"Cayley table at \(2,1\)"):
-            IsometrySet(bare, rotations)
+        assert _broken_relation(bare, rotations, np.matmul, 1e-9)[:2] == (2, 1)
 
-    @pytest.mark.parametrize("name", ["group", "rotations", "dets", "dim"])
-    def test_attributes_are_read_only(self, name):
-        group, _ = closure(gpm([1, 0]))
-        iso = IsometrySet(group, [np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+    @pytest.mark.parametrize("name", ["group", "targets", "signs", "blocks", "dim"])
+    def test_attributes_are_read_only(self, tmp_path, name):
+        iso = load_group_bundle(self._bundle(tmp_path, np.diag([-1.0, 1.0, 1.0]))).isometries
         with pytest.raises(AttributeError):
             setattr(iso, name, None)
         with pytest.raises(AttributeError):
             delattr(iso, name)
-        assert iso.group is group and iso.dim == 3 and iso.dets.tolist() == [1, -1]
+        assert iso.dim == 3 and iso.group.order == 2 and len(iso.blocks) == 1
 
     def test_tolerances_pinned(self, tmp_path):
         # orthogonal to 1e-10: inside a candidate's 1e-9, outside a group file's 1e-12
@@ -121,36 +130,32 @@ class TestIsometrySet:
         r[0, 1] = 1e-10
         assert 5e-11 < np.abs(r.T @ r - np.eye(3)).max() < 2e-10
         assert CandidateDMS("c", r, gpm([0]), {}).det == -1
-        group = tmp_path / "group.json"
-        group.write_text(json.dumps({"dim": 2, "generators": [
-            {"target": [1, 0], "sign": [1, 1], "isometry": r.tolist()}]}))
         with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
-            load_group_bundle(str(group))
+            load_group_bundle(self._bundle(tmp_path, r))
         r[0, 1] = 0.0
-        group.write_text(json.dumps({"dim": 2, "generators": [
-            {"target": [1, 0], "sign": [1, 1], "isometry": r.tolist()}]}))
-        assert load_group_bundle(str(group)).isometries.dets.tolist() == [1, -1]
+        blocks = load_group_bundle(self._bundle(tmp_path, r)).isometries.blocks[0][1]
+        assert np.sign(np.linalg.det(blocks)).tolist() == [1, -1]
 
     def test_dets(self, solo):
-        iso = solo.isometries
-        assert iso.dets[0] == 1
-        assert sorted(iso.dets) == [-1, -1, 1, 1]  # two reflections, e, rotation
+        dets = np.sign(np.linalg.det(solo.isometries.blocks[0][1]))
+        assert dets[0] == 1
+        assert sorted(dets) == [-1, -1, 1, 1]  # two reflections, e, rotation
 
     def test_pseudo_equals_rotation_for_proper_elements(self, solo):
         # a pseudovector turns with det(R) R: as a vector under a proper element
         iso = solo.isometries
         raw = [{"name": "v", "kind": "e3_vector"}, {"name": "w", "kind": "e3_pseudovector"}]
         plan = compile_schema(resolve_schema(raw, isometries=iso), solo.group, isometries=iso)
-        for g, det in enumerate(iso.dets):
-            out = plan.apply_rows(g, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+        for g, det in enumerate(np.sign(np.linalg.det(iso.blocks[0][1]))):
+            out = act(plan, g, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
             np.testing.assert_array_equal(out[3:], det * out[:3])
             if det == 1:
                 np.testing.assert_array_equal(out[3:], out[:3])
 
     def test_stored_read_only(self, solo):
-        iso = solo.isometries
-        assert not iso.rotations.flags.writeable and not iso.dets.flags.writeable
-        assert iso.rotations.shape == (4, 3, 3) and iso.dets.shape == (4,)
+        sl, rotations, is_identity = solo.isometries.blocks[0]
+        assert not rotations.flags.writeable and not is_identity.flags.writeable
+        assert sl == slice(0, 3) and rotations.shape == (4, 3, 3) and is_identity.tolist() == [True] + [False] * 3
 
 
 class TestContactStateRep:
@@ -194,17 +199,17 @@ class TestCompileSchema:
             [{"name": "v", "kind": "e3_vector"}], isometries=cheetah.isometries
         )
         plan = compile_schema(schema, cheetah.group, isometries=cheetah.isometries)
-        out = plan.apply_rows(1, np.array([1.0, 2.0, 3.0]))
+        out = act(plan, 1, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
 
     def test_pseudovector_reflection(self):
         group, _ = closure(gpm([1, 0]))
-        iso = IsometrySet(group, [np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+        iso = isometries(group, [np.eye(3), np.diag([-1.0, 1.0, 1.0])])
         schema = resolve_schema([{"name": "w", "kind": "e3_pseudovector"}], isometries=iso)
         plan = compile_schema(schema, group, isometries=iso)
         # det R = -1 so the transform is -R = diag(1, -1, -1)
         np.testing.assert_array_equal(
-            plan.apply_rows(1, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, -1.0]
+            act(plan, 1, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, -1.0]
         )
 
     def test_rotation_fields_match_dense_blocks(self):
@@ -213,16 +218,16 @@ class TestCompileSchema:
         group, legs3 = closure(gpm([1, 2, 0]))
         c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
         turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        iso = IsometrySet(group, [np.eye(3), turn, turn @ turn])
+        iso = isometries(group, [np.eye(3), turn, turn @ turn])
         legs = Representation(group, legs3.targets, np.tile([1, -1, -1], (3, 1)))
         raw = [{"name": "v", "kind": "e3_vector"}, {"name": "p", "kind": "kron_perm_vector"}]
         schema = resolve_schema(raw, isometries=iso, leg_perm=legs)
         plan = compile_schema(schema, group, isometries=iso, leg_perm=legs)
         x = np.random.default_rng(9).standard_normal(schema.width)
         for g in group.elements():
-            r = iso.rotations[g]
+            r = iso.blocks[0][1][g]
             expected = np.concatenate([r @ x[:3], np.kron(dense(legs, g), r) @ x[3:]])
-            np.testing.assert_allclose(plan.apply_rows(g, x), expected, atol=1e-14)
+            np.testing.assert_allclose(act(plan, g, x), expected, atol=1e-14)
 
     def test_minicheetah_schema_width_54(self, cheetah):
         schema, plan = make_plan(cheetah, "minicheetah_schema.json")
@@ -232,10 +237,10 @@ class TestCompileSchema:
 
     def test_corrupted_rotation_block_fails_verify(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
-        sl, blocks, is_identity = plan.rotations[0]
+        sl, blocks, _ = plan.blocks[0]
         blocks = blocks.copy()
         blocks[2] = blocks[2] @ np.diag([1.0, 1.0, -1.0])
-        bad = augment.AugmentationPlan(plan.schema, plan.group, plan.perm, [(sl, blocks, is_identity)])
+        bad = Representation(plan.group, plan.targets, plan.signs, [(sl, blocks)])
         mats = plan_matrices(bad)  # the largest gap is 2: an entry +-1 against -+1
         assert breaks_some_pair(bad.group, mats, 1.99) and not breaks_some_pair(bad.group, mats, 2.0)
 
@@ -269,48 +274,49 @@ class TestCompileSchema:
             x[:3, :3] = np.linalg.qr(rng.standard_normal((3, 3)))[0]
             x[:3, 3] = rng.standard_normal(3)
             h = np.eye(4)
-            h[:3, :3] = solo.isometries.rotations[g]
+            h[:3, :3] = solo.isometries.blocks[0][1][g]
             expected = h @ x @ np.linalg.inv(h)
-            out = plan.apply_rows(g, x.reshape(-1)).reshape(4, 4)
+            out = act(plan, g, x.reshape(-1)).reshape(4, 4)
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestAugmentRow:
     def test_identity_unchanged(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
-        row = np.arange(plan.width, dtype=float)
-        np.testing.assert_array_equal(plan.apply_rows(0, row), row)
+        row = np.arange(plan.dim, dtype=float)
+        np.testing.assert_array_equal(act(plan, 0, row), row)
 
     def test_group_inverse_roundtrip(self, cheetah):
         _, plan = make_plan(cheetah, "minicheetah_schema.json")
         rng = np.random.default_rng(1)
-        row = rng.standard_normal(plan.width)
+        row = rng.standard_normal(plan.dim)
         for g in cheetah.group.elements():
-            back = plan.apply_rows(cheetah.group.inverse[g], plan.apply_rows(g, row))
+            back = act(plan, cheetah.group.inverse[g], act(plan, g, row))
             np.testing.assert_allclose(back, row, atol=1e-12)
 
     def test_com_momentum_vector_pseudovector_split(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         rng = np.random.default_rng(2)
-        row = rng.standard_normal(plan.width)
+        row = rng.standard_normal(plan.dim)
         for g in solo.group.elements():
-            out = plan.apply_rows(g, row)
-            r, det = solo.isometries.rotations[g], solo.isometries.dets[g]
+            out = act(plan, g, row)
+            r = solo.isometries.blocks[0][1][g]
+            det = np.sign(np.linalg.det(r))
             np.testing.assert_allclose(out[24:27], r @ row[24:27], atol=1e-14)
             np.testing.assert_allclose(out[27:30], det * (r @ row[27:30]), atol=1e-14)
 
     def test_width_mismatch(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         with pytest.raises(DimMismatch):
-            plan.apply_rows(0, np.ones(plan.width + 1))
+            act(plan, 0, np.ones(plan.dim + 1))
 
 
 class TestAugmentDataset:
     def test_order_times_n_rows(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
-        rows = np.random.default_rng(3).standard_normal((100, plan.width))
+        rows = np.random.default_rng(3).standard_normal((100, plan.dim))
         out = augment_dataset(plan, rows)
-        assert out.shape == (400, plan.width)
+        assert out.shape == (400, plan.dim)
         np.testing.assert_array_equal(out[:100], rows)
 
     def test_trivial_group_identity(self):
@@ -324,7 +330,7 @@ class TestAugmentDataset:
         # augmenting a G-closed set returns the same multiset of rows
         _, plan = make_plan(solo, "com_schema.json")
         rng = np.random.default_rng(5)
-        closed = augment_dataset(plan, rng.standard_normal((6, plan.width)))
+        closed = augment_dataset(plan, rng.standard_normal((6, plan.dim)))
         again = augment_dataset(plan, closed)
 
         def canon(rows):
@@ -341,7 +347,7 @@ class TestOrbitAverage:
     def test_equivariant_targets_unchanged(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         rng = np.random.default_rng(6)
-        blocks = augment_dataset(plan, rng.standard_normal((9, plan.width)))
+        blocks = augment_dataset(plan, rng.standard_normal((9, plan.dim)))
         np.testing.assert_allclose(orbit_average(plan, blocks), blocks, atol=1e-12)
 
     def test_corrupted_image_projected_consistently(self):
@@ -349,21 +355,21 @@ class TestOrbitAverage:
         schema = resolve_schema([{"name": "y", "kind": "joint_space"}], joint_rep=rep)
         plan = compile_schema(schema, group, joint_rep=rep)
         y = np.array([[1.0, 2.0]])
-        stacked = np.vstack([y, plan.apply_rows(1, y[0])[None, :] + 0.1])
+        stacked = np.vstack([y, act(plan, 1, y[0])[None, :] + 0.1])
         fixed = orbit_average(plan, stacked)
         # after averaging the pair is exactly equivariant
-        np.testing.assert_allclose(plan.apply_rows(1, fixed[0]), fixed[1], atol=1e-12)
+        np.testing.assert_allclose(act(plan, 1, fixed[0]), fixed[1], atol=1e-12)
         np.testing.assert_allclose(orbit_average(plan, fixed), fixed, atol=1e-12)
 
     def test_zero_targets(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
-        z = np.zeros((8, plan.width))
+        z = np.zeros((8, plan.dim))
         np.testing.assert_array_equal(orbit_average(plan, z), z)
 
     def test_row_count_must_divide(self, solo):
         _, plan = make_plan(solo, "com_schema.json")
         with pytest.raises(DimMismatch):
-            orbit_average(plan, np.zeros((5, plan.width)))
+            orbit_average(plan, np.zeros((5, plan.dim)))
 
 
 class TestBundleLoading:
@@ -495,7 +501,8 @@ class TestSignedGather:
                               bundle.leg_perm)
         rng = np.random.default_rng(8)
         rows = rng.uniform(1.0, 2.0, (6, schema.width))
-        permuted = schema.slices()[:3]
+        ends = np.cumsum([0] + [f.dim for f in schema.fields]).tolist()
+        permuted = [slice(a, b) for a, b in zip(ends[:3], ends[1:4])]  # q, c and s
         for i, sl in enumerate(permuted):
             rows[i, sl.start + i % (sl.stop - sl.start)] = special
         out = augment_dataset(plan, rows)
@@ -515,7 +522,7 @@ class TestSignedGather:
         bundle, _ = _contact_bundle(tmp_path, 2)
         schema = resolve_schema(self.FIELDS[:1], bundle.joint_rep)
         plan = compile_schema(schema, bundle.group, bundle.joint_rep)
-        out = plan.apply_rows(1, np.array([0.0, -0.0]))
+        out = act(plan, 1, np.array([0.0, -0.0]))
         # both coordinates swap places with their sign flipped
         assert np.signbit(out).tolist() == [False, True]
 

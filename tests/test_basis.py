@@ -10,7 +10,7 @@ import pytest
 from conftest import FIXTURES, basis_to_dict, closure, cyclic, dense, gpm, make_k4, orbit_vector
 from robosym import basis as basis_module
 from robosym import cli
-from robosym.augment import AugmentationPlan, MeasurementSchema, SchemaField, augment_dataset
+from robosym.augment import augment_dataset, compile_schema, load_group_bundle, load_schema, resolve_schema
 from robosym.basis import (
     EquivBasis,
     Orbits,
@@ -300,6 +300,36 @@ class TestBurnside:
         triv = trivial_representation(group, 1)
         with pytest.raises(NonIntegralRank):
             burnside_rank(bad, triv)
+
+
+class TestGatherOnly:
+    """A schema's action has rotation blocks; what reads only the signed gather refuses it."""
+
+    @pytest.fixture(scope="class")
+    def solo(self):
+        bundle = load_group_bundle(str(FIXTURES / "k4_solo.json"))
+        schema = resolve_schema(load_schema(str(FIXTURES / "com_schema.json")), bundle.joint_rep,
+                                bundle.isometries, bundle.leg_perm)
+        return bundle, compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
+
+    def test_bases_and_ranks_refuse_blocks(self, solo):
+        bundle, plan = solo
+        joint = bundle.joint_rep
+        for call in (lambda: orbit_basis(plan, joint), lambda: orbit_basis(joint, plan), lambda: bias_basis(plan),
+                     lambda: burnside_rank(joint, bundle.isometries), lambda: tensor_on_linear_maps(plan, joint),
+                     lambda: dense_nullspace_oracle(joint, plan)):
+            with pytest.raises(ValueError, match="^an equivariant basis reads only the signed gather, "
+                                                 "but an action has rotation blocks$"):
+                call()
+        assert orbit_basis(joint, joint).rank == burnside_rank(joint, joint)
+
+    def test_traces_refuse_blocks(self, solo):
+        bundle, plan = solo
+        for rep in (plan, bundle.isometries):
+            with pytest.raises(ValueError, match="^a signed trace reads only the signed gather, "
+                                                 "but this action has rotation blocks$"):
+                rep.traces()
+        assert bundle.joint_rep.traces()[0] == 12
 
 
 class TestBiasBasis:
@@ -708,8 +738,7 @@ class TestAugmentedLeastSquares:
             rep_in, rep_out = _random_pair(rng)
             group, n, m = rep_in.group, rep_in.dim, rep_out.dim
             label = f"trial {trial}, |G| = {group.order}, n = {n}, m = {m}"
-            schema = MeasurementSchema((SchemaField("x", "joint_space", n), SchemaField("y", "joint_space", m)))
-            plan = AugmentationPlan(schema, group, direct_sum([rep_in, rep_out]), [])
+            plan = direct_sum([rep_in, rep_out])  # the action on rows (x, y)
             rows = rng.standard_normal((-(-n // group.order), n + m))  # N |G| >= n
             while np.linalg.matrix_rank(augment_dataset(plan, rows)[:, :n]) < n:  # W is then unique
                 rows = np.vstack([rows, rng.standard_normal(n + m)])

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
+import hashlib
 import io
 import json
 import os
@@ -198,6 +199,25 @@ class TestAugmentCmd:
         expected = aug.orbit_average(plan, rows) if flag else aug.augment_dataset(plan, rows)
         lines = [",".join(schema.column_names())] + [",".join(f"{v:.17g}" for v in r) for r in expected]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    # (group file, schema file): the SHA-256 of what `augment` writes for a seeded 500-row CSV is pinned
+    PINNED = {"k4_solo-com": ("k4_solo.json", "com_schema.json"),
+              "c2_minicheetah-contact": ("c2_minicheetah.json", "contact_schema.json"),
+              "c2_minicheetah-minicheetah": ("c2_minicheetah.json", "minicheetah_schema.json")}
+
+    @pytest.mark.parametrize("flag", [[], ["--orbit-average"]], ids=["augment", "orbit_average"])
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, tmp_path, case, flag):
+        group, schema = (str(FIXTURES / name) for name in self.PINNED[case])
+        bundle = aug.load_group_bundle(group)
+        names = list(aug.resolve_schema(aug.load_schema(schema), bundle.joint_rep, bundle.isometries,
+                                        bundle.leg_perm).column_names())
+        rows = np.random.default_rng(2023).standard_normal((500, len(names)))
+        data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+        data.write_text("\n".join([",".join(names)] + [",".join(f"{v:.17g}" for v in r) for r in rows]) + "\n")
+        assert run("augment", "--group", group, "--schema", schema, "--in", str(data), "--out", str(out), *flag) == 0
+        digests = json.loads((FIXTURES / "augment_digests.json").read_text())
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"{case}-{'orbit_average' if flag else 'augment'}"]
 
     def test_unwritable_out_is_named_by_its_path(self, tmp_path, capsys):
         path, _ = self._write_dataset(tmp_path)
@@ -1315,6 +1335,35 @@ class TestImport:
     def test_an_unknown_name_is_an_attribute_error(self):
         assert self.fresh("import robosym\nprint(json.dumps([hasattr(robosym, 'bogus'), loaded()]))") == [
             False, self.PACKAGE]
+
+    def test_first_use_from_two_threads_sees_whole_modules(self):
+        # in each of 20 rounds robosym is imported afresh, and two threads released at once read a
+        # public name of each layer module, in opposite orders: neither may see a module half run
+        errors = self.fresh(
+            "import threading\n"
+            "names = [('augment', 'load_group_bundle'), ('basis', 'orbit_basis'), ('nets', 'build_mlp'),\n"
+            "         ('rigid', 'load_robot')]\n"
+            "errors = []\n"
+            "for _ in range(20):\n"
+            "    for n in registered():\n"
+            "        del sys.modules[n]\n"
+            "    import robosym\n"
+            "    barrier = threading.Barrier(2)\n"
+            "    def read(order):\n"
+            "        barrier.wait()\n"
+            "        try:\n"
+            "            for module, name in order:\n"
+            "                getattr(getattr(robosym, module), name)\n"
+            "        except Exception as exc:\n"
+            "            errors.append(repr(exc))\n"
+            "    threads = [threading.Thread(target=read, args=(o,)) for o in (names, names[::-1])]\n"
+            "    for t in threads:\n"
+            "        t.start()\n"
+            "    for t in threads:\n"
+            "        t.join()\n"
+            "    assert loaded() == sorted(set(registered()) - {'robosym.cli'})\n"
+            "print(json.dumps(errors))")
+        assert errors == []
 
 
 class TestOneProcess:

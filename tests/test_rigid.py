@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, cyclic, dense_perm, gpm, integrate_config
+from conftest import FIXTURES, closure, config_action, cyclic, dense_perm, gpm, integrate_config
+from robosym.augment import compile_schema, load_group_bundle, resolve_schema
+from robosym.groups import act
 from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.rigid import (
@@ -221,7 +223,7 @@ class TestForwardKinematics:
         refl = cand.isometry
         for _ in range(10):
             q = random_config(biped, rng)
-            gq = cand.config_action(biped, q)
+            gq = config_action(biped, cand, q)
             kin_q = forward_kinematics(biped, q)
             kin_gq = forward_kinematics(biped, gq)
             for k, i in cand.body_pairing.items():
@@ -378,7 +380,7 @@ class TestComMomentum:
             dq = rng.standard_normal(biped.nv)
             h = com_momentum(biped, q, dq)
             h_g = com_momentum(
-                biped, cand.config_action(biped, q), dense_perm(cand.joint_perm) @ dq
+                biped, config_action(biped, cand, q), dense_perm(cand.joint_perm) @ dq
             )
             np.testing.assert_allclose(r @ h[:3], h_g[:3], atol=1e-10)
             np.testing.assert_allclose(det * (r @ h[3:]), h_g[3:], atol=1e-10)
@@ -461,7 +463,7 @@ class TestMassMatrixEquivariance:
             dq = rng.standard_normal(biped.nv)
             t1 = 0.5 * dq @ mass_matrix(biped, q) @ dq
             dq_g = dense_perm(cand.joint_perm) @ dq
-            t2 = 0.5 * dq_g @ mass_matrix(biped, cand.config_action(biped, q)) @ dq_g
+            t2 = 0.5 * dq_g @ mass_matrix(biped, config_action(biped, cand, q)) @ dq_g
             assert abs(t1 - t2) <= 1e-8 * max(1.0, abs(t1))
 
 
@@ -532,6 +534,27 @@ VIOLATIONS = ("dynamic_violation", "kinematic_violation", "mass_matrix_violation
 class TestRefactorSafetyNet:
     """Certification pinned to reports recorded with the per-body-dict
     kinematics that the one-pass arrays replaced (50 samples, seeds 0, 1)."""
+
+    @pytest.mark.parametrize("name", ["minibiped", "solo_like", "trifinger"])
+    def test_velocity_stack_is_the_compiled_schema(self, tmp_path, name):
+        # a group file written from the verified candidates, compiled with the velocity fields (v, w
+        # and dq; dq alone on a fixed base), acts on velocities exactly as the candidates' stack does
+        tree = load_robot(str(FIXTURES / f"{name}.json"))
+        cands = load_candidates(str(FIXTURES / f"{name}_candidates.json"), tree)
+        verified = [c for c in cands if c.name in identify_dms(tree, cands, samples=5).verified]
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"dim": tree.nj, "generators": [
+            {"target": c.joint_perm[0].tolist(), "sign": c.joint_perm[1].tolist(), "isometry": c.isometry.tolist()}
+            for c in verified]}))
+        bundle = load_group_bundle(str(path))
+        fields = [{"name": "v", "kind": "e3_vector"}, {"name": "w", "kind": "e3_pseudovector"}] * tree.floating
+        schema = resolve_schema(fields + [{"name": "dq", "kind": "joint_space"}], bundle.joint_rep, bundle.isometries)
+        plan = compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries)
+        r, joint, _ = rigid._stack(tree, verified)
+        t = rigid._velocity_action(tree, r, np.sign(np.linalg.det(r))[:, None, None] * r, joint)
+        assert t.group is None and len(verified) == len(bundle.group.generator_indices) == (2 if tree.floating else 1)
+        for c, g in enumerate(bundle.group.generator_indices):
+            assert np.array_equal(act(t, c, np.eye(tree.nv)), act(plan, g, np.eye(tree.nv)))
 
     @pytest.mark.parametrize("key", sorted(REFERENCE))
     def test_identify_dms_matches_recorded_report(self, key):
@@ -640,15 +663,27 @@ class TestRefactorSafetyNet:
             assert report.worst_sample == 3
 
     def test_config_action_acts_on_a_stack(self, solo, solo_cands):
+        # every candidate at every configuration at once: bit for bit each (candidate, q) alone,
+        # and R rot R^T, R pos and the signed joint permutation
         qs = np.array([random_config(solo, np.random.default_rng(s)) for s in range(4)])
-        for cand in solo_cands:
-            assert np.array_equal(cand.config_action(solo, qs), [cand.config_action(solo, q) for q in qs])
+        r, joint, _ = rigid._stack(solo, solo_cands)
+        got = rigid._config_action(solo, r, joint, qs)
+        assert got.shape == (len(solo_cands), len(qs), solo.nq)
+        for c, cand in enumerate(solo_cands):
+            one = rigid._stack(solo, [cand])
+            for s, q in enumerate(qs):
+                assert np.array_equal(got[c, s], rigid._config_action(solo, *one[:2], q[None])[0, 0])
+                rot, pos, qjs = rigid.split_config(solo, q)
+                want = rigid.merge_config(solo, cand.isometry @ rot @ cand.isometry.T, cand.isometry @ pos,
+                                          dense_perm(cand.joint_perm) @ qjs)
+                np.testing.assert_allclose(got[c, s], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kin_block", [1, 5, 1000])
     def test_sampled_violations_do_not_depend_on_the_block(self, solo, solo_cands, monkeypatch, kin_block):
-        want = rigid._sampled_violations(solo, solo_cands, 9, 3)
+        stack = rigid._stack(solo, solo_cands)
+        want = rigid._sampled_violations(solo, *stack, 9, 3)
         monkeypatch.setattr(rigid, "KIN_BLOCK", kin_block)
-        assert np.array_equal(rigid._sampled_violations(solo, solo_cands, 9, 3), want)
+        assert np.array_equal(rigid._sampled_violations(solo, *stack, 9, 3), want)
 
     @pytest.mark.parametrize("floating", [False, True])
     def test_mass_matrix_and_momentum_are_per_body_sums(self, floating):
