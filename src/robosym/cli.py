@@ -160,15 +160,19 @@ def _build_net_from_spec(path: str) -> nets.EquivNet:
 
 def cmd_net_init_stats(args) -> int:
     _, rep = load_representation(args.group)
-    profile = nets.activation_variance_profile(
-        args.depth,
-        args.width,
-        rep.group,
-        nets.get_nonlinearity(args.nonlinearity),
-        args.mode if args.const_var is None else args.const_var,
-        batch=args.batch,
-        rng_seed=args.seed,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a --const-var whose activations overflow: exit 2
+        profile = nets.activation_variance_profile(
+            args.depth,
+            args.width,
+            rep.group,
+            nets.get_nonlinearity(args.nonlinearity),
+            args.mode if args.const_var is None else args.const_var,
+            batch=args.batch,
+            rng_seed=args.seed,
+        )
+    if not np.isfinite(profile).all():
+        layer = np.flatnonzero(~np.isfinite(profile))[0] + 1
+        raise RoboSymError(f"layer {layer}: the pre-activation std overflows at --const-var {args.const_var:g}")
     print("layer  std(pre-activation)")
     for i, s in enumerate(profile):
         print(f"{i + 1:5d}  {s:.6f}")
@@ -233,7 +237,8 @@ def cmd_net_demo_train(args) -> int:
         except ParseError as exc:  # a non-finite coefficient, which the loss line shows
             print(f"no weights written to {out}: {exc}")
             out = None
-    _emit(args, {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}, out)
+    report = {"loss_initial": loss0, "loss_final": loss1, "steps": args.steps}
+    _emit(args, {k: v if np.isfinite(v) else None for k, v in report.items()}, out)  # JSON has no NaN: null
     return EXIT_OK if loss1 < loss0 and out == args.out else EXIT_VERIFY_FAIL
 
 

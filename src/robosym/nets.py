@@ -187,17 +187,12 @@ class EquivNet:
         return self.rep_in.dim
 
 
-class LayerActivation(NamedTuple):
-    x_in: np.ndarray  # (batch, n)
-    z: np.ndarray  # (batch, m), pre-nonlinearity
-
-
-def forward(net: EquivNet, x: np.ndarray) -> tuple[np.ndarray, list[LayerActivation]]:
-    """Evaluate the net; keeps per-layer activations for the backward pass.
+def forward(net: EquivNet, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Evaluate the net; returns the output and each layer's pre-activation z.
 
     ``x`` may be a single vector or a (batch, dim) array; the output matches.
-    The activations are read-only, and the pass is also kept on the net with
-    its own copy of ``x`` until the next forward or grad_coeffs.
+    The z arrays are read-only, and the pass is also kept on the net with its
+    own copy of ``x`` until the next forward or grad_coeffs.
     """
     net._memo = None
     x = np.array(x, dtype=float)
@@ -205,29 +200,29 @@ def forward(net: EquivNet, x: np.ndarray) -> tuple[np.ndarray, list[LayerActivat
     h = x[None, :] if single else x
     if h.shape[1] != net.input_dim:
         raise DimMismatch(f"input width {h.shape[1]}, network expects {net.input_dim}")
-    acts: list[LayerActivation] = []
+    zs: list[np.ndarray] = []
     params = []  # each layer's (W, b, nonlinearity) as this pass read them
     for layer in net.layers:
         w, b, sigma = layer.weight(), layer.bias(), layer.nonlinearity
-        h.flags.writeable = False
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
+        del h  # freed before sigma(z) is made, so two layer outputs never coexist
         z.flags.writeable = False
-        acts.append(LayerActivation(h, z))
+        zs.append(z)
         params.append((w, b, sigma))
         h = sigma.fn(z)
     h = h if h.flags.writeable else h.copy()  # the identity head returns z itself
-    net._memo = (x, list(net.layers), params, tuple(acts))
-    return (h[0] if single else h), acts
+    net._memo = (x, list(net.layers), params, tuple(zs))
+    return (h[0] if single else h), zs
 
 
-def _kept_acts(net: EquivNet, memo, x: np.ndarray):
-    """The activations of ``memo``, a pass kept by ``forward``, if it ran on x's shape and
-    bits with the layer objects, W, b and nonlinearities the net holds now; else None."""
-    kept_x, layers, params, acts = memo
-    holds = (kept_x.shape == x.shape and kept_x.tobytes() == x.tobytes() and layers == net.layers
-             and all(w is layer.weight() and b is layer.bias() and sigma is layer.nonlinearity
-                     for layer, (w, b, sigma) in zip(layers, params)))
-    return acts if holds else None
+def _holds(net: EquivNet, memo, x: np.ndarray) -> bool:
+    """Whether ``memo``, a pass kept by ``forward``, ran on x's shape and bits with
+    the layer objects, W, b and nonlinearities the net holds now."""
+    kept_x, layers, params, _ = memo
+    return (kept_x.shape == x.shape and kept_x.tobytes() == x.tobytes() and layers == net.layers
+            and all(w is layer.weight() and b is layer.bias() and sigma is layer.nonlinearity
+                    for layer, (w, b, sigma) in zip(layers, params)))
 
 
 class LayerGrads(NamedTuple):
@@ -241,15 +236,15 @@ def grad_coeffs(net: EquivNet, x: np.ndarray, loss_grad_y: np.ndarray) -> list[L
     The gradient of a coefficient aggregates the per-entry weight gradients
     over its orbit with the orbit's signs.  Batched inputs sum over the
     batch.  The pass kept by the last ``forward`` is taken from the net and
-    reused if it still holds (see ``_kept_acts``); else forward runs again.
+    reused if it still holds (see ``_holds``); else forward runs again.
     """
     x = np.asarray(x, dtype=float)
     memo, net._memo = net._memo, None
-    acts = _kept_acts(net, memo, x) if memo else None
-    if acts is None:
-        acts = forward(net, x)[1]
-        net._memo = None
-    y_shape = acts[-1].z.shape[1:] if x.ndim == 1 else acts[-1].z.shape
+    if memo is None or not _holds(net, memo, x):
+        forward(net, x)
+        memo, net._memo = net._memo, None
+    kept_x, _, params, zs = memo
+    y_shape = zs[-1].shape[1:] if x.ndim == 1 else zs[-1].shape
     g = np.asarray(loss_grad_y, dtype=float)
     if g.shape != y_shape:
         raise DimMismatch(f"loss gradient shape {g.shape} does not match output {y_shape}")
@@ -257,9 +252,10 @@ def grad_coeffs(net: EquivNet, x: np.ndarray, loss_grad_y: np.ndarray) -> list[L
     reversed_grads: list[LayerGrads] = []
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
-        a = acts[li]
-        delta = g * layer.nonlinearity.deriv(a.z)
-        dw = delta.T @ a.x_in
+        delta = g * layer.nonlinearity.deriv(zs[li])
+        # a hidden layer's input is not kept: it is sigma(z) of the layer below, as the pass read sigma
+        x_in = params[li - 1][2].fn(zs[li - 1]) if li else np.atleast_2d(kept_x)
+        dw = delta.T @ x_in
         db = delta.sum(axis=0)
         dbeta, dbias = layer.coeff_grads(dw, db)
         reversed_grads.append(LayerGrads(dbeta, dbias))
@@ -356,8 +352,8 @@ def activation_variance_profile(
         layers.append(layer)
     net = EquivNet(layers)
     x = rng.standard_normal((batch, width))
-    _, acts = forward(net, x)
-    return np.array([float(a.z.std()) for a in acts])
+    _, zs = forward(net, x)
+    return np.array([float(z.std()) for z in zs])
 
 
 def save_weights(net: EquivNet, path: str) -> None:

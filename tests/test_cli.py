@@ -420,6 +420,34 @@ class TestNetCmd:
             f"no weights written to {weights}: layer 0: 'coeffs' has non-finite entries"]
         assert weights.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
+    @staticmethod
+    def _strict_json(text):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_init_stats_overflow_exits_2_naming_the_layer(self, capsys):
+        assert run("net", "init-stats", "--group", K4, "--width", "8", "--depth", "3",
+                   "--const-var", "1e300", "--json") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: layer 2: the pre-activation std overflows at --const-var 1e+300"]
+
+    def test_init_stats_underflow_report_is_strict_json(self, capsys):
+        assert run("net", "init-stats", "--group", K4, "--width", "8", "--depth", "3",
+                   "--const-var", "5e-324", "--json") == 0
+        text = capsys.readouterr().out
+        report = self._strict_json(text[text.index("{"):])
+        assert report["profile"][1:] == [0.0, 0.0] and report["ratio"] == 0.0
+
+    def test_demo_train_non_finite_loss_is_null(self, capsys):
+        assert run("net", "demo-train", "--net-spec", NETSPEC, "--steps", "20", "--lr", "1e30", "--json") == 1
+        out, err = capsys.readouterr()
+        line, text = out.split("\n", 1)
+        assert err == "" and line == "loss 0.172314 -> nan after 20 gradient steps"
+        assert self._strict_json(text) == {"loss_final": None, "loss_initial": 0.17231432674913988, "steps": 20}
+
     def test_demo_train_output_is_pinned(self, tmp_path, capsys):
         import hashlib
 
@@ -429,6 +457,27 @@ class TestNetCmd:
         assert capsys.readouterr().out.splitlines()[0] == "loss 0.165004 -> 0.122943 after 40 gradient steps"
         assert hashlib.sha256(weights.read_bytes()).hexdigest() == (
             "04848903831d61ff0fcbf49561eeb43c138951572026157775805e70f9c09476")
+
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "selu"])
+    def test_demo_train_other_nonlinearities_are_pinned(self, tmp_path, nonlinearity):
+        spec = json.loads(Path(NETSPEC).read_text())
+        spec.update(rep=K4, nonlinearity=nonlinearity)
+        spec_path, weights = tmp_path / "spec.json", tmp_path / "w.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run("net", "demo-train", "--net-spec", str(spec_path), "--seed", "7", "--steps", "40",
+                   "--out", str(weights), "--json") == 0
+        digests = json.loads((FIXTURES / "net_digests.json").read_text())
+        for kind, path in (("weights", weights), ("report", tmp_path / "w.json.report.json")):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[f"demo_train-{nonlinearity}-{kind}"]
+
+    @pytest.mark.parametrize("mode", ["fan_in", "fan_out", "const_var"])
+    @pytest.mark.parametrize("nonlinearity", ["relu", "selu", "tanh"])
+    def test_init_stats_report_is_pinned(self, capsys, nonlinearity, mode):
+        init = ["--const-var", "0.0025"] if mode == "const_var" else ["--mode", mode]
+        assert run("net", "init-stats", "--group", K4, "--depth", "8", "--width", "64", "--batch", "64",
+                   "--nonlinearity", nonlinearity, *init, "--json") == 0
+        digests = json.loads((FIXTURES / "net_digests.json").read_text())
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[f"init_stats-{nonlinearity}-{mode}"]
 
     def test_verify_trained_weights_pass(self, tmp_path, capsys):
         weights = tmp_path / "w.json"

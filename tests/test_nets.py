@@ -1,21 +1,24 @@
 """Equivariant perceptron stacks: init, forward, gradients, variance."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import closure, cyclic, gpm
+from conftest import FIXTURES, closure, cyclic, gpm
 from robosym.basis import EquivBasis, Orbits, orbit_basis
 from robosym.errors import DegenerateBasis, DimMismatch, IncompatibleWidth
 from robosym.groups import (
     act,
+    load_representation,
     tiled_regular_representation,
     trivial_representation,
 )
 from robosym.nets import (
     EquivLayer,
     EquivNet,
+    LayerGrads,
     activation_variance_profile,
     build_mlp,
     check_equivariance,
@@ -143,10 +146,10 @@ class TestForward:
         layer = EquivLayer(rep, rep, TANH, coeffs=np.array([0.7, -0.3]))
         net = EquivNet([layer])
         x = np.array([1.0, 2.0])
-        _, acts = forward(net, x)
+        _, zs = forward(net, x)
         layer.coeffs = 3.0 * layer.coeffs
-        _, acts3 = forward(net, x)
-        np.testing.assert_allclose(acts3[0].z, 3.0 * acts[0].z, rtol=1e-14)
+        _, zs3 = forward(net, x)
+        np.testing.assert_allclose(zs3[0], 3.0 * zs[0], rtol=1e-14)
 
     def test_signed_rep_with_relu_rejected(self):
         group, flip = closure(gpm([0], [-1]))
@@ -514,7 +517,7 @@ class TestForwardMemo:
         net = self._net(k4)
         rng = np.random.default_rng(6)
         x, c = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        y, acts = forward(net, x)
+        y, zs = forward(net, x)
         if change == "x_in_place":
             x[2, 1] += 1.0
         elif change == "coeff_in_place":
@@ -528,7 +531,7 @@ class TestForwardMemo:
             net.layers[1] = EquivLayer(old.rep_in, old.rep_out, RELU, old.coeffs * 0.5)
         elif change == "y_in_place":
             y[:] = 7.0
-            assert not any(np.shares_memory(y, a) for act in acts for a in (act.x_in, act.z))
+            assert not any(np.shares_memory(y, z) for z in zs)
         else:
             forward(net, rng.standard_normal((5, 4)))
         expected = self._fresh_grads(net, x, c)
@@ -539,11 +542,45 @@ class TestForwardMemo:
     def test_kept_activations_are_read_only(self, k4):
         net = self._net(k4)
         x = np.random.default_rng(7).standard_normal((3, 4))
-        y, acts = forward(net, x)
+        y, zs = forward(net, x)
         assert y.flags.writeable
-        for act in acts:
-            assert not act.x_in.flags.writeable and not act.z.flags.writeable
-            assert not np.shares_memory(act.x_in, x)
+        for z in zs:
+            assert not z.flags.writeable
+        assert not np.shares_memory(net._memo[0], x)
+
+    @staticmethod
+    def _dense_backprop(net, x, c):
+        """Backpropagation that keeps every layer's input, an independent reference."""
+        h = np.array(x, dtype=float)
+        h = h[None, :] if h.ndim == 1 else h
+        inputs, zs = [], []
+        for layer in net.layers:
+            inputs.append(h)
+            zs.append(h @ layer.weight().T + layer.bias())
+            h = layer.nonlinearity.fn(zs[-1])
+        g = np.asarray(c, dtype=float).reshape(zs[-1].shape)
+        grads = []
+        for layer, h, z in zip(net.layers[::-1], inputs[::-1], zs[::-1]):
+            delta = g * layer.nonlinearity.deriv(z)
+            grads.append(LayerGrads(*layer.coeff_grads(delta.T @ h, delta.sum(axis=0))))
+            g = delta @ layer.weight()
+        return grads[::-1]
+
+    @pytest.mark.parametrize("rep", ["reg4", "sign_flip"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("sigma", ["relu", "selu", "tanh", "identity"])
+    def test_gradients_equal_a_dense_backprop(self, k4, rep, batch, sigma):
+        rep = load_representation(str(FIXTURES / "sign_flip.json"))[1] if rep == "sign_flip" else k4[1][rep]
+        net = build_mlp(rep, rep, [8, 8], get_nonlinearity(sigma), rng_seed=3)
+        rng = np.random.default_rng(9)
+        for layer in net.layers:
+            layer.bias_coeffs = rng.standard_normal(layer.bias_coeffs.shape)
+        shape = (rep.dim,) if batch is None else (batch, rep.dim)
+        x, c = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = self._dense_backprop(net, x, c)
+        self._assert_bits(grad_coeffs(net, x, c), expected)
+        forward(net, x)
+        self._assert_bits(grad_coeffs(net, x, c), expected)
 
     def test_loss_gradient_shape_still_checked(self, k4):
         net = self._net(k4)
@@ -551,6 +588,32 @@ class TestForwardMemo:
         forward(net, x)
         with pytest.raises(DimMismatch, match=r"does not match output \(4,\)"):
             grad_coeffs(net, x, np.ones((1, 4)))
+
+
+class TestForwardMemory:
+    """A pass keeps its own copy of the input and one (batch, m) array per layer."""
+
+    def test_train_loop_net_keeps_one_array_per_layer(self, k4):
+        _, reps = k4
+        net = build_mlp(reps["leg12"], reps["leg12"], [256, 256, 256], RELU, rng_seed=0)
+        for layer in net.layers:  # W and b are scattered before tracing
+            layer.weight(), layer.bias()
+        x = np.random.default_rng(0).standard_normal((1024, 12))
+        tracemalloc.start()
+        try:
+            y, zs = forward(net, x)
+            del y
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept_x, _, _, memo_zs = net._memo
+        assert kept_x.tobytes() == x.tobytes() and not np.shares_memory(kept_x, x)
+        assert all(type(z) is np.ndarray for z in memo_zs)
+        assert [z.shape for z in memo_zs] == [(1024, layer.m) for layer in net.layers]
+        activations = sum(z.nbytes for z in memo_zs) + x.nbytes + (4 << 10)  # and a few small objects
+        assert kept <= activations
+        # one (1024, 256) hidden output at a time: a layer's input is freed before its output is made
+        assert peak <= activations + 1.5 * 1024 * 256 * 8
 
 
 class TestSaveRefusesNonFinite:
