@@ -166,7 +166,7 @@ def cmd_net_init_stats(args) -> int:
             args.width,
             rep.group,
             nets.get_nonlinearity(args.nonlinearity),
-            args.mode if args.const_var is None else args.const_var,
+            "fan_in" if args.const_var is None else args.const_var,
             batch=args.batch,
             rng_seed=args.seed,
         )
@@ -305,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ns.add_argument("--depth", type=int, default=20)
     ns.add_argument("--width", type=int, default=256)
     ns.add_argument("--nonlinearity", default="relu")
-    ns.add_argument("--mode", default="fan_in", choices=["fan_in", "fan_out"])
-    ns.add_argument("--const-var", type=float, default=None,
-                    help="override the mode with a constant coefficient variance")
+    ns.add_argument("--const-var", type=float, default=None, help="a constant coefficient variance, not fan-in's")
     ns.add_argument("--batch", type=int, default=256)
     ns.add_argument("--seed", type=int, default=0)
     ns.add_argument("--json", action="store_true")

@@ -348,31 +348,19 @@ def check_mass_matrix_equivariance(tree: KinematicTree, rep_q: Representation, s
     return MassMatrixReport(worst <= tol, worst, int(g), int(best["sample"][g]), samples, tol)
 
 
-class CandidateDMS:
-    """Candidate symmetry: spatial isometry + joint permutation + body pairing.
+class Candidates(NamedTuple):
+    """Candidate symmetries, stacked: isometry, signed permutation of the actuated DoF and body pairing;
+    ``pairs[c, k] = i`` says body i, at candidate c's g.q, plays body k's role in the isometry-turned world."""
 
-    ``joint_perm`` is a signed permutation of the actuated DoF, stored as
-    checked (target, sign) arrays.  ``body_pairing[k] = i`` says body i, in
-    the transformed configuration, plays the role of body k in the
-    isometry-transformed world.
-    """
+    names: tuple  # (C,)
+    isometries: np.ndarray  # (C, 3, 3)
+    joint: Representation  # (C, nj), of no group
+    pairs: np.ndarray  # (C, B) body indices
 
-    def __init__(self, name: str, isometry: np.ndarray, joint_perm: tuple[np.ndarray, np.ndarray],
-                 body_pairing: dict[str, str]):
-        self.name, self.body_pairing = name, body_pairing
-        self.joint_perm = signed_permutation(*joint_perm)
-        self.isometry = np.asarray(isometry, dtype=float)
-        if self.isometry.shape != (3, 3):
-            raise ValueError("isometry must be 3x3")
-        self.det = int(check_isometry("'isometry'", self.isometry, CANDIDATE_TOL))
 
-    def validate_against(self, tree: KinematicTree) -> None:
-        if len(self.joint_perm[0]) != tree.nj:
-            raise DimMismatch(f"candidate {self.name!r}: joint permutation dim "
-                              f"{len(self.joint_perm[0])}, tree has nj = {tree.nj}")
-        names = set(tree.body_index)
-        if set(self.body_pairing) != names or set(self.body_pairing.values()) != names:
-            raise ValueError(f"candidate {self.name!r}: body pairing is not a bijection on bodies")
+def _check_joint_dim(tree: KinematicTree, name, dim: int) -> None:
+    if dim != tree.nj:
+        raise DimMismatch(f"candidate {name!r}: joint permutation dim {dim}, tree has nj = {tree.nj}")
 
 
 class CandidateReport(NamedTuple):
@@ -422,15 +410,6 @@ def _block_samples(candidates: int) -> int:
     return max(1, KIN_BLOCK // (1 + candidates))
 
 
-def _stack(tree: KinematicTree, candidates: list[CandidateDMS]):
-    """The candidates as one stack: their isometries (C, 3, 3), their signed joint
-    permutations (a ``Representation`` of no group) and body pairings (C, B)."""
-    nc, perms = len(candidates), [c.joint_perm for c in candidates]
-    joint = Representation(None, *(np.reshape([p[i] for p in perms], (nc, tree.nj)) for i in (0, 1)))
-    pairs = [[tree._body_id[c.body_pairing[b.name]] for b in tree.bodies] for c in candidates]
-    return np.reshape([c.isometry for c in candidates], (nc, 3, 3)), joint, np.reshape(pairs, (nc, -1))
-
-
 def _config_action(tree: KinematicTree, r: np.ndarray, joint: Representation, q: np.ndarray) -> np.ndarray:
     """g.q (C, S, nq) of each candidate g, isometry ``r[g]`` and joint permutation ``joint`` row g,
     at each configuration of the stack q (S, nq): the joints move as velocities do, and a
@@ -456,8 +435,8 @@ def _velocity_action(tree: KinematicTree, r: np.ndarray, det_r: np.ndarray, join
 
 def _sampled_violations(tree: KinematicTree, r: np.ndarray, joint: Representation, pairs: np.ndarray,
                         samples: int, rng_seed) -> np.ndarray:
-    """(candidate, check) records ``_WORST`` of the candidates in ``_stack``'s form: the largest
-    violation of the check's terms (a NaN if any), body k at q against body ``pairs[c, k]`` at g.q
+    """(candidate, check) records ``_WORST`` of a stack's ``isometries``, ``joint`` and ``pairs``: the
+    largest violation of the check's terms (a NaN if any), body k at q against body ``pairs[c, k]`` at g.q
     with T(g) g's action on velocities, and the first (sample, term, body, column) reaching it.
     The samples are drawn from one rng stream in blocks of ``_block_samples``, so memory does not
     grow with ``samples``; one kinematics pass covers a block's q and every candidate's g.q."""
@@ -532,25 +511,25 @@ def _sampled_violations(tree: KinematicTree, r: np.ndarray, joint: Representatio
     return best
 
 
-def _candidate_report(tree: KinematicTree, cand: CandidateDMS, best: np.ndarray, samples: int,
+def _candidate_report(tree: KinematicTree, candidates: Candidates, c: int, best: np.ndarray, samples: int,
                       tol: float) -> CandidateReport:
-    """Report from a candidate's records, one per check."""
-    worst = best["value"].tolist()
+    """Report of candidate ``c`` from its records, one per check."""
+    worst, name = best["value"].tolist(), candidates.names[c]
     if (best["value"] <= tol).all():  # a NaN fails
-        return CandidateReport(cand.name, True, *worst, samples, tol)
+        return CandidateReport(name, True, *worst, samples, tol)
     # the largest check (the first NaN, if any), then the first sample, term and body at its maximum
     i = int(best["value"].argmax())
     check, (_, s, term, k, col) = list(_CHECKS)[i], best[i].tolist()
-    name = tree.bodies[k].name
-    where = _TERMS[term] if check == "mass_matrix" else f"{_TERMS[term]} of body {name} vs {cand.body_pairing[name]}"
+    pair = f" of body {tree.bodies[k].name} vs {tree.bodies[candidates.pairs[c, k]].name}"
+    where = _TERMS[term] + ("" if check == "mass_matrix" else pair)
     if check == "kinematic":  # the column's velocity coordinate
         where += ", " + (["base"] * (tree.nv - tree.nj) + [f"joint {j.name}" for j in tree.actuated])[col]
-    return CandidateReport(cand.name, False, *worst, samples, tol, check, s, where)
+    return CandidateReport(name, False, *worst, samples, tol, check, s, where)
 
 
-def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: int = 100,
+def identify_dms(tree: KinematicTree, candidates: Candidates, samples: int = 100,
                  tol: float = 1e-8, rng_seed=0, order_cap: int = DEFAULT_ORDER_CAP) -> IdentifyReport:
-    """Certify candidate symmetries numerically and close the verified set.
+    """Certify a non-empty stack of candidate symmetries numerically and close the verified set.
 
     Per candidate this checks, on sampled configurations: dynamic-parameter
     symmetry (paired masses, CoM positions and world inertias map under the
@@ -559,17 +538,18 @@ def identify_dms(tree: KinematicTree, candidates: list[CandidateDMS], samples: i
     and full mass-matrix equivariance.  Sampling rejects soundly but accepts
     only probabilistically: reports say "verified on N samples", not proven.
     """
-    for cand in candidates:
-        cand.validate_against(tree)
-    best = _sampled_violations(tree, *_stack(tree, candidates), samples, rng_seed)
-    sizes = {"bodies": len(tree.bodies), "nv": tree.nv, "samples": samples, "candidates": len(candidates),
-             "configurations": samples * (1 + len(candidates)),
-             "kinematics_passes": (samples - 1) // _block_samples(len(candidates)) + 1}
-    reports = [_candidate_report(tree, cand, b, samples, tol) for cand, b in zip(candidates, best)]
-    verified = [c for c, report in zip(candidates, reports) if report.passed]
-    gens = [c.joint_perm for c in verified] or [signed_permutation(range(tree.nj))]
-    group, rep = group_closure([t for t, _ in gens], [s for _, s in gens], order_cap=order_cap)
-    return IdentifyReport(reports, [c.name for c in verified], group, rep, sizes)
+    nc = len(candidates.names)
+    _check_joint_dim(tree, candidates.names[0], candidates.joint.dim)  # every candidate of a stack has its dims
+    if candidates.pairs.shape[1:] != (len(tree.bodies),):
+        raise DimMismatch(f"body pairings of shape {candidates.pairs.shape}, tree has {len(tree.bodies)} bodies")
+    best = _sampled_violations(tree, *candidates[1:], samples, rng_seed)
+    sizes = {"bodies": len(tree.bodies), "nv": tree.nv, "samples": samples, "candidates": nc,
+             "configurations": samples * (1 + nc), "kinematics_passes": (samples - 1) // _block_samples(nc) + 1}
+    reports = [_candidate_report(tree, candidates, c, b, samples, tol) for c, b in enumerate(best)]
+    ok = [report.passed for report in reports]
+    gens = (candidates.joint.targets[ok], candidates.joint.signs[ok]) if any(ok) else ([range(tree.nj)], [None])
+    group, rep = group_closure(*gens, order_cap=order_cap)
+    return IdentifyReport(reports, [report.name for report in reports if report.passed], group, rep, sizes)
 
 
 def _objects(what: str, entries: list) -> list[dict]:
@@ -625,27 +605,38 @@ def load_robot(path: str) -> KinematicTree:
         return tree_from_dict(data)
 
 
-def load_candidates(path: str, tree: KinematicTree) -> list[CandidateDMS]:
+def candidates_from_dict(data, tree: KinematicTree) -> Candidates:
+    """Check a parsed candidates file against the tree, entry by entry, then stack it; see the README."""
+    entries = data.get("candidates", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not entries:  # a missing list is an empty one
+        raise ParseError("the 'candidates' list is empty" if entries == []
+                         else "expected an object with a 'candidates' list")
+    rows, bodies = [], set(tree.body_index)
+    for entry in _objects("candidate", entries):
+        name = entry.get("name", f"candidate{len(rows)}")
+        with errors_named(f"candidate {entry.get('name', '?')!r}"):
+            perm, pairing = entry["joint_perm"], entry["body_pairing"]
+            if not isinstance(perm, dict):
+                raise ParseError(f"'joint_perm' must be an object, got {type(perm).__name__}")
+            sign = perm.get("sign")
+            if not isinstance(pairing, dict) or not all(isinstance(v, str) for v in pairing.values()):
+                raise ParseError("'body_pairing' must map body names to body names")
+            isometry = parse_float("isometry", entry["isometry"])
+            target, sign = signed_permutation(parse_int_list("target", perm["target"]),
+                                              None if sign is None else parse_int_list("sign", sign))
+            if isometry.shape != (3, 3):
+                raise ValueError("isometry must be 3x3")
+            check_isometry("'isometry'", isometry, CANDIDATE_TOL)
+        _check_joint_dim(tree, name, len(target))
+        if set(pairing) != bodies or set(pairing.values()) != bodies:
+            raise ValueError(f"candidate {name!r}: body pairing is not a bijection on bodies")
+        rows.append((name, isometry, target, sign, [tree._body_id[pairing[b.name]] for b in tree.bodies]))
+    names, isometries, targets, signs, pairs = zip(*rows)
+    return Candidates(names, np.array(isometries), Representation(None, np.array(targets), np.array(signs)),
+                      np.array(pairs, dtype=np.intp))
+
+
+def load_candidates(path: str, tree: KinematicTree) -> Candidates:
+    """Load the JSON candidates file, checked against the tree; see the README for the layout."""
     with json_input(path) as data:
-        entries = data.get("candidates", []) if isinstance(data, dict) else None
-        if not isinstance(entries, list):
-            raise ParseError("expected an object with a 'candidates' list")
-        out = []
-        for entry in _objects("candidate", entries):
-            with errors_named(f"candidate {entry.get('name', '?')!r}"):
-                perm, pairing = entry["joint_perm"], entry["body_pairing"]
-                if not isinstance(perm, dict):
-                    raise ParseError(f"'joint_perm' must be an object, got {type(perm).__name__}")
-                sign = perm.get("sign")
-                if not isinstance(pairing, dict) or not all(isinstance(v, str) for v in pairing.values()):
-                    raise ParseError("'body_pairing' must map body names to body names")
-                cand = CandidateDMS(
-                    entry.get("name", f"candidate{len(out)}"),
-                    parse_float("isometry", entry["isometry"]),
-                    (parse_int_list("target", perm["target"]),
-                     None if sign is None else parse_int_list("sign", sign)),
-                    pairing,
-                )
-            cand.validate_against(tree)
-            out.append(cand)
-        return out
+        return candidates_from_dict(data, tree)

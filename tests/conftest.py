@@ -251,10 +251,10 @@ def isometries(group, rotations) -> Representation:
                           [(slice(0, d), rotations)])
 
 
-def config_action(tree, cand, q) -> np.ndarray:
-    """g.q of one candidate at one configuration or a stack, through the stack ``identify_dms`` acts with."""
-    r, joint, _ = rigid._stack(tree, [cand])
-    return rigid._config_action(tree, r, joint, np.reshape(q, (-1, tree.nq)))[0].reshape(np.shape(q))
+def config_action(tree, cands, c, q) -> np.ndarray:
+    """g.q of candidate ``c`` of the stack ``cands`` at one configuration or a stack, as ``identify_dms`` acts."""
+    gq = rigid._config_action(tree, cands.isometries, cands.joint, np.reshape(q, (-1, tree.nq)))
+    return gq[c].reshape(np.shape(q))
 
 
 def basis_to_dict(basis) -> dict:

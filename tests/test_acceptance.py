@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import (FIXTURES, c2_reps, c3_reps, closure, config_action, d8_reps, dense_perm, gpm, k4_reps,
+from conftest import (FIXTURES, c2_reps, c3_reps, closure, config_action, d8_reps, dense, gpm, k4_reps,
                       rep_matrix)
 from robosym.augment import (
     augment_dataset,
@@ -210,10 +210,10 @@ def test_criterion_7_com_momentum_equivariance():
         for _ in range(100):
             q = random_config(tree, rng)
             dq = rng.standard_normal(tree.nv)
-            for cand in cands:
+            for c, r in enumerate(cands.isometries):
                 h = com_momentum(tree, q, dq)
-                hg = com_momentum(tree, config_action(tree, cand, q), dense_perm(cand.joint_perm) @ dq)
-                r, det = cand.isometry, cand.det
+                hg = com_momentum(tree, config_action(tree, cands, c, q), dense(cands.joint, c) @ dq)
+                det = np.sign(np.linalg.det(r))
                 worst = max(worst, float(np.abs(r @ h[:3] - hg[:3]).max()))
                 worst = max(worst, float(np.abs(det * (r @ h[3:]) - hg[3:]).max()))
     report(7, "CoM momentum equivariance", worst < 1e-10, f"max error {worst:.2e}")

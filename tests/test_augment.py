@@ -24,7 +24,7 @@ from robosym.augment import (
 from robosym.errors import DimMismatch, ParseError, SchemaError, check_isometry
 from robosym.fileio import atomic_write_text
 from robosym.groups import FiniteGroup, Representation, _broken_relation, act, verify_homomorphism
-from robosym.rigid import CandidateDMS
+from robosym.rigid import candidates_from_dict, tree_from_dict
 
 # full image of the 16 contact states under the left-right leg swap,
 # cross-checked by hand from the bit encoding (leg 0 = most significant)
@@ -129,7 +129,11 @@ class TestIsometrySet:
         r = np.diag([-1.0, 1.0, 1.0])
         r[0, 1] = 1e-10
         assert 5e-11 < np.abs(r.T @ r - np.eye(3)).max() < 2e-10
-        assert CandidateDMS("c", r, gpm([0]), {}).det == -1
+        rock = tree_from_dict({"base": "fixed", "bodies": [{"name": "rock", "mass": 1.0, "com": [0, 0, 0],
+                                                            "inertia": [0.1, 0, 0, 0.1, 0, 0.1]}]})
+        cands = candidates_from_dict({"candidates": [{"isometry": r.tolist(), "joint_perm": {"target": []},
+                                                      "body_pairing": {"rock": "rock"}}]}, rock)
+        assert np.array_equal(cands.isometries[0], r) and np.linalg.det(r) < 0
         with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
             load_group_bundle(self._bundle(tmp_path, r))
         r[0, 1] = 0.0

@@ -357,7 +357,7 @@ class TestAugmentCmd:
 class TestNetCmd:
     def test_init_stats_band(self, capsys):
         assert run("net", "init-stats", "--group", K4, "--depth", "20",
-                   "--width", "256", "--nonlinearity", "relu", "--mode", "fan_in") == 0
+                   "--width", "256", "--nonlinearity", "relu") == 0
         out = capsys.readouterr().out
         ratio = float(out.strip().splitlines()[-1].split("=")[1])
         assert 1 / 3 < ratio < 3
@@ -470,10 +470,10 @@ class TestNetCmd:
         for kind, path in (("weights", weights), ("report", tmp_path / "w.json.report.json")):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[f"demo_train-{nonlinearity}-{kind}"]
 
-    @pytest.mark.parametrize("mode", ["fan_in", "fan_out", "const_var"])
+    @pytest.mark.parametrize("mode", ["fan_in", "const_var"])
     @pytest.mark.parametrize("nonlinearity", ["relu", "selu", "tanh"])
     def test_init_stats_report_is_pinned(self, capsys, nonlinearity, mode):
-        init = ["--const-var", "0.0025"] if mode == "const_var" else ["--mode", mode]
+        init = ["--const-var", "0.0025"] if mode == "const_var" else []  # else the fan-in variance
         assert run("net", "init-stats", "--group", K4, "--depth", "8", "--width", "64", "--batch", "64",
                    "--nonlinearity", nonlinearity, *init, "--json") == 0
         digests = json.loads((FIXTURES / "net_digests.json").read_text())
@@ -614,6 +614,48 @@ class TestRobotCmd:
         assert run("robot", "verify", "--robot", str(robot), "--candidates", str(candidates),
                    "--samples", "5") == 0
         assert "mirror: verified on 5 samples" in capsys.readouterr().out
+
+
+class TestRobotDigests:
+    """SHA-256 of what `robot verify` writes, pinned in robot_digests.json: the stdout of a --json run
+    per robot fixture, and the stderr of malformed candidate files."""
+
+    DIGESTS = json.loads((FIXTURES / "robot_digests.json").read_text())
+    # robot fixture: (its candidates file, exit code)
+    RUNS = {"minibiped": ("minibiped", 0), "minibiped_perturbed": ("minibiped", 1),
+            "solo_like": ("solo_like", 0), "trifinger": ("trifinger", 0)}
+    # edits of minibiped_candidates.json, each of which exits 2
+    BAD = {"joint_perm_not_object": lambda d: d["candidates"][0].update(joint_perm=[1, 0]),
+           "pairing_not_bijection": lambda d: d["candidates"][0]["body_pairing"].update(torso="leg_l"),
+           "isometry_not_orthogonal": lambda d: d["candidates"][0]["isometry"][0].__setitem__(1, 0.1),
+           "joint_perm_dim": lambda d: d["candidates"][0].update(joint_perm={"target": [0], "sign": [1]}),
+           "entry_not_object": lambda d: d["candidates"].__setitem__(0, [1])}
+
+    @staticmethod
+    def _verify(robot, candidates, *flags):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run("robot", "verify", "--robot", str(FIXTURES / f"{robot}.json"), "--candidates", candidates,
+                       *flags)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("robot", sorted(RUNS))
+    def test_json_report_is_pinned(self, robot):
+        cands, code = self.RUNS[robot]
+        got = self._verify(robot, str(FIXTURES / f"{cands}_candidates.json"), "--samples", "50", "--seed", "3",
+                           "--json")
+        assert got[0] == code and got[2] == ""
+        assert hashlib.sha256(got[1].encode()).hexdigest() == self.DIGESTS[f"verify-{robot}"]
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_error_line_is_pinned(self, tmp_path, monkeypatch, case):
+        data = json.loads((FIXTURES / "minibiped_candidates.json").read_text())
+        self.BAD[case](data)
+        (tmp_path / "candidates.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)  # the error line names the file as given: a relative name keeps it fixed
+        code, out, err = self._verify("minibiped", "candidates.json", "--samples", "5")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert hashlib.sha256(err.encode()).hexdigest() == self.DIGESTS[f"error-{case}"]
 
 
 class TestParseBoundaries:
@@ -896,6 +938,8 @@ class TestParseBoundaries:
                                   "body entry 1: expected an object, got int"),
         "candidate_entry_not_object": ("candidates", lambda d: d["candidates"].__setitem__(0, [1]),
                                        "candidate entry 0: expected an object, got list"),
+        "candidates_empty": ("candidates", lambda d: d["candidates"].clear(), "the 'candidates' list is empty"),
+        "candidates_missing": ("candidates", lambda d: d.clear(), "the 'candidates' list is empty"),
         "body_com_ragged": ("robot", lambda d: d["bodies"][0].update(com=[0.0, [1.0, 2.0], 0.0]),
                             "body entry 'torso': 'com' is ragged: its lists differ in length or sit beside numbers"),
         "body_inertia_ragged": ("robot",
@@ -1221,6 +1265,12 @@ class TestUsageErrors:
         assert run("net", "verify", "--net-spec", NETSPEC, "--weights", NETSPEC,
                    "--tol", "-1") == 2
         assert "tol" in capsys.readouterr().err
+
+    def test_init_stats_has_no_mode_option(self, capsys):
+        # every init-stats layer is width -> width, so fan-in and fan-out gave the same variance
+        with pytest.raises(SystemExit) as exit_:
+            run("net", "init-stats", "--group", K4, "--mode", "fan_out")
+        assert exit_.value.code == 2 and "unrecognized arguments: --mode fan_out" in capsys.readouterr().err
 
     def test_bad_samples(self):
         assert run("robot", "verify", "--robot", str(FIXTURES / "minibiped.json"),

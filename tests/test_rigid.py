@@ -6,15 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closure, config_action, cyclic, dense_perm, gpm, integrate_config
+from conftest import FIXTURES, closure, config_action, cyclic, dense, gpm, integrate_config
 from robosym.augment import compile_schema, load_group_bundle, resolve_schema
 from robosym.groups import act
 from robosym import rigid
 from robosym.errors import DimMismatch, ParseError, TreeCycle
 from robosym.rigid import (
-    CandidateDMS,
     KinematicTree,
     RigidBody,
+    candidates_from_dict,
     check_mass_matrix_equivariance,
     com_momentum,
     forward_kinematics,
@@ -57,6 +57,17 @@ def solo():
 @pytest.fixture(scope="module")
 def solo_cands(solo):
     return load_candidates(str(FIXTURES / "solo_like_candidates.json"), solo)
+
+
+def reversed_trifinger_pairing(tree, name):
+    """trifinger's candidate with the cycle direction of its body pairing reversed, and nothing
+    else changed: the pairing (a dict of body names) and the candidate as a stack of one."""
+    entry = json.loads((FIXTURES / "trifinger_candidates.json").read_text())["candidates"][0]
+    for i in range(3):
+        entry["body_pairing"][f"up_{i}"] = f"up_{(i + 2) % 3}"
+        entry["body_pairing"][f"low_{i}"] = f"low_{(i + 2) % 3}"
+    entry["name"] = name
+    return entry["body_pairing"], candidates_from_dict({"candidates": [entry]}, tree)
 
 
 def pendulum_dict(mass=1.0, radius=0.5, axis=(0.0, 1.0, 0.0)):
@@ -218,15 +229,15 @@ class TestForwardKinematics:
         np.testing.assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_mirrored_configurations_give_mirrored_poses(self, biped, biped_cands):
-        cand = biped_cands[0]
         rng = np.random.default_rng(0)
-        refl = cand.isometry
+        refl = biped_cands.isometries[0]
         for _ in range(10):
             q = random_config(biped, rng)
-            gq = config_action(biped, cand, q)
+            gq = config_action(biped, biped_cands, 0, q)
             kin_q = forward_kinematics(biped, q)
             kin_gq = forward_kinematics(biped, gq)
-            for k, i in cand.body_pairing.items():
+            for body, paired in zip(biped.bodies, biped_cands.pairs[0]):
+                k, i = body.name, biped.bodies[paired].name
                 ck = kin_q[k][1] + kin_q[k][0] @ biped.body_index[k].com
                 ci = kin_gq[i][1] + kin_gq[i][0] @ biped.body_index[i].com
                 np.testing.assert_allclose(refl @ ck, ci, atol=1e-14)
@@ -246,9 +257,7 @@ class TestFixedJoints:
                                     "child": f"foot_{side}", "type": "fixed", "origin_xyz": [0, 0, -0.4]})
             cands[0]["body_pairing"][f"foot_{side}"] = f"foot_{other}"
         tree = tree_from_dict(robot)
-        c = cands[0]
-        perm = (c["joint_perm"]["target"], c["joint_perm"]["sign"])
-        return tree, CandidateDMS(c["name"], np.array(c["isometry"]), perm, c["body_pairing"])
+        return tree, candidates_from_dict({"candidates": cands}, tree)
 
     def test_foot_pose_is_leg_pose_composed_with_the_joint_origin(self, footed):
         tree, _ = footed
@@ -262,9 +271,14 @@ class TestFixedJoints:
                 np.testing.assert_array_equal(foot_rot, leg_rot)  # the origin has no rotation
                 np.testing.assert_array_equal(foot_pos, leg_pos + leg_rot @ [0.0, 0.0, -0.4])
 
+    def test_stack_without_the_feet_is_refused(self, footed, biped_cands):
+        # the same joints, two bodies fewer: the pairings do not fit the tree
+        with pytest.raises(DimMismatch, match=r"^body pairings of shape \(1, 3\), tree has 5 bodies$"):
+            identify_dms(footed[0], biped_cands, samples=2)
+
     def test_sagittal_candidate_with_feet_paired_verifies(self, footed):
-        tree, cand = footed
-        report = identify_dms(tree, [cand], samples=50, rng_seed=1)
+        tree, cands = footed
+        report = identify_dms(tree, cands, samples=50, rng_seed=1)
         assert report.verified == ["sagittal"] and report.group.order == 2
         c = report.candidates[0]
         assert max(c.dynamic_violation, c.kinematic_violation, c.mass_matrix_violation) <= 1e-12
@@ -372,15 +386,15 @@ class TestComMomentum:
         np.testing.assert_array_equal(com_momentum(trifinger, q, np.zeros(6)), np.zeros(6))
 
     def test_equivariance_on_mirrored_fixture(self, biped, biped_cands):
-        cand = biped_cands[0]
         rng = np.random.default_rng(17)
-        r, det = cand.isometry, cand.det
+        r = biped_cands.isometries[0]
+        det = np.sign(np.linalg.det(r))
         for _ in range(20):
             q = random_config(biped, rng)
             dq = rng.standard_normal(biped.nv)
             h = com_momentum(biped, q, dq)
             h_g = com_momentum(
-                biped, config_action(biped, cand, q), dense_perm(cand.joint_perm) @ dq
+                biped, config_action(biped, biped_cands, 0, q), dense(biped_cands.joint, 0) @ dq
             )
             np.testing.assert_allclose(r @ h[:3], h_g[:3], atol=1e-10)
             np.testing.assert_allclose(det * (r @ h[3:]), h_g[3:], atol=1e-10)
@@ -456,14 +470,13 @@ class TestMassMatrixEquivariance:
         assert str(report).startswith("REJECTED on 5 samples: max violation nan")
 
     def test_kinetic_energy_invariance(self, biped, biped_cands):
-        cand = biped_cands[0]
         rng = np.random.default_rng(18)
         for _ in range(20):
             q = random_config(biped, rng)
             dq = rng.standard_normal(biped.nv)
             t1 = 0.5 * dq @ mass_matrix(biped, q) @ dq
-            dq_g = dense_perm(cand.joint_perm) @ dq
-            t2 = 0.5 * dq_g @ mass_matrix(biped, config_action(biped, cand, q)) @ dq_g
+            dq_g = dense(biped_cands.joint, 0) @ dq
+            t2 = 0.5 * dq_g @ mass_matrix(biped, config_action(biped, biped_cands, 0, q)) @ dq_g
             assert abs(t1 - t2) <= 1e-8 * max(1.0, abs(t1))
 
 
@@ -483,15 +496,9 @@ class TestIdentifyDms:
         assert report.verified == ["sagittal", "transversal"]
         assert report.group.order == 4
 
-    def test_wrong_pairing_rejected_at_kinematic_check(self, trifinger, trifinger_cands):
-        good = trifinger_cands[0]
-        swapped = dict(good.body_pairing)
-        # reverse the cycle direction of the pairing only
-        for i in range(3):
-            swapped[f"up_{i}"] = f"up_{(i + 2) % 3}"
-            swapped[f"low_{i}"] = f"low_{(i + 2) % 3}"
-        bad = CandidateDMS("wrong_pairing", good.isometry, good.joint_perm, swapped)
-        report = identify_dms(trifinger, [bad], samples=20, rng_seed=1)
+    def test_wrong_pairing_rejected_at_kinematic_check(self, trifinger):
+        _, bad = reversed_trifinger_pairing(trifinger, "wrong_pairing")
+        report = identify_dms(trifinger, bad, samples=20, rng_seed=1)
         assert report.verified == []
         assert not report.candidates[0].passed
         assert report.candidates[0].kinematic_violation > 1e-3
@@ -516,15 +523,29 @@ class TestIdentifyDms:
         assert not cand.passed and np.isnan(cand.mass_matrix_violation)
         assert str(cand) == "sagittal: rejected: mass_matrix violation nan at sample 0 (M, tol 1.0e-08)"
 
+    @pytest.mark.parametrize("name", ["minibiped", "solo_like", "trifinger"])
+    def test_candidates_from_dict_is_load_candidates(self, name):
+        tree, path = load_robot(str(FIXTURES / f"{name}.json")), FIXTURES / f"{name}_candidates.json"
+        got, want = candidates_from_dict(json.loads(path.read_text()), tree), load_candidates(str(path), tree)
+        assert got.names == want.names and got.joint == want.joint and got.joint.group is None
+        for field in ("isometries", "pairs"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert got.isometries.shape == (len(got.names), 3, 3) and got.pairs.shape == (len(got.names), len(tree.bodies))
+
+    def test_stack_of_another_robot_is_refused(self, biped, solo_cands):
+        with pytest.raises(DimMismatch, match=r"^candidate 'sagittal': joint permutation dim 4, tree has nj = 2$"):
+            identify_dms(biped, solo_cands, samples=2)
+
     def test_closure_exceeded_propagates(self, biped):
         from robosym.errors import ClosureExceeded
 
-        cand = CandidateDMS(
-            "ok", np.diag([-1.0, 1.0, 1.0]), gpm([1, 0], [-1, -1]),
-            {"torso": "torso", "leg_l": "leg_r", "leg_r": "leg_l"},
-        )
+        cands = candidates_from_dict({"candidates": [{
+            "name": "ok", "isometry": np.diag([-1.0, 1.0, 1.0]).tolist(),
+            "joint_perm": {"target": [1, 0], "sign": [-1, -1]},
+            "body_pairing": {"torso": "torso", "leg_l": "leg_r", "leg_r": "leg_l"}}]}, biped)
         with pytest.raises(ClosureExceeded):
-            identify_dms(biped, [cand], samples=2, rng_seed=0, order_cap=1)
+            identify_dms(biped, cands, samples=2, rng_seed=0, order_cap=1)
 
 
 REFERENCE = json.loads((FIXTURES / "identify_dms_reference.json").read_text())
@@ -540,19 +561,20 @@ class TestRefactorSafetyNet:
         # a group file written from the verified candidates, compiled with the velocity fields (v, w
         # and dq; dq alone on a fixed base), acts on velocities exactly as the candidates' stack does
         tree = load_robot(str(FIXTURES / f"{name}.json"))
-        cands = load_candidates(str(FIXTURES / f"{name}_candidates.json"), tree)
-        verified = [c for c in cands if c.name in identify_dms(tree, cands, samples=5).verified]
+        entries = json.loads((FIXTURES / f"{name}_candidates.json").read_text())["candidates"]
+        names = identify_dms(tree, candidates_from_dict({"candidates": entries}, tree), samples=5).verified
+        verified = candidates_from_dict({"candidates": [e for e in entries if e["name"] in names]}, tree)
         path = tmp_path / "group.json"
         path.write_text(json.dumps({"dim": tree.nj, "generators": [
-            {"target": c.joint_perm[0].tolist(), "sign": c.joint_perm[1].tolist(), "isometry": c.isometry.tolist()}
-            for c in verified]}))
+            {"target": t.tolist(), "sign": s.tolist(), "isometry": r.tolist()}
+            for t, s, r in zip(verified.joint.targets, verified.joint.signs, verified.isometries)]}))
         bundle = load_group_bundle(str(path))
         fields = [{"name": "v", "kind": "e3_vector"}, {"name": "w", "kind": "e3_pseudovector"}] * tree.floating
         schema = resolve_schema(fields + [{"name": "dq", "kind": "joint_space"}], bundle.joint_rep, bundle.isometries)
         plan = compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries)
-        r, joint, _ = rigid._stack(tree, verified)
-        t = rigid._velocity_action(tree, r, np.sign(np.linalg.det(r))[:, None, None] * r, joint)
-        assert t.group is None and len(verified) == len(bundle.group.generator_indices) == (2 if tree.floating else 1)
+        r = verified.isometries
+        t = rigid._velocity_action(tree, r, np.sign(np.linalg.det(r))[:, None, None] * r, verified.joint)
+        assert t.group is None and len(verified.names) == len(bundle.group.generator_indices) == 1 + tree.floating
         for c, g in enumerate(bundle.group.generator_indices):
             assert np.array_equal(act(t, c, np.eye(tree.nv)), act(plan, g, np.eye(tree.nv)))
 
@@ -583,10 +605,10 @@ class TestRefactorSafetyNet:
             monkeypatch.setattr(rigid, "KIN_BLOCK", kin_block)
             calls.clear()
             report = identify_dms(solo, solo_cands, samples=samples, rng_seed=0)
-            block = kin_block // (len(solo_cands) + 1)
+            block = kin_block // (len(solo_cands.names) + 1)
             assert len(calls) == -(-samples // block) == report.sizes["kinematics_passes"]
             assert max(len(q) for q in calls) <= kin_block
-            assert sum(len(q) for q in calls) == samples * (len(solo_cands) + 1)
+            assert sum(len(q) for q in calls) == samples * (len(solo_cands.names) + 1)
         q = random_config(solo, np.random.default_rng(0))
         dq = np.ones(solo.nv)
         for fn, args in ((mass_matrix, ()), (com_momentum, (dq,))):
@@ -653,34 +675,34 @@ class TestRefactorSafetyNet:
         assert peak(5000) - peak(20) <= 2**20
 
     def test_failed_where_names_the_jacobian_column(self, solo, solo_cands):
-        cand, best = solo_cands[0], np.zeros(3, rigid._WORST)
+        best = np.zeros(3, rigid._WORST)
         best["value"] = [0.0, 1.0, 0.0]  # the kinematic check fails
         for col, suffix in ((2, "base"), (6, f"joint {solo.actuated[0].name}")):
             best[1] = (1.0, 3, rigid._TERMS.index("J_P"), 1, col)
-            report = rigid._candidate_report(solo, cand, best, 5, 1e-8)
-            body = solo.bodies[1].name
-            assert report.failed_where == f"J_P of body {body} vs {cand.body_pairing[body]}, {suffix}"
+            report = rigid._candidate_report(solo, solo_cands, 0, best, 5, 1e-8)
+            body, paired = solo.bodies[1].name, solo.bodies[solo_cands.pairs[0, 1]].name
+            assert report.failed_where == f"J_P of body {body} vs {paired}, {suffix}"
             assert report.worst_sample == 3
 
     def test_config_action_acts_on_a_stack(self, solo, solo_cands):
         # every candidate at every configuration at once: bit for bit each (candidate, q) alone,
         # and R rot R^T, R pos and the signed joint permutation
         qs = np.array([random_config(solo, np.random.default_rng(s)) for s in range(4)])
-        r, joint, _ = rigid._stack(solo, solo_cands)
-        got = rigid._config_action(solo, r, joint, qs)
-        assert got.shape == (len(solo_cands), len(qs), solo.nq)
-        for c, cand in enumerate(solo_cands):
-            one = rigid._stack(solo, [cand])
+        got = rigid._config_action(solo, solo_cands.isometries, solo_cands.joint, qs)
+        entries = json.loads((FIXTURES / "solo_like_candidates.json").read_text())["candidates"]
+        assert got.shape == (len(entries), len(qs), solo.nq)
+        for c, entry in enumerate(entries):
+            one = candidates_from_dict({"candidates": [entry]}, solo)
+            r = one.isometries[0]
             for s, q in enumerate(qs):
-                assert np.array_equal(got[c, s], rigid._config_action(solo, *one[:2], q[None])[0, 0])
+                assert np.array_equal(got[c, s], rigid._config_action(solo, one.isometries, one.joint, q[None])[0, 0])
                 rot, pos, qjs = rigid.split_config(solo, q)
-                want = rigid.merge_config(solo, cand.isometry @ rot @ cand.isometry.T, cand.isometry @ pos,
-                                          dense_perm(cand.joint_perm) @ qjs)
+                want = rigid.merge_config(solo, r @ rot @ r.T, r @ pos, dense(one.joint, 0) @ qjs)
                 np.testing.assert_allclose(got[c, s], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kin_block", [1, 5, 1000])
     def test_sampled_violations_do_not_depend_on_the_block(self, solo, solo_cands, monkeypatch, kin_block):
-        stack = rigid._stack(solo, solo_cands)
+        stack = solo_cands[1:]  # isometries, joint, pairs
         want = rigid._sampled_violations(solo, *stack, 9, 3)
         monkeypatch.setattr(rigid, "KIN_BLOCK", kin_block)
         assert np.array_equal(rigid._sampled_violations(solo, *stack, 9, 3), want)
@@ -713,21 +735,17 @@ class TestRefactorSafetyNet:
         report = identify_dms(tree, biped_cands, samples=5, rng_seed=0)
         assert report.candidates[0].failed_where == "mass of body leg_l vs leg_r"
         assert report.candidates[0].worst_sample == 0  # a mass mismatch is sample-free
-        good = trifinger_cands[0]
-        swapped = dict(good.body_pairing)
-        for i in range(3):  # reverse the cycle direction of the pairing only
-            swapped[f"up_{i}"] = f"up_{(i + 2) % 3}"
-            swapped[f"low_{i}"] = f"low_{(i + 2) % 3}"
-        bad = CandidateDMS("swapped", good.isometry, good.joint_perm, swapped)
-        where = identify_dms(trifinger, [bad], samples=5, rng_seed=0).candidates[0].failed_where
+        swapped, bad = reversed_trifinger_pairing(trifinger, "swapped")
+        where = identify_dms(trifinger, bad, samples=5, rng_seed=0).candidates[0].failed_where
         where, joint = where.split(", joint ")  # a Jacobian failure names its column's joint
         assert where.split(" of body ")[0] in ("CoM", "inertia", "J_P", "J_R")
         k, i = where.split(" of body ")[1].split(" vs ")
-        assert swapped[k] == i and good.body_pairing[k] != i
+        ids = trifinger._body_id
+        assert swapped[k] == i and trifinger.bodies[trifinger_cands.pairs[0, ids[k]]].name != i
         # a gap is nonzero where one side is: the joint moves body k at q, or its image body i at g.q
-        j, ids = trifinger.dof_index[joint], trifinger._body_id
-        assert trifinger._on_path[ids[k], j] or trifinger._on_path[ids[i], good.joint_perm[0][j]]
-        assert identify_dms(trifinger, [good], samples=5).candidates[0].failed_where is None
+        j = trifinger.dof_index[joint]
+        assert trifinger._on_path[ids[k], j] or trifinger._on_path[ids[i], trifinger_cands.joint.targets[0, j]]
+        assert identify_dms(trifinger, trifinger_cands, samples=5).candidates[0].failed_where is None
 
 
 class TestRotations:
