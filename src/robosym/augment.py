@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_float, parse_int
+from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_float, parse_int, parse_int_list
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
     FiniteGroup,
@@ -238,9 +238,7 @@ def load_group_bundle(path: str) -> GroupBundle:
                                          f"generator's has shape {isos[0].shape}")
                     isos.append(m)
                 if "leg_perm" in entry:
-                    if not isinstance(entry["leg_perm"], list):
-                        raise ValueError("'leg_perm' must be a list of leg indices")
-                    target = [parse_int("leg_perm", t) for t in entry["leg_perm"]]
+                    target = parse_int_list("leg_perm", entry["leg_perm"])
                     if not target or sorted(target) != list(range(len(target))):
                         raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
                     if legs and len(target) != len(legs[0]):

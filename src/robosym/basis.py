@@ -5,9 +5,9 @@ Two independent routes are provided on purpose:
 * ``orbit_basis`` traces the orbits of the flat coordinates of vec(W) under
   the group action on linear maps, in O(|G| m n) time but O(m n) memory and
   without ever materializing an (mn x mn) matrix.
-* ``dense_nullspace_oracle`` stacks the fix-point constraints into one dense
-  system and solves it by Gaussian elimination.  It exists solely to check
-  the orbit route and is capped in size.
+* ``dense_nullspace_oracle`` sums the generators' fix-point constraints into
+  one dense Gram block and solves it by Gaussian elimination.  It exists
+  solely to check the orbit route and is capped in size.
 
 ``burnside_rank`` gives the rank a third way, as a group-averaged signed
 trace, so the three can be cross-checked in tests.
@@ -189,21 +189,21 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     return total // group.order
 
 
-def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, gens: list, tol: float) -> np.ndarray:
-    """Orthonormal nullspace basis of the stacked blocks rho_W(g) - I, one per g in ``gens``.
-    Builds the stack, eliminates it in place (partial pivoting) and frees it before the QR."""
-    t, s = _linear_map_action(rep_in, rep_out, gens)
-    cols = t.shape[1]
-    a, diag = np.zeros((len(gens), cols, cols)), np.arange(cols)
-    a[np.arange(len(gens))[:, None], t, diag] = s
-    a[:, diag, diag] -= 1
-    a = a.reshape(-1, cols)
-    rows = a.shape[0]
+def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, gens: tuple | range,
+                              tol: float) -> np.ndarray:
+    """Orthonormal nullspace basis of the Gram block sum_g (rho_W(g) - I)^T (rho_W(g) - I), g in ``gens``.
+    As each rho_W(g) is a signed permutation, the block is sum_g (2I - rho_W(g) - rho_W(g)^T): one
+    mn x mn block whatever the count of g.  It is built and eliminated in place (partial pivoting),
+    then freed before the QR."""
+    cols = rep_in.dim * rep_out.dim
+    a, diag = np.diag(np.full(cols, 2.0 * len(gens))), np.arange(cols)
+    for g in gens:
+        t, s = _linear_map_action(rep_in, rep_out, slice(g, g + 1))
+        a[t[0], diag] -= s[0]
+        a[diag, t[0]] -= s[0]
     pivot_cols: list[int] = []
     r = 0
     for col in range(cols):
-        if r >= rows:
-            break
         c = a[:, col].copy()  # the one strided walk down this column; kept in step with a
         p = int(np.argmax(np.abs(c[r:]))) + r
         if abs(c[p]) <= tol:
@@ -220,43 +220,26 @@ def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, g
     basis = np.zeros((cols, len(free_cols)))
     basis[free_cols, np.arange(len(free_cols))] = 1.0
     basis[pivot_cols] = -a[: len(pivot_cols), free_cols]
-    del a  # the stack, before np.linalg.qr allocates its workspace
+    del a  # the block, before np.linalg.qr allocates its workspace
     q, _ = np.linalg.qr(basis)  # (cols, 0) when the nullspace is empty
     return q
 
 
-def dense_nullspace_oracle(
-    rep_in: Representation,
-    rep_out: Representation,
-    tol: float = ORACLE_TOL,
-    cap: int = ORACLE_CAP,
-) -> np.ndarray:
-    """Brute-force equivariant basis: nullspace of the stacked constraints.
+def dense_nullspace_oracle(rep_in: Representation, rep_out: Representation, tol: float = ORACLE_TOL) -> np.ndarray:
+    """Brute-force equivariant basis: nullspace of the generators' fix-point constraints.
 
-    Stacks (rho_W(g) - I) for each generator g not generated by the ones
-    before it (every element when the group records none; a map fixed by the
-    generators is fixed by the group) and eliminates.  Returns an orthonormal
-    (mn x r') basis; refuses mn above ``cap`` or a stack above 2 cap^2 floats.
+    Sums (rho_W(g) - I)^T (rho_W(g) - I) over the generators g (every element
+    when the group records none; a map fixed by the generators is fixed by the
+    group) into one mn x mn block and eliminates it.  Returns an orthonormal
+    (mn x r') basis; refuses mn above ``ORACLE_CAP``.
     """
     group = _shared_group(rep_in, rep_out)
     mn = rep_in.dim * rep_out.dim
-    if mn > cap:
-        raise CapExceeded(f"mn = {mn} exceeds oracle cap {cap}")
-    gens, reached = [], np.zeros(group.order, bool)
-    reached[group.identity] = True
-    for g in sorted(set(group.generator_indices or group.elements())):
-        if not reached[g]:  # else the kept generators generate it: its block adds no constraint
-            gens.append(g)
-            new = np.flatnonzero(reached)
-            while new.size:  # close the reached subgroup under right products with the kept ones
-                new = np.unique(group.cayley[new[:, None], gens])
-                new = new[~reached[new]]
-                reached[new] = True
-    if len(gens) * mn * mn > 2 * cap * cap:
-        raise CapExceeded(f"{len(gens)} generators at mn = {mn} exceed the oracle's stack of 2 x {cap}^2")
-    if not gens:
+    if mn > ORACLE_CAP:
+        raise CapExceeded(f"mn = {mn} exceeds oracle cap {ORACLE_CAP}")
+    if group.order == 1:
         return np.eye(mn)
-    return _nullspace_by_elimination(rep_in, rep_out, gens, tol)
+    return _nullspace_by_elimination(rep_in, rep_out, group.generator_indices or group.elements(), tol)
 
 
 def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:

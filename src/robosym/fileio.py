@@ -4,6 +4,7 @@ output file written, through here."""
 import contextlib
 import json
 import os
+import threading
 from collections.abc import Iterable, Iterator
 
 from .errors import ParseError, RoboSymError
@@ -48,8 +49,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     they are produced) to a temporary file beside ``path``, then rename it over
     ``path``.  On failure, including an exception raised by the iterable, the
     temporary file is removed and an existing ``path`` is left as it was.  An
-    OSError names ``path``, not the temporary file."""
-    tmp = f"{path}.tmp{os.getpid()}"
+    OSError names ``path``, not the temporary file.  The temporary file is
+    named after the process and the thread, so concurrent writers never share it."""
+    tmp = f"{path}.tmp{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             f.writelines([text] if isinstance(text, str) else text)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -461,6 +463,20 @@ class TestBundleLoading:
         assert bundle.group.order == 2
         assert bundle.leg_perm.targets.tolist() == [[0, 1], [1, 0]]
 
+    @pytest.mark.parametrize(
+        "leg_perm, message",
+        [
+            ([1, 0.0], "generator 0: entry 1: 'leg_perm' must be an integer, got float"),
+            ("10", "generator 0: 'leg_perm' must be a list, got str"),
+        ],
+        ids=["float_entry", "not_a_list"],
+    )
+    def test_leg_perm_is_read_as_an_integer_list(self, tmp_path, leg_perm, message):
+        path = self._write_bundle(tmp_path, [{**self.SWAP, "leg_perm": leg_perm}])
+        with pytest.raises(ParseError) as info:
+            load_group_bundle(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_joint_block_pair_matches_direct_sum(self, solo):
         # the (q, dq) input of the momentum schema transforms as the
         # joint-space rep summed with itself
@@ -726,4 +742,54 @@ class TestCsvRoundtrip:
         with pytest.raises(RuntimeError):
             atomic_write_text(str(path), chunks())
         assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_threads_writing_one_path_never_tear_it(self, tmp_path):
+        # two threads of one process write 1 MB each to one path, in 1 KB
+        # chunks, while a third reads it.  Each writer needs a temporary file
+        # of its own: two sharing one mix their text in it and rename it
+        # away from each other
+        path = tmp_path / "out.csv"
+        texts = [c * 2**20 for c in "ab"]
+        path.write_text(texts[0])
+        errors, seen, done = [], set(), threading.Event()
+
+        def guarded(fn):
+            def run(*args):
+                try:
+                    fn(*args)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+            return run
+
+        @guarded
+        def write(text, barrier):
+            barrier.wait(timeout=30)
+            atomic_write_text(str(path), (text[k : k + 1024] for k in range(0, len(text), 1024)))
+
+        @guarded
+        def read():
+            while not done.is_set():
+                text = path.read_text()
+                seen.add(text[:1] + text[-1:] if len(text) == 2**20 and len(set(text)) == 1 else "torn")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for _ in range(10):
+                barrier = threading.Barrier(2)
+                writers = [threading.Thread(target=write, args=(t, barrier)) for t in texts]
+                for w in writers:
+                    w.start()
+                for w in writers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in writers)
+                assert path.read_text() in texts
+        finally:
+            done.set()
+            reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and errors == [] and seen <= {"aa", "bb"}
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -1,9 +1,11 @@
 """The README's library example runs as written, and its lists match the code."""
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
+import robosym
 from robosym.augment import FIELD_KINDS
 from robosym.cli import build_parser
 
@@ -37,3 +39,22 @@ def test_cli_section_shows_every_command():
     commands = _commands(build_parser())
     assert "robosym net demo-train" in commands and "robosym robot verify" in commands
     assert [c for c in commands if not re.search(rf"^{re.escape(c)}( |$)", block, re.M)] == []
+
+
+def _caps_table():
+    return README.read_text().split("## Caps", 1)[1].split("\n## ", 1)[0]
+
+
+def test_caps_table_names_every_cap_constant():
+    defined = {f"{path.stem}.{target.id}"
+               for path in Path(robosym.__file__).parent.glob("*.py")
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    assert defined == {"basis.ORACLE_CAP", "groups.DEFAULT_ORDER_CAP", "groups.TRACE_CAP", "rigid.VALUE_CAP"}
+    rows = [line.split(" | ")[0] for line in _caps_table().splitlines() if line.startswith("| ")]
+    assert [name for name in sorted(defined) if not any(f"`{name}`" in cap for cap in rows)] == []
+
+
+def test_oracle_caps_row_states_no_stack_condition():
+    row = next(line for line in _caps_table().splitlines() if "`basis.ORACLE_CAP`" in line)
+    assert row.startswith("| m·n ≤ 4096 (`basis.ORACLE_CAP`) | ") and "stack" not in row
