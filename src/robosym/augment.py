@@ -18,21 +18,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_float, parse_int, parse_int_list
+from .errors import DimMismatch, ParseError, SchemaError, check_isometry, parse_int, parse_object
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
+    PLAN_TOL,
     FiniteGroup,
     Representation,
     _broken_relation,
     act,
     direct_sum,
     extend_by_words,
-    generator_arrays,
     group_closure,
+    load_generator_file,
+    tensor_on_linear_maps,
     trivial_representation,
 )
-
-PLAN_TOL = 1e-12
 
 # rows per block when CSV text is formatted or parsed
 CSV_BLOCK_ROWS = 128  # the buffers of a block of 76 columns take about 1 MiB
@@ -96,11 +96,9 @@ def _pose_action(b: GroupBundle, dim: int) -> Representation:
 
 
 def _kron_action(b: GroupBundle, dim: int) -> Representation:
-    """Leg i's d-block moves to leg target[i]'s, then R turns every leg."""
-    r, legs = b.isometries.blocks[0][1], b.leg_perm
-    d = r.shape[-1]
-    targets = (legs.targets[:, :, None] * d + np.arange(d)).reshape(b.group.order, -1)
-    return _turned(Representation(b.group, targets, np.repeat(legs.signs, d, axis=1)), r)
+    """Leg i's d-block moves to leg target[i]'s (the legs' action on L x d maps), then R turns every leg."""
+    r = b.isometries.blocks[0][1]
+    return _turned(tensor_on_linear_maps(trivial_representation(b.group, r.shape[-1]), b.leg_perm), r)
 
 
 def _pseudo_action(b: GroupBundle, dim: int) -> Representation:
@@ -202,7 +200,7 @@ def orbit_average(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
     for g in plan.group.elements():
         mean += act(plan, plan.group.inverse[g], rows[g * n : (g + 1) * n])
     mean /= order
-    return np.vstack([act(plan, g, mean) for g in plan.group.elements()])
+    return augment_dataset(plan, mean)
 
 
 class GroupBundle(NamedTuple):
@@ -215,54 +213,29 @@ class GroupBundle(NamedTuple):
 
 
 def load_group_bundle(path: str) -> GroupBundle:
-    """Load a representation file with optional per-generator extensions.
-
-    Beyond the core {"dim", "generators": [{"target", "sign"}]} layout, each
-    generator may carry an "isometry" (d x d row-major matrix) and a
-    "leg_perm" (target array over the legs); both are extended to the whole
-    group along the closure, and each generator's value must respect the
-    group relations: value(x) times it is value(x s) for every element x.
-    """
-    with json_input(path) as data:
-        group, joint_rep = group_closure(*generator_arrays(path, data))
-        isos, legs = [], []  # per generator, in file order
-        for k, entry in enumerate(data["generators"]):
-            with errors_named(f"generator {k}"):
-                if "isometry" in entry:
-                    m = parse_float("isometry", entry["isometry"])
-                    if m.ndim != 2:  # check_isometry would take it for a stack
-                        raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
-                    check_isometry("'isometry'", m, PLAN_TOL)
-                    if isos and m.shape != isos[0].shape:
-                        raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
-                                         f"generator's has shape {isos[0].shape}")
-                    isos.append(m)
-                if "leg_perm" in entry:
-                    target = parse_int_list("leg_perm", entry["leg_perm"])
-                    if not target or sorted(target) != list(range(len(target))):
-                        raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {target}")
-                    if legs and len(target) != len(legs[0]):
-                        raise ValueError(f"'leg_perm' lists {len(target)} legs but an earlier "
-                                         f"generator's lists {len(legs[0])}")
-                    legs.append(np.array(target, dtype=np.intp))
+    """Load a group file whose generators may carry an "isometry" and a "leg_perm" (as
+    ``load_generator_file`` reads and checks them), close it, and extend both to the whole group
+    along the closure; each generator's value must respect the group relations: value(x) times
+    it is value(x s) for every element x.  An error after the file is read names the file."""
+    targets, signs, isos, legs = load_generator_file(path)
+    with errors_named(path):
+        group, joint_rep = group_closure(targets, signs)
         at = group.generator_indices
         ext = {}  # key -> the values of all elements; leg perms are unsigned: P_a P_b sends leg i to a[b[i]]
         for key, given, unit, compose, tol in (("isometry", isos, np.eye, matmul, PLAN_TOL),
                                                ("leg_perm", legs, np.arange, lambda a, b: a[..., b], 0)):
-            if 0 < len(given) < len(at):
-                raise ParseError(f"either all generators carry {key!r} or none")
-            if given:
-                ext[key] = np.array(extend_by_words(group, dict(zip(at, given)), compose, unit(len(given[0]))))
+            if given is not None:
+                ext[key] = np.array(extend_by_words(group, dict(zip(at, given)), compose, unit(given.shape[-1])))
                 if bad := _broken_relation(group, ext[key], compose, tol, given):  # x's word, then j
                     word = extend_by_words(group, {s: (i,) for i, s in enumerate(at)}, add, ())[bad[0]]
                     raise ParseError(f"generator {bad[2]}: its {key!r} breaks the group relations on the "
                                      f"product of generators {', '.join(map(str, word + (bad[2],)))}")
         isometries = None
-        if isos:  # each generator's is checked; a product of them, to the same tolerance, here.  e maps to
-            # I, and x s to value(x) value(s), by the extension and the relation check above
+        if isos is not None:  # each generator's is checked; a product of them, to the same tolerance, here.
+            # e maps to I, and x s to value(x) value(s), by the extension and the relation check above
             check_isometry("isometry", ext["isometry"], PLAN_TOL)
-            isometries = _turned(trivial_representation(group, len(isos[0])), ext["isometry"])
-        leg_perm = Representation(group, ext["leg_perm"], None) if legs else None
+            isometries = _turned(trivial_representation(group, isos.shape[-1]), ext["isometry"])
+        leg_perm = Representation(group, ext["leg_perm"], None) if legs is not None else None
     return GroupBundle(group, joint_rep, isometries, leg_perm)
 
 
@@ -271,8 +244,9 @@ def load_schema(path: str) -> list[dict]:
         if not isinstance(data, dict) or not isinstance(data.get("fields"), list):
             raise ParseError("expected an object with a 'fields' list")
         for i, field in enumerate(data["fields"]):
+            parse_object(field, f"schema field {i}")
             for key in ("name", "kind"):
-                if not isinstance(field, dict) or key not in field:
+                if key not in field:
                     raise ParseError(f"schema field {i} has no {key!r} key")
             if "dim" in field and parse_int("dim", field["dim"], f"schema field {i}") < 0:
                 raise ParseError(f"schema field {i}: 'dim' must be >= 0, got {field['dim']}")

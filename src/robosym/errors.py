@@ -62,6 +62,14 @@ def parse_int(key: str, value, where: str | None = None) -> int:
     return value
 
 
+def parse_object(value, where: str | None = None) -> dict:
+    """``value`` if it is a JSON object; anything else raises ParseError naming its type
+    (and ``where``, the entry of a JSON list, if given)."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{f'{where}: ' if where else ''}expected an object, got {type(value).__name__}")
+    return value
+
+
 def parse_int_list(key: str, values) -> list[int]:
     """``values``, read for ``key``, if it is a list of JSON integers; else ParseError naming
     the key, or the first bad entry by its index.  Only an entry that is not a plain int goes

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .errors import (ClosureExceeded, DimMismatch, GroupMismatch, IncompatibleWidth, ParseError,
-                     parse_int, parse_int_list)
+                     check_isometry, parse_float, parse_int, parse_int_list, parse_object)
 from .fileio import json_input
 
 T = TypeVar("T")
@@ -25,6 +25,7 @@ T = TypeVar("T")
 DEFAULT_ORDER_CAP = 1024
 CLOSE_ENTRIES = 1 << 16  # product entries per slab of the closure, one element's at least
 TRACE_CAP = 1 << 31  # m*n bound of _linear_map_action's int32 tables, so also a tiled width's
+PLAN_TOL = 1e-12  # entrywise |R^T R - I| allowed in a group file's isometries and in their products
 
 
 def signed_permutation(target: Sequence, sign: Sequence | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +169,7 @@ def group_closure(
     """Close a generator list under matrix product.
 
     Generator k is the signed permutation (``targets[k]``, ``signs[k]``):
-    two (k, dim) arrays, as ``load_generator_file`` returns them, or lists
+    two (k, dim) arrays, as ``load_generator_file`` returns first, or lists
     of rows.  Returns the abstract group (Cayley table, inverses) together
     with the representation holding every distinct product.  Element 0 is
     the identity; the rest follow breadth-first discovery order, so the
@@ -385,44 +386,61 @@ def _generator_line(path: str, i: int) -> int:
     return text.count("\n", 0, starts[id(decoder.decode(text)["generators"])][i]) + 1
 
 
-def generator_arrays(path: str, data) -> tuple[np.ndarray, np.ndarray]:
-    """``load_generator_file``'s arrays from ``data``, decoded from ``path``
-    inside ``json_input(path)``, which names the file."""
-    if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
-        raise ParseError("expected object with 'dim' and a 'generators' list")
-    dim = parse_int("dim", data["dim"])
-    gens = []
-    for i, entry in enumerate(data["generators"]):
-        try:
-            if "target" not in entry or "sign" not in entry:
-                raise ParseError("generator needs 'target' and 'sign' arrays")
-            target, sign = (parse_int_list(key, entry[key]) for key in ("target", "sign"))
-            if dim <= 0:
-                raise ValueError(f"dim must be positive, got {dim}")
-            if len(target) != dim:
-                raise ValueError("target/sign length must equal dim")
-            gens.append(signed_permutation(target, sign))
-        except (ValueError, ParseError, TypeError) as exc:
-            raise ParseError(f"generator {i} (line {_generator_line(path, i)}): {exc}") from exc
-    if not gens:
-        raise ParseError("no generators")
-    return np.array([t for t, _ in gens]), np.array([s for _, s in gens])
+def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Load {"dim": n, "generators": [{"target": [...], "sign": [...]}, ...]} as (k, n) target and
+    sign arrays, then each generator's optional "isometry" (a d x d matrix, orthogonal to
+    ``PLAN_TOL``) and "leg_perm" (each leg 0..L-1 once) as (k, d, d) and (k, L) arrays, or None
+    where no generator carries the key; a generator that carries a key generator 0 does not, or
+    lacks one it carries, fails.
 
-
-def load_generator_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load {"dim": n, "generators": [{"target": [...], "sign": [...]}, ...]}
-    as (k, n) target and sign arrays.
-
-    A failing generator is named with the line in the file on which its
-    entry starts.
+    A failing generator is named with the line in the file on which its entry starts.
     """
     with json_input(path) as data:
-        return generator_arrays(path, data)
+        if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("generators"), list):
+            raise ParseError("expected object with 'dim' and a 'generators' list")
+        dim = parse_int("dim", data["dim"])
+        gens, isos, legs = [], [], []
+        for i, entry in enumerate(data["generators"]):
+            try:
+                if "target" not in parse_object(entry) or "sign" not in entry:
+                    raise ParseError("generator needs 'target' and 'sign' arrays")
+                target, sign = (parse_int_list(key, entry[key]) for key in ("target", "sign"))
+                if dim <= 0:
+                    raise ValueError(f"dim must be positive, got {dim}")
+                if len(target) != dim:
+                    raise ValueError("target/sign length must equal dim")
+                gens.append(signed_permutation(target, sign))
+                for key, given in (("isometry", isos), ("leg_perm", legs)):
+                    if i and (key in entry) != bool(given):  # carried unlike generator 0
+                        raise ParseError(f"either all generators carry {key!r} or none")
+                if "isometry" in entry:
+                    m = parse_float("isometry", entry["isometry"])
+                    if m.ndim != 2:  # check_isometry would take it for a stack
+                        raise ValueError(f"'isometry' must be a square matrix, got shape {m.shape}")
+                    check_isometry("'isometry'", m, PLAN_TOL)
+                    if isos and m.shape != isos[0].shape:
+                        raise ValueError(f"'isometry' has shape {m.shape} but an earlier "
+                                         f"generator's has shape {isos[0].shape}")
+                    isos.append(m)
+                if "leg_perm" in entry:
+                    perm = parse_int_list("leg_perm", entry["leg_perm"])
+                    if not perm or sorted(perm) != list(range(len(perm))):
+                        raise ValueError(f"'leg_perm' must list each leg 0..L-1 once, got {perm}")
+                    if legs and len(perm) != len(legs[0]):
+                        raise ValueError(f"'leg_perm' lists {len(perm)} legs but an earlier "
+                                         f"generator's lists {len(legs[0])}")
+                    legs.append(perm)
+            except (ValueError, ParseError, TypeError) as exc:
+                raise ParseError(f"generator {i} (line {_generator_line(path, i)}): {exc}") from exc
+        if not gens:
+            raise ParseError("no generators")
+    return (np.array([t for t, _ in gens]), np.array([s for _, s in gens]),
+            np.array(isos) if isos else None, np.array(legs, dtype=np.intp) if legs else None)
 
 
 def load_representation(path: str) -> tuple[FiniteGroup, Representation]:
     """Load a generator file and close it into (group, representation)."""
-    return group_closure(*load_generator_file(path))
+    return group_closure(*load_generator_file(path)[:2])
 
 
 def load_representation_pair(path_in: str, path_out: str) -> tuple[Representation, Representation]:
@@ -433,8 +451,8 @@ def load_representation_pair(path_in: str, path_out: str) -> tuple[Representatio
     share one group even when either is unfaithful on its own (e.g. a
     trivial output representation).
     """
-    t_in, s_in = load_generator_file(path_in)
-    t_out, s_out = load_generator_file(path_out)
+    t_in, s_in = load_generator_file(path_in)[:2]
+    t_out, s_out = load_generator_file(path_out)[:2]
     if len(t_in) != len(t_out):
         raise ParseError(
             f"{path_in} and {path_out} must list the same number of generators "

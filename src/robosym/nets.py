@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .basis import EquivBasis, bias_basis, orbit_basis
-from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite, parse_float
+from .errors import DegenerateBasis, DimMismatch, ParseError, check_finite, parse_float, parse_object
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import FiniteGroup, Representation, act, tiled_regular_representation
 
@@ -384,8 +384,7 @@ def load_weights(net: EquivNet, path: str) -> None:
             raise ParseError(f"expected a 'layers' list of {len(net.layers)} layers")
         loaded = []
         for li, (layer, entry) in enumerate(zip(net.layers, entries)):
-            if not isinstance(entry, dict):
-                raise ParseError(f"'layers' entry {li} is not an object")
+            parse_object(entry, f"'layers' entry {li}")
             for key, what, basis in (("basis_hash", "basis", layer.basis),
                                      ("bias_basis_hash", "bias basis", layer.bias_basis)):
                 stored = entry.get(key)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BadInertia, DimMismatch, ParseError, TreeCycle, check_finite, check_isometry, parse_float,
-                     parse_int_list)
+                     parse_int_list, parse_object)
 from .fileio import errors_named, json_input
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, Representation, direct_sum, group_closure, signed_permutation
 
@@ -552,14 +552,6 @@ def identify_dms(tree: KinematicTree, candidates: Candidates, samples: int = 100
     return IdentifyReport(reports, [report.name for report in reports if report.passed], group, rep, sizes)
 
 
-def _objects(what: str, entries: list) -> list[dict]:
-    """``entries`` if each is a JSON object; else ParseError naming the first other one by its index."""
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{what} entry {i}: expected an object, got {type(entry).__name__}")
-    return entries
-
-
 def _parse_body(entry: dict) -> RigidBody:
     with errors_named(f"body entry {entry.get('name', '?')!r}"):
         name = entry["name"]
@@ -595,8 +587,8 @@ def tree_from_dict(data: dict) -> KinematicTree:
     """Build a tree from a parsed robot description; see the README for the layout."""
     with errors_named("missing or malformed 'base', 'bodies' or 'joints'"):
         base, bodies, joints = data["base"], list(data["bodies"]), list(data.get("joints", []))
-    return KinematicTree(base, [_parse_body(b) for b in _objects("body", bodies)],
-                         [_parse_joint(j) for j in _objects("joint", joints)])
+    return KinematicTree(base, [_parse_body(parse_object(b, f"body entry {i}")) for i, b in enumerate(bodies)],
+                         [_parse_joint(parse_object(j, f"joint entry {i}")) for i, j in enumerate(joints)])
 
 
 def load_robot(path: str) -> KinematicTree:
@@ -612,8 +604,8 @@ def candidates_from_dict(data, tree: KinematicTree) -> Candidates:
         raise ParseError("the 'candidates' list is empty" if entries == []
                          else "expected an object with a 'candidates' list")
     rows, bodies = [], set(tree.body_index)
-    for entry in _objects("candidate", entries):
-        name = entry.get("name", f"candidate{len(rows)}")
+    for i, entry in enumerate(entries):
+        name = parse_object(entry, f"candidate entry {i}").get("name", f"candidate{i}")
         with errors_named(f"candidate {entry.get('name', '?')!r}"):
             perm, pairing = entry["joint_perm"], entry["body_pairing"]
             if not isinstance(perm, dict):

@@ -65,7 +65,7 @@ class TestIsometrySet:
 
     def test_non_orthogonal_rejected(self, tmp_path):
         bad = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
+        with pytest.raises(ParseError, match=r"generator 0 \(line 1\): 'isometry' is not orthogonal"):
             load_group_bundle(self._bundle(tmp_path, bad))
 
     @pytest.mark.parametrize("g", [0, 1])
@@ -97,7 +97,7 @@ class TestIsometrySet:
         group = tmp_path / "group.json"
         group.write_text(json.dumps({"dim": 2, "generators": [
             {"target": [1, 0], "sign": [1, 1], "isometry": [np.eye(2).tolist()]}]}))
-        with pytest.raises(ParseError, match=r"generator 0: 'isometry' must be a square matrix, "
+        with pytest.raises(ParseError, match=r"generator 0 \(line 1\): 'isometry' must be a square matrix, "
                                              r"got shape \(1, 2, 2\)$"):
             load_group_bundle(str(group))
 
@@ -136,7 +136,7 @@ class TestIsometrySet:
         cands = candidates_from_dict({"candidates": [{"isometry": r.tolist(), "joint_perm": {"target": []},
                                                       "body_pairing": {"rock": "rock"}}]}, rock)
         assert np.array_equal(cands.isometries[0], r) and np.linalg.det(r) < 0
-        with pytest.raises(ParseError, match="generator 0: 'isometry' is not orthogonal"):
+        with pytest.raises(ParseError, match=r"generator 0 \(line 1\): 'isometry' is not orthogonal"):
             load_group_bundle(self._bundle(tmp_path, r))
         r[0, 1] = 0.0
         blocks = load_group_bundle(self._bundle(tmp_path, r)).isometries.blocks[0][1]
@@ -466,8 +466,8 @@ class TestBundleLoading:
     @pytest.mark.parametrize(
         "leg_perm, message",
         [
-            ([1, 0.0], "generator 0: entry 1: 'leg_perm' must be an integer, got float"),
-            ("10", "generator 0: 'leg_perm' must be a list, got str"),
+            ([1, 0.0], "generator 0 (line 1): entry 1: 'leg_perm' must be an integer, got float"),
+            ("10", "generator 0 (line 1): 'leg_perm' must be a list, got str"),
         ],
         ids=["float_entry", "not_a_list"],
     )

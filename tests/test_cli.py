@@ -325,7 +325,7 @@ class TestAugmentCmd:
         assert run("augment", "--group", str(group), "--schema", COM_SCHEMA,
                    "--in", str(data), "--out", str(tmp_path / "o.csv")) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {group}: generator 0: 'isometry' has non-finite entries"]
+        assert err.splitlines() == [f"error: {group}: generator 0 (line 1): 'isometry' has non-finite entries"]
 
     def test_huge_isometry_entry_exits_2_without_warning(self, tmp_path, capsys):
         # r^T r overflows on an entry near the float maximum; the check still names orthogonality
@@ -338,7 +338,7 @@ class TestAugmentCmd:
             assert run("augment", "--group", str(group), "--schema", COM_SCHEMA,
                        "--in", str(tmp_path / "unread.csv"), "--out", str(tmp_path / "o.csv")) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {group}: generator 1: 'isometry' is not orthogonal"]
+            f"error: {group}: generator 1 (line 1): 'isometry' is not orthogonal"]
 
     def test_truncated_csv_exits_0_or_2(self, tmp_path, capsys):
         path, _ = self._write_dataset(tmp_path, n=20)
@@ -977,6 +977,44 @@ class TestParseBoundaries:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {bad}: candidate 'sagittal': 'isometry' is not orthogonal"]
 
+    # a group file's malformed extension keys: (the edit of k4_solo's generators, the error after
+    # "generator 1 (line 3): "); each edit makes generator 1 the first entry that fails
+    BAD_EXTENSIONS = {
+        "isometry_not_orthogonal": (lambda g: g[1]["isometry"][0].__setitem__(0, 1.1),
+                                    "'isometry' is not orthogonal"),
+        "isometry_nan": (lambda g: g[1]["isometry"][0].__setitem__(0, float("nan")),
+                         "'isometry' has non-finite entries"),
+        "isometry_stack": (lambda g: g[1].update(isometry=[g[1]["isometry"]]),
+                           "'isometry' must be a square matrix, got shape (1, 3, 3)"),
+        "leg_perm_repeated_leg": (lambda g: g[1].update(leg_perm=[0, 0, 1, 2]),
+                                  "'leg_perm' must list each leg 0..L-1 once, got [0, 0, 1, 2]"),
+        "leg_perm_float": (lambda g: g[1]["leg_perm"].__setitem__(1, 3.0),
+                           "entry 1: 'leg_perm' must be an integer, got float"),
+        "leg_perm_other_leg_count": (lambda g: g[1].update(leg_perm=[1, 0]),
+                                     "'leg_perm' lists 2 legs but an earlier generator's lists 4"),
+        "isometry_on_some": (lambda g: g[1].pop("isometry"), "either all generators carry 'isometry' or none"),
+        "leg_perm_on_some": (lambda g: g[0].pop("leg_perm"), "either all generators carry 'leg_perm' or none"),
+    }
+
+    @pytest.mark.parametrize("command", ["basis", "count", "net", "augment"])
+    @pytest.mark.parametrize("case", sorted(BAD_EXTENSIONS))
+    def test_every_reader_of_a_group_file_refuses_a_bad_extension(self, tmp_path, capsys, case, command):
+        # one reader checks every key of a generator entry, so every command refuses the
+        # file with one line that names the generator and the line its entry starts on
+        edit, message = self.BAD_EXTENSIONS[case]
+        generators = json.loads(Path(SOLO_GROUP).read_text())["generators"]
+        edit(generators)
+        group = tmp_path / "group.json"
+        group.write_text('{"dim": 12, "generators": [\n' + ",\n".join(map(json.dumps, generators)) + "\n]}\n")
+        out = tmp_path / "out"
+        argv = {"basis": ["basis", "--rep-in", group, "--out", out], "count": ["count", "--rep-in", group],
+                "net": ["net", "init-stats", "--group", group, "--depth", "1", "--width", "4", "--batch", "2"],
+                "augment": ["augment", "--group", group, "--schema", COM_SCHEMA,
+                            "--in", tmp_path / "unread.csv", "--out", out]}[command]
+        assert run(*map(str, argv)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {group}: generator 1 (line 3): {message}"]
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def k4_weights(tmp_path_factory):
@@ -1046,6 +1084,10 @@ FUZZ_CASES = {
     "generator_sign_float": ("--rep-in", _edited(lambda d: d["generators"][0].update(sign=3.0))),
     "candidate_body_pairing_list": ("--candidates",
                                     _edited(lambda d: d["candidates"][0]["body_pairing"].update(torso=[]))),
+    # a list entry that is no object, which each reader used to word its own way
+    "generator_entry_string": ("--rep-in", _edited(lambda d: d["generators"].__setitem__(1, "target sign"))),
+    "schema_field_int": ("--schema", _edited(lambda d: d["fields"].__setitem__(0, 5))),
+    "weights_layer_int": ("--weights", _edited(lambda d: d["layers"].__setitem__(0, 5))),
 }
 # the whole error after "error: <file>: ", where a case pins it
 FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file has '0000000000000000', "
@@ -1063,12 +1105,16 @@ FUZZ_MESSAGES = {"weights_bias_hash": "layer 0 bias basis hash mismatch: file ha
                  "joint_origin_xyz_string": "joint entry 'hip_l': entry 1: 'origin_xyz' must be a number, got str",
                  "candidate_isometry_string":
                      "candidate 'sagittal': entry (0, 0): 'isometry' must be a number, got str",
-                 "group_isometry_string": "generator 1: entry (2, 1): 'isometry' must be a number, got str",
+                 "group_isometry_string":
+                     "generator 1 (line 1): entry (2, 1): 'isometry' must be a number, got str",
                  "body_mass_huge_integer": "body entry 'torso': 'mass' has an integer beyond the float range",
                  "body_mass_duplicated": "invalid JSON: duplicated key 'mass'",
                  "generator_sign_float": "generator 0 (line 1): 'sign' must be a list, got float",
                  "candidate_body_pairing_list":
-                     "candidate 'sagittal': 'body_pairing' must map body names to body names"}
+                     "candidate 'sagittal': 'body_pairing' must map body names to body names",
+                 "generator_entry_string": "generator 1 (line 1): expected an object, got str",
+                 "schema_field_int": "schema field 0: expected an object, got int",
+                 "weights_layer_int": "'layers' entry 0: expected an object, got int"}
 
 
 # per kind of JSON input the CLI reads: the command that reads it and the option naming it

@@ -490,7 +490,7 @@ class TestJsonLoader:
          "generator 0 (line 3): target is not a permutation of 0..dim-1"),
         # an entry that is no object is named by its own line too
         ('{"dim": 2, "generators": [\n {"target": [1, 0], "sign": [1, 1]},\n\n  5\n]}\n',
-         "generator 1 (line 4): argument of type 'int' is not iterable"),
+         "generator 1 (line 4): expected an object, got int"),
     ], ids=["escaped_key_before", "top_level_target_key", "non_object_entry"])
     def test_failing_entry_is_named_by_the_line_it_starts_on(self, tmp_path, text, where):
         path = tmp_path / "bad.json"

@@ -45,11 +45,17 @@ def _caps_table():
     return README.read_text().split("## Caps", 1)[1].split("\n## ", 1)[0]
 
 
+def _module_constants(suffix):
+    """Every module-level constant whose name ends in ``suffix`` (found by ``ast``), as
+    ``module.NAME`` -> the expression it is assigned."""
+    return {f"{path.stem}.{target.id}": node.value
+            for path in Path(robosym.__file__).parent.glob("*.py")
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name) and target.id.endswith(suffix)}
+
+
 def test_caps_table_names_every_cap_constant():
-    defined = {f"{path.stem}.{target.id}"
-               for path in Path(robosym.__file__).parent.glob("*.py")
-               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
-               for target in node.targets if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    defined = set(_module_constants("_CAP"))
     assert defined == {"basis.ORACLE_CAP", "groups.DEFAULT_ORDER_CAP", "groups.TRACE_CAP", "rigid.VALUE_CAP"}
     rows = [line.split(" | ")[0] for line in _caps_table().splitlines() if line.startswith("| ")]
     assert [name for name in sorted(defined) if not any(f"`{name}`" in cap for cap in rows)] == []
@@ -58,3 +64,12 @@ def test_caps_table_names_every_cap_constant():
 def test_oracle_caps_row_states_no_stack_condition():
     row = next(line for line in _caps_table().splitlines() if "`basis.ORACLE_CAP`" in line)
     assert row.startswith("| m·n ≤ 4096 (`basis.ORACLE_CAP`) | ") and "stack" not in row
+
+
+def test_readme_names_every_tolerance_with_its_value():
+    defined = {name: ast.literal_eval(value) for name, value in _module_constants("_TOL").items()}
+    assert defined == {"groups.PLAN_TOL": 1e-12, "rigid.CANDIDATE_TOL": 1e-9, "basis.ORACLE_TOL": 1e-10}
+    text = README.read_text()
+    stated = {name: {float(v) for v in re.findall(rf"`{re.escape(name)}` = (\d[\d.]*(?:e[+-]?\d+)?)", text)}
+              for name in defined}
+    assert stated == {name: {value} for name, value in defined.items()}
