@@ -182,15 +182,8 @@ def augment_dataset(plan: Representation, rows: np.ndarray) -> np.ndarray:
     return np.vstack([act(plan, g, rows) for g in plan.group.elements()])
 
 
-def orbit_average(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
-    """Replace each orbit of evaluated targets with its group average.
-
-    ``target_rows`` holds |G| g-major blocks of N rows each (the layout
-    ``augment_dataset`` produces): block g carries the targets evaluated at
-    the g-transformed inputs.  Every block is replaced by T(g) applied to
-    the average of T(g)^-1 over the blocks, which projects the targets onto
-    the exactly-equivariant set; applying it twice changes nothing.
-    """
+def orbit_mean(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
+    """The N rows that ``orbit_average`` copies: the average of T(g)^-1 over the blocks."""
     rows = np.atleast_2d(np.asarray(target_rows, dtype=float))
     order = plan.group.order
     if rows.shape[0] % order != 0:
@@ -200,7 +193,19 @@ def orbit_average(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
     for g in plan.group.elements():
         mean += act(plan, plan.group.inverse[g], rows[g * n : (g + 1) * n])
     mean /= order
-    return augment_dataset(plan, mean)
+    return mean
+
+
+def orbit_average(plan: Representation, target_rows: np.ndarray) -> np.ndarray:
+    """Replace each orbit of evaluated targets with its group average.
+
+    ``target_rows`` holds |G| g-major blocks of N rows each (the layout
+    ``augment_dataset`` produces): block g carries the targets evaluated at
+    the g-transformed inputs.  Every block is replaced by T(g) applied to
+    the average of T(g)^-1 over the blocks, which projects the targets onto
+    the exactly-equivariant set; applying it twice changes nothing.
+    """
+    return augment_dataset(plan, orbit_mean(plan, target_rows))
 
 
 class GroupBundle(NamedTuple):
@@ -253,40 +258,56 @@ def load_schema(path: str) -> list[dict]:
         return data["fields"]
 
 
-def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray) -> int:
+def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray, plan: Representation | None = None) -> int:
     """Write a header line of ``column_names`` and one line per row, every
     value as ``%.17g`` (it parses back to the same float), streamed to the
-    atomic writer ``CSV_BLOCK_ROWS`` rows at a time.  A magnitude that occurs
-    more than once is formatted once; returns the number of distinct ones."""
+    atomic writer ``CSV_BLOCK_ROWS`` rows at a time; given ``plan``, those of
+    ``augment_dataset(plan, rows)``, from ``rows`` alone.  A magnitude that
+    occurs in ``rows`` more than once is formatted once, and a copy reuses
+    the text of the value its gather moved there, formatting only what its
+    rotation blocks changed; returns the number of values formatted."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     keys = np.abs(rows).view(np.uint64).ravel()
     keys.sort()
     run = keys[1:] == keys[:-1]  # key i + 1 repeats key i
-    distinct = int(keys.size - np.count_nonzero(run))
+    formatted = int(keys.size - np.count_nonzero(run))
     run[1:] &= ~run[:-1]  # now: the first repeat of each run
     # the repeated magnitudes, sorted, then a sentinel above every magnitude
     table = np.append(keys[1:][run], np.uint64(2**64 - 1))
     del keys, run
     table_text = _csv_records(table.view(float))
+    elements = range(1) if plan is None else plan.group.elements()  # element 0 writes the rows as they are
+    kept = np.empty(rows.shape if len(elements) > 1 else (0, 0), table_text.dtype)  # the base rows' texts
 
     def chunks():
+        nonlocal formatted
         yield ",".join(column_names) + "\n"
-        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            x = rows[start : start + CSV_BLOCK_ROWS]
-            cells = np.abs(x).view(np.uint64).ravel()
-            order = cells.argsort()  # sorted lookups run about twice as fast
-            at = np.empty_like(order)
-            at[order] = table.searchsorted(cells[order])
-            text, miss = table_text[at], table[at] != cells  # the sentinel matches no magnitude
-            text[miss] = _csv_records(cells[miss].view(float))
-            lines = np.empty((len(x), x.shape[1] * CSV_RECORD + 1), np.uint8)
-            lines[:, :-1] = text.view(np.uint8).reshape(lines[:, :-1].shape)
-            lines[:, 1::CSV_RECORD] = np.signbit(x) & ~np.isnan(x)  # %.17g prints NaN as "nan"
-            lines[:, 0], lines[:, -1] = ord(" "), ord("\n")  # no separator before a row's first value
-            yield lines.tobytes().translate(_CSV_SIGNS, b" \0").decode()
+        for g in elements:
+            src = np.argsort(plan.targets[g]) if g else None  # act's gather: coordinate j comes from src[j]
+            for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+                x = rows[start : start + CSV_BLOCK_ROWS]
+                if g:
+                    text, y = np.take(kept[start : start + CSV_BLOCK_ROWS], src, axis=1), act(plan, g, x)
+                    fresh = np.abs(y).view(np.uint64) != np.abs(np.take(x, src, axis=1)).view(np.uint64)
+                    text[fresh], x = _csv_records(np.abs(y[fresh])), y
+                    formatted += int(np.count_nonzero(fresh))
+                else:
+                    cells = np.abs(x).view(np.uint64).ravel()
+                    order = cells.argsort()  # sorted lookups run about twice as fast
+                    at = np.empty_like(order)
+                    at[order] = table.searchsorted(cells[order])
+                    text, miss = table_text[at], table[at] != cells  # the sentinel matches no magnitude
+                    text[miss] = _csv_records(cells[miss].view(float))
+                    if kept.size:
+                        kept[start : start + CSV_BLOCK_ROWS] = text.reshape(x.shape)
+                lines = np.empty((len(x), x.shape[1] * CSV_RECORD + 1), np.uint8)
+                lines[:, :-1] = text.view(np.uint8).reshape(lines[:, :-1].shape)
+                lines[:, 1::CSV_RECORD] = np.signbit(x) & ~np.isnan(x)  # %.17g prints NaN as "nan"
+                lines[:, 0], lines[:, -1] = ord(" "), ord("\n")  # no separator before a row's first value
+                yield lines.tobytes().translate(_CSV_SIGNS, b" \0").decode()
 
     atomic_write_text(path, chunks())
-    return distinct
+    return formatted
 
 
 def _csv_records(magnitudes: np.ndarray) -> np.ndarray:

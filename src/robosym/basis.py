@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import CapExceeded, NonIntegralRank
 from .groups import (
+    ORACLE_TOL,
     TRACE_CAP,
+    FiniteGroup,
     Representation,
     _ReadOnly,
     _linear_map_action,
@@ -31,7 +33,6 @@ from .groups import (
 )
 
 ORACLE_CAP = 4096
-ORACLE_TOL = 1e-10
 TRACE_ENTRIES = 1 << 16  # entries per slab of the |G| x mn tables, one row at least; <= 2^30
 BASIS_BLOCK = 1 << 14  # orbit entries per chunk of basis-file JSON text
 SPAN_BLOCK = 256  # orbit vectors per projection in span_residual
@@ -189,7 +190,7 @@ def burnside_rank(rep_in: Representation, rep_out: Representation) -> int:
     return total // group.order
 
 
-def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, gens: tuple | range,
+def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, gens: tuple | list | range,
                               tol: float) -> np.ndarray:
     """Orthonormal nullspace basis of the Gram block sum_g (rho_W(g) - I)^T (rho_W(g) - I), g in ``gens``.
     As each rho_W(g) is a signed permutation, the block is sum_g (2I - rho_W(g) - rho_W(g)^T): one
@@ -225,13 +226,25 @@ def _nullspace_by_elimination(rep_in: Representation, rep_out: Representation, g
     return q
 
 
+def _generating_set(group: FiniteGroup) -> list[int]:
+    """Generators read off the Cayley table: each element outside the subgroup the earlier ones generate."""
+    gens, members = [], np.array([group.identity])
+    for g in group.elements():
+        if g not in members:
+            gens.append(g)
+            while (grown := np.union1d(members, group.cayley[np.ix_(members, gens)])).size > members.size:
+                members = grown
+    return gens
+
+
 def dense_nullspace_oracle(rep_in: Representation, rep_out: Representation, tol: float = ORACLE_TOL) -> np.ndarray:
     """Brute-force equivariant basis: nullspace of the generators' fix-point constraints.
 
-    Sums (rho_W(g) - I)^T (rho_W(g) - I) over the generators g (every element
-    when the group records none; a map fixed by the generators is fixed by the
-    group) into one mn x mn block and eliminates it.  Returns an orthonormal
-    (mn x r') basis; refuses mn above ``ORACLE_CAP``.
+    Sums (rho_W(g) - I)^T (rho_W(g) - I) over the generators g (a generating
+    set read off the Cayley table when the group records none; a map fixed by
+    the generators is fixed by the group) into one mn x mn block and
+    eliminates it.  Returns an orthonormal (mn x r') basis; refuses mn above
+    ``ORACLE_CAP``.
     """
     group = _shared_group(rep_in, rep_out)
     mn = rep_in.dim * rep_out.dim
@@ -239,7 +252,7 @@ def dense_nullspace_oracle(rep_in: Representation, rep_out: Representation, tol:
         raise CapExceeded(f"mn = {mn} exceeds oracle cap {ORACLE_CAP}")
     if group.order == 1:
         return np.eye(mn)
-    return _nullspace_by_elimination(rep_in, rep_out, group.generator_indices or group.elements(), tol)
+    return _nullspace_by_elimination(rep_in, rep_out, group.generator_indices or _generating_set(group), tol)
 
 
 def span_residual(basis: EquivBasis, oracle: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from . import nets, rigid
 from .errors import ParseError, RoboSymError, parse_int, parse_int_list
 from .fileio import atomic_write_text, errors_named, json_input
 from .groups import (
+    ORACLE_TOL,
     load_representation,
     load_representation_pair,
     tiled_regular_representation,
@@ -111,21 +112,17 @@ def cmd_augment(args) -> int:
         raise RoboSymError(f"CSV header does not match schema: got {names[:4]}..., "
                            f"expected {list(itertools.islice(schema.column_names(), 4))}...")
     plan = aug.compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
-    if args.orbit_average:
-        out_rows = aug.orbit_average(plan, rows)
-        action = "orbit-averaged"
-    else:
-        out_rows = aug.augment_dataset(plan, rows)
-        action = "augmented"
-    del rows  # the input is freed before the output is formatted
-    distinct = aug.write_csv(args.out, names, out_rows)
-    print(f"{action} {rows_in} rows into {out_rows.shape[0]} (group order "
-          f"{bundle.group.order}) -> {args.out}")
+    base = aug.orbit_mean(plan, rows) if args.orbit_average else rows  # the rows the group copies
+    action = "orbit-averaged" if args.orbit_average else "augmented"
+    del rows  # under --orbit-average, the input is freed before the output is formatted
+    distinct = aug.write_csv(args.out, names, base, plan)
+    rows_out = base.shape[0] * bundle.group.order
+    print(f"{action} {rows_in} rows into {rows_out} (group order {bundle.group.order}) -> {args.out}")
     _emit(
         args,
         {
             "rows_in": rows_in,
-            "rows_out": int(out_rows.shape[0]),
+            "rows_out": rows_out,
             "bytes_out": os.path.getsize(args.out),
             "distinct_magnitudes": distinct,
             "group_order": bundle.group.order,
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--rep-out", default=None)
     b.add_argument("--out", required=True)
     b.add_argument("--oracle", action="store_true", help="cross-check with the dense nullspace")
-    b.add_argument("--tol", type=float, default=1e-10)
+    b.add_argument("--tol", type=float, default=ORACLE_TOL)
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_basis)
 

@@ -26,6 +26,7 @@ DEFAULT_ORDER_CAP = 1024
 CLOSE_ENTRIES = 1 << 16  # product entries per slab of the closure, one element's at least
 TRACE_CAP = 1 << 31  # m*n bound of _linear_map_action's int32 tables, so also a tiled width's
 PLAN_TOL = 1e-12  # entrywise |R^T R - I| allowed in a group file's isometries and in their products
+ORACLE_TOL = 1e-10  # the dense oracle's pivot tolerance, and the largest span residual that agrees
 
 
 def signed_permutation(target: Sequence, sign: Sequence | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -666,6 +666,29 @@ class TestCsvRoundtrip:
             tracemalloc.stop()
         assert peak < 16 * rows.size
 
+    def test_augment_write_memory_is_bounded_per_value_written(self, tmp_path, solo):
+        # 2,500 x 76 base rows under K4 are written as 10,000 x 76 values from
+        # the base rows' texts: 25 bytes per base value, 6.25 per value written
+        fields = [{"name": "q", "kind": "joint_space"}, {"name": "v", "kind": "e3_vector"},
+                  {"name": "w", "kind": "e3_pseudovector"}, {"name": "feet", "kind": "kron_perm_vector"},
+                  {"name": "c", "kind": "categorical_contact"}, {"name": "pose", "kind": "pose_conjugation"},
+                  {"name": "s", "kind": "invariant_scalar", "dim": 14}]
+        schema = resolve_schema(fields, solo.joint_rep, solo.isometries, solo.leg_perm)
+        plan = compile_schema(schema, solo.group, solo.joint_rep, solo.isometries, solo.leg_perm)
+        rows = np.random.default_rng(5).standard_normal((2500, schema.width))
+        names = list(schema.column_names())
+        tracemalloc.start()
+        try:
+            formatted = write_csv(str(tmp_path / "w.csv"), names, rows, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert schema.width == 76 and peak < 10 * plan.group.order * rows.size
+        # the bytes of the copies written whole; K4 moves and flips the base magnitudes
+        write_csv(str(tmp_path / "whole.csv"), names, augment_dataset(plan, rows))
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert formatted == np.unique(np.abs(rows).view(np.uint64)).size
+
     def test_read_accepts_what_float_accepts(self, tmp_path):
         tokens = ["1_0", " 1.5 ", "inf", "-NaN", "1e400", "-0", "+nan", "1e-400"]
         path = tmp_path / "r.csv"

@@ -14,6 +14,8 @@ from robosym.augment import augment_dataset, compile_schema, load_group_bundle, 
 from robosym.basis import (
     EquivBasis,
     Orbits,
+    _generating_set,
+    _nullspace_by_elimination,
     basis_fingerprint,
     basis_json_chunks,
     bias_basis,
@@ -24,6 +26,7 @@ from robosym.basis import (
 )
 from robosym.errors import CapExceeded, ClosureExceeded, GroupMismatch, NonIntegralRank
 from robosym.groups import (
+    ORACLE_TOL,
     FiniteGroup,
     Representation,
     act,
@@ -116,6 +119,20 @@ class TestOracle:
             q, peak = traced_peak(lambda: dense_nullspace_oracle(rep_in, rep_out))
             assert peak < 2 * 2**20
             assert q.shape[1] == burnside_rank(rep_in, rep_out) == orbit_basis(rep_in, rep_out).rank
+
+    def test_group_without_generators_reads_a_generating_set(self):
+        # B3 recording no generators: the oracle eliminates the constraints of
+        # generators read off its Cayley table, not of all 48 elements, and gets
+        # the rank and the span that all 48 give
+        group, std = closure(gpm([1, 0, 2]), gpm([1, 2, 0]), gpm([0, 1, 2], [-1, 1, 1]))
+        bare = FiniteGroup(group.cayley, group.inverse)
+        reg = regular_representation(group)
+        rep_in, rep_out = (Representation(bare, r.targets, r.signs) for r in (reg, std))
+        assert 2 ** len(_generating_set(bare)) <= group.order  # each one at least doubles the subgroup
+        q = dense_nullspace_oracle(rep_in, rep_out)
+        every = _nullspace_by_elimination(rep_in, rep_out, bare.elements(), ORACLE_TOL)
+        assert q.shape == every.shape and q.shape[1] == burnside_rank(rep_in, rep_out) > 0
+        np.testing.assert_allclose(q @ q.T, every @ every.T, atol=1e-10)
 
     def test_memory_is_about_one_block(self):
         # K4 tiled 32 -> 32, mn = 1024 and two generators: their constraints

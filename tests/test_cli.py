@@ -52,6 +52,13 @@ class TestBasisCmd:
         assert len(data["orbits"]) == 2
         assert "rank 2" in capsys.readouterr().out
 
+    def test_tol_defaults_to_the_oracle_tolerance(self):
+        from robosym.cli import build_parser
+        from robosym.groups import ORACLE_TOL
+
+        # the constant itself, not an equal literal
+        assert build_parser().parse_args(["basis", "--rep-in", K4, "--out", "b.json"]).tol is ORACLE_TOL
+
     def test_oracle_agreement_k4(self, tmp_path, capsys):
         out = tmp_path / "basis.json"
         assert run("basis", "--rep-in", K4, "--out", str(out), "--oracle", "--json") == 0
@@ -177,28 +184,45 @@ class TestAugmentCmd:
         {"name": "s", "kind": "invariant_scalar", "dim": 2},
     ]}
 
-    @pytest.mark.parametrize("flag", [[], ["--orbit-average"]], ids=["augment", "orbit_average"])
-    def test_every_field_kind_matches_fstring_reference(self, tmp_path, flag):
+    def _every_field_kind_against_reference(self, tmp_path, group, flag):
         from robosym import augment as aug
 
         schema_path = tmp_path / "schema.json"
         schema_path.write_text(json.dumps(self.ALL_KINDS))
-        bundle = aug.load_group_bundle(SOLO_GROUP)
+        bundle = aug.load_group_bundle(group)
         schema = aug.resolve_schema(self.ALL_KINDS["fields"], bundle.joint_rep,
                                     bundle.isometries, bundle.leg_perm)
         plan = aug.compile_schema(schema, bundle.group, bundle.joint_rep,
                                   bundle.isometries, bundle.leg_perm)
         rng = np.random.default_rng(9)
-        rows = rng.standard_normal((4 * 300 if flag else 300, schema.width))
+        rows = rng.standard_normal((bundle.group.order * 300 if flag else 300, schema.width))
         rows[rng.random(rows.shape) < 0.01] = -0.0
         rows[:3, 0], rows[3, :4] = [np.nan, np.inf, -np.inf], 0.0
+        columns = list(schema.column_names())
+        for k, name in enumerate(("v_1", "w_0", "feet_1", "pose_5")):  # specials in the rotated fields
+            rows[4 + 4 * k : 8 + 4 * k, columns.index(name)] = [np.nan, np.inf, -np.inf, -0.0]
         data, out = tmp_path / "data.csv", tmp_path / "out.csv"
-        aug.write_csv(str(data), schema.column_names(), rows)
-        assert run("augment", "--group", SOLO_GROUP, "--schema", str(schema_path),
+        aug.write_csv(str(data), columns, rows)
+        assert run("augment", "--group", group, "--schema", str(schema_path),
                    "--in", str(data), "--out", str(out), *flag) == 0
         expected = aug.orbit_average(plan, rows) if flag else aug.augment_dataset(plan, rows)
-        lines = [",".join(schema.column_names())] + [",".join(f"{v:.17g}" for v in r) for r in expected]
+        lines = [",".join(columns)] + [",".join(f"{v:.17g}" for v in r) for r in expected]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("flag", [[], ["--orbit-average"]], ids=["augment", "orbit_average"])
+    def test_every_field_kind_matches_fstring_reference(self, tmp_path, flag):
+        self._every_field_kind_against_reference(tmp_path, SOLO_GROUP, flag)
+
+    @pytest.mark.parametrize("flag", [[], ["--orbit-average"]], ids=["augment", "orbit_average"])
+    def test_every_field_kind_matches_fstring_reference_under_c3(self, tmp_path, flag):
+        # a turn by 120 degrees about z mixes x and y in every rotated field, so the
+        # writer formats most of their copies afresh, and inf * 0 gives NaN there
+        c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+        group = tmp_path / "c3.json"
+        group.write_text(json.dumps({"dim": 9, "generators": [
+            {"target": [3, 4, 5, 6, 7, 8, 0, 1, 2], "sign": [1] * 9,
+             "isometry": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], "leg_perm": [1, 2, 0]}]}))
+        self._every_field_kind_against_reference(tmp_path, str(group), flag)
 
     # (group file, schema file): the SHA-256 of what `augment` writes for a seeded 500-row CSV is pinned
     PINNED = {"k4_solo-com": ("k4_solo.json", "com_schema.json"),

@@ -2,12 +2,15 @@
 
 import argparse
 import ast
+import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 import robosym
-from robosym.augment import FIELD_KINDS
-from robosym.cli import build_parser
+from robosym.augment import FIELD_KINDS, load_group_bundle, load_schema, resolve_schema, write_csv
+from robosym.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,8 +71,22 @@ def test_oracle_caps_row_states_no_stack_condition():
 
 def test_readme_names_every_tolerance_with_its_value():
     defined = {name: ast.literal_eval(value) for name, value in _module_constants("_TOL").items()}
-    assert defined == {"groups.PLAN_TOL": 1e-12, "rigid.CANDIDATE_TOL": 1e-9, "basis.ORACLE_TOL": 1e-10}
+    assert defined == {"groups.PLAN_TOL": 1e-12, "rigid.CANDIDATE_TOL": 1e-9, "groups.ORACLE_TOL": 1e-10}
     text = README.read_text()
     stated = {name: {float(v) for v in re.findall(rf"`{re.escape(name)}` = (\d[\d.]*(?:e[+-]?\d+)?)", text)}
               for name in defined}
     assert stated == {name: {value} for name, value in defined.items()}
+
+
+def test_augment_report_keys_are_listed(tmp_path):
+    sentence = README.read_text().split("The `augment --json` report holds", 1)[1].split("`basis --oracle`", 1)[0]
+    fixtures = README.parent / "tests" / "fixtures"
+    group, schema = str(fixtures / "k4_solo.json"), str(fixtures / "com_schema.json")
+    bundle = load_group_bundle(group)
+    names = list(resolve_schema(load_schema(schema), bundle.joint_rep, bundle.isometries,
+                                bundle.leg_perm).column_names())
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    write_csv(str(data), names, np.ones((2, len(names))))
+    assert main(["augment", "--group", group, "--schema", schema, "--in", str(data), "--out", str(out), "--json"]) == 0
+    report = json.loads((tmp_path / "out.csv.report.json").read_text())
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(report)
