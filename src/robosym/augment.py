@@ -258,29 +258,18 @@ def load_schema(path: str) -> list[dict]:
         return data["fields"]
 
 
-def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray, plan: Representation | None = None) -> int:
+def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray, plan: Representation | None = None) -> None:
     """Write a header line of ``column_names`` and one line per row, every
     value as ``%.17g`` (it parses back to the same float), streamed to the
     atomic writer ``CSV_BLOCK_ROWS`` rows at a time; given ``plan``, those of
-    ``augment_dataset(plan, rows)``, from ``rows`` alone.  A magnitude that
-    occurs in ``rows`` more than once is formatted once, and a copy reuses
-    the text of the value its gather moved there, formatting only what its
-    rotation blocks changed; returns the number of values formatted."""
+    ``augment_dataset(plan, rows)``, from ``rows`` alone.  Each value of
+    ``rows`` is formatted once, and a copy reuses the text of the value its
+    gather moved there, formatting only what its rotation blocks changed."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    keys = np.abs(rows).view(np.uint64).ravel()
-    keys.sort()
-    run = keys[1:] == keys[:-1]  # key i + 1 repeats key i
-    formatted = int(keys.size - np.count_nonzero(run))
-    run[1:] &= ~run[:-1]  # now: the first repeat of each run
-    # the repeated magnitudes, sorted, then a sentinel above every magnitude
-    table = np.append(keys[1:][run], np.uint64(2**64 - 1))
-    del keys, run
-    table_text = _csv_records(table.view(float))
     elements = range(1) if plan is None else plan.group.elements()  # element 0 writes the rows as they are
-    kept = np.empty(rows.shape if len(elements) > 1 else (0, 0), table_text.dtype)  # the base rows' texts
+    kept = np.empty(rows.shape if len(elements) > 1 else (0, 0), f"V{CSV_RECORD}")  # the base rows' texts
 
     def chunks():
-        nonlocal formatted
         yield ",".join(column_names) + "\n"
         for g in elements:
             src = np.argsort(plan.targets[g]) if g else None  # act's gather: coordinate j comes from src[j]
@@ -290,14 +279,8 @@ def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray, plan: Re
                     text, y = np.take(kept[start : start + CSV_BLOCK_ROWS], src, axis=1), act(plan, g, x)
                     fresh = np.abs(y).view(np.uint64) != np.abs(np.take(x, src, axis=1)).view(np.uint64)
                     text[fresh], x = _csv_records(np.abs(y[fresh])), y
-                    formatted += int(np.count_nonzero(fresh))
                 else:
-                    cells = np.abs(x).view(np.uint64).ravel()
-                    order = cells.argsort()  # sorted lookups run about twice as fast
-                    at = np.empty_like(order)
-                    at[order] = table.searchsorted(cells[order])
-                    text, miss = table_text[at], table[at] != cells  # the sentinel matches no magnitude
-                    text[miss] = _csv_records(cells[miss].view(float))
+                    text = _csv_records(np.abs(x).ravel())
                     if kept.size:
                         kept[start : start + CSV_BLOCK_ROWS] = text.reshape(x.shape)
                 lines = np.empty((len(x), x.shape[1] * CSV_RECORD + 1), np.uint8)
@@ -307,7 +290,6 @@ def write_csv(path: str, column_names: Iterable[str], rows: np.ndarray, plan: Re
                 yield lines.tobytes().translate(_CSV_SIGNS, b" \0").decode()
 
     atomic_write_text(path, chunks())
-    return formatted
 
 
 def _csv_records(magnitudes: np.ndarray) -> np.ndarray:

@@ -109,13 +109,14 @@ def cmd_augment(args) -> int:
     rows_in = rows.shape[0]
     # the widths first: nothing is built to the schema's declared size before the file confirms it
     if len(names) != schema.width or names != list(schema.column_names()):
-        raise RoboSymError(f"CSV header does not match schema: got {names[:4]}..., "
+        raise RoboSymError(f"{args.infile}: CSV header does not match schema: got {names[:4]}..., "
                            f"expected {list(itertools.islice(schema.column_names(), 4))}...")
     plan = aug.compile_schema(schema, bundle.group, bundle.joint_rep, bundle.isometries, bundle.leg_perm)
-    base = aug.orbit_mean(plan, rows) if args.orbit_average else rows  # the rows the group copies
+    with errors_named(args.infile):  # the rows the group copies; the orbit mean checks the row count
+        base = aug.orbit_mean(plan, rows) if args.orbit_average else rows
     action = "orbit-averaged" if args.orbit_average else "augmented"
     del rows  # under --orbit-average, the input is freed before the output is formatted
-    distinct = aug.write_csv(args.out, names, base, plan)
+    aug.write_csv(args.out, names, base, plan)
     rows_out = base.shape[0] * bundle.group.order
     print(f"{action} {rows_in} rows into {rows_out} (group order {bundle.group.order}) -> {args.out}")
     _emit(
@@ -124,7 +125,6 @@ def cmd_augment(args) -> int:
             "rows_in": rows_in,
             "rows_out": rows_out,
             "bytes_out": os.path.getsize(args.out),
-            "distinct_magnitudes": distinct,
             "group_order": bundle.group.order,
             "mode": action,
         },

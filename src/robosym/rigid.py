@@ -552,8 +552,9 @@ def identify_dms(tree: KinematicTree, candidates: Candidates, samples: int = 100
     return IdentifyReport(reports, [report.name for report in reports if report.passed], group, rep, sizes)
 
 
-def _parse_body(entry: dict) -> RigidBody:
-    with errors_named(f"body entry {entry.get('name', '?')!r}"):
+def _parse_body(entry, i: int) -> RigidBody:
+    """Body entry ``i``; an error names it by its name, or by ``i`` if it has none."""
+    with errors_named(f"body entry {parse_object(entry, f'body entry {i}').get('name', i)!r}"):
         name = entry["name"]
         mass = float(parse_float("mass", entry["mass"]))
         com = parse_float("com", entry["com"])
@@ -568,8 +569,9 @@ def _parse_body(entry: dict) -> RigidBody:
     return RigidBody(name, mass, com, inertia)
 
 
-def _parse_joint(entry: dict) -> Joint:
-    with errors_named(f"joint entry {entry.get('name', '?')!r}"):
+def _parse_joint(entry, i: int) -> Joint:
+    """Joint entry ``i``; an error names it as ``_parse_body`` names a body."""
+    with errors_named(f"joint entry {parse_object(entry, f'joint entry {i}').get('name', i)!r}"):
         name = entry["name"]
         rpy = parse_float("origin_rpy", entry.get("origin_rpy", [0.0, 0.0, 0.0])).tolist()
         xyz = parse_float("origin_xyz", entry.get("origin_xyz", [0.0, 0.0, 0.0]))
@@ -587,8 +589,8 @@ def tree_from_dict(data: dict) -> KinematicTree:
     """Build a tree from a parsed robot description; see the README for the layout."""
     with errors_named("missing or malformed 'base', 'bodies' or 'joints'"):
         base, bodies, joints = data["base"], list(data["bodies"]), list(data.get("joints", []))
-    return KinematicTree(base, [_parse_body(parse_object(b, f"body entry {i}")) for i, b in enumerate(bodies)],
-                         [_parse_joint(parse_object(j, f"joint entry {i}")) for i, j in enumerate(joints)])
+    return KinematicTree(base, [_parse_body(b, i) for i, b in enumerate(bodies)],
+                         [_parse_joint(j, i) for i, j in enumerate(joints)])
 
 
 def load_robot(path: str) -> KinematicTree:
@@ -606,7 +608,7 @@ def candidates_from_dict(data, tree: KinematicTree) -> Candidates:
     rows, bodies = [], set(tree.body_index)
     for i, entry in enumerate(entries):
         name = parse_object(entry, f"candidate entry {i}").get("name", f"candidate{i}")
-        with errors_named(f"candidate {entry.get('name', '?')!r}"):
+        with errors_named(f"candidate {name!r}"):
             perm, pairing = entry["joint_perm"], entry["body_pairing"]
             if not isinstance(perm, dict):
                 raise ParseError(f"'joint_perm' must be an object, got {type(perm).__name__}")
