@@ -253,6 +253,9 @@ def load_schema(path: str) -> list[dict]:
             for key in ("name", "kind"):
                 if key not in field:
                     raise ParseError(f"schema field {i} has no {key!r} key")
+            if not isinstance(name := field["name"], str) or "," in name or "".join(name.splitlines()) != name:
+                raise ParseError(f"schema field {i}: 'name' must be a string without commas or line breaks, "
+                                 f"got {name!r}")
             if "dim" in field and parse_int("dim", field["dim"], f"schema field {i}") < 0:
                 raise ParseError(f"schema field {i}: 'dim' must be >= 0, got {field['dim']}")
         return data["fields"]
@@ -296,10 +299,77 @@ def _csv_records(magnitudes: np.ndarray) -> np.ndarray:
     """One ``CSV_RECORD``-byte record per value: a separator, a sign byte
     (blank here), then ``%.17g`` of the value padded with blanks."""
     text = np.empty(len(magnitudes), f"V{CSV_RECORD}")
-    for i in range(0, len(magnitudes), 1024):
-        part = magnitudes[i : i + 1024].tolist()
-        text[i : i + len(part)] = np.frombuffer((", %-23.17g" * len(part) % tuple(part)).encode(), text.dtype)
+    for i in range(0, len(magnitudes), 4096):  # a part's buffers, the output's included, take 0.7 MiB
+        v, part = magnitudes[i : i + 4096], text[i : i + 4096]
+        fast, zero = (v >= 1e-5) & (v < 1e16), (v == 0) & ~np.signbit(v)
+        at = np.flatnonzero(fast)
+        records, order = _fixed_records(v[at])
+        part[at[order]], part[zero] = records, np.void(b", 0".ljust(CSV_RECORD))
+        # fork kept: the % loop formats the rest (NaN, inf, -0.0, subnormals, e-notation but e-05)
+        # exactly; those are rare in measurements, and each would need a layout of its own below
+        if (rest := np.flatnonzero(~(fast | zero))).size:
+            part[rest] = np.frombuffer((", %-23.17g" * len(rest) % tuple(v[rest].tolist())).encode(), text.dtype)
     return text
+
+
+_POW10 = 10.0 ** np.arange(23)  # exact: 10**p = 2**p 5**p, and 5**22 < 2**53
+# "0000".."9999" as the uint32 of their 4 ASCII bytes, then the same with trailing zeros blank
+_V4 = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_V4 = np.vstack([_V4, np.where(np.maximum.accumulate(_V4[:, ::-1], 1)[:, ::-1] > ord("0"), _V4, ord(" "))])
+_V4 = _V4.view(np.uint32)  # built in int16 and uint8: int64 temporaries lift peak RSS by 1.7 MB
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo into 26-bit halves: a product of two halves is exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _rounded(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """v * s rounded to an int64, ties to even, where it is 2**53 or more: Dekker's two-product
+    gives it exactly as hi + lo, hi an even integer and lo at most half of hi's ulp."""
+    hi = v * s
+    (a, b), (c, d) = _halves(v), _halves(s)
+    return hi.astype(np.int64) + np.rint(((a * c - hi) + a * d + b * c) + b * d).astype(np.int64)
+
+
+def _fixed_records(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The records of magnitudes v in [1e-5, 1e16), sorted by exponent, and ``order``: record k is v[order[k]]'s.
+
+    ``%.17g`` prints N, v * 10**(16 - x) rounded, where x is the exponent of the rounded value:
+    as d.dddde-05 if x < -4, else as a fixed point number without its fraction's trailing zeros."""
+    p = 16 - np.floor(np.log10(v)).astype(np.intp)
+    sig = _rounded(v, _POW10[p])
+    # log10 may be a digit off near a power of ten. No v in the range lies within 5e-17 of one from
+    # below, so no product in [10**16 - 0.5, 10**16) rounds up to an N of 10**16 that passes here
+    while (off := np.flatnonzero((sig < 10**16) | (sig >= 10**17))).size:
+        p[off] += np.where(sig[off] < 10**16, 1, -1)
+        sig[off] = _rounded(v[off], _POW10[p[off]])
+    order = np.argsort(-p.astype(np.int8), kind="stable")  # each exponent's records in one run
+    hi, lo = (half.astype(np.uint32) for half in np.divmod(sig[order], 10**8))
+    groups = np.stack([hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4], 1, dtype=np.intp)
+    last = np.ones(groups.shape, bool)  # no later group holds a digit but 0
+    for i in range(3, -1, -1):
+        last[:, i] = last[:, i + 1] & (groups[:, i + 1] == 0)
+    np.add(groups, 10000, out=groups, where=last)  # looked up in the half that blanks trailing zeros
+    digits = _V4[groups].view(np.uint8).reshape(-1, 20)  # digit j at column 3 + j
+    out = np.full((len(v), CSV_RECORD), ord(" "), np.uint8)
+    out[:, 0], end = ord(","), 0
+    for x, count in enumerate(np.bincount(21 - p, minlength=21), -5):
+        o, d, end = out[end : end + count], digits[end : end + count], end + count
+        if -5 < x < 0 and count:  # 0.000ddd
+            o[:, 2 : 3 - x] = np.frombuffer(b"0.000", np.uint8)[: 1 - x]
+            o[:, 3 - x : 20 - x] = d[:, 3:]
+        elif count:  # dd.ddd; or d.ddd, then e-05
+            i = max(x, 0)
+            o[:, 2 : 3 + i] = np.maximum(d[:, 3 : 4 + i], ord("0"))  # an integer digit keeps its 0
+            o[:, 3 + i] = np.minimum(d[:, 4 + i], ord("."))  # blank before a blank fraction
+            o[:, 4 + i : 20] = d[:, 4 + i :]
+            if x == -5:  # after the digits shown, and the "." if there are two or more
+                m = (d[:, 3:] != ord(" ")).sum(1, keepdims=True)
+                o[np.arange(count)[:, None], 2 + m + (m > 1) + np.arange(4)] = np.frombuffer(b"e-05", np.uint8)
+    return out.view(f"V{CSV_RECORD}").ravel(), order
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:

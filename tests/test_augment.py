@@ -817,3 +817,49 @@ class TestCsvRoundtrip:
             sys.setswitchinterval(interval)
         assert not reader.is_alive() and errors == [] and seen <= {"aa", "bb"}
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestCsvRecords:
+    """``_csv_records`` against ``", %-23.17g"``, record for record: the
+    digit layout covers [1e-5, 1e16), zero is a constant and the % loop the rest."""
+
+    @staticmethod
+    def _assert_records_match(values):
+        values = np.asarray(values, dtype=float)
+        got = augment._csv_records(values)
+        reference = np.frombuffer((", %-23.17g" * len(values) % tuple(values.tolist())).encode(), got.dtype)
+        bad = np.flatnonzero(got != reference)
+        assert not bad.size, [(values[i], bytes(got[i]), bytes(reference[i])) for i in bad[:5]]
+
+    def test_powers_of_ten_up_to_22_are_exact(self):
+        assert all(10.0**p == 10**p for p in range(23))
+
+    def test_random_bit_patterns(self):
+        # 10^6 doubles drawn uniformly by bit pattern from 1e-6 to 1e17: every exponent class,
+        # both sides of the layout's range, with 17 significant digits or fewer
+        low, high = np.array([1e-6, 1e17]).view(np.int64)
+        self._assert_records_match(np.random.default_rng(48).integers(low, high, 10**6).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 may be a digit off here; 1e-5 and 1e16 are the layout's edges
+        powers = 10.0 ** np.arange(-7, 18)
+        self._assert_records_match(np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]))
+
+    def test_exact_ties_round_to_even(self):
+        # t / 2**17 for odd t has 17 decimals, its last a 5: halfway between two 17-digit numbers
+        self._assert_records_match(np.arange(2**17 + 1, 10 * 2**17, 2) / 2.0**17)
+
+    def test_short_digit_strings(self):
+        # trailing zeros in the fraction are dropped, in the integer part kept
+        rng = np.random.default_rng(5)
+        self._assert_records_match(np.concatenate([np.round(rng.uniform(0, 10.0 ** rng.integers(-4, 16, 10**4)), 3),
+                                                   rng.integers(1, 10**6, 10**4) * 10.0 ** rng.integers(-10, 10, 10**4),
+                                                   [0.5, 1.0, 10.0, 100.5, 1e15 + 0.5, 1.5e-5, 1e-4 + 1e-20]]))
+
+    def test_zeros_subnormals_infinities_and_nan(self):
+        self._assert_records_match([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                                    np.inf, -np.inf, np.nan, 1.7976931348623157e308, 9.99e-6, 1e16 + 2])
+
+    def test_empty_and_all_of_one_kind(self):
+        for values in ([], np.zeros(5000), np.full(5000, np.nan), np.full(5000, 1e-5)):
+            self._assert_records_match(values)

@@ -812,6 +812,18 @@ class TestParseBoundaries:
                                 "schema field 0: 'dim' must be >= 0, got -2"),
         "schema_unknown_kind": ("augment", {"fields": [{"name": "a", "kind": "bogus"}]},
                                 "field 'a': unknown kind 'bogus'"),
+        # a comma or line break would split the CSV header, which read_csv then blames
+        "schema_name_comma": ("augment", {"fields": [{"name": "x", "kind": "invariant_scalar"},
+                                                     {"name": "a,b", "kind": "invariant_scalar"}]},
+                              "schema field 1: 'name' must be a string without commas or line breaks, got 'a,b'"),
+        "schema_name_line_break": ("augment", {"fields": [{"name": "a\u2028b", "kind": "invariant_scalar"}]},
+                                   "schema field 0: 'name' must be a string without commas or line breaks, "
+                                   "got 'a\\u2028b'"),
+        "schema_name_trailing_newline": ("augment", {"fields": [{"name": "a\n", "kind": "invariant_scalar"}]},
+                                         "schema field 0: 'name' must be a string without commas or line breaks, "
+                                         "got 'a\\n'"),
+        "schema_name_int": ("augment", {"fields": [{"name": 3, "kind": "invariant_scalar"}]},
+                            "schema field 0: 'name' must be a string without commas or line breaks, got 3"),
         "net_hidden_not_multiple": ("net", {"rep": K4, "hidden": [6]},
                                     "width 6 is not a multiple of the group order 4"),
         "net_init_mode_bogus": ("net", {"rep": K4, "init_mode": "bogus"},

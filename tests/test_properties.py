@@ -1,6 +1,6 @@
-"""Property tests: augmentation on the fixture bundles, with drawn rows, and
-the closure, the three rank routes, the action, free orbits and basis-file
-text on drawn generator sets."""
+"""Property tests: augmentation on the fixture bundles, with drawn rows; the
+CSV writer on drawn floats; and the closure, the three rank routes, the
+action, free orbits and basis-file text on drawn generator sets."""
 
 import hashlib
 import json
@@ -19,6 +19,7 @@ from robosym.augment import (
     load_schema,
     orbit_average,
     resolve_schema,
+    write_csv,
 )
 from robosym.basis import (
     basis_fingerprint,
@@ -30,6 +31,7 @@ from robosym.basis import (
 )
 from robosym.errors import ClosureExceeded
 from robosym.groups import FiniteGroup, Representation, _broken_relation, act, group_closure, verify_homomorphism
+import test_augment
 from test_groups import assert_closure_is_sequential
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -107,6 +109,33 @@ def test_orbit_average_is_idempotent(case):
     plan, targets = case
     once = orbit_average(plan, targets)
     np.testing.assert_allclose(orbit_average(plan, once), once, rtol=0, atol=ATOL)
+
+
+# any float64 (NaN, infinities, -0.0, subnormals, 1.8e308), short decimals and integers
+DECIMALS = st.floats(-1e6, 1e6).map(lambda v: round(v, 3))
+ANY_FLOAT = st.one_of(st.floats(), DECIMALS, st.integers(-10**17, 10**17).map(float))
+# the same below 1e300 in magnitude, so a rotation block cannot overflow
+PLAN_FLOAT = st.one_of(st.floats(-1e300, 1e300), DECIMALS, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@SETTINGS
+@given(hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 8)), elements=ANY_FLOAT))
+def test_write_is_the_fstring_reference(tmp_path_factory, rows):
+    names = [f"c_{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("write") / "w.csv"
+    write_csv(str(path), names, rows)
+    assert path.read_bytes() == test_augment.TestCsvRoundtrip._reference_text(names, rows).encode()
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: hnp.arrays(float, (n, PLANS[1].dim), elements=PLAN_FLOAT)))
+def test_write_under_the_every_kind_plan_is_a_plain_write_of_the_copies(tmp_path_factory, rows):
+    plan = PLANS[1]  # K4 of k4_solo.json on one field of every kind
+    names = [f"c_{i}" for i in range(plan.dim)]
+    out = tmp_path_factory.mktemp("plan")
+    write_csv(str(out / "plan.csv"), names, rows, plan)
+    write_csv(str(out / "plain.csv"), names, augment_dataset(plan, rows))
+    assert (out / "plan.csv").read_bytes() == (out / "plain.csv").read_bytes()
 
 
 @st.composite
