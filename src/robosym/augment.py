@@ -12,7 +12,7 @@ permutation is ever held as a dense matrix.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from operator import add, matmul
 from typing import NamedTuple
 
@@ -256,6 +256,8 @@ def load_schema(path: str) -> list[dict]:
             if not isinstance(name := field["name"], str) or "," in name or "".join(name.splitlines()) != name:
                 raise ParseError(f"schema field {i}: 'name' must be a string without commas or line breaks, "
                                  f"got {name!r}")
+            if not isinstance(field["kind"], str):
+                raise ParseError(f"schema field {i}: 'kind' must be a string, got {type(field['kind']).__name__}")
             if "dim" in field and parse_int("dim", field["dim"], f"schema field {i}") < 0:
                 raise ParseError(f"schema field {i}: 'dim' must be >= 0, got {field['dim']}")
         return data["fields"]
@@ -375,18 +377,20 @@ def _fixed_records(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a header line and rows of as many floats, in blocks of
     ``CSV_BLOCK_ROWS`` lines; every line break ``str.splitlines`` knows ends a
-    row.  Blank lines before the first row and after the last are ignored; a
-    blank line between rows, a row of another width or a value ``float()``
-    rejects raises ``ParseError`` naming its line."""
+    line, the header's too.  Blank lines before the first row and after the
+    last are ignored; a blank line between rows, a row of another width or a
+    value ``float()`` rejects raises ``ParseError`` naming its line."""
     try:
         with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
+            header, *rest = f.readline().splitlines(keepends=True) or [""]  # rows may follow on its line
+            header = header.strip()
             if not header:
                 raise ParseError(f"{path}: missing header line")
             names = header.split(",")
             width = len(names)
             parsed, lineno, blank = [np.empty((0, width))], 1, 0
-            while block := list(islice(f, CSV_BLOCK_ROWS)):
+            rows = chain(rest, f)
+            while block := list(islice(rows, CSV_BLOCK_ROWS)):
                 lines, first, error = [], 0, None  # the block's rows, consecutive from line `first`
                 for line in "".join(block).splitlines():
                     lineno += 1
@@ -415,11 +419,71 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
 def _parse_rows(path: str, lines: list[str], first: int, width: int) -> np.ndarray:
     """Parse consecutive lines (the first is line ``first`` of the file), each
     with ``width`` comma-separated values, into a (len(lines), width) array."""
-    try:
-        # numpy converts each str with float(): same accepted forms, same bits
-        return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
+    text = (",".join(lines) + "\0" * 40).encode()  # the words read for a token span 33 bytes from its start
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8)[:-40] == ord(","))
+    starts, ends = np.append(0, ends + 1), np.append(ends, len(text) - 40)
+    try:  # 4,096 values at a time: a part's buffers take about 0.8 MiB
+        return np.concatenate([_parse_part(text, starts[i : i + 4096], ends[i : i + 4096])
+                               for i in range(0, len(ends), 4096)]).reshape(len(lines), width)
     except ValueError:
         for i, line in enumerate(lines):
             with errors_named(f"{path}: line {first + i}: malformed numeric row"):
                 np.array(line.split(","), dtype=float)
         raise
+
+
+_EIGHT = 0x0101010101010101  # one in every byte
+_ZEROS, _WORDS = np.uint64(0x30 * _EIGHT), np.array([[0], [8], [16]])  # "00000000"; a fraction's 3 words
+_P10 = 10 ** np.arange(16, dtype=np.uint64)
+_LIMIT = 10**18 // _P10  # a number below _LIMIT[c] stays below 10**18 with c digits appended
+# 10**-f = hi + lo for f <= 22, each part rounded exactly by int division: the sum is within 2**-106 of it
+_INV10_HI, _INV10_LO = np.array([(hi, (b - a * 10**f) / (b * 10**f))
+                                 for f in range(23) for hi in [1 / 10**f] for a, b in [hi.as_integer_ratio()]]).T
+
+
+def _parse_part(text: bytes, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``float()`` of the tokens ``text[s:e]``.  A ``-ddd.ddd`` of at most 8 integer bytes, "-" included, and
+    22 fraction digits f is read 8 digits per uint64 op (Lemire) into its significand m; of at most 18 digits,
+    m is scaled exactly: m / 10**f where m < 2**53 (Clinger), else the double-double m * 10**-f rounded once."""
+    raw = np.frombuffer(text, np.uint8)
+    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # words[i]: bytes i..i+7, unaligned
+    w = words[s]
+    neg = (w & 0xFF) == ord("-")
+    z = w ^ 0x2E * _EIGHT  # a "." byte becomes 0, and the bit 7 of the first zero byte is set:
+    z = (z - _EIGHT) & ~z & 0x80 * _EIGHT
+    d = np.minimum(((((z - 1) & ~z) >> 7 & _EIGHT) * _EIGHT >> 56).astype(np.intp), e - s)  # bytes before it
+    f = np.clip(e - s - d - 1, 0, 22)
+    c = np.clip(f - _WORDS, 0, 8)  # the fraction's digits in each of its words
+    bits = (8 * np.vstack((d, c))).astype(np.uint8)
+    v = np.vstack((w + 3 * neg.astype(np.uint64), words[s + d + 1 + _WORDS]))  # "-" read as "0"
+    v <<= 64 - bits  # a word's digits right-aligned behind "0"s
+    v |= _ZEROS >> bits
+    t = (v + 0x46 * _EIGHT | v - _ZEROS) & 0x80 * _EIGHT  # bit 7 set in a byte that is no digit
+    ok = (t[0] | t[1] | t[2] | t[3] == 0) & (d + f + 1 >= e - s) & (d - neg + f > 0)
+    ok &= (d == e - s) | (raw[s + d] == ord("."))
+    v = ((v & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8 & 0x00FF00FF00FF00FF) * 6553601 >> 16  # 2, then 4 digits per lane
+    v = (v & 0x0000FFFF0000FFFF) * 42949672960001 >> 32  # parse_eight_digits
+    hi, rest = v[0] * _P10[c[0]] + v[1], f - c[0]  # hi < 10**16: m is hi, then `rest` digits
+    ok &= hi < _LIMIT[rest]  # m has at most 18 digits: no int64 overflow
+    m = (hi * _P10[rest] + v[2] * _P10[c[2]] + v[3]) * ok  # a rejected token's m may be any uint64
+    del v, t, z, bits
+    mh = m.astype(float)
+    ml = (m - mh.astype(np.uint64)).view(np.int64).astype(float)  # m = mh + ml exactly
+    ph, pl = _INV10_HI[f], _INV10_LO[f]
+    y = mh * ph
+    (a, b), (g, h) = _halves(mh), _halves(ph)
+    lo = (((a * g - y) + a * h + b * g) + b * h) + (mh * pl + ml * ph)  # Dekker's mh ph - y, then the rest
+    r = lo - ((y + lo) - y)  # y + lo - (y + lo rounded), exactly (Fast2Sum)
+    exact = m < 2**53
+    ok &= exact | _off_midpoint(y + lo, r)
+    y = np.where(exact, mh / _POW10[f], y + lo) * (1 - 2 * neg)  # -0 keeps its sign
+    for j in np.flatnonzero(~ok):  # fork kept, as in _csv_records: rare forms and near-ties
+        y[j] = float(text[s[j] : e[j]].decode())
+    return y
+
+
+def _off_midpoint(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether y + r, which rounds to y > 0, lies more than 2**-90 y from a rounding midpoint: half a
+    spacing above or below y, or a quarter below it (the spacing below a power of two is half)."""
+    half, tol = np.spacing(y) / 2, y * 2.0**-90
+    return (np.abs(r) < half - tol) & (np.abs(r + half / 2) > tol)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from robosym import rigid
+from robosym.errors import ClosureExceeded
 from robosym.groups import (
     FiniteGroup,
     Representation,
@@ -268,3 +269,67 @@ def basis_to_dict(basis) -> dict:
 
     return {"m": basis.m, "n": basis.n, "orbits": orbit_list(basis.orbits),
             "zero_forced": orbit_list(basis.zero_forced)}
+
+
+def csv_reference_text(names, rows):
+    """The formatting write_csv must reproduce: one f-string per value."""
+    rows = np.atleast_2d(rows)
+    lines = [",".join(names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def sequential_closure(targets, signs, order_cap):
+    """The breadth-first closure one element and one generator at a time:
+    element targets and signs, Cayley table, inverses and generator indices."""
+    gens = [gpm(t, s) for t, s in zip(targets, signs)]
+    dim = len(gens[0][0])
+    elem_t, elem_s = [np.arange(dim)], [np.ones(dim, dtype=np.int8)]
+    index = {elem_t[0].tobytes() + elem_s[0].tobytes(): 0}
+    right, found_by = [], [(0, 0)]  # right[x][j]: x times generator j, first found as found_by[b]
+    x = 0
+    while x < len(elem_t):
+        right.append([])
+        for j, (gen_t, gen_s) in enumerate(gens):
+            t, s = elem_t[x][gen_t], gen_s * elem_s[x][gen_t]
+            key = t.tobytes() + s.tobytes()
+            if key not in index:
+                if len(elem_t) >= order_cap:
+                    raise ClosureExceeded(f"closure exceeds cap of {order_cap} elements")
+                index[key] = len(elem_t)
+                elem_t.append(t)
+                elem_s.append(s)
+                found_by.append((x, j))
+            right[x].append(index[key])
+        x += 1
+    order, right = len(elem_t), np.array(right)
+    cayley = np.empty((order, order), dtype=np.intp)
+    cayley[:, 0] = np.arange(order)
+    for b in range(1, order):
+        x, j = found_by[b]
+        cayley[:, b] = right[cayley[:, x], j]
+    gen_indices = tuple(index[t.tobytes() + s.tobytes()] for t, s in gens)
+    return np.stack(elem_t), np.stack(elem_s), cayley, (cayley == 0).argmax(axis=1), gen_indices
+
+
+def assert_closure_is_sequential(targets, signs, order_cap):
+    """group_closure returns what sequential_closure returns, or raises
+    ClosureExceeded exactly when it does; the group order, or None."""
+    try:
+        expected = sequential_closure(targets, signs, order_cap)
+    except ClosureExceeded:
+        with pytest.raises(ClosureExceeded):
+            group_closure(targets, signs, order_cap=order_cap)
+        return None
+    group, rep = group_closure(targets, signs, order_cap=order_cap)
+    for got, want in zip((rep.targets, rep.signs, group.cayley, group.inverse), expected):
+        np.testing.assert_array_equal(got, want)
+    assert group.generator_indices == expected[4]
+    return group.order
+
+
+def assert_sequential(group, rep):
+    """The closure of the generators of ``rep``, a faithful representation of
+    ``group``, is their sequential closure entry for entry, so its Cayley table
+    satisfies the group axioms."""
+    gens = list(group.generator_indices)
+    assert assert_closure_is_sequential(rep.targets[gens], rep.signs[gens], group.order) == group.order

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (FIXTURES, breaks_some_pair, closure, dense, gpm, isometries, plan_matrices,
-                      write_z2_power_bundle)
+from conftest import (FIXTURES, breaks_some_pair, closure, csv_reference_text, dense, gpm, isometries,
+                      plan_matrices, write_z2_power_bundle)
 from robosym import augment
 from robosym.augment import (
     augment_dataset,
@@ -591,13 +591,6 @@ class TestCsvRoundtrip:
         names, rows = read_csv(str(path))
         assert names == ["a", "b"] and rows.shape == (0, 2)
 
-    @staticmethod
-    def _reference_text(names, rows):
-        """The formatting write_csv must reproduce: one f-string per value."""
-        rows = np.atleast_2d(rows)
-        lines = [",".join(names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-
     SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
 
@@ -629,7 +622,7 @@ class TestCsvRoundtrip:
         names = [f"c_{i}" for i in range(rows.shape[1])]
         path = tmp_path / "w.csv"
         write_csv(str(path), names, rows)
-        assert path.read_bytes() == self._reference_text(names, rows).encode()
+        assert path.read_bytes() == csv_reference_text(names, rows).encode()
         _, back = read_csv(str(path))
         finite = ~np.isnan(rows)
         assert back.shape == rows.shape and np.array_equal(np.isnan(back), ~finite)
@@ -639,7 +632,7 @@ class TestCsvRoundtrip:
         # one "\n" per row; read_csv refuses the blank header, so no read-back
         path = tmp_path / "w.csv"
         write_csv(str(path), [], np.zeros((3, 0)))
-        assert path.read_bytes() == self._reference_text([], np.zeros((3, 0))).encode() == b"\n" * 4
+        assert path.read_bytes() == csv_reference_text([], np.zeros((3, 0))).encode() == b"\n" * 4
 
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "signed_copies"])
     def test_write_memory_is_bounded_per_value(self, tmp_path, repeats):
@@ -723,24 +716,26 @@ class TestCsvRoundtrip:
             read_csv(str(path))
 
     @pytest.mark.parametrize(
-        "body, rows",
+        "text, rows",
         [
-            ("1,2\r3,4\r", 2),
-            ("1,2\x0c3,4\x0c", 2),
-            ("1,2\u20283,4\u2028", 2),
+            ("\n1,2\r3,4\r", 2),
+            ("\n1,2\x0c3,4\x0c", 2),
+            ("\n1,2\u20283,4\u2028", 2),
             # no "\n" after the header: 1,500 rows over three blocks
-            ("1,2\r3,4\r" * 750, 1500),
+            ("\n" + "1,2\r3,4\r" * 750, 1500),
             # blank lines before the first row span three blocks
-            ("\n" * 1200 + "1,2\n3,4\n", 2),
-        ],
-        ids=["cr", "form_feed", "line_separator", "cr_only_grows", "leading_blank_blocks"],
+            ("\n" * 1201 + "1,2\n3,4\n", 2),
+            # the header ends at the first line break too, and the rows that follow on its line are read
+        ] + [(brk + "1,2" + brk + "3,4\n", 2) for brk in ("\x0c", "\x1c", "\x85", "\u2028", "\v")],
+        ids=["cr", "form_feed", "line_separator", "cr_only_grows", "leading_blank_blocks", "header_form_feed",
+             "header_file_separator", "header_next_line", "header_line_separator", "header_vertical_tab"],
     )
-    def test_read_splits_rows_at_every_line_break(self, tmp_path, body, rows):
+    def test_read_splits_rows_at_every_line_break(self, tmp_path, text, rows):
         path = tmp_path / "r.csv"
-        path.write_bytes(("a,b\n" + body).encode())
-        _, back = read_csv(str(path))
+        path.write_bytes(("a,b" + text).encode())
+        names, back = read_csv(str(path))
         expected = np.array([[1.0, 2.0], [3.0, 4.0]] * (rows // 2))
-        assert back.tobytes() == expected.tobytes()
+        assert names == ["a", "b"] and back.tobytes() == expected.tobytes()
 
     def test_read_opens_its_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "r.csv"
@@ -863,3 +858,127 @@ class TestCsvRecords:
     def test_empty_and_all_of_one_kind(self):
         for values in ([], np.zeros(5000), np.full(5000, np.nan), np.full(5000, 1e-5)):
             self._assert_records_match(values)
+
+
+class TestCsvParse:
+    """The CSV value parser against ``float()``, bit for bit: a ``-ddd.ddd`` token of at most 18
+    significant digits is read and rounded in numpy, every other token by ``float()``."""
+
+    @staticmethod
+    def _assert_parses_as_float(tokens):
+        tokens = list(tokens)
+        got = augment._parse_rows("t.csv", [",".join(tokens)], 2, len(tokens)).ravel()
+        expected = np.array([float(t) for t in tokens])
+        bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert not bad.size, [(tokens[i], got[i], expected[i]) for i in bad[:5]]
+
+    @staticmethod
+    def _with_dots(digits):
+        """Each digit string with its "." at every place, with and without a "-"."""
+        return [sign + d[:k] + "." + d[k:] for d in digits for k in range(len(d) + 1) for sign in ("", "-")]
+
+    @staticmethod
+    def _near_ties():
+        """Decimals m / 10**f of at most 18 digits, f <= 22, within 2**-103 of a rounding midpoint
+        t * 2**-k (t odd, 54 bits): m 2**s = t 5**f + j for s = k - f and a small odd j."""
+        tokens = []
+        for f, s in [(22, 46), (22, 47), (21, 44), (20, 41)]:
+            for j in (1, -1, 3, -3):
+                t0 = -j * pow(5, -f, 2**s) % 2**s  # t = t0 mod 2**s makes m whole
+                for t in range(2**53 + (t0 - 2**53) % 2**s, 2**54, 2**s)[:16]:
+                    m = (t * 5**f + j) >> s
+                    if t % 2 and 2**53 <= m < 10**18:
+                        tokens.append(f"0.{m:0{f}d}")
+        return tokens
+
+    @staticmethod
+    def _float_calls(monkeypatch):
+        """The tokens ``augment`` passes to ``float()`` from now on; as a dtype it stays float64."""
+        calls = []
+
+        class Recorder:
+            dtype = np.dtype(float)
+
+            def __new__(cls, token):
+                calls.append(token)
+                return float(token)
+
+        monkeypatch.setattr(augment, "float", Recorder, raising=False)
+        return calls
+
+    def test_random_bit_patterns_by_repr_and_17g(self):
+        # 10^6 doubles drawn uniformly by bit pattern from 1e-6 to 1e9, both signs: every exponent class on
+        # both sides of the fast path's (e-notation below 1e-4 by repr, 1e-5 by %.17g; 9 integer bytes)
+        rng = np.random.default_rng(49)
+        low, high = np.array([1e-6, 1e9]).view(np.int64)
+        values = rng.integers(low, high, 10**6).view(np.float64) * rng.choice([-1.0, 1.0], 10**6)
+        for part in np.array_split(values, 10):
+            part = part.tolist()
+            self._assert_parses_as_float(map(repr, part))
+            self._assert_parses_as_float("%.17g" % v for v in part)
+
+    def test_normal_values_by_6f(self):
+        self._assert_parses_as_float("%.6f" % v for v in np.random.default_rng(6).standard_normal(10**5))
+
+    def test_digit_strings_with_the_dot_at_every_place(self):
+        # 1 to 22 digits: past 18 significant ones m would overflow int64
+        rng = np.random.default_rng(22)
+        digits = ["".join(rng.choice(list("0123456789"), n)) for n in range(1, 23) for _ in range(40)]
+        self._assert_parses_as_float(self._with_dots(digits + ["9" * n for n in range(1, 23)]))
+
+    def test_integer_parts_of_7_8_and_9_bytes(self):
+        # 8 bytes, "-" included, is the longest integer part read in numpy
+        parts = [sign + "1234567890"[:n] for n in (6, 7, 8, 9) for sign in ("", "-")]
+        self._assert_parses_as_float(p + tail for p in parts for tail in ("", ".", ".5", ".0625", ".123456789"))
+
+    def test_fractions_of_8_16_17_22_and_23_digits(self):
+        rng = np.random.default_rng(23)
+        fractions = ["".join(rng.choice(list("0123456789"), n)) for n in (8, 16, 17, 22, 23) for _ in range(200)]
+        self._assert_parses_as_float(sign + whole + "." + fraction for fraction in fractions
+                                     for whole in ("", "0", "7", "000") for sign in ("", "-"))
+
+    def test_significands_at_the_exact_and_int64_bounds(self):
+        # Clinger's single division is exact below 2**53; m has at most 18 digits
+        self._assert_parses_as_float(self._with_dots([str(2**53 - 1), str(2**53), str(2**53 + 1),
+                                                      str(10**18 - 1), str(10**18)]))
+
+    def test_decimal_midpoints_between_adjacent_doubles(self):
+        from decimal import Decimal
+
+        rng = np.random.default_rng(24)
+        values = np.concatenate([rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 9, 2000),
+                                 2.0 ** np.arange(-20, 27)])  # the spacing below a power of two halves
+        self._assert_parses_as_float(str((Decimal(a) + Decimal(b)) / 2) for a, b in
+                                     zip(np.tile(values, 2).tolist(), np.concatenate(
+                                         [np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]).tolist()))
+
+    def test_near_ties_are_read_by_float(self, monkeypatch):
+        # the double-double is kept only where it lies more than 2**-90 of itself from a midpoint
+        tokens = self._near_ties()
+        calls = self._float_calls(monkeypatch)
+        self._assert_parses_as_float(tokens)
+        assert len(tokens) >= 50 and calls == tokens
+
+    def test_float_reads_only_the_rare_forms(self, monkeypatch):
+        values = np.random.default_rng(25).standard_normal(10**4) * 10.0 ** np.arange(-3, 5).repeat(1250)
+        tokens = [repr(v) for v in values.tolist()] + ["1e-05", "nan", "+1", " 2"]
+        calls = self._float_calls(monkeypatch)
+        self._assert_parses_as_float(tokens)
+        assert calls == [t for t in tokens if "e" in t or "n" in t or t[0] in "+ "]
+
+    def test_signs_dots_zeros_and_what_float_accepts(self):
+        self._assert_parses_as_float(["-0", "0", "-0.0", ".5", "5.", "-.5", "-5.", "00012.5", "-00000000.5",
+                                      "1_0", " 1.5 ", "inf", "-NaN", "1e400", "+nan", "1e-400", "1.5e3", "١٢",
+                                      "1.5 "])
+
+    @pytest.mark.parametrize("token", ["", "-", ".", "-.", "--1", "1-2", "1..2", "1.2.3", "1,", "e5", "0x10"])
+    def test_what_float_rejects_names_the_line(self, token):
+        with pytest.raises(ParseError, match=r"^t\.csv: line 2: malformed numeric row: "):
+            augment._parse_rows("t.csv", [token], 2, token.count(",") + 1)
+
+    def test_midpoint_guard(self):
+        # y + r rounds to y; the midpoints lie half a spacing from y, and a quarter below a power of two
+        y = np.array([1.5] * 4 + [1.0] * 5)
+        half = np.spacing(y) / 2
+        r = half * [1, -1, 1 - 2.0**-30, -(1 - 2.0**-30), -0.5, -0.5 * (1 - 2.0**-60), -0.5 * (1 - 2.0**-30), 0.0, 0.4]
+        assert augment._off_midpoint(y, r).tolist() == [False, False, True, True, False, False, True, True, True]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, closure, cyclic, dense, gpm, make_k4, orbit_vector
+from conftest import FIXTURES, assert_sequential, basis_to_dict, closure, cyclic, dense, gpm, make_k4, orbit_vector
 from robosym import basis as basis_module
 from robosym import cli
 from robosym.augment import augment_dataset, compile_schema, load_group_bundle, load_schema, resolve_schema
@@ -38,7 +38,6 @@ from robosym.groups import (
     trivial_representation,
     verify_homomorphism,
 )
-from test_groups import assert_sequential
 
 
 def flip_and_trivial():

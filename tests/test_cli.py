@@ -824,6 +824,11 @@ class TestParseBoundaries:
                                          "got 'a\\n'"),
         "schema_name_int": ("augment", {"fields": [{"name": 3, "kind": "invariant_scalar"}]},
                             "schema field 0: 'name' must be a string without commas or line breaks, got 3"),
+        "schema_kind_list": ("augment", {"fields": [{"name": "a", "kind": ["joint_space"]}]},
+                             "schema field 0: 'kind' must be a string, got list"),
+        "schema_kind_object": ("augment", {"fields": [{"name": "x", "kind": "invariant_scalar"},
+                                                      {"name": "a", "kind": {"joint_space": 1}}]},
+                               "schema field 1: 'kind' must be a string, got dict"),
         "net_hidden_not_multiple": ("net", {"rep": K4, "hidden": [6]},
                                     "width 6 is not a multiple of the group order 4"),
         "net_init_mode_bogus": ("net", {"rep": K4, "init_mode": "bogus"},

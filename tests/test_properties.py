@@ -1,5 +1,5 @@
 """Property tests: augmentation on the fixture bundles, with drawn rows; the
-CSV writer on drawn floats; and the closure, the three rank routes, the
+CSV writer and reader on drawn floats; and the closure, the three rank routes, the
 action, free orbits and basis-file text on drawn generator sets."""
 
 import hashlib
@@ -9,7 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, basis_to_dict, breaks_some_pair, compose, dense, gpm, plan_matrices
+from conftest import (FIXTURES, assert_closure_is_sequential, basis_to_dict, breaks_some_pair, compose,
+                      csv_reference_text, dense, gpm, plan_matrices)
 from robosym import basis as basis_module
 from robosym.augment import (
     PLAN_TOL,
@@ -18,6 +19,7 @@ from robosym.augment import (
     load_group_bundle,
     load_schema,
     orbit_average,
+    read_csv,
     resolve_schema,
     write_csv,
 )
@@ -31,8 +33,6 @@ from robosym.basis import (
 )
 from robosym.errors import ClosureExceeded
 from robosym.groups import FiniteGroup, Representation, _broken_relation, act, group_closure, verify_homomorphism
-import test_augment
-from test_groups import assert_closure_is_sequential
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -124,7 +124,22 @@ def test_write_is_the_fstring_reference(tmp_path_factory, rows):
     names = [f"c_{i}" for i in range(rows.shape[1])]
     path = tmp_path_factory.mktemp("write") / "w.csv"
     write_csv(str(path), names, rows)
-    assert path.read_bytes() == test_augment.TestCsvRoundtrip._reference_text(names, rows).encode()
+    assert path.read_bytes() == csv_reference_text(names, rows).encode()
+
+
+@SETTINGS
+@given(hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 8)), elements=ANY_FLOAT))
+def test_read_returns_what_was_written(tmp_path_factory, rows):
+    # by write_csv, or by repr joined with commas; a NaN is written "nan" and reads back as a NaN
+    names = [f"c_{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("read") / "r.csv"
+    for write in (lambda: write_csv(str(path), names, rows),
+                  lambda: path.write_text("\n".join([",".join(names)] + [",".join(map(repr, row))
+                                                                          for row in rows.tolist()]) + "\n")):
+        write()
+        back = read_csv(str(path))[1]
+        assert back.shape == rows.shape and np.array_equal(np.isnan(back), np.isnan(rows))
+        assert back[~np.isnan(rows)].tobytes() == rows[~np.isnan(rows)].tobytes()
 
 
 @SETTINGS
