@@ -303,12 +303,11 @@ def _csv_records(magnitudes: np.ndarray) -> np.ndarray:
     text = np.empty(len(magnitudes), f"V{CSV_RECORD}")
     for i in range(0, len(magnitudes), 4096):  # a part's buffers, the output's included, take 0.7 MiB
         v, part = magnitudes[i : i + 4096], text[i : i + 4096]
-        fast, zero = (v >= 1e-5) & (v < 1e16), (v == 0) & ~np.signbit(v)
+        fast, zero = (v >= 1e-4) & (v < 1e16), (v == 0) & ~np.signbit(v)
         at = np.flatnonzero(fast)
         records, order = _fixed_records(v[at])
         part[at[order]], part[zero] = records, np.void(b", 0".ljust(CSV_RECORD))
-        # fork kept: the % loop formats the rest (NaN, inf, -0.0, subnormals, e-notation but e-05)
-        # exactly; those are rare in measurements, and each would need a layout of its own below
+        # fork kept: % formats the rest exactly (NaN, inf, -0.0, e-notation), rare forms each needing a layout
         if (rest := np.flatnonzero(~(fast | zero))).size:
             part[rest] = np.frombuffer((", %-23.17g" * len(rest) % tuple(v[rest].tolist())).encode(), text.dtype)
     return text
@@ -328,19 +327,23 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: x * y = p + e exactly, p the rounded product, if nothing over- or underflows."""
+    p = x * y
+    (xh, xl), (yh, yl) = _halves(x), _halves(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def _rounded(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """v * s rounded to an int64, ties to even, where it is 2**53 or more: Dekker's two-product
-    gives it exactly as hi + lo, hi an even integer and lo at most half of hi's ulp."""
-    hi = v * s
-    (a, b), (c, d) = _halves(v), _halves(s)
-    return hi.astype(np.int64) + np.rint(((a * c - hi) + a * d + b * c) + b * d).astype(np.int64)
+    """v * s rounded to an int64, ties to even, where it is 2**53 or more: hi even and |lo| <= hi's ulp / 2."""
+    hi, lo = _two_product(v, s)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _fixed_records(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The records of magnitudes v in [1e-5, 1e16), sorted by exponent, and ``order``: record k is v[order[k]]'s.
+    """The records of magnitudes v in [1e-4, 1e16), sorted by exponent, and ``order``: record k is v[order[k]]'s.
 
-    ``%.17g`` prints N, v * 10**(16 - x) rounded, where x is the exponent of the rounded value:
-    as d.dddde-05 if x < -4, else as a fixed point number without its fraction's trailing zeros."""
+    ``%.17g`` prints N, v * 10**(16 - x) rounded, x its exponent, in fixed point without trailing fraction zeros."""
     p = 16 - np.floor(np.log10(v)).astype(np.intp)
     sig = _rounded(v, _POW10[p])
     # log10 may be a digit off near a power of ten. No v in the range lies within 5e-17 of one from
@@ -358,41 +361,34 @@ def _fixed_records(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits = _V4[groups].view(np.uint8).reshape(-1, 20)  # digit j at column 3 + j
     out = np.full((len(v), CSV_RECORD), ord(" "), np.uint8)
     out[:, 0], end = ord(","), 0
-    for x, count in enumerate(np.bincount(21 - p, minlength=21), -5):
+    for x, count in enumerate(np.bincount(20 - p, minlength=20), -4):
         o, d, end = out[end : end + count], digits[end : end + count], end + count
-        if -5 < x < 0 and count:  # 0.000ddd
+        if x < 0 and count:  # 0.000ddd
             o[:, 2 : 3 - x] = np.frombuffer(b"0.000", np.uint8)[: 1 - x]
             o[:, 3 - x : 20 - x] = d[:, 3:]
-        elif count:  # dd.ddd; or d.ddd, then e-05
-            i = max(x, 0)
-            o[:, 2 : 3 + i] = np.maximum(d[:, 3 : 4 + i], ord("0"))  # an integer digit keeps its 0
-            o[:, 3 + i] = np.minimum(d[:, 4 + i], ord("."))  # blank before a blank fraction
-            o[:, 4 + i : 20] = d[:, 4 + i :]
-            if x == -5:  # after the digits shown, and the "." if there are two or more
-                m = (d[:, 3:] != ord(" ")).sum(1, keepdims=True)
-                o[np.arange(count)[:, None], 2 + m + (m > 1) + np.arange(4)] = np.frombuffer(b"e-05", np.uint8)
+        elif count:  # dd.ddd
+            o[:, 2 : 3 + x] = np.maximum(d[:, 3 : 4 + x], ord("0"))  # an integer digit keeps its 0
+            o[:, 3 + x] = np.minimum(d[:, 4 + x], ord("."))  # blank before a blank fraction
+            o[:, 4 + x : 20] = d[:, 4 + x :]
     return out.view(f"V{CSV_RECORD}").ravel(), order
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a header line and rows of as many floats, in blocks of
-    ``CSV_BLOCK_ROWS`` lines; every line break ``str.splitlines`` knows ends a
-    line, the header's too.  Blank lines before the first row and after the
-    last are ignored; a blank line between rows, a row of another width or a
-    value ``float()`` rejects raises ``ParseError`` naming its line."""
+    """Read a header line and rows of as many floats, ``CSV_BLOCK_ROWS`` lines at a time; any break
+    ``str.splitlines`` knows ends a line, and a leading BOM is skipped.  Blank lines before the first row
+    and after the last are ignored; a blank line between rows, a row of another width or a value
+    ``float()`` rejects raises ``ParseError`` naming its line."""
     try:
-        with open(path, encoding="utf-8") as f:
-            header, *rest = f.readline().splitlines(keepends=True) or [""]  # rows may follow on its line
-            header = header.strip()
-            if not header:
+        with open(path, encoding="utf-8-sig") as f:
+            rows = chain.from_iterable(map(str.splitlines, f))
+            if not (header := next(rows, "").strip()):
                 raise ParseError(f"{path}: missing header line")
             names = header.split(",")
             width = len(names)
             parsed, lineno, blank = [np.empty((0, width))], 1, 0
-            rows = chain(rest, f)
             while block := list(islice(rows, CSV_BLOCK_ROWS)):
                 lines, first, error = [], 0, None  # the block's rows, consecutive from line `first`
-                for line in "".join(block).splitlines():
+                for line in block:
                     lineno += 1
                     if not line.strip():
                         if (lines or len(parsed) > 1) and not blank:
@@ -470,9 +466,8 @@ def _parse_part(text: bytes, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     mh = m.astype(float)
     ml = (m - mh.astype(np.uint64)).view(np.int64).astype(float)  # m = mh + ml exactly
     ph, pl = _INV10_HI[f], _INV10_LO[f]
-    y = mh * ph
-    (a, b), (g, h) = _halves(mh), _halves(ph)
-    lo = (((a * g - y) + a * h + b * g) + b * h) + (mh * pl + ml * ph)  # Dekker's mh ph - y, then the rest
+    y, lo = _two_product(mh, ph)
+    lo += mh * pl + ml * ph  # mh ph - y, then the rest
     r = lo - ((y + lo) - y)  # y + lo - (y + lo rounded), exactly (Fast2Sum)
     exact = m < 2**53
     ok &= exact | _off_midpoint(y + lo, r)

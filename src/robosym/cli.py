@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 
 
 def _emit(args, report: dict, out_path: str | None) -> None:
-    if not getattr(args, "json", False):
+    if not args.json:
         return
     payload = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if out_path:
@@ -268,36 +268,35 @@ def cmd_robot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="robosym", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)  # every leaf command's --json
+    json_flag.add_argument("--json", action="store_true")
 
-    b = sub.add_parser("basis", help="compute the equivariant linear-map basis")
+    b = sub.add_parser("basis", parents=[json_flag], help="compute the equivariant linear-map basis")
     b.add_argument("--rep-in", required=True)
     b.add_argument("--rep-out", default=None)
     b.add_argument("--out", required=True)
     b.add_argument("--oracle", action="store_true", help="cross-check with the dense nullspace")
     b.add_argument("--tol", type=float, default=ORACLE_TOL)
-    b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_basis)
 
-    c = sub.add_parser("count", help="count trainable parameters of an equivariant layer")
+    c = sub.add_parser("count", parents=[json_flag], help="count trainable parameters of an equivariant layer")
     c.add_argument("--rep-in", required=True)
     c.add_argument("--rep-out", default=None)
-    c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_count)
 
-    a = sub.add_parser("augment", help="augment a CSV dataset with its symmetric copies")
+    a = sub.add_parser("augment", parents=[json_flag], help="augment a CSV dataset with its symmetric copies")
     a.add_argument("--group", required=True)
     a.add_argument("--schema", required=True)
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--orbit-average", action="store_true",
                    help="symmetrize g-major target blocks instead of augmenting")
-    a.add_argument("--json", action="store_true")
     a.set_defaults(func=cmd_augment)
 
     n = sub.add_parser("net", help="equivariant network tools")
     nsub = n.add_subparsers(dest="action", required=True)
 
-    ns = nsub.add_parser("init-stats", help="activation variance profile per layer")
+    ns = nsub.add_parser("init-stats", parents=[json_flag], help="activation variance profile per layer")
     ns.add_argument("--group", required=True)
     ns.add_argument("--depth", type=int, default=20)
     ns.add_argument("--width", type=int, default=256)
@@ -305,37 +304,33 @@ def build_parser() -> argparse.ArgumentParser:
     ns.add_argument("--const-var", type=float, default=None, help="a constant coefficient variance, not fan-in's")
     ns.add_argument("--batch", type=int, default=256)
     ns.add_argument("--seed", type=int, default=0)
-    ns.add_argument("--json", action="store_true")
     ns.set_defaults(func=cmd_net_init_stats)
 
-    nv = nsub.add_parser("verify", help="check equivariance of a weights file")
+    nv = nsub.add_parser("verify", parents=[json_flag], help="check equivariance of a weights file")
     nv.add_argument("--net-spec", required=True)
     nv.add_argument("--weights", required=True)
     nv.add_argument("--samples", type=int, default=64)
     nv.add_argument("--tol", type=float, default=1e-10)
     nv.add_argument("--seed", type=int, default=0)
-    nv.add_argument("--json", action="store_true")
     nv.set_defaults(func=cmd_net_verify)
 
-    nd = nsub.add_parser("demo-train", help="tiny gradient-descent regression demo")
+    nd = nsub.add_parser("demo-train", parents=[json_flag], help="tiny gradient-descent regression demo")
     nd.add_argument("--net-spec", required=True)
     nd.add_argument("--steps", type=int, default=200)
     nd.add_argument("--lr", type=float, default=0.05)
     nd.add_argument("--batch", type=int, default=64)
     nd.add_argument("--seed", type=int, default=0)
     nd.add_argument("--out", default=None)
-    nd.add_argument("--json", action="store_true")
     nd.set_defaults(func=cmd_net_demo_train)
 
     r = sub.add_parser("robot", help="robot symmetry certification")
     rsub = r.add_subparsers(dest="action", required=True)
-    rv = rsub.add_parser("verify", help="verify candidate symmetries of a robot description")
+    rv = rsub.add_parser("verify", parents=[json_flag], help="verify candidate symmetries of a robot description")
     rv.add_argument("--robot", required=True)
     rv.add_argument("--candidates", required=True)
     rv.add_argument("--samples", type=int, default=100)
     rv.add_argument("--tol", type=float, default=1e-8)
     rv.add_argument("--seed", type=int, default=0)
-    rv.add_argument("--json", action="store_true")
     rv.set_defaults(func=cmd_robot)
 
     return p

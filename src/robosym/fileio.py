@@ -34,11 +34,11 @@ def _unique_keys(pairs: list) -> dict:
 
 @contextlib.contextmanager
 def json_input(path: str) -> Iterator:
-    """Decode the file at ``path`` as UTF-8 JSON and yield the data.  A file
-    that does not decode or repeats a key in an object, and an error raised in
-    the ``with`` block while the caller reads the data (as in ``errors_named``),
-    becomes one ParseError starting ``"<path>: "``."""
-    with errors_named(f"{path}: invalid JSON"), open(path, encoding="utf-8") as f:
+    """Decode the file at ``path`` as UTF-8 JSON (a leading BOM is skipped) and
+    yield the data.  A file that does not decode or repeats a key in an object,
+    and an error raised in the ``with`` block while the caller reads the data
+    (as in ``errors_named``), becomes one ParseError starting ``"<path>: "``."""
+    with errors_named(f"{path}: invalid JSON"), open(path, encoding="utf-8-sig") as f:
         data = json.load(f, object_pairs_hook=_unique_keys)  # JSONDecodeError, UnicodeDecodeError: ValueErrors
     with errors_named(path):
         yield data

@@ -382,7 +382,7 @@ def _generator_line(path: str, i: int) -> int:
     decoder = json.JSONDecoder()
     decoder.parse_array = parse_array  # set first: the scanner keeps the hook it is built with
     decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         text = f.read()
     return text.count("\n", 0, starts[id(decoder.decode(text)["generators"])][i]) + 1
 

@@ -737,6 +737,24 @@ class TestCsvRoundtrip:
         expected = np.array([[1.0, 2.0], [3.0, 4.0]] * (rows // 2))
         assert names == ["a", "b"] and back.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\u2028"], ids=["form_feed", "line_separator"])
+    def test_read_parses_a_block_of_rows_at_a_time_whatever_the_break(self, tmp_path, monkeypatch, brk):
+        # 1,000 rows on the one physical line after the header: blocks are cut at rows, not at "\n"
+        body = [",".join(map(repr, row)) for row in np.random.default_rng(127).standard_normal((1000, 3)).tolist()]
+        (tmp_path / "n.csv").write_bytes(("a,b,c\n" + "\n".join(body) + "\n").encode())
+        (tmp_path / "b.csv").write_bytes(("a,b,c\n" + brk.join(body) + brk).encode())
+        _, expected = read_csv(str(tmp_path / "n.csv"))
+        sizes, parse_rows = [], augment._parse_rows
+
+        def recording(path, lines, first, width):
+            sizes.append(len(lines))
+            return parse_rows(path, lines, first, width)
+
+        monkeypatch.setattr(augment, "_parse_rows", recording)
+        names, back = read_csv(str(tmp_path / "b.csv"))
+        assert names == ["a", "b", "c"] and back.tobytes() == expected.tobytes()
+        assert sum(sizes) == 1000 and max(sizes) <= augment.CSV_BLOCK_ROWS
+
     def test_read_opens_its_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "r.csv"
         path.write_text("a,b\n1,2\n3,4\n")
@@ -816,7 +834,7 @@ class TestCsvRoundtrip:
 
 class TestCsvRecords:
     """``_csv_records`` against ``", %-23.17g"``, record for record: the
-    digit layout covers [1e-5, 1e16), zero is a constant and the % loop the rest."""
+    digit layout covers [1e-4, 1e16), zero is a constant and the % loop the rest."""
 
     @staticmethod
     def _assert_records_match(values):
@@ -836,7 +854,7 @@ class TestCsvRecords:
         self._assert_records_match(np.random.default_rng(48).integers(low, high, 10**6).view(np.float64))
 
     def test_powers_of_ten_and_their_neighbours(self):
-        # log10 may be a digit off here; 1e-5 and 1e16 are the layout's edges
+        # log10 may be a digit off here; 1e-4 and 1e16 are the layout's edges
         powers = 10.0 ** np.arange(-7, 18)
         self._assert_records_match(np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]))
 
@@ -858,6 +876,24 @@ class TestCsvRecords:
     def test_empty_and_all_of_one_kind(self):
         for values in ([], np.zeros(5000), np.full(5000, np.nan), np.full(5000, 1e-5)):
             self._assert_records_match(values)
+
+
+def test_two_product_is_exact():
+    # p + e == x * y exactly, at the writer's and the reader's scales and for signed, tiny and huge factors
+    from fractions import Fraction
+
+    rng = np.random.default_rng(50)
+    n = 4000
+    f, p = rng.integers(0, 23, n), rng.integers(0, 23, n)
+    bits = np.array([1e-130, 1e130]).view(np.int64)
+    x = np.concatenate([rng.integers(1, 10**18, n).astype(float), 10.0 ** rng.uniform(-4, 16, n),
+                        rng.integers(*bits, n).view(np.float64) * rng.choice([-1.0, 1.0], n)])
+    y = np.concatenate([augment._INV10_HI[f], augment._POW10[p],
+                        rng.integers(*bits, n).view(np.float64) * rng.choice([-1.0, 1.0], n)])
+    product, error = augment._two_product(x, y)
+    bad = [(a, b) for a, b, q, e in zip(x.tolist(), y.tolist(), product.tolist(), error.tolist())
+           if Fraction(q) + Fraction(e) != Fraction(a) * Fraction(b)]
+    assert not bad, bad[:5]
 
 
 class TestCsvParse:

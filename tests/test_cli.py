@@ -152,6 +152,14 @@ class TestCountCmd:
         assert run("count", "--rep-in", K4, "--rep-out", FLIP) == 2
         assert "generator" in capsys.readouterr().err
 
+    def test_a_bom_group_file_counts_as_without_it(self, tmp_path, capsys):
+        bom = tmp_path / "k4.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(K4).read_bytes())
+        assert run("count", "--rep-in", K4) == 0
+        plain = capsys.readouterr().out
+        assert run("count", "--rep-in", str(bom)) == 0
+        assert capsys.readouterr().out == plain == "r=4 mn=16 ratio=0.25\n"
+
 
 class TestAugmentCmd:
     def _write_dataset(self, tmp_path, n=100):
@@ -263,6 +271,16 @@ class TestAugmentCmd:
         report = json.loads(reports[0])
         assert report["bytes_out"] == out.stat().st_size
         assert report["rows_in"] == 10 and report["rows_out"] == 40 and report["mode"] == "augmented"
+
+    def test_bom_inputs_augment_as_without_it(self, tmp_path):
+        path, _ = self._write_dataset(tmp_path, n=10)
+        bom_csv, bom_schema = tmp_path / "bom.csv", tmp_path / "bom_schema.json"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        bom_schema.write_bytes(b"\xef\xbb\xbf" + Path(COM_SCHEMA).read_bytes())
+        for csv, schema, out in ((path, COM_SCHEMA, "plain.csv"), (bom_csv, bom_schema, "bom_out.csv")):
+            assert run("augment", "--group", SOLO_GROUP, "--schema", str(schema),
+                       "--in", str(csv), "--out", str(tmp_path / out)) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "bom_out.csv").read_bytes()
 
     def test_header_mismatch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -1076,6 +1094,18 @@ def k4_weights(tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "w.json"
     assert main(["net", "demo-train", "--net-spec", NETSPEC, "--steps", "1", "--out", str(path)]) == 0
     return path
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["count", "--rep-in", K4], {"rank", "mn", "ratio"}),
+    (["net", "verify", "--net-spec", NETSPEC], {"passed", "max_violation", "element", "sample"}),
+], ids=["count", "net_verify"])
+def test_json_report_of_every_leaf_command(capsys, k4_weights, argv, keys):
+    # basis, augment, net init-stats, net demo-train and robot verify parse theirs in the tests above
+    weights = ["--weights", str(k4_weights)] if argv[0] == "net" else []
+    assert run(*argv, *weights, "--json") == 0
+    out = capsys.readouterr().out
+    assert set(json.loads(out[out.index("{"):])) == keys
 
 
 # every JSON-taking option: (the command that reads it, the JSON options

@@ -395,6 +395,20 @@ class TestJsonLoader:
         with pytest.raises(ParseError, match=r"generator 1 \(line 5\)"):
             load_representation(str(path))
 
+    def test_a_bom_file_names_the_same_generator_and_line(self, tmp_path):
+        text = ('{\n "dim": 2,\n "generators": [\n'
+                '  {"target": [1, 0], "sign": [1, 1]},\n'
+                '  {"target": [1, 0], "sign": [1, 2]}\n ]\n}\n')
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        errors = []
+        for path in (plain, bom):
+            with pytest.raises(ParseError) as info:
+                load_representation(str(path))
+            errors.append(str(info.value).removeprefix(f"{path}: "))
+        assert errors == ["generator 1 (line 5): sign entries must be +1 or -1"] * 2
+
     def test_line_counts_target_keys_not_values(self, tmp_path):
         # the string "target" on line 2 is a value, so it names no generator
         path = tmp_path / "bad.json"
